@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -173,6 +174,11 @@ class RunConfig:
             raise ConfigError("clip_len_s, fps, top_k, and c_max must be positive")
         if cfg.lambda_penalty < 0:
             raise ConfigError("lambda_penalty must be >= 0")
+        if math.ceil(cfg.clip_len_s * cfg.fps) > narration.MAX_IMAGES_PER_REQUEST:
+            raise ConfigError(
+                f"clip_len_s * fps must be <= {narration.MAX_IMAGES_PER_REQUEST} "
+                "frames per clip, the narration request cap"
+            )
         return cfg
 
     def require(self, path: Path, stage: str, what: str) -> Path:
@@ -306,7 +312,7 @@ def cmd_narrate(args: argparse.Namespace) -> int:
     with narration.NarrationEngine(
         backend, cache, prompt=_prompt_template(cfg), c_max=cfg.c_max
     ) as engine:
-        memories = [engine.narrate_candidate(plan) for plan in plans]
+        memories = engine.narrate_plans(plans)
         stats = engine.stats()
     narration.write_memories(memories, cfg.output_dir / MEMORIES_FILE)
     with open(cfg.cache_dir / NARRATE_STATS_FILE, "w", encoding="utf-8") as handle:

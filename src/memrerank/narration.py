@@ -4,7 +4,9 @@ The backend is pluggable: deterministic stubs and oracles live in
 :mod:`memrerank.synth`; the HTTP client lives in :mod:`memrerank.remote`.
 Narrations are cached on disk keyed by (video, clip, prompt version,
 backend), so re-running a dataset with a warm cache issues zero backend
-calls.
+calls. One narrate run schedules every distinct clip of every plan at
+once: each cache key reaches the backend at most once, and at most
+``c_max`` requests are in flight across the whole run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -108,11 +109,6 @@ class Backend(abc.ABC):
         self._call_lock = threading.Lock()
         self.narrate_calls = 0
         self.select_calls = 0
-
-    @property
-    def total_calls(self) -> int:
-        with self._call_lock:
-            return self.narrate_calls + self.select_calls
 
     def narrate(self, request: BackendRequest) -> BackendResponse:
         with self._call_lock:
@@ -241,8 +237,9 @@ def narration_instruction(
 
 
 class NarrationEngine:
-    """Narrates clips through a backend with caching, retries, and a
-    bounded number of in-flight requests."""
+    """Narrates the clips of many plans through one backend, with a cache,
+    retries, one request per distinct clip and at most ``c_max`` requests
+    in flight across all plans."""
 
     def __init__(
         self,
@@ -267,25 +264,22 @@ class NarrationEngine:
         self._stats_lock = threading.Lock()
         self._cache_hits = 0
         self._cache_misses = 0
-        self._executor: ThreadPoolExecutor | None = None
+        self._clips_requested = 0
+        self._clips_unique = 0
 
     def stats(self) -> dict:
+        """Cache hits and misses count distinct clips; ``clips_requested``
+        counts clip references across all plans."""
         with self._stats_lock:
             return {
                 "backend_calls": self.backend.narrate_calls,
                 "cache_hits": self._cache_hits,
                 "cache_misses": self._cache_misses,
+                "clips_requested": self._clips_requested,
+                "clips_unique": self._clips_unique,
             }
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.c_max)
-        return self._executor
-
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         self.cache.close()
 
     def __enter__(self):
@@ -294,10 +288,7 @@ class NarrationEngine:
     def __exit__(self, *exc_info):
         self.close()
 
-    def narrate_clip(
-        self, video_id: str, clip: TimeInterval, frame_timestamps: Sequence[float]
-    ) -> str:
-        """Cached narration for one clip; retries transient failures."""
+    def _check_frames(self, frame_timestamps: Sequence[float]) -> None:
         if not frame_timestamps:
             raise SchemaViolation("frame_timestamps", "clip has no frames to narrate")
         if len(frame_timestamps) > self.max_images:
@@ -305,13 +296,17 @@ class NarrationEngine:
                 f"{len(frame_timestamps)} frames exceed the per-request cap "
                 f"of {self.max_images}"
             )
-        key = NarrationCacheKey(
-            video_id,
-            clip.start_s,
-            clip.end_s,
-            self.prompt.version,
-            self.backend.backend_id,
-        )
+
+    def _key(self, video_id: str, clip: TimeInterval) -> NarrationCacheKey:
+        version, backend = self.prompt.version, self.backend.backend_id
+        return NarrationCacheKey(video_id, clip.start_s, clip.end_s, version, backend)
+
+    def narrate_clip(
+        self, video_id: str, clip: TimeInterval, frame_timestamps: Sequence[float]
+    ) -> str:
+        """Cached narration for one clip; retries transient failures."""
+        self._check_frames(frame_timestamps)
+        key = self._key(video_id, clip)
         cached = self.cache.get(key)
         if cached is not None:
             with self._stats_lock:
@@ -352,28 +347,64 @@ class NarrationEngine:
             f"backend '{self.backend.backend_id}' failed after {attempts} attempts"
         ) from last_error
 
-    def narrate_candidate(self, plan: ClipPlan) -> EpisodicMemory:
-        """Narrate every clip of a plan (concurrently) and build its memory."""
-        video_id = plan.candidate_key.video_id
-        jobs = list(zip(plan.clips, plan.frames))
-        if len(jobs) == 1 or self.c_max == 1:
-            narrations = {
-                clip: self.narrate_clip(video_id, clip, frames) for clip, frames in jobs
-            }
-        else:
-            pool = self._pool()
-            futures = {
-                clip: pool.submit(self.narrate_clip, video_id, clip, frames)
-                for clip, frames in jobs
-            }
-            narrations = {clip: future.result() for clip, future in futures.items()}
-        return build_episodic_memory(
-            plan.candidate_key,
-            plan,
-            narrations,
-            prompt_version=self.prompt.version,
-            backend_id=self.backend.backend_id,
-        )
+    def narrate_plans(self, plans: Sequence[ClipPlan]) -> list[EpisodicMemory]:
+        """Narrate every clip of every plan; one memory per plan, in order.
+
+        Frame counts are checked before any backend call. Each distinct
+        cache key is narrated at most once: hits are served inline, misses
+        by ``min(c_max, misses)`` threads pulling from one shared iterator.
+        The first failure stops the hand-out and is re-raised once every
+        thread has joined; narrations finished before it stay cached.
+        """
+        jobs: dict[NarrationCacheKey, tuple] = {}
+        for plan in plans:
+            video_id = plan.candidate_key.video_id
+            for clip, frames in zip(plan.clips, plan.frames):
+                self._check_frames(frames)
+                jobs.setdefault(self._key(video_id, clip), (video_id, clip, frames))
+        misses = [job for key, job in jobs.items() if self.cache.get(key) is None]
+        with self._stats_lock:
+            self._clips_requested += sum(len(plan.clips) for plan in plans)
+            self._clips_unique += len(jobs)
+            self._cache_hits += len(jobs) - len(misses)
+        pending, lock, errors = iter(misses), threading.Lock(), []
+
+        def work() -> None:
+            while True:
+                with lock:
+                    job = None if errors else next(pending, None)
+                if job is None:
+                    return
+                try:
+                    self.narrate_clip(*job)
+                except Exception as exc:  # re-raised on the calling thread
+                    errors.append(exc)
+                    return
+
+        workers = [threading.Thread(target=work) for _ in misses[: self.c_max]]
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        except BaseException as exc:  # an interrupt: stop the hand-out, then leave
+            errors.append(exc)
+            raise
+        if errors:
+            raise errors[0]
+        return [
+            build_episodic_memory(
+                plan.candidate_key,
+                plan,
+                {
+                    clip: self.cache.get(self._key(plan.candidate_key.video_id, clip))
+                    for clip in plan.clips
+                },
+                prompt_version=self.prompt.version,
+                backend_id=self.backend.backend_id,
+            )
+            for plan in plans
+        ]
 
 
 def build_episodic_memory(

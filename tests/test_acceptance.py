@@ -77,14 +77,14 @@ def big_memories(big_scenario):
     queries = {q.query_id: q for q in big_scenario.dataset.iter_queries()}
     items = {}
     for clist in big_scenario.candidates:
-        memories = [
-            engine.narrate_candidate(
+        memories = engine.narrate_plans(
+            [
                 plan_candidate(
                     c, 20.0, 1.0, video_id=clist.video_id, query_id=clist.query_id
                 )
-            )
-            for c in clist.candidates
-        ]
+                for c in clist.candidates
+            ]
+        )
         items[clist.query_id] = (queries[clist.query_id], clist, memories)
     return items
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import memrerank
 from memrerank.cli import main
 
 
@@ -194,6 +197,16 @@ class TestConfigPrecedence:
     def test_missing_config_file_rejected(self, tmp_path):
         assert run(["plan", "--config", tmp_path / "absent.json"]) == 2
 
+    def test_frames_per_clip_over_request_cap_rejected(self, tmp_path, caplog):
+        # 20 s clips at 2 fps need 40 frames; a narration request holds 20.
+        out = tmp_path / "run"
+        simulate(out)
+        with caplog.at_level("ERROR"):
+            code = run(["plan", "--out", out, "--fps", 2])
+        assert code == 2
+        assert not (out / "manifests.jsonl").exists()
+        assert any("frames per clip" in message for message in caplog.messages)
+
     def test_bad_backend_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["narrate", "--out", tmp_path, "--backend", "imaginary"])
@@ -212,10 +225,15 @@ class TestRankSource:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # The package directory may reach pytest only through its own
+        # ``pythonpath`` setting, which the child process does not inherit.
+        src = str(Path(memrerank.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "memrerank", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "simulate" in result.stdout

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -15,6 +16,7 @@ from memrerank import (
     plan_candidate,
     render_memory,
 )
+from memrerank import narration
 from memrerank.errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -22,7 +24,7 @@ from memrerank.errors import (
     MissingNarrationError,
 )
 from memrerank.narration import NarrationCacheKey
-from memrerank.synth import stub_backend
+from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
 
 from helpers import candidate, interval, tiny_scenario
 
@@ -48,6 +50,31 @@ class FixedBackend(Backend):
             text=f"a steady narration of {len(request.images)} frames",
             backend_id=self.backend_id,
         )
+
+    def _select(self, prompt):
+        return BackendResponse(text="1", backend_id=self.backend_id)
+
+
+class GaugeBackend(Backend):
+    """Records the most narration requests it ever had in flight at once."""
+
+    backend_id = "gauge"
+
+    def __init__(self, delay_s=0.005):
+        super().__init__()
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def _narrate(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(self.delay_s)
+        with self.lock:
+            self.in_flight -= 1
+        return BackendResponse(text="ok", backend_id=self.backend_id)
 
     def _select(self, prompt):
         return BackendResponse(text="1", backend_id=self.backend_id)
@@ -167,11 +194,11 @@ class TestNarrationCache:
         plan = plan_for(0.0, 45.0)
         first_backend = FixedBackend()
         with NarrationEngine(first_backend, NarrationCache(path)) as engine:
-            memory_first = engine.narrate_candidate(plan)
+            [memory_first] = engine.narrate_plans([plan])
         assert first_backend.narrate_calls == 3
         second_backend = FixedBackend()
         with NarrationEngine(second_backend, NarrationCache(path)) as engine:
-            memory_second = engine.narrate_candidate(plan)
+            [memory_second] = engine.narrate_plans([plan])
         assert second_backend.narrate_calls == 0
         assert memory_first == memory_second
         assert render_memory(memory_first) == render_memory(memory_second)
@@ -250,33 +277,11 @@ class TestRenderMemory:
 class TestConcurrency:
     def test_bounded_fan_out(self):
         c_max = 3
-
-        class GaugeBackend(Backend):
-            backend_id = "gauge"
-
-            def __init__(self):
-                super().__init__()
-                self.lock = threading.Lock()
-                self.in_flight = 0
-                self.max_in_flight = 0
-
-            def _narrate(self, request):
-                with self.lock:
-                    self.in_flight += 1
-                    self.max_in_flight = max(self.max_in_flight, self.in_flight)
-                time.sleep(0.005)
-                with self.lock:
-                    self.in_flight -= 1
-                return BackendResponse(text="ok", backend_id=self.backend_id)
-
-            def _select(self, prompt):
-                return BackendResponse(text="1", backend_id=self.backend_id)
-
         backend = GaugeBackend()
         plan = plan_for(0.0, 400.0)
         assert len(plan.clips) == 20
         with NarrationEngine(backend, c_max=c_max) as engine:
-            engine.narrate_candidate(plan)
+            engine.narrate_plans([plan])
         assert backend.narrate_calls == 20
         assert 1 <= backend.max_in_flight <= c_max
 
@@ -284,10 +289,140 @@ class TestConcurrency:
         scenario = tiny_scenario()
         plan = plan_for(10.0, 95.0)
         with NarrationEngine(stub_backend(scenario), c_max=4) as engine:
-            concurrent = engine.narrate_candidate(plan)
+            concurrent = engine.narrate_plans([plan])
         with NarrationEngine(stub_backend(scenario), c_max=1) as engine:
-            sequential = engine.narrate_candidate(plan)
+            sequential = engine.narrate_plans([plan])
         assert concurrent == sequential
+
+
+class TestNarratePlans:
+    def test_fan_out_spans_candidates(self):
+        # Eight single-clip candidates: a per-candidate pool never has more
+        # than one request in flight.
+        backend = GaugeBackend(delay_s=0.05)
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(8)]
+        with NarrationEngine(backend, c_max=4) as engine:
+            engine.narrate_plans(plans)
+        assert backend.narrate_calls == 8
+        assert backend.max_in_flight == 4
+
+    def test_shared_clip_narrated_once(self):
+        backend = GaugeBackend(delay_s=0.01)
+        plans = [
+            plan_for(30.0, 45.0, rank=1, query_id="v0-q000"),
+            plan_for(30.0, 45.0, rank=3, query_id="v0-q001"),
+        ]
+        with NarrationEngine(backend, c_max=4) as engine:
+            first, second = engine.narrate_plans(plans)
+            stats = engine.stats()
+        assert backend.narrate_calls == 1
+        assert [e.narration for e in first.entries] == ["ok"]
+        assert [e.narration for e in second.entries] == ["ok"]
+        assert stats["clips_requested"] == 2
+        assert stats["clips_unique"] == 1
+        assert stats["cache_misses"] == 1
+
+    def test_each_key_narrated_once_under_thread_churn(self):
+        # More workers than cores and a short switch interval: a lost update
+        # in the hand-out would narrate some key twice or not at all.
+        plans = [
+            plan_for(20.0 * (i % 50), 20.0 * (i % 50) + 10.0, query_id=f"v0-q{i:03d}")
+            for i in range(200)
+        ]
+        backend = FixedBackend()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with NarrationEngine(backend, c_max=8) as engine:
+                memories = engine.narrate_plans(plans)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert backend.narrate_calls == 50
+        assert engine.stats()["clips_unique"] == 50
+        assert [m.candidate_key for m in memories] == [p.candidate_key for p in plans]
+
+    def test_warm_cache_starts_no_thread(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        plans = [plan_for(0.0, 45.0, rank=1), plan_for(50.0, 70.0, rank=2)]
+        with NarrationEngine(FixedBackend(), NarrationCache(path), c_max=4) as engine:
+            cold = engine.narrate_plans(plans)
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a warm cache must not start a worker thread")
+
+        monkeypatch.setattr(narration.threading, "Thread", no_threads)
+        backend = FixedBackend()
+        with NarrationEngine(backend, NarrationCache(path), c_max=4) as engine:
+            warm = engine.narrate_plans(plans)
+            stats = engine.stats()
+        assert backend.narrate_calls == 0
+        assert warm == cold
+        assert stats["cache_hits"] == 4
+        assert stats["cache_misses"] == 0
+
+    def test_exhausted_retries_keep_finished_narrations(self, tmp_path):
+        class BrokenClipBackend(GaugeBackend):
+            def _narrate(self, request):
+                if request.images[0].timestamp_s == 40.0:
+                    raise BackendUnavailableError("down for this clip")
+                return super()._narrate(request)
+
+        path = tmp_path / "cache.jsonl"
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(8)]
+        backend = BrokenClipBackend(delay_s=0.02)
+        engine = NarrationEngine(
+            backend, NarrationCache(path), c_max=2, sleep=lambda s: None
+        )
+        with pytest.raises(BackendUnavailableError):
+            engine.narrate_plans(plans)
+        engine.close()
+        # The third clip fails four attempts; the hand-out stops there, so
+        # the second worker finishes at most one more clip.
+        finished = backend.narrate_calls - 4
+        assert 2 <= finished <= 3
+        assert len(NarrationCache(path)) == finished
+        resumed = GaugeBackend(delay_s=0.0)
+        with NarrationEngine(resumed, NarrationCache(path)) as engine:
+            engine.narrate_plans(plans)
+        assert resumed.narrate_calls == 8 - finished
+
+    def test_interrupt_stops_the_hand_out(self, monkeypatch):
+        started = []
+        thread_class = threading.Thread
+
+        class InterruptedJoin(thread_class):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(narration.threading, "Thread", InterruptedJoin)
+        backend = GaugeBackend(delay_s=0.05)
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(20)]
+        with pytest.raises(KeyboardInterrupt):
+            NarrationEngine(backend, c_max=2).narrate_plans(plans)
+        for worker in started:
+            thread_class.join(worker, timeout=5)
+            assert not worker.is_alive()
+        assert backend.narrate_calls <= 4
+
+    def test_memories_independent_of_c_max(self):
+        knobs = ScenarioKnobs(num_videos=3, queries_per_video=3, candidates_per_query=5)
+        scenario = generate_scenario(knobs, seed=11)
+        plans = [
+            plan_candidate(c, 20.0, 1.0, video_id=clist.video_id, query_id=clist.query_id)
+            for clist in scenario.candidates
+            for c in clist.candidates
+        ]
+        assert len({plan.candidate_key.video_id for plan in plans}) == 3
+        with NarrationEngine(stub_backend(scenario), c_max=4) as engine:
+            concurrent = engine.narrate_plans(plans)
+        with NarrationEngine(stub_backend(scenario), c_max=1) as engine:
+            sequential = engine.narrate_plans(plans)
+        assert concurrent == sequential
+        assert [m.candidate_key for m in concurrent] == [p.candidate_key for p in plans]
 
 
 class TestPromptTemplate:

@@ -28,13 +28,11 @@ def memories_for(scenario, query_id):
     """Stub-narrated memory per candidate, ordered by rank."""
     clist_ = scenario.candidates_by_query()[query_id]
     engine = NarrationEngine(stub_backend(scenario))
-    memories = []
-    for candidate in clist_.candidates:
-        plan = plan_candidate(
-            candidate, 20.0, 1.0, video_id=clist_.video_id, query_id=query_id
-        )
-        memories.append(engine.narrate_candidate(plan))
-    return clist_, memories
+    plans = [
+        plan_candidate(candidate, 20.0, 1.0, video_id=clist_.video_id, query_id=query_id)
+        for candidate in clist_.candidates
+    ]
+    return clist_, engine.narrate_plans(plans)
 
 
 def query_for(scenario, query_id):

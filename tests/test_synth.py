@@ -140,12 +140,12 @@ def _selection_prompt(scenario, query_id):
         q for q in scenario.dataset.iter_queries() if q.query_id == query_id
     )
     engine = NarrationEngine(stub_backend(scenario))
-    memories = [
-        engine.narrate_candidate(
+    memories = engine.narrate_plans(
+        [
             plan_candidate(c, 20.0, 1.0, video_id=clist.video_id, query_id=query_id)
-        )
-        for c in clist.candidates
-    ]
+            for c in clist.candidates
+        ]
+    )
     return query, clist, build_rerank_prompt(query, memories, len(memories))
 
 
@@ -179,12 +179,12 @@ class TestSelectors:
             q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000"
         )
         engine = NarrationEngine(stub_backend(scenario))
-        memories = [
-            engine.narrate_candidate(
+        memories = engine.narrate_plans(
+            [
                 plan_candidate(c, 20.0, 1.0, video_id="v0", query_id="v0-q000")
-            )
-            for c in single.candidates
-        ]
+                for c in single.candidates
+            ]
+        )
         prompt = build_rerank_prompt(query, memories, 1)
         assert backend.select(prompt).text == "1"
 
