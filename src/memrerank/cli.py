@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import clips, ingest, metrics, narration, sequencing, synth
+from .core import CandidateList
 from .rerank import identity_outcome, log_record, rerank_many, write_rerank_log
 from .errors import (
     BackendError,
@@ -232,7 +233,18 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_backend(cfg: RunConfig) -> narration.Backend:
+def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
+    """The annotations and the top-k candidate lists."""
+    cfg.require(cfg.annotations, "simulate", "annotations file")
+    cfg.require(cfg.candidates, "simulate", "candidates file")
+    dataset = ingest.load_annotations(cfg.annotations)
+    return dataset, ingest.load_candidates(cfg.candidates, top_k=cfg.top_k, dataset=dataset)
+
+
+def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
+    """The configured backend. The scripted ones load the scenario over
+    ``inputs``, the stage's (dataset, candidate lists), which are loaded
+    here when the stage has not loaded them itself."""
     if cfg.backend == "remote":
         from .remote import FrameProvider, RemoteBackend
 
@@ -241,7 +253,8 @@ def _build_backend(cfg: RunConfig) -> narration.Backend:
             provider = FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
         return RemoteBackend.from_env(frame_provider=provider)
     cfg.require(cfg.scenario, "simulate", "scenario file")
-    scenario = synth.load_scenario(cfg.scenario)
+    dataset, lists = inputs if inputs is not None else _load_inputs(cfg)
+    scenario = synth.load_scenario(cfg.scenario, dataset, lists)
     if cfg.backend == "oracle":
         return synth.oracle_selector(scenario)
     return synth.stub_backend(scenario)
@@ -315,7 +328,7 @@ def cmd_narrate(args: argparse.Namespace) -> int:
         memories = engine.narrate_plans(plans)
         stats = engine.stats()
     narration.write_memories(memories, cfg.output_dir / MEMORIES_FILE)
-    with open(cfg.cache_dir / NARRATE_STATS_FILE, "w", encoding="utf-8") as handle:
+    with ingest.atomic_writer(cfg.cache_dir / NARRATE_STATS_FILE) as handle:
         json.dump(stats, handle, sort_keys=True, indent=2)
         handle.write("\n")
     logger.info(
@@ -329,16 +342,13 @@ def cmd_narrate(args: argparse.Namespace) -> int:
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    cfg.require(cfg.annotations, "simulate", "annotations file")
-    cfg.require(cfg.candidates, "simulate", "candidates file")
+    dataset, lists = _load_inputs(cfg)
     memories_path = cfg.require(cfg.output_dir / MEMORIES_FILE, "narrate", "memories file")
-    dataset = ingest.load_annotations(cfg.annotations)
-    lists = ingest.load_candidates(cfg.candidates, top_k=cfg.top_k, dataset=dataset)
     lists_by_query = {clist.query_id: clist for clist in lists}
     memories_by_query: dict[str, list] = {}
     for memory in narration.read_memories(memories_path):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
-    backend = _build_backend(cfg)
+    backend = _build_backend(cfg, (dataset, lists))
 
     eligible = []
     records_order = []
@@ -448,10 +458,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    cfg.require(cfg.annotations, "simulate", "annotations file")
-    cfg.require(cfg.candidates, "simulate", "candidates file")
-    dataset = ingest.load_annotations(cfg.annotations)
-    lists = ingest.load_candidates(cfg.candidates, top_k=cfg.top_k, dataset=dataset)
+    dataset, lists = _load_inputs(cfg)
     before_predictions = {clist.query_id: clist.intervals() for clist in lists}
     final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
     rerank_path = cfg.output_dir / PREDICTIONS_RERANK_FILE
@@ -490,7 +497,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     before, after = metrics.read_comparison(compare_path)
     table = metrics.format_comparison_table([("base", before), ("reranked", after)])
     print(table)
-    with open(cfg.output_dir / REPORT_FILE, "w", encoding="utf-8") as handle:
+    with ingest.atomic_writer(cfg.output_dir / REPORT_FILE) as handle:
         handle.write(table)
         handle.write("\n")
     return 0

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .core import CandidateKey, CandidateSegment, TimeInterval
 from .errors import SchemaViolation, ZeroLengthSegmentError
+from .ingest import atomic_writer
 
 DEFAULT_CLIP_LEN_S = 20.0
 DEFAULT_FPS = 1.0
@@ -121,9 +122,17 @@ def plan_candidate(
     video_id: str,
     query_id: str,
 ) -> ClipPlan:
-    """Compose clip cutting and frame sampling for one candidate."""
+    """Compose clip cutting and frame sampling for one candidate.
+
+    No clip gets more than ``ceil(clip_len_s * fps)`` frames. Cut points
+    and the candidate end are separate sums, so a full clip can be a few
+    ulps longer than ``clip_len_s``; ``sample_frames`` would then give it
+    one frame more.
+    """
     clips = plan_clips(candidate.interval, clip_len_s)
-    frames = tuple(sample_frames(clip, fps) for clip in clips)
+    frames = tuple(
+        sample_frames(clip, fps)[: math.ceil(clip_len_s * fps)] for clip in clips
+    )
     key = CandidateKey(video_id, query_id, candidate.rank)
     return ClipPlan(key, clips, frames)
 
@@ -146,7 +155,7 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
     records.sort(
         key=lambda r: (r["video_id"], r["query_id"], r["rank"], r["clip_start_s"])
     )
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return len(records)

@@ -8,12 +8,14 @@ so the value round-trips exactly.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
     CandidateList,
@@ -178,13 +180,32 @@ def dump_json(value) -> str:
     return "".join(out)
 
 
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """Text handle on a temporary file beside ``path``.
+
+    When the block completes, the file replaces ``path`` in one rename, so
+    a reader sees the old content or the new, never a partial write. When
+    the block raises, the temporary file is removed and ``path`` is left
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json_file(value, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         handle.write(dump_json(value))
         handle.write("\n")
 
 
-def _read_json(path: str | Path):
+def read_json_file(path: str | Path):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -243,7 +264,7 @@ def _parse_query(raw, video_id: str) -> Query:
 
 def load_annotations(path: str | Path) -> Dataset:
     """Parse and fully validate an annotations file."""
-    root = _as_object(_read_json(path), "<root>")
+    root = _as_object(read_json_file(path), "<root>")
     track_text = _as_string(root.get("track"), "track")
     try:
         track = Track(track_text)
@@ -318,7 +339,7 @@ def load_candidates(
     """
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
-    root = _as_object(_read_json(path), "<root>")
+    root = _as_object(read_json_file(path), "<root>")
     known = dataset.query_ids() if dataset is not None else None
     lists: list[CandidateList] = []
     seen: set[tuple[str, str]] = set()
@@ -397,7 +418,7 @@ def write_predictions(
 
 
 def load_predictions(path: str | Path) -> dict[str, tuple[TimeInterval, ...]]:
-    root = _as_object(_read_json(path), "<root>")
+    root = _as_object(read_json_file(path), "<root>")
     version = root.get("version")
     if version != PREDICTIONS_VERSION:
         raise SchemaViolation(

@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 
 from .core import MetricCell, MetricsReport, TimeInterval
 from .errors import NoQueriesError, SchemaViolation, UnknownQueryIdError
+from .ingest import atomic_writer
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +158,7 @@ def report_from_dict(payload: dict) -> MetricsReport:
 
 
 def write_metrics_report(report: MetricsReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         json.dump(report_to_dict(report), handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -172,7 +173,7 @@ def write_comparison(
 ) -> None:
     """Side-by-side report used for base-vs-reranked comparisons."""
     payload = {"before": report_to_dict(before), "after": report_to_dict(after)}
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
 

@@ -2,6 +2,9 @@
 
 The backend is pluggable: deterministic stubs and oracles live in
 :mod:`memrerank.synth`; the HTTP client lives in :mod:`memrerank.remote`.
+A narration request is structured (video id, clip bounds, frame refs and
+prompt template): the scripted backends read its fields, and only the
+HTTP client renders them into instruction text.
 Narrations are cached on disk keyed by (video, clip, prompt version,
 backend), so re-running a dataset with a warm cache issues zero backend
 calls. One narrate run schedules every distinct clip of every plan at
@@ -31,6 +34,7 @@ from .errors import (
     MissingNarrationError,
     SchemaViolation,
 )
+from .ingest import atomic_writer
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +78,13 @@ DEFAULT_PROMPT = PromptTemplate(DEFAULT_NARRATION_TEMPLATE)
 
 @dataclass(frozen=True, slots=True)
 class BackendRequest:
-    """One narration request: instruction text plus ordered frame refs."""
+    """One narration request: a clip of a video, its ordered frame refs
+    and the prompt template the instruction is rendered from."""
 
-    instruction: str
+    video_id: str
+    clip: TimeInterval
     images: tuple[FrameRef, ...]
+    prompt: PromptTemplate = DEFAULT_PROMPT
     max_output_chars: int = DEFAULT_MAX_OUTPUT_CHARS
 
     def __post_init__(self):
@@ -224,18 +231,6 @@ class NarrationCache:
                 self._handle = None
 
 
-def narration_instruction(
-    template: PromptTemplate, video_id: str, clip: TimeInterval, num_frames: int
-) -> str:
-    """Instruction text for one clip; embeds exact clip bounds as context."""
-    return (
-        f"{template.text}\n"
-        f"Video: {video_id}\n"
-        f"Clip: {clip.start_s!r} to {clip.end_s!r} seconds\n"
-        f"Frames: {num_frames} sampled in order"
-    )
-
-
 class NarrationEngine:
     """Narrates the clips of many plans through one backend, with a cache,
     retries, one request per distinct clip and at most ``c_max`` requests
@@ -315,10 +310,10 @@ class NarrationEngine:
         with self._stats_lock:
             self._cache_misses += 1
         request = BackendRequest(
-            instruction=narration_instruction(
-                self.prompt, video_id, clip, len(frame_timestamps)
-            ),
-            images=tuple(FrameRef(video_id, t) for t in frame_timestamps),
+            video_id,
+            clip,
+            tuple(FrameRef(video_id, t) for t in frame_timestamps),
+            self.prompt,
         )
         text = self._call_with_retries(request)
         self.cache.put(key, text)
@@ -460,7 +455,7 @@ def render_memory(memory: EpisodicMemory) -> str:
 def write_memories(memories: Sequence[EpisodicMemory], path: str | Path) -> None:
     """One JSON-Lines record per candidate memory, deterministically ordered."""
     ordered = sorted(memories, key=lambda m: m.candidate_key)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         for memory in ordered:
             record = {
                 "video_id": memory.candidate_key.video_id,

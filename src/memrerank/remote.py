@@ -30,6 +30,16 @@ ENV_API_KEY = "MEMRERANK_API_KEY"
 DEFAULT_TIMEOUT_S = 120.0
 
 
+def narration_instruction(request: BackendRequest) -> str:
+    """Instruction text for one clip; embeds exact clip bounds as context."""
+    return (
+        f"{request.prompt.text}\n"
+        f"Video: {request.video_id}\n"
+        f"Clip: {request.clip.start_s!r} to {request.clip.end_s!r} seconds\n"
+        f"Frames: {len(request.images)} sampled in order"
+    )
+
+
 def frame_filename(timestamp_s: float) -> str:
     """Millisecond-rounded, zero-padded frame file name."""
     return f"{round(timestamp_s * 1000):010d}.jpg"
@@ -136,7 +146,7 @@ class RemoteBackend(Backend):
     def _narrate(self, request: BackendRequest) -> BackendResponse:
         return self._post(
             {
-                "instruction": request.instruction,
+                "instruction": narration_instruction(request),
                 "images": [self._encode_image(ref) for ref in request.images],
                 "max_output_chars": request.max_output_chars,
             }

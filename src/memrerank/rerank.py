@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .core import CandidateList, EpisodicMemory, Query
 from .errors import BackendError, MemoryCountMismatchError, SchemaViolation
+from .ingest import atomic_writer
 from .narration import Backend, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
@@ -240,6 +241,6 @@ def log_record(outcome: RerankOutcome, skipped: bool = False, reason: str = "") 
 
 
 def write_rerank_log(records: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")

@@ -32,6 +32,7 @@ from .errors import (
     InstanceTooLargeError,
     SchemaViolation,
 )
+from .ingest import atomic_writer
 
 BRUTE_FORCE_LIMIT = 1_000_000
 
@@ -238,6 +239,6 @@ def write_optimizer_report(
             for task, sel in sorted(entries, key=lambda e: e[0].video_id)
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")

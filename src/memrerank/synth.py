@@ -3,19 +3,23 @@
 A scenario scripts a timeline of labeled events per video; queries target
 a subset of those events in start order, candidates are jittered copies
 of the target plus distractors drawn from other events. The scripted
-backends answer narration requests from the event script and selection
-requests by label matching (stub), by ground-truth IoU argmax (oracle),
-or by IoU argmin (adversarial), so full pipelines run without videos or
-a remote model.
+backends answer narration requests from the event script (reading the
+request's video id and clip bounds) and selection requests by label
+matching (stub), by ground-truth IoU argmax (oracle), or by IoU argmin
+(adversarial), so full pipelines run without videos or a remote model.
+
+The scenario file holds only what the annotations and candidates files do
+not: the knobs, the event script and the latent positives. A stage loads
+it over the dataset and top-k candidate lists it already parsed, so the
+selectors score the very lists the selection prompts are built from.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,15 +31,13 @@ from .core import (
     validate_candidate_list,
 )
 from .errors import InvalidKnobsError, SchemaViolation
-from .ingest import Dataset, Track, VideoRecord, dump_json
+from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest, BackendResponse
 from .rerank import QUERY_LINE_PREFIX
 
-SCENARIO_VERSION = "scenario-1"
+SCENARIO_VERSION = "scenario-2"
 
-_CLIP_LINE = re.compile(r"^Clip: (\S+) to (\S+) seconds$", re.MULTILINE)
-_VIDEO_LINE = re.compile(r"^Video: (\S+)$", re.MULTILINE)
 _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
 _QUERY_TAG = re.compile(r"\[([^\]]+)\]")
 _CANDIDATE_HEADING_RE = re.compile(r"^Candidate (\d+)$")
@@ -81,7 +83,11 @@ class ScriptedEvent:
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A replayable synthetic benchmark instance."""
+    """A replayable synthetic benchmark instance.
+
+    Every ground truth must be a scripted event, which also catches a
+    scenario file loaded over the annotations of another run.
+    """
 
     seed: int
     knobs: ScenarioKnobs
@@ -100,7 +106,8 @@ class Scenario:
             if not any(e.interval == gt for e in events):
                 raise SchemaViolation(
                     "event_script",
-                    f"ground truth of query '{query.query_id}' missing from script",
+                    f"ground truth of query '{query.query_id}' missing from script "
+                    "(are the scenario and annotations files from one run?)",
                 )
 
     def script_by_video(self) -> dict[str, tuple[ScriptedEvent, ...]]:
@@ -264,23 +271,11 @@ class ScriptedStubBackend(Backend):
         super().__init__()
         self._script = scenario.script_by_video()
 
-    def _clip_from_instruction(self, instruction: str) -> tuple[str, TimeInterval]:
-        video_match = _VIDEO_LINE.search(instruction)
-        clip_match = _CLIP_LINE.search(instruction)
-        if video_match is None or clip_match is None:
-            raise SchemaViolation(
-                "instruction", "narration request lacks video/clip context lines"
-            )
-        return video_match.group(1), TimeInterval(
-            float(clip_match.group(1)), float(clip_match.group(2))
-        )
-
     def _narrate(self, request: BackendRequest) -> BackendResponse:
-        video_id, clip = self._clip_from_instruction(request.instruction)
         overlapping = [
             event.label
-            for event in self._script.get(video_id, ())
-            if event.interval.overlaps(clip)
+            for event in self._script.get(request.video_id, ())
+            if event.interval.overlaps(request.clip)
         ]
         text = "events: " + ("; ".join(overlapping) if overlapping else "none")
         return BackendResponse(text=text, backend_id=self.backend_id)
@@ -320,7 +315,9 @@ class ScriptedStubBackend(Backend):
 
 
 class _GroundTruthSelector(ScriptedStubBackend):
-    """Shared machinery for selectors that consult the ground truth."""
+    """Shared machinery for selectors that consult the ground truth. They
+    score the scenario's candidate lists, which a stage loads from the
+    same lists it builds its selection prompts from."""
 
     def __init__(self, scenario: Scenario):
         super().__init__(scenario)
@@ -377,105 +374,46 @@ def worst_selector(scenario: Scenario) -> WorstSelectorBackend:
     return WorstSelectorBackend(scenario)
 
 
-def _interval_pair(iv: TimeInterval) -> list[float]:
-    return [iv.start_s, iv.end_s]
-
-
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    payload = {
-        "version": SCENARIO_VERSION,
-        "seed": scenario.seed,
-        "track": scenario.dataset.track.value,
-        "knobs": {
-            "num_videos": scenario.knobs.num_videos,
-            "queries_per_video": scenario.knobs.queries_per_video,
-            "candidates_per_query": scenario.knobs.candidates_per_query,
-            "recall_rho": scenario.knobs.recall_rho,
-            "jitter_s": scenario.knobs.jitter_s,
-            "latent_positive_rate": scenario.knobs.latent_positive_rate,
+    """The knobs, event script and latent positives; ``simulate`` writes
+    the dataset and candidates to their own files."""
+    write_json_file(
+        {
+            "version": SCENARIO_VERSION,
+            "seed": scenario.seed,
+            "track": scenario.dataset.track.value,
+            "knobs": asdict(scenario.knobs),
+            "event_script": {
+                video_id: [
+                    {"start_s": e.interval.start_s, "end_s": e.interval.end_s, "label": e.label}
+                    for e in events
+                ]
+                for video_id, events in scenario.event_script
+            },
+            "latent_positives": {
+                query_id: [[iv.start_s, iv.end_s] for iv in intervals]
+                for query_id, intervals in scenario.latent_positives
+            },
         },
-        "videos": [
-            {
-                "video_id": video.video_id,
-                "duration_s": video.duration_s,
-                "queries": [
-                    {
-                        "query_id": q.query_id,
-                        "text": q.text,
-                        **(
-                            {"order_index": q.order_index}
-                            if q.order_index is not None
-                            else {}
-                        ),
-                        "gt": {
-                            "start_s": q.ground_truth.start_s,
-                            "end_s": q.ground_truth.end_s,
-                        },
-                    }
-                    for q in video.queries
-                ],
-            }
-            for video in scenario.dataset.videos
-        ],
-        "event_script": {
-            video_id: [
-                {"start_s": e.interval.start_s, "end_s": e.interval.end_s, "label": e.label}
-                for e in events
-            ]
-            for video_id, events in scenario.event_script
-        },
-        "latent_positives": {
-            query_id: [_interval_pair(iv) for iv in intervals]
-            for query_id, intervals in scenario.latent_positives
-        },
-        "candidates": [
-            {
-                "video_id": clist.video_id,
-                "query_id": clist.query_id,
-                "candidates": [
-                    {
-                        "start_s": c.interval.start_s,
-                        "end_s": c.interval.end_s,
-                        "score": c.score,
-                    }
-                    for c in clist.candidates
-                ],
-            }
-            for clist in scenario.candidates
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_json(payload))
-        handle.write("\n")
+        path,
+    )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != SCENARIO_VERSION:
-        raise SchemaViolation(
-            "version", f"expected {SCENARIO_VERSION!r}, got {payload.get('version')!r}"
-        )
+def load_scenario(
+    path: str | Path, dataset: Dataset, candidates: Sequence[CandidateList]
+) -> Scenario:
+    """The scenario of ``path`` over the dataset and candidate lists the
+    calling stage loaded from the annotations and candidates files."""
+    payload = read_json_file(path)
     try:
+        if payload.get("version") != SCENARIO_VERSION:
+            raise SchemaViolation(
+                "version",
+                f"expected {SCENARIO_VERSION!r}, got {payload.get('version')!r}; "
+                "re-run simulate",
+            )
         knobs = ScenarioKnobs(**payload["knobs"])
         track = Track(payload["track"])
-        videos = tuple(
-            VideoRecord(
-                raw["video_id"],
-                float(raw["duration_s"]),
-                tuple(
-                    Query(
-                        query_id=q["query_id"],
-                        video_id=raw["video_id"],
-                        text=q["text"],
-                        order_index=q.get("order_index"),
-                        ground_truth=TimeInterval(q["gt"]["start_s"], q["gt"]["end_s"]),
-                    )
-                    for q in raw["queries"]
-                ),
-            )
-            for raw in payload["videos"]
-        )
         script = tuple(
             (
                 video_id,
@@ -490,29 +428,19 @@ def load_scenario(path: str | Path) -> Scenario:
             (query_id, tuple(TimeInterval(a, b) for a, b in pairs))
             for query_id, pairs in sorted(payload["latent_positives"].items())
         )
-        candidates = tuple(
-            CandidateList(
-                raw["video_id"],
-                raw["query_id"],
-                tuple(
-                    CandidateSegment(
-                        interval=TimeInterval(c["start_s"], c["end_s"]),
-                        score=float(c["score"]),
-                        rank=position + 1,
-                    )
-                    for position, c in enumerate(raw["candidates"])
-                ),
-            )
-            for raw in payload["candidates"]
-        )
-    except (KeyError, TypeError) as exc:
+        seed = int(payload["seed"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation("scenario", f"malformed scenario file: {exc}") from exc
+    if track is not dataset.track:
+        raise SchemaViolation(
+            "track", f"scenario is {track.value}, annotations are {dataset.track.value}"
+        )
     return Scenario(
-        seed=int(payload["seed"]),
+        seed=seed,
         knobs=knobs,
-        dataset=Dataset(track=track, videos=videos),
+        dataset=dataset,
         event_script=script,
-        candidates=candidates,
+        candidates=tuple(candidates),
         latent_positives=latent,
     )
 

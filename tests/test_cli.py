@@ -24,6 +24,22 @@ def simulate(out, seed=7, videos=2, queries=3, **extra):
     assert run(argv) == 0
 
 
+def cell(compare, side, k, iou):
+    return next(
+        c["value"] for c in compare[side]["cells"] if c["k"] == k and c["iou"] == iou
+    )
+
+
+def rewrite_candidates(out, change):
+    """Apply ``change`` to every candidate record of ``candidates.json``."""
+    path = out / "candidates.json"
+    payload = json.loads(path.read_text())
+    for prediction in payload["predictions"]:
+        for position, record in enumerate(prediction["candidates"]):
+            change(prediction, position, record)
+    path.write_text(json.dumps(payload))
+
+
 def pipeline(out, seed=7, rerank_backend="oracle"):
     simulate(out, seed=seed)
     assert run(["plan", "--out", out]) == 0
@@ -146,17 +162,52 @@ class TestPipeline:
         assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
         assert run(["eval", "--out", out]) == 0
         compare = json.loads((out / "metrics_compare.json").read_text())
-
-        def cell(side, k, iou):
-            return next(
-                c["value"]
-                for c in compare[side]["cells"]
-                if c["k"] == k and c["iou"] == iou
-            )
-
         for threshold in (0.3, 0.5):
-            assert cell("after", 1, threshold) == cell("before", 5, threshold)
-            assert cell("after", 5, threshold) == cell("before", 5, threshold)
+            assert cell(compare, "after", 1, threshold) == cell(compare, "before", 5, threshold)
+            assert cell(compare, "after", 5, threshold) == cell(compare, "before", 5, threshold)
+
+    def test_oracle_scores_the_rescored_candidate_list(self, tmp_path):
+        # Reversed scores reverse each loaded list; the oracle must score
+        # the list in the prompt, not the order the scenario was made in.
+        out = tmp_path / "run"
+        simulate(out, seed=7, videos=5, queries=4)
+        rewrite_candidates(out, lambda _, position, record: record.update(score=position))
+        for stage in ("plan", "narrate", "rerank", "eval"):
+            backend = "stub" if stage == "narrate" else "oracle"
+            assert run([stage, "--out", out, "--backend", backend]) == 0, stage
+        compare = json.loads((out / "metrics_compare.json").read_text())
+        for threshold in (0.3, 0.5):
+            assert cell(compare, "before", 1, threshold) < cell(compare, "before", 5, threshold)
+            assert cell(compare, "after", 1, threshold) == cell(compare, "before", 5, threshold)
+
+    def test_scenario_of_another_run_rejected(self, tmp_path, caplog):
+        out, other = tmp_path / "run", tmp_path / "other"
+        simulate(out, seed=7)
+        simulate(other, seed=8)
+        (out / "scenario.json").write_bytes((other / "scenario.json").read_bytes())
+        assert run(["plan", "--out", out]) == 0
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("missing from script" in message for message in caplog.messages)
+
+    def test_clip_a_few_ulps_long_gets_no_extra_frame(self, tmp_path):
+        # The second 20 s clip of [5.511, 81.704) is a few ulps longer
+        # than 20 s; 21 frames would exceed the per-request cap.
+        out = tmp_path / "run"
+        simulate(out)
+
+        def widen_first(prediction, position, record):
+            if prediction["query_id"] == "v000-q000" and position == 0:
+                record.update(start_s=5.511, end_s=81.704)
+
+        rewrite_candidates(out, widen_first)
+        assert run(["plan", "--out", out]) == 0
+        records = [json.loads(line) for line in (out / "manifests.jsonl").read_text().splitlines()]
+        clip = next(r for r in records if r["clip_start_s"] == 25.511)
+        assert clip["clip_end_s"] == 45.511
+        assert len(clip["frame_timestamps"]) == 20
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
 
     def test_nlq_eval_uses_rerank_predictions(self, tmp_path):
         out = tmp_path / "run"

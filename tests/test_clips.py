@@ -91,6 +91,17 @@ class TestPlanCandidate:
         assert len(plan.clips) == 1
         assert plan.total_frames == 20
 
+    def test_full_clip_a_few_ulps_long_keeps_its_frame_cap(self):
+        # 25.511 + 20 rounds below the cut 5.511 + 40, so stepping
+        # sample_frames would give the second clip a 21st frame.
+        plan = plan_candidate(
+            candidate(5.511, 81.704, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
+        )
+        assert plan.clips[1] == interval(25.511, 45.511)
+        assert len(sample_frames(plan.clips[1], 1.0)) == 21
+        assert [len(group) for group in plan.frames] == [20, 20, 20, 17]
+        assert plan.frames[1] == sample_frames(plan.clips[1], 1.0)[:20]
+
     def test_sub_second_candidate(self):
         plan = plan_candidate(
             candidate(3.5, 4.0, 0.9, 2), 20.0, 1.0, video_id="v0", query_id="q0"

@@ -23,7 +23,7 @@ from memrerank.errors import (
     SchemaViolation,
     UnknownQueryIdError,
 )
-from memrerank.ingest import format_seconds
+from memrerank.ingest import format_seconds, write_json_file
 
 from helpers import clist, interval
 
@@ -300,3 +300,14 @@ class TestFormatSeconds:
         text = format_seconds(value)
         assert float(text) == value
         assert not math.isnan(float(text))
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json_file({"x": 1.5}, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_json_file({"x": float("nan")}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -90,11 +90,11 @@ class TestBackendRequest:
     def test_image_cap_enforced(self):
         frames = tuple(FrameRef("v0", float(t)) for t in range(21))
         with pytest.raises(ImageLimitExceededError):
-            BackendRequest(instruction="x", images=frames)
+            BackendRequest("v0", interval(0, 21), frames)
 
     def test_at_least_one_image(self):
         with pytest.raises(ImageLimitExceededError):
-            BackendRequest(instruction="x", images=())
+            BackendRequest("v0", interval(0, 21), ())
 
 
 class TestNarrateClip:

@@ -8,7 +8,8 @@ from memrerank.errors import (
     ConfigError,
     FrameUnavailableError,
 )
-from memrerank.narration import BackendRequest, FrameRef
+from memrerank.core import TimeInterval
+from memrerank.narration import BackendRequest, FrameRef, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
 
 
@@ -86,8 +87,9 @@ class TestFrameProvider:
 class TestRemoteBackend:
     def _request(self):
         return BackendRequest(
-            instruction="describe",
-            images=(FrameRef("v0", 1.0), FrameRef("v0", 2.0)),
+            "v0",
+            TimeInterval(1.0, 3.0),
+            (FrameRef("v0", 1.0), FrameRef("v0", 2.0)),
         )
 
     def test_narrate_payload_and_auth(self, tmp_path):
@@ -110,6 +112,32 @@ class TestRemoteBackend:
         images = sent["json"]["images"]
         assert [img["timestamp_s"] for img in images] == [1.0, 2.0]
         assert base64.b64decode(images[0]["data_b64"]) == b"one"
+
+    def test_narration_payload_is_pinned(self):
+        # The instruction is rendered from the structured request only
+        # here, on the way out; its text is part of the wire format.
+        session = FakeSession()
+        backend = RemoteBackend("https://api.example.test", "k", session=session)
+        engine = NarrationEngine(backend)
+        assert engine.narrate_clip("v0", TimeInterval(25.511, 45.511), (25.511, 26.511)) == (
+            "a narration"
+        )
+        (sent,) = session.requests
+        assert sent["json"] == {
+            "instruction": (
+                "Describe what happens in these frames in one to three sentences. "
+                "Mention the visible objects, the actions performed, and any "
+                "hand-object interactions.\n"
+                "Video: v0\n"
+                "Clip: 25.511 to 45.511 seconds\n"
+                "Frames: 2 sampled in order"
+            ),
+            "images": [
+                {"video_id": "v0", "timestamp_s": 25.511},
+                {"video_id": "v0", "timestamp_s": 26.511},
+            ],
+            "max_output_chars": 2000,
+        }
 
     def test_select_sends_text_only(self):
         session = FakeSession(response=FakeResponse(payload={"text": "3"}))

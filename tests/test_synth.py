@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from memrerank import (
@@ -11,8 +13,8 @@ from memrerank import (
     worst_selector,
     write_scenario,
 )
-from memrerank.errors import InvalidKnobsError
-from memrerank.narration import BackendRequest, FrameRef, narration_instruction, DEFAULT_PROMPT
+from memrerank.errors import InvalidKnobsError, SchemaViolation
+from memrerank.narration import BackendRequest, FrameRef, NarrationEngine, PromptTemplate
 from memrerank.rerank import build_rerank_prompt
 from memrerank.synth import (
     latent_inclusive_ground_truth,
@@ -107,10 +109,7 @@ class TestGenerateScenario:
 
 class TestStubBackend:
     def _request(self, scenario, video_id, clip):
-        return BackendRequest(
-            instruction=narration_instruction(DEFAULT_PROMPT, video_id, clip, 1),
-            images=(FrameRef(video_id, clip.start_s),),
-        )
+        return BackendRequest(video_id, clip, (FrameRef(video_id, clip.start_s),))
 
     def test_narration_lists_overlapping_events_in_order(self):
         scenario = tiny_scenario()
@@ -129,6 +128,17 @@ class TestStubBackend:
         backend = stub_backend(scenario)
         request = self._request(scenario, "v0", interval(10, 30))
         assert backend.narrate(request) == backend.narrate(request)
+
+    def test_template_text_does_not_steer_the_narration(self):
+        # A template line shaped like the rendered context lines names
+        # another video and clip; the stub reads the request's fields.
+        scenario = tiny_scenario()
+        template = PromptTemplate("Describe.\nVideo: example\nClip: 0.0 to 1.0 seconds")
+        clip, frames = interval(55, 105), (55.0, 75.0, 95.0)
+        custom = NarrationEngine(stub_backend(scenario), prompt=template)
+        default = NarrationEngine(stub_backend(scenario))
+        assert custom.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
+        assert default.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
 
 
 def _selection_prompt(scenario, query_id):
@@ -203,7 +213,36 @@ class TestScenarioFile:
         )
         path = tmp_path / "scenario.json"
         write_scenario(scenario, path)
-        assert load_scenario(path) == scenario
+        assert load_scenario(path, scenario.dataset, scenario.candidates) == scenario
+
+    def test_file_holds_only_what_the_other_inputs_do_not(self, tmp_path):
+        scenario = generate_scenario(ScenarioKnobs(num_videos=2, queries_per_video=3), 19)
+        path = tmp_path / "scenario.json"
+        write_scenario(scenario, path)
+        assert set(json.loads(path.read_text())) == {
+            "version", "seed", "track", "knobs", "event_script", "latent_positives",
+        }
+
+    def test_annotations_of_another_seed_rejected(self, tmp_path):
+        knobs = ScenarioKnobs(num_videos=2, queries_per_video=3)
+        mine, other = generate_scenario(knobs, 7), generate_scenario(knobs, 8)
+        path = tmp_path / "scenario.json"
+        write_scenario(other, path)
+        with pytest.raises(SchemaViolation, match="missing from script"):
+            load_scenario(path, mine.dataset, mine.candidates)
+
+    def test_other_track_and_old_version_rejected(self, tmp_path):
+        knobs = ScenarioKnobs(num_videos=2, queries_per_video=3)
+        nlq = generate_scenario(knobs, 7, track=Track.NLQ)
+        goalstep = generate_scenario(knobs, 7)
+        path = tmp_path / "scenario.json"
+        write_scenario(nlq, path)
+        with pytest.raises(SchemaViolation, match="track"):
+            load_scenario(path, goalstep.dataset, goalstep.candidates)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, "version": "scenario-1"}))
+        with pytest.raises(SchemaViolation, match="re-run simulate"):
+            load_scenario(path, nlq.dataset, nlq.candidates)
 
     def test_write_is_deterministic(self, tmp_path):
         scenario = generate_scenario(ScenarioKnobs(num_videos=2, queries_per_video=3), 19)
