@@ -328,9 +328,7 @@ def cmd_narrate(args: argparse.Namespace) -> int:
         memories = engine.narrate_plans(plans)
         stats = engine.stats()
     narration.write_memories(memories, cfg.output_dir / MEMORIES_FILE)
-    with ingest.atomic_writer(cfg.cache_dir / NARRATE_STATS_FILE) as handle:
-        json.dump(stats, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    ingest.write_report_file(stats, cfg.cache_dir / NARRATE_STATS_FILE)
     logger.info(
         "narrated %d candidates (%d backend calls, %d cache hits)",
         len(memories),

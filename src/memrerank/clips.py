@@ -3,12 +3,12 @@
 A candidate interval is cut into contiguous clips of ``clip_len_s``
 seconds (a shorter tail is kept in full), and each clip is sampled at
 ``fps`` starting from its own start time. Intervals are half-open, so
-clip boundaries are never double-counted.
+clip boundaries are never double-counted. Manifests are JSON Lines
+written and read through :mod:`memrerank.ingest`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .core import CandidateKey, CandidateSegment, TimeInterval
 from .errors import SchemaViolation, ZeroLengthSegmentError
-from .ingest import atomic_writer
+from .ingest import read_jsonl, write_jsonl
 
 DEFAULT_CLIP_LEN_S = 20.0
 DEFAULT_FPS = 1.0
@@ -155,37 +155,23 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
     records.sort(
         key=lambda r: (r["video_id"], r["query_id"], r["rank"], r["clip_start_s"])
     )
-    with atomic_writer(path) as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(records, path)
     return len(records)
+
+
+def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, ...]]:
+    return (
+        CandidateKey(record["video_id"], record["query_id"], record["rank"]),
+        TimeInterval(record["clip_start_s"], record["clip_end_s"]),
+        tuple(float(t) for t in record["frame_timestamps"]),
+    )
 
 
 def read_frame_manifests(path: str | Path) -> list[ClipPlan]:
     """Rebuild per-candidate clip plans from a manifest file."""
     groups: dict[CandidateKey, list[tuple[TimeInterval, tuple[float, ...]]]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(
-                    "manifest", f"{path}:{line_no}: invalid JSON ({exc.msg})"
-                ) from exc
-            try:
-                key = CandidateKey(
-                    record["video_id"], record["query_id"], record["rank"]
-                )
-                clip = TimeInterval(record["clip_start_s"], record["clip_end_s"])
-                timestamps = tuple(float(t) for t in record["frame_timestamps"])
-            except KeyError as exc:
-                raise SchemaViolation(
-                    "manifest", f"{path}:{line_no}: missing field {exc}"
-                ) from exc
-            groups.setdefault(key, []).append((clip, timestamps))
+    for key, clip, timestamps in read_jsonl(path, "manifest", _manifest_entry):
+        groups.setdefault(key, []).append((clip, timestamps))
     plans = []
     for key in sorted(groups):
         entries = sorted(groups[key], key=lambda item: item[0].start_s)

@@ -1,9 +1,18 @@
-"""Load annotations and candidate files, write prediction files.
+"""Read and write every stage file; load annotations, candidates and
+predictions.
 
-Validation is strict: malformed records are rejected, never repaired.
-All files are UTF-8 JSON. Timestamps (and other floats) are written as
-plain decimals with at least three fractional digits, extended as needed
-so the value round-trips exactly.
+Stage modules map their records to and from plain values; only this
+module encodes them, and every writer goes through ``atomic_writer``.
+Data files (``write_json_file``) write floats as plain decimals with at
+least three fractional digits, extended as needed so the value
+round-trips exactly. JSON Lines stage files (``write_jsonl``) and
+indented reports (``write_report_file``) keep the standard encoder's
+float text, which round-trips too; both styles stay so that every output
+keeps the bytes earlier runs wrote.
+
+Validation is strict: malformed records are rejected, never repaired. A
+malformed file raises ``ParseError`` or ``SchemaViolation`` (exit code
+4); ``read_jsonl`` names the file and line of the bad record.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
     CandidateList,
@@ -206,12 +215,51 @@ def write_json_file(value, path: str | Path) -> None:
 
 
 def read_json_file(path: str | Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.colno, exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(str(path), line, column, f"not UTF-8 ({exc.reason})") from exc
+
+
+def write_report_file(value, path: str | Path) -> None:
+    """Indented JSON with sorted keys and a final newline."""
+    with atomic_writer(path) as handle:
+        json.dump(value, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
+    """One compact JSON record per line, keys sorted."""
+    with atomic_writer(path) as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
+    """``parse`` applied to the JSON value of each non-blank line, in order.
+
+    A line that is not UTF-8 JSON, or that ``parse`` rejects with
+    ``KeyError``, ``TypeError`` or ``ValueError``, raises
+    ``SchemaViolation(field)`` naming ``path:line``.
+    """
+    records = []
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaViolation(
+                    field, f"{path}:{line_no}: malformed record ({exc})"
+                ) from exc
+    return records
 
 
 def _as_object(value, field: str) -> dict:

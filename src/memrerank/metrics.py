@@ -1,8 +1,10 @@
-"""Temporal IoU, recall@k at IoU thresholds, and mean R@1 reporting."""
+"""Temporal IoU, recall@k at IoU thresholds, and mean R@1 reporting.
+
+Reports are read and written through :mod:`memrerank.ingest`.
+"""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +12,7 @@ from typing import Mapping, Sequence
 
 from .core import MetricCell, MetricsReport, TimeInterval
 from .errors import NoQueriesError, SchemaViolation, UnknownQueryIdError
-from .ingest import atomic_writer
+from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
 
@@ -153,38 +155,33 @@ def report_from_dict(payload: dict) -> MetricsReport:
             mean_r1=float(payload["mean_r1"]),
             num_queries=int(payload["num_queries"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation("metrics", f"malformed report payload: {exc}") from exc
 
 
 def write_metrics_report(report: MetricsReport, path: str | Path) -> None:
-    with atomic_writer(path) as handle:
-        json.dump(report_to_dict(report), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_report_file(report_to_dict(report), path)
 
 
 def read_metrics_report(path: str | Path) -> MetricsReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        return report_from_dict(json.load(handle))
+    return report_from_dict(read_json_file(path))
 
 
 def write_comparison(
     before: MetricsReport, after: MetricsReport, path: str | Path
 ) -> None:
     """Side-by-side report used for base-vs-reranked comparisons."""
-    payload = {"before": report_to_dict(before), "after": report_to_dict(after)}
-    with atomic_writer(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_report_file(
+        {"before": report_to_dict(before), "after": report_to_dict(after)}, path
+    )
 
 
 def read_comparison(path: str | Path) -> tuple[MetricsReport, MetricsReport]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json_file(path)
     try:
         return report_from_dict(payload["before"]), report_from_dict(payload["after"])
-    except KeyError as exc:
-        raise SchemaViolation("metrics", f"comparison file missing {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise SchemaViolation("metrics", f"malformed comparison file: {exc}") from exc
 
 
 def display_value(value: float) -> str:

@@ -9,7 +9,9 @@ Narrations are cached on disk keyed by (video, clip, prompt version,
 backend), so re-running a dataset with a warm cache issues zero backend
 calls. One narrate run schedules every distinct clip of every plan at
 once: each cache key reaches the backend at most once, and at most
-``c_max`` requests are in flight across the whole run.
+``c_max`` requests are in flight across the whole run. Memories files are
+JSON Lines written and read through :mod:`memrerank.ingest`; the cache
+keeps its own append-only log, whose torn or corrupt records are skipped.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from .errors import (
     MissingNarrationError,
     SchemaViolation,
 )
-from .ingest import atomic_writer
+from .ingest import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
 MAX_IMAGES_PER_REQUEST = 20
-DEFAULT_MAX_OUTPUT_CHARS = 2000
 DEFAULT_C_MAX = 4
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 
@@ -85,7 +86,6 @@ class BackendRequest:
     clip: TimeInterval
     images: tuple[FrameRef, ...]
     prompt: PromptTemplate = DEFAULT_PROMPT
-    max_output_chars: int = DEFAULT_MAX_OUTPUT_CHARS
 
     def __post_init__(self):
         object.__setattr__(
@@ -242,9 +242,7 @@ class NarrationEngine:
         cache: NarrationCache | None = None,
         *,
         prompt: PromptTemplate = DEFAULT_PROMPT,
-        max_images: int = MAX_IMAGES_PER_REQUEST,
         c_max: int = DEFAULT_C_MAX,
-        retry_backoff_s: Sequence[float] = RETRY_BACKOFF_S,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if c_max < 1:
@@ -252,9 +250,7 @@ class NarrationEngine:
         self.backend = backend
         self.cache = cache if cache is not None else NarrationCache()
         self.prompt = prompt
-        self.max_images = min(max_images, MAX_IMAGES_PER_REQUEST)
         self.c_max = c_max
-        self._retry_backoff = tuple(retry_backoff_s)
         self._sleep = sleep
         self._stats_lock = threading.Lock()
         self._cache_hits = 0
@@ -286,10 +282,10 @@ class NarrationEngine:
     def _check_frames(self, frame_timestamps: Sequence[float]) -> None:
         if not frame_timestamps:
             raise SchemaViolation("frame_timestamps", "clip has no frames to narrate")
-        if len(frame_timestamps) > self.max_images:
+        if len(frame_timestamps) > MAX_IMAGES_PER_REQUEST:
             raise ImageLimitExceededError(
                 f"{len(frame_timestamps)} frames exceed the per-request cap "
-                f"of {self.max_images}"
+                f"of {MAX_IMAGES_PER_REQUEST}"
             )
 
     def _key(self, video_id: str, clip: TimeInterval) -> NarrationCacheKey:
@@ -321,10 +317,10 @@ class NarrationEngine:
 
     def _call_with_retries(self, request: BackendRequest) -> str:
         last_error: Exception | None = None
-        attempts = 1 + len(self._retry_backoff)
+        attempts = 1 + len(RETRY_BACKOFF_S)
         for attempt in range(attempts):
             if attempt > 0:
-                self._sleep(self._retry_backoff[attempt - 1])
+                self._sleep(RETRY_BACKOFF_S[attempt - 1])
             try:
                 response = self.backend.narrate(request)
             except BackendUnavailableError as exc:
@@ -454,10 +450,9 @@ def render_memory(memory: EpisodicMemory) -> str:
 
 def write_memories(memories: Sequence[EpisodicMemory], path: str | Path) -> None:
     """One JSON-Lines record per candidate memory, deterministically ordered."""
-    ordered = sorted(memories, key=lambda m: m.candidate_key)
-    with atomic_writer(path) as handle:
-        for memory in ordered:
-            record = {
+    write_jsonl(
+        (
+            {
                 "video_id": memory.candidate_key.video_id,
                 "query_id": memory.candidate_key.query_id,
                 "rank": memory.candidate_key.rank,
@@ -472,35 +467,23 @@ def write_memories(memories: Sequence[EpisodicMemory], path: str | Path) -> None
                     for entry in memory.entries
                 ],
             }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            for memory in sorted(memories, key=lambda m: m.candidate_key)
+        ),
+        path,
+    )
+
+
+def _memory_from_record(record) -> EpisodicMemory:
+    return EpisodicMemory(
+        candidate_key=CandidateKey(record["video_id"], record["query_id"], record["rank"]),
+        entries=tuple(
+            MemoryEntry(TimeInterval(e["clip_start_s"], e["clip_end_s"]), e["narration"])
+            for e in record["entries"]
+        ),
+        prompt_version=record["prompt_version"],
+        backend_id=record["backend_id"],
+    )
 
 
 def read_memories(path: str | Path) -> list[EpisodicMemory]:
-    memories = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                memory = EpisodicMemory(
-                    candidate_key=CandidateKey(
-                        record["video_id"], record["query_id"], record["rank"]
-                    ),
-                    entries=tuple(
-                        MemoryEntry(
-                            TimeInterval(e["clip_start_s"], e["clip_end_s"]),
-                            e["narration"],
-                        )
-                        for e in record["entries"]
-                    ),
-                    prompt_version=record["prompt_version"],
-                    backend_id=record["backend_id"],
-                )
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise SchemaViolation(
-                    "memories", f"{path}:{line_no}: malformed record ({exc})"
-                ) from exc
-            memories.append(memory)
-    return memories
+    return read_jsonl(path, "memories", _memory_from_record)

@@ -28,6 +28,7 @@ from .narration import Backend, BackendRequest, BackendResponse, FrameRef
 ENV_API_BASE = "MEMRERANK_API_BASE"
 ENV_API_KEY = "MEMRERANK_API_KEY"
 DEFAULT_TIMEOUT_S = 120.0
+NARRATION_MAX_OUTPUT_CHARS = 2000
 
 
 def narration_instruction(request: BackendRequest) -> str:
@@ -148,7 +149,7 @@ class RemoteBackend(Backend):
             {
                 "instruction": narration_instruction(request),
                 "images": [self._encode_image(ref) for ref in request.images],
-                "max_output_chars": request.max_output_chars,
+                "max_output_chars": NARRATION_MAX_OUTPUT_CHARS,
             }
         )
 

@@ -3,13 +3,14 @@
 The backend sees one document containing the query and every candidate's
 rendered memory, labeled "Candidate 1".."Candidate C", and must answer
 with a single integer. Parsing is forgiving (first in-range integer
-anywhere in the reply); anything else falls back to the original order,
-so reranking can never lose candidates or fail a run.
+anywhere in the reply); anything else, a failed call included, falls
+back to the original order, so reranking can never lose candidates or
+fail a run. The rerank log is JSON Lines written through
+:mod:`memrerank.ingest`.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .core import CandidateList, EpisodicMemory, Query
 from .errors import BackendError, MemoryCountMismatchError, SchemaViolation
-from .ingest import atomic_writer
+from .ingest import write_jsonl
 from .narration import Backend, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
@@ -128,13 +129,15 @@ def promote(clist: CandidateList, selected_rank: int) -> CandidateList:
     )
 
 
-def identity_outcome(query_id: str, clist: CandidateList, raw_answer: str = "") -> RerankOutcome:
+def identity_outcome(
+    query_id: str, clist: CandidateList, raw_answer: str = "", fallback_used: bool = False
+) -> RerankOutcome:
     return RerankOutcome(
         query_id=query_id,
         original=clist,
         reranked=clist,
         selected_rank=1,
-        fallback_used=False,
+        fallback_used=fallback_used,
         raw_answer=raw_answer,
     )
 
@@ -169,24 +172,10 @@ def rerank(
     except BackendError:
         if not fallback:
             raise
-        return RerankOutcome(
-            query_id=query.query_id,
-            original=clist,
-            reranked=clist,
-            selected_rank=1,
-            fallback_used=True,
-            raw_answer="",
-        )
+        answer = ""  # no pick: the fallback below, logged with an empty answer
     selected = parse_selection(answer, num_candidates)
     if selected is None:
-        return RerankOutcome(
-            query_id=query.query_id,
-            original=clist,
-            reranked=clist,
-            selected_rank=1,
-            fallback_used=True,
-            raw_answer=answer,
-        )
+        return identity_outcome(query.query_id, clist, answer, fallback_used=True)
     return RerankOutcome(
         query_id=query.query_id,
         original=clist,
@@ -203,23 +192,13 @@ def rerank_many(
     *,
     c_max: int = 4,
     include_scores: bool = False,
-    fallback: bool = True,
 ) -> list[RerankOutcome]:
     """Rerank several queries, up to ``c_max`` selection calls in flight."""
 
     def job(item):
         query, clist, memories = item
-        return rerank(
-            query,
-            clist,
-            memories,
-            backend,
-            include_scores=include_scores,
-            fallback=fallback,
-        )
+        return rerank(query, clist, memories, backend, include_scores=include_scores)
 
-    if c_max <= 1 or len(items) <= 1:
-        return [job(item) for item in items]
     with ThreadPoolExecutor(max_workers=c_max) as pool:
         return list(pool.map(job, items))
 
@@ -241,6 +220,4 @@ def log_record(outcome: RerankOutcome, skipped: bool = False, reason: str = "") 
 
 
 def write_rerank_log(records: Sequence[dict], path: str | Path) -> None:
-    with atomic_writer(path) as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(records, path)

@@ -18,7 +18,6 @@ then earliest start times.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .errors import (
     InstanceTooLargeError,
     SchemaViolation,
 )
-from .ingest import atomic_writer
+from .ingest import write_report_file
 
 BRUTE_FORCE_LIMIT = 1_000_000
 
@@ -239,6 +238,4 @@ def write_optimizer_report(
             for task, sel in sorted(entries, key=lambda e: e[0].video_id)
         ],
     }
-    with atomic_writer(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_report_file(payload, path)

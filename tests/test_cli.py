@@ -91,6 +91,38 @@ class TestPipeline:
         assert code == 3
         assert any("plan" in message for message in caplog.messages)
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"video_id": "v000", "query_id": "v000-q000", "rank": 1, '
+            '"clip_start_s": 1.0, "clip_end_s": 2.0, "frame_timestamps": ["x"]}',
+            "[1, 2]",
+        ],
+        ids=["non-numeric-frame", "array-record"],
+    )
+    def test_malformed_manifest_line_exits_4(self, tmp_path, caplog, bad_line):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        manifest.write_text(manifest.read_text() + "\n" + bad_line + "\n")
+        lines = len(manifest.read_text().splitlines())
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any(f"manifests.jsonl:{lines}:" in m for m in caplog.messages)
+
+    def test_truncated_metrics_comparison_exits_4(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        pipeline(out)
+        compare = out / "metrics_compare.json"
+        compare.write_text(compare.read_text()[:40])
+        with caplog.at_level("ERROR"):
+            code = run(["report", "--out", out])
+        assert code == 4
+        assert any("metrics_compare.json" in m for m in caplog.messages)
+        assert not (out / "report.txt").exists()
+
     def test_second_narrate_run_hits_cache_only(self, tmp_path):
         out = tmp_path / "run"
         simulate(out)

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import memrerank
 from memrerank import (
     Track,
     load_annotations,
@@ -23,7 +26,7 @@ from memrerank.errors import (
     SchemaViolation,
     UnknownQueryIdError,
 )
-from memrerank.ingest import format_seconds, write_json_file
+from memrerank.ingest import format_seconds, read_jsonl, write_json_file, write_jsonl
 
 from helpers import clist, interval
 
@@ -106,6 +109,13 @@ class TestLoadAnnotations:
         with pytest.raises(ParseError) as excinfo:
             load_annotations(path)
         assert excinfo.value.line == 2
+
+    def test_non_utf8_byte_is_a_parse_error_with_location(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_bytes(b'{"track": "nlq",\n  "videos": ["\xff"]}')
+        with pytest.raises(ParseError) as excinfo:
+            load_annotations(path)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 15)
 
     def test_duplicate_query_id_rejected(self, tmp_path):
         payload = annotations_payload()
@@ -311,3 +321,41 @@ class TestAtomicWrite:
             write_json_file({"x": float("nan")}, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class TestJsonLines:
+    def test_blank_lines_skipped_and_round_trip(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_jsonl([{"b": 1.5, "a": "x"}, {"a": "y"}], path)
+        assert path.read_text() == '{"a": "x", "b": 1.5}\n{"a": "y"}\n'
+        path.write_text("\n" + path.read_text() + "  \n\n")
+        assert read_jsonl(path, "records", lambda r: r["a"]) == ["x", "y"]
+
+    # Not UTF-8, not JSON, then a TypeError, a ValueError and a KeyError
+    # in ``parse``.
+    @pytest.mark.parametrize(
+        "bad", [b'{"a": "\xff"}', b"{not json", b"[1, 2]", b'{"a": "x"}', b'{"b": 0}']
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"a": "1.5"}\n\n' + bad + b"\n")
+        with pytest.raises(SchemaViolation, match=r"records\.jsonl:3: malformed record") as info:
+            read_jsonl(path, "records", lambda r: float(r["a"]))
+        assert info.value.field == "records"
+
+
+def test_only_ingest_encodes_stage_files():
+    """Stage files are encoded in ``ingest`` alone; ``narration`` keeps the
+    cache log and ``cli`` parses its config file."""
+    package = Path(memrerank.__file__).parent
+    importers = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if "json" in names:
+                importers.add(source.name)
+    assert importers == {"ingest.py", "narration.py", "cli.py"}
