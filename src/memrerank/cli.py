@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import clips, ingest, metrics, narration, sequencing, synth
@@ -54,21 +54,7 @@ EXIT_CODES = {
     BackendError: 5,
 }
 
-_CONFIG_KEYS = {
-    "paths",
-    "clip_len_s",
-    "fps",
-    "top_k",
-    "backend",
-    "c_max",
-    "lambda_penalty",
-    "rank_source",
-    "rerank_limit",
-    "seed",
-    "narration_prompt",
-    "frame_extract_cmd",
-    "include_scores",
-}
+# The settings nested under "paths" in a config file.
 _PATH_KEYS = {
     "annotations",
     "candidates",
@@ -77,25 +63,73 @@ _PATH_KEYS = {
     "cache_dir",
     "output_dir",
 }
+DEFAULT_OUTPUT_DIR = "memrerank_out"
+# The path settings whose default lies under the output directory.
+_UNDER_OUTPUT_DIR = {
+    "cache_dir": "cache",
+    "annotations": ANNOTATIONS_FILE,
+    "candidates": CANDIDATES_FILE,
+    "scenario": SCENARIO_FILE,
+}
+# The values a setting may take, for its flag and its config key alike.
+CHOICES = {
+    "backend": ("stub", "oracle", "remote"),
+    "rank_source": tuple(source.value for source in sequencing.RankSource),
+}
+
+
+# What a flag or config value must be, per RunConfig field type.
+_EXPECTED = {
+    "float": "a finite number",
+    "int": "an integer",
+    "bool": "true or false",
+    "str": "a string",
+    "Path": "a non-empty path string",
+}
+
+
+def _convert(name: str, kind: str, value):
+    """The value of setting ``name`` as its field type ``kind``; a value of
+    another type is rejected, never coerced."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "float" and number and math.isfinite(value):
+        return float(value)
+    if kind == "int" and number and isinstance(value, int):
+        return value
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "str" and isinstance(value, str):
+        return value
+    if kind == "Path" and isinstance(value, str) and value:
+        return Path(value).resolve()
+    raise ConfigError(f"setting {name}={json.dumps(value)} must be {_EXPECTED[kind]}")
 
 
 @dataclass
 class RunConfig:
-    """Resolved paths and pipeline constants for one invocation."""
+    """Resolved settings for one invocation.
+
+    Each field declares one setting once: its name is the dest of its
+    flag and its config-file key (the ``_PATH_KEYS`` nest under
+    ``"paths"``), its type says what a value must be (``_EXPECTED``), and
+    its default applies when neither flag nor file sets it. The output
+    directory defaults to ``DEFAULT_OUTPUT_DIR`` and the paths without a
+    default to their ``_UNDER_OUTPUT_DIR`` entry under it.
+    """
 
     output_dir: Path
     cache_dir: Path
     annotations: Path
     candidates: Path
     scenario: Path
-    frames_root: Path | None
-    clip_len_s: float = 20.0
-    fps: float = 1.0
-    top_k: int = 5
+    frames_root: Path | None = None
+    clip_len_s: float = clips.DEFAULT_CLIP_LEN_S
+    fps: float = clips.DEFAULT_FPS
+    top_k: int = ingest.DEFAULT_TOP_K
     backend: str = "stub"
-    c_max: int = 4
-    lambda_penalty: float = 1.0
-    rank_source: str = "post_rerank"
+    c_max: int = narration.DEFAULT_C_MAX
+    lambda_penalty: float = sequencing.DEFAULT_LAMBDA_PENALTY
+    rank_source: str = sequencing.RankSource.POST_RERANK.value
     rerank_limit: int | None = None
     seed: int = 0
     narration_prompt: Path | None = None
@@ -111,11 +145,12 @@ class RunConfig:
                 raise ConfigError(f"config file not found: {config_path}")
             try:
                 file_cfg = json.loads(config_path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(file_cfg, dict):
                 raise ConfigError("config file must hold a JSON object")
-            unknown = set(file_cfg) - _CONFIG_KEYS
+            top_level = ({f.name for f in fields(cls)} - _PATH_KEYS) | {"paths"}
+            unknown = set(file_cfg) - top_level
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             paths = file_cfg.get("paths", {})
@@ -124,58 +159,34 @@ class RunConfig:
                     f"config 'paths' must be an object with keys from {sorted(_PATH_KEYS)}"
                 )
 
-        def pick(name: str, default, from_paths: bool = False):
-            flag = getattr(args, name, None)
-            if flag is not None:
-                return flag
-            source = file_cfg.get("paths", {}) if from_paths else file_cfg
-            value = source.get(name)
-            return value if value is not None else default
-
-        output_dir = Path(pick("output_dir", "memrerank_out", from_paths=True)).resolve()
-        cache_dir = pick("cache_dir", None, from_paths=True)
-        cache_dir = Path(cache_dir).resolve() if cache_dir else output_dir / "cache"
-
-        def pick_path(name: str, default: Path) -> Path:
-            value = pick(name, None, from_paths=True)
-            return Path(value).resolve() if value else default
-
-        frames_root = pick("frames_root", None, from_paths=True)
-        prompt = pick("narration_prompt", None)
-        limit = pick("rerank_limit", None)
-        if limit is not None:
-            limit = int(limit)
-            if limit < 0:
-                raise ConfigError(f"rerank_limit must be >= 0, got {limit}")
-        cfg = cls(
-            output_dir=output_dir,
-            cache_dir=cache_dir,
-            annotations=pick_path("annotations", output_dir / ANNOTATIONS_FILE),
-            candidates=pick_path("candidates", output_dir / CANDIDATES_FILE),
-            scenario=pick_path("scenario", output_dir / SCENARIO_FILE),
-            frames_root=Path(frames_root).resolve() if frames_root else None,
-            clip_len_s=float(pick("clip_len_s", 20.0)),
-            fps=float(pick("fps", 1.0)),
-            top_k=int(pick("top_k", 5)),
-            backend=str(pick("backend", "stub")),
-            c_max=int(pick("c_max", 4)),
-            lambda_penalty=float(pick("lambda_penalty", 1.0)),
-            rank_source=str(pick("rank_source", "post_rerank")),
-            rerank_limit=limit,
-            seed=int(pick("seed", 0)),
-            narration_prompt=Path(prompt).resolve() if prompt else None,
-            frame_extract_cmd=pick("frame_extract_cmd", None),
-            include_scores=bool(pick("include_scores", False)),
-        )
-        if cfg.backend not in ("stub", "oracle", "remote"):
-            raise ConfigError(f"unknown backend mode '{cfg.backend}'")
-        if cfg.rank_source not in ("pre_rerank", "post_rerank"):
-            raise ConfigError(f"unknown rank source '{cfg.rank_source}'")
+        values = {}
+        for f in fields(cls):
+            value = getattr(args, f.name, None)
+            if value is None:
+                source = file_cfg.get("paths", {}) if f.name in _PATH_KEYS else file_cfg
+                value = source.get(f.name)
+            if value is None:
+                continue
+            value = _convert(f.name, f.type.removesuffix(" | None"), value)
+            choices = CHOICES.get(f.name)
+            if choices is not None and value not in choices:
+                raise ConfigError(
+                    f"setting {f.name}={json.dumps(value)} must be one of {', '.join(choices)}"
+                )
+            values[f.name] = value
+        output_dir = values.setdefault("output_dir", Path(DEFAULT_OUTPUT_DIR).resolve())
+        for name, relative in _UNDER_OUTPUT_DIR.items():
+            values.setdefault(name, output_dir / relative)
+        cfg = cls(**values)
         if cfg.clip_len_s <= 0 or cfg.fps <= 0 or cfg.top_k < 1 or cfg.c_max < 1:
             raise ConfigError("clip_len_s, fps, top_k, and c_max must be positive")
         if cfg.lambda_penalty < 0:
             raise ConfigError("lambda_penalty must be >= 0")
-        if math.ceil(cfg.clip_len_s * cfg.fps) > narration.MAX_IMAGES_PER_REQUEST:
+        if cfg.rerank_limit is not None and cfg.rerank_limit < 0:
+            raise ConfigError(f"rerank_limit must be >= 0, got {cfg.rerank_limit}")
+        # ceil(clip_len_s * fps) frames exceed the cap exactly when the
+        # product does, and the product may overflow to infinity.
+        if cfg.clip_len_s * cfg.fps > narration.MAX_IMAGES_PER_REQUEST:
             raise ConfigError(
                 f"clip_len_s * fps must be <= {narration.MAX_IMAGES_PER_REQUEST} "
                 "frames per clip, the narration request cap"
@@ -196,9 +207,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="scenario file (stub/oracle backends)")
     parser.add_argument("--frames-root", dest="frames_root", help="frame image root")
     parser.add_argument("--cache-dir", dest="cache_dir", help="narration cache directory")
-    parser.add_argument(
-        "--backend", choices=["stub", "oracle", "remote"], help="backend mode"
-    )
+    parser.add_argument("--backend", choices=CHOICES["backend"], help="backend mode")
     parser.add_argument("--clip-len", dest="clip_len_s", type=float, help="clip length, s")
     parser.add_argument("--fps", type=float, help="frame sampling rate")
     parser.add_argument("--top-k", dest="top_k", type=int, help="candidates kept per query")
@@ -208,7 +217,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--rank-source",
         dest="rank_source",
-        choices=["pre_rerank", "post_rerank"],
+        choices=CHOICES["rank_source"],
         help="candidate ranks consumed by the optimizer",
     )
     parser.add_argument(
@@ -268,14 +277,8 @@ def _prompt_template(cfg: RunConfig) -> narration.PromptTemplate:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    knobs = synth.ScenarioKnobs(
-        num_videos=args.videos,
-        queries_per_video=args.queries_per_video,
-        candidates_per_query=args.candidates_per_query,
-        recall_rho=args.recall_rho,
-        jitter_s=args.jitter,
-        latent_positive_rate=args.latent_rate,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
+    knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     synth.write_scenario(scenario, cfg.output_dir / SCENARIO_FILE)
@@ -344,29 +347,17 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     memories_path = cfg.require(cfg.output_dir / MEMORIES_FILE, "narrate", "memories file")
     lists_by_query = {clist.query_id: clist for clist in lists}
     memories_by_query: dict[str, list] = {}
-    for memory in narration.read_memories(memories_path):
+    memories = narration.read_memories(memories_path)
+    for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
     backend = _build_backend(cfg, (dataset, lists))
 
-    eligible = []
-    records_order = []
-    for query in dataset.iter_queries():
-        clist = lists_by_query.get(query.query_id)
-        if clist is None:
-            records_order.append((query.query_id, None))
-            continue
-        memories = sorted(
-            memories_by_query.get(query.query_id, []),
-            key=lambda m: m.candidate_key.rank,
-        )
-        records_order.append((query.query_id, (query, clist, memories)))
-        eligible.append(query.query_id)
-
-    limit = cfg.rerank_limit if cfg.rerank_limit is not None else len(eligible)
-    to_rerank = set(eligible[:limit])
+    # The first ``rerank_limit`` queries with candidates, in dataset order.
     jobs = [
-        item for query_id, item in records_order if item and query_id in to_rerank
-    ]
+        (query, lists_by_query[query.query_id], memories_by_query.get(query.query_id, []))
+        for query in dataset.iter_queries()
+        if query.query_id in lists_by_query
+    ][: cfg.rerank_limit]
     outcomes = rerank_many(
         jobs, backend, c_max=cfg.c_max, include_scores=cfg.include_scores
     )
@@ -375,21 +366,21 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     log_records = []
     final_lists = []
     predictions = {}
-    for query_id, item in records_order:
-        if item is None:
+    for query in dataset.iter_queries():
+        clist = lists_by_query.get(query.query_id)
+        if clist is None:
             log_records.append(
-                {"query_id": query_id, "skipped": True, "skip_reason": "no candidates"}
+                {"query_id": query.query_id, "skipped": True, "skip_reason": "no candidates"}
             )
             continue
-        _, clist, _ = item
-        if query_id in outcome_by_query:
-            outcome = outcome_by_query[query_id]
+        outcome = outcome_by_query.get(query.query_id)
+        if outcome is not None:
             log_records.append(log_record(outcome))
         else:
-            outcome = identity_outcome(query_id, clist)
+            outcome = identity_outcome(query.query_id, clist)
             log_records.append(log_record(outcome, skipped=True, reason="limit"))
         final_lists.append(outcome.reranked)
-        predictions[query_id] = outcome.reranked.intervals()
+        predictions[query.query_id] = outcome.reranked.intervals()
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_candidates(final_lists, cfg.output_dir / RERANKED_FILE)
@@ -513,15 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic scenario")
-    p_sim.add_argument("--videos", type=int, default=3)
-    p_sim.add_argument("--queries-per-video", dest="queries_per_video", type=int, default=4)
+    # Each knob flag's dest is its ScenarioKnobs field, which holds the default.
+    p_sim.add_argument("--videos", dest="num_videos", type=int)
+    p_sim.add_argument("--queries-per-video", dest="queries_per_video", type=int)
+    p_sim.add_argument("--candidates-per-query", dest="candidates_per_query", type=int)
+    p_sim.add_argument("--recall-rho", dest="recall_rho", type=float)
+    p_sim.add_argument("--jitter", dest="jitter_s", type=float)
+    p_sim.add_argument("--latent-rate", dest="latent_positive_rate", type=float)
     p_sim.add_argument(
-        "--candidates-per-query", dest="candidates_per_query", type=int, default=5
+        "--track",
+        choices=[track.value for track in ingest.Track],
+        default=ingest.Track.GOALSTEP.value,
     )
-    p_sim.add_argument("--recall-rho", dest="recall_rho", type=float, default=0.8)
-    p_sim.add_argument("--jitter", type=float, default=2.0)
-    p_sim.add_argument("--latent-rate", dest="latent_rate", type=float, default=0.1)
-    p_sim.add_argument("--track", choices=["nlq", "goalstep"], default="goalstep")
     _add_common_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -161,7 +161,7 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
 
 def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, ...]]:
     return (
-        CandidateKey(record["video_id"], record["query_id"], record["rank"]),
+        CandidateKey.from_record(record),
         TimeInterval(record["clip_start_s"], record["clip_end_s"]),
         tuple(float(t) for t in record["frame_timestamps"]),
     )

@@ -102,6 +102,17 @@ class CandidateKey(NamedTuple):
     query_id: str
     rank: int
 
+    @classmethod
+    def from_record(cls, record) -> "CandidateKey":
+        """The key of a stage-file record; ``TypeError`` when an id is not a
+        string or the rank is not an integer."""
+        key = cls(record["video_id"], record["query_id"], record["rank"])
+        if not (isinstance(key.video_id, str) and isinstance(key.query_id, str)):
+            raise TypeError(f"candidate ids must be strings, got {key[:2]!r}")
+        if isinstance(key.rank, bool) or not isinstance(key.rank, int):
+            raise TypeError(f"candidate rank must be an integer, got {key.rank!r}")
+        return key
+
 
 def _require_id(value, what: str) -> str:
     if not isinstance(value, str) or not value:

@@ -41,6 +41,7 @@ from .errors import (
 )
 
 PREDICTIONS_VERSION = "emc-1"
+DEFAULT_TOP_K = 5
 
 
 class Track(str, enum.Enum):
@@ -290,10 +291,6 @@ def _parse_query(raw, video_id: str) -> Query:
     raw = _as_object(raw, "queries[]")
     query_id = _as_string(raw.get("query_id"), "query_id")
     text = _as_string(raw.get("text"), "text")
-    order_index = raw.get("order_index")
-    if order_index is not None:
-        if isinstance(order_index, bool) or not isinstance(order_index, int):
-            raise SchemaViolation("order_index", f"expected an integer, got {order_index!r}")
     gt = None
     if raw.get("gt") is not None:
         gt_obj = _as_object(raw["gt"], "gt")
@@ -305,7 +302,7 @@ def _parse_query(raw, video_id: str) -> Query:
         query_id=query_id,
         video_id=video_id,
         text=text,
-        order_index=order_index,
+        order_index=raw.get("order_index"),
         ground_truth=gt,
     )
 
@@ -323,21 +320,11 @@ def load_annotations(path: str | Path) -> Dataset:
         raw_video = _as_object(raw_video, "videos[]")
         video_id = _as_string(raw_video.get("video_id"), "video_id")
         duration = _as_number(raw_video.get("duration_s"), "duration_s")
-        queries = []
-        with_order = without_order = 0
-        for raw_query in _as_array(raw_video.get("queries"), "queries"):
-            query = _parse_query(raw_query, video_id)
-            if query.order_index is None:
-                without_order += 1
-            else:
-                with_order += 1
-            queries.append(query)
-        if with_order and without_order:
-            raise SchemaViolation(
-                "order_index",
-                f"video '{video_id}' mixes ordered and unordered queries",
-            )
-        videos.append(VideoRecord(video_id, duration, tuple(queries)))
+        queries = tuple(
+            _parse_query(raw_query, video_id)
+            for raw_query in _as_array(raw_video.get("queries"), "queries")
+        )
+        videos.append(VideoRecord(video_id, duration, queries))
     return Dataset(track=track, videos=tuple(videos))
 
 
@@ -375,7 +362,7 @@ def write_annotations(dataset: Dataset, path: str | Path) -> None:
 
 def load_candidates(
     path: str | Path,
-    top_k: int = 5,
+    top_k: int = DEFAULT_TOP_K,
     dataset: Dataset | None = None,
     canonical: bool = True,
 ) -> list[CandidateList]:

@@ -475,7 +475,7 @@ def write_memories(memories: Sequence[EpisodicMemory], path: str | Path) -> None
 
 def _memory_from_record(record) -> EpisodicMemory:
     return EpisodicMemory(
-        candidate_key=CandidateKey(record["video_id"], record["query_id"], record["rank"]),
+        candidate_key=CandidateKey.from_record(record),
         entries=tuple(
             MemoryEntry(TimeInterval(e["clip_start_s"], e["clip_end_s"]), e["narration"])
             for e in record["entries"]

@@ -190,7 +190,7 @@ def rerank_many(
     items: Sequence[tuple[Query, CandidateList, Sequence[EpisodicMemory]]],
     backend: Backend,
     *,
-    c_max: int = 4,
+    c_max: int,
     include_scores: bool = False,
 ) -> list[RerankOutcome]:
     """Rerank several queries, up to ``c_max`` selection calls in flight."""

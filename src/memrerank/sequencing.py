@@ -34,6 +34,7 @@ from .errors import (
 from .ingest import write_report_file
 
 BRUTE_FORCE_LIMIT = 1_000_000
+DEFAULT_LAMBDA_PENALTY = 1.0
 
 
 class RankSource(str, enum.Enum):
@@ -45,7 +46,7 @@ class RankSource(str, enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
-    lambda_penalty: float = 1.0
+    lambda_penalty: float = DEFAULT_LAMBDA_PENALTY
     rank_source: RankSource = RankSource.POST_RERANK
 
     def __post_init__(self):

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 import memrerank
-from memrerank.cli import main
+from memrerank.cli import RunConfig, build_parser, main
+from memrerank.synth import ScenarioKnobs
 
 
 def run(args):
@@ -97,8 +99,10 @@ class TestPipeline:
             '{"video_id": "v000", "query_id": "v000-q000", "rank": 1, '
             '"clip_start_s": 1.0, "clip_end_s": 2.0, "frame_timestamps": ["x"]}',
             "[1, 2]",
+            '{"video_id": "v000", "query_id": "v000-q000", "rank": "1", '
+            '"clip_start_s": 1.0, "clip_end_s": 2.0, "frame_timestamps": [1.0]}',
         ],
-        ids=["non-numeric-frame", "array-record"],
+        ids=["non-numeric-frame", "array-record", "string-rank"],
     )
     def test_malformed_manifest_line_exits_4(self, tmp_path, caplog, bad_line):
         out = tmp_path / "run"
@@ -111,6 +115,21 @@ class TestPipeline:
             code = run(["narrate", "--out", out, "--backend", "stub"])
         assert code == 4
         assert any(f"manifests.jsonl:{lines}:" in m for m in caplog.messages)
+
+    def test_string_rank_in_memories_exits_4(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        memories = out / "memories.jsonl"
+        lines = memories.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["rank"] = "2"
+        memories.write_text("\n".join([*lines, json.dumps(record)]) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run(["rerank", "--out", out, "--backend", "oracle"])
+        assert code == 4
+        assert any(f"memories.jsonl:{len(lines) + 1}:" in m for m in caplog.messages)
 
     def test_truncated_metrics_comparison_exits_4(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -280,6 +299,62 @@ class TestConfigPrecedence:
     def test_missing_config_file_rejected(self, tmp_path):
         assert run(["plan", "--config", tmp_path / "absent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [b"{", b"[1]", b'{"seed": 1}\xff'], ids=["not-json", "array", "not-utf8"]
+    )
+    def test_malformed_config_file_rejected(self, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert run(["plan", "--config", config]) == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"top_k": "abc"},
+            {"fps": "fast"},
+            {"rerank_limit": "x"},
+            {"seed": [1]},
+            {"paths": {"annotations": 5}},
+            {"include_scores": "no"},
+            {"top_k": True},
+            {"c_max": 2.5},
+            {"frame_extract_cmd": 7},
+            {"top_k": 5.0},
+            {"fps": float("inf")},
+            {"backend": "imaginary"},
+        ],
+        ids=[
+            "top_k-string", "fps-string", "rerank_limit-string", "seed-array",
+            "annotations-number", "include_scores-string", "top_k-bool", "c_max-fraction",
+            "frame_extract_cmd-number", "top_k-float", "fps-infinity", "backend-unknown",
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, caplog, setting):
+        out = tmp_path / "run"
+        simulate(out)
+        config = tmp_path / "config.json"
+        paths = {**setting.get("paths", {}), "output_dir": str(out)}
+        config.write_text(json.dumps({**setting, "paths": paths}))
+        with caplog.at_level("ERROR"):
+            code = run(["plan", "--config", config])
+        assert code == 2
+        assert not (out / "manifests.jsonl").exists()
+        key = next(iter(setting.get("paths", setting)))
+        assert any(f"setting {key}=" in message for message in caplog.messages)
+
+    def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path):
+        names = {f.name for f in fields(RunConfig)}
+        parser = build_parser()
+        assert set(vars(parser.parse_args(["plan"]))) - {"command", "func", "config"} == names
+        # Every field is a config key, the paths nested; null keeps the default.
+        paths = {"annotations", "candidates", "scenario", "frames_root", "cache_dir", "output_dir"}
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"paths": dict.fromkeys(paths), **dict.fromkeys(names - paths)})
+        )
+        with_nulls = RunConfig.from_args(parser.parse_args(["plan", "--config", str(config)]))
+        assert with_nulls == RunConfig.from_args(parser.parse_args(["plan"]))
+
     def test_frames_per_clip_over_request_cap_rejected(self, tmp_path, caplog):
         # 20 s clips at 2 fps need 40 frames; a narration request holds 20.
         out = tmp_path / "run"
@@ -293,6 +368,14 @@ class TestConfigPrecedence:
     def test_bad_backend_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["narrate", "--out", tmp_path, "--backend", "imaginary"])
+
+
+class TestSimulate:
+    def test_knob_defaults_are_the_scenario_knobs(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["simulate", "--out", out]) == 0
+        scenario = json.loads((out / "scenario.json").read_text())
+        assert scenario["knobs"] == asdict(ScenarioKnobs())
 
 
 class TestRankSource:
