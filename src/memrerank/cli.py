@@ -23,6 +23,7 @@ from .rerank import identity_outcome, log_record, rerank_many, write_rerank_log
 from .errors import (
     BackendError,
     ConfigError,
+    InvalidKnobsError,
     MemrerankError,
     MissingInputError,
     ValidationError,
@@ -141,8 +142,8 @@ class RunConfig:
         file_cfg = {}
         if getattr(args, "config", None):
             config_path = Path(args.config)
-            if not config_path.exists():
-                raise ConfigError(f"config file not found: {config_path}")
+            if not config_path.is_file():
+                raise ConfigError(f"config file not found or not a file: {config_path}")
             try:
                 file_cfg = json.loads(config_path.read_text(encoding="utf-8"))
             except ValueError as exc:
@@ -278,7 +279,10 @@ def _prompt_template(cfg: RunConfig) -> narration.PromptTemplate:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
-    knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
+    try:
+        knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
+    except InvalidKnobsError as exc:  # a bad flag, not a malformed file
+        raise ConfigError(str(exc)) from exc
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     synth.write_scenario(scenario, cfg.output_dir / SCENARIO_FILE)

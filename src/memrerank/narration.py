@@ -9,7 +9,9 @@ Narrations are cached on disk keyed by (video, clip, prompt version,
 backend), so re-running a dataset with a warm cache issues zero backend
 calls. One narrate run schedules every distinct clip of every plan at
 once: each cache key reaches the backend at most once, and at most
-``c_max`` requests are in flight across the whole run. Memories files are
+``c_max`` requests are in flight across the whole run; a clip waiting out
+a retry backoff holds none of them (:func:`dispatch`, which the rerank
+stage's selections go through too). Memories files are
 JSON Lines written and read through :mod:`memrerank.ingest`; the cache
 keeps its own append-only log, whose torn or corrupt records are skipped.
 """
@@ -17,7 +19,9 @@ keeps its own append-only log, whose torn or corrupt records are skipped.
 from __future__ import annotations
 
 import abc
+import functools
 import hashlib
+import heapq
 import json
 import logging
 import threading
@@ -141,15 +145,6 @@ class NarrationCacheKey(NamedTuple):
     prompt_version: str
     backend_id: str
 
-    def to_dict(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "clip_start_s": self.clip_start_s,
-            "clip_end_s": self.clip_end_s,
-            "prompt_version": self.prompt_version,
-            "backend_id": self.backend_id,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "NarrationCacheKey":
         return cls(
@@ -217,7 +212,7 @@ class NarrationCache:
             if self._handle is None:
                 self._handle = open(self._path, "a", encoding="utf-8")
             record = {
-                "key": key.to_dict(),
+                "key": key._asdict(),
                 "text": text,
                 "created_at": datetime.now(timezone.utc).isoformat(),
             }
@@ -229,6 +224,76 @@ class NarrationCache:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
+
+
+class Clock:
+    """Backoff time; tests substitute a clock whose ``wait`` advances ``now``."""
+
+    now = staticmethod(time.monotonic)
+
+    def wait(self, condition: threading.Condition, timeout: float) -> None:
+        condition.wait(timeout)  # returns early when notified
+
+
+def dispatch(calls: Sequence[Callable], c_max: int, clock: Clock = Clock()) -> tuple[list, int]:
+    """Run ``calls`` on at most ``min(c_max, len(calls))`` threads; return
+    their results in order and the number of retries. A transient failure
+    (``BackendUnavailableError``, ``EmptyNarrationError``) is queued again,
+    due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, while its worker takes
+    the next ready call (a due retry first). Any other error, or a last
+    failure, stops the hand-out and is re-raised here once the calls in
+    flight finish; an interrupt of the calling thread wakes every waiter."""
+    if c_max < 1:
+        raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
+    results, errors, delayed = [None] * len(calls), [], []  # (due, index, failures)
+    fresh, ready, retries = ((i, 0) for i in range(len(calls))), threading.Condition(), 0
+
+    def next_call() -> tuple[int, int] | None:
+        with ready:
+            while not errors:
+                now = clock.now()
+                if delayed and delayed[0][0] <= now:
+                    return heapq.heappop(delayed)[1:]
+                job = next(fresh, None)
+                if job or not delayed:
+                    return job  # None: a call in flight is retried by its own worker
+                clock.wait(ready, delayed[0][0] - now)
+
+    def stop(exc: BaseException) -> None:
+        with ready:
+            errors.append(exc)
+            ready.notify_all()
+
+    def work() -> None:
+        nonlocal retries
+        while job := next_call():
+            index, failures = job
+            try:
+                results[index] = calls[index]()
+            except Exception as exc:  # re-raised on the calling thread
+                transient = isinstance(exc, (BackendUnavailableError, EmptyNarrationError))
+                if transient and failures < len(RETRY_BACKOFF_S):
+                    with ready:
+                        due = clock.now() + RETRY_BACKOFF_S[failures]
+                        heapq.heappush(delayed, (due, index, failures + 1))
+                        retries += 1
+                    continue
+                if isinstance(exc, BackendUnavailableError):
+                    exc = BackendUnavailableError(f"failed after {failures + 1} attempts: {exc}")
+                return stop(exc)
+
+    workers = [threading.Thread(target=work) for _ in calls[:c_max]]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:  # an interrupt: stop the hand-out, then leave
+        stop(exc)
+        raise
+    if errors:
+        raise errors[0]
+    return results, retries
 
 
 class NarrationEngine:
@@ -243,32 +308,29 @@ class NarrationEngine:
         *,
         prompt: PromptTemplate = DEFAULT_PROMPT,
         c_max: int = DEFAULT_C_MAX,
-        sleep: Callable[[float], None] = time.sleep,
+        clock: Clock = Clock(),
     ):
-        if c_max < 1:
-            raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
         self.backend = backend
         self.cache = cache if cache is not None else NarrationCache()
         self.prompt = prompt
         self.c_max = c_max
-        self._sleep = sleep
+        self.clock = clock
         self._stats_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._clips_requested = 0
-        self._clips_unique = 0
+        self._counts = dict.fromkeys(
+            ("cache_hits", "cache_misses", "clips_requested", "clips_unique", "retries"), 0
+        )
 
     def stats(self) -> dict:
         """Cache hits and misses count distinct clips; ``clips_requested``
-        counts clip references across all plans."""
+        counts clip references across all plans; ``retries`` counts the
+        transient failures that were queued again."""
         with self._stats_lock:
-            return {
-                "backend_calls": self.backend.narrate_calls,
-                "cache_hits": self._cache_hits,
-                "cache_misses": self._cache_misses,
-                "clips_requested": self._clips_requested,
-                "clips_unique": self._clips_unique,
-            }
+            return {"backend_calls": self.backend.narrate_calls, **self._counts}
+
+    def _count(self, **amounts: int) -> None:
+        with self._stats_lock:
+            for name, amount in amounts.items():
+                self._counts[name] += amount
 
     def close(self) -> None:
         self.cache.close()
@@ -295,57 +357,34 @@ class NarrationEngine:
     def narrate_clip(
         self, video_id: str, clip: TimeInterval, frame_timestamps: Sequence[float]
     ) -> str:
-        """Cached narration for one clip; retries transient failures."""
+        """Cached narration for one clip; a miss is a one-job dispatch."""
         self._check_frames(frame_timestamps)
         key = self._key(video_id, clip)
-        cached = self.cache.get(key)
-        if cached is not None:
-            with self._stats_lock:
-                self._cache_hits += 1
-            return cached
-        with self._stats_lock:
-            self._cache_misses += 1
-        request = BackendRequest(
-            video_id,
-            clip,
-            tuple(FrameRef(video_id, t) for t in frame_timestamps),
-            self.prompt,
-        )
-        text = self._call_with_retries(request)
-        self.cache.put(key, text)
-        return text
+        self._narrate_jobs({key: (video_id, clip, frame_timestamps)})
+        return self.cache.get(key)
 
-    def _call_with_retries(self, request: BackendRequest) -> str:
-        last_error: Exception | None = None
-        attempts = 1 + len(RETRY_BACKOFF_S)
-        for attempt in range(attempts):
-            if attempt > 0:
-                self._sleep(RETRY_BACKOFF_S[attempt - 1])
-            try:
-                response = self.backend.narrate(request)
-            except BackendUnavailableError as exc:
-                last_error = exc
-                continue
-            text = response.text.strip()
-            if text:
-                return text
-            last_error = EmptyNarrationError(
-                f"backend '{self.backend.backend_id}' returned empty text"
-            )
-        if isinstance(last_error, EmptyNarrationError):
-            raise last_error
-        raise BackendUnavailableError(
-            f"backend '{self.backend.backend_id}' failed after {attempts} attempts"
-        ) from last_error
+    def _narrate_jobs(self, jobs: Mapping[NarrationCacheKey, tuple]) -> None:
+        """Serve hits from the cache and narrate the misses in one dispatch."""
+        misses = [(key, *job) for key, job in jobs.items() if self.cache.get(key) is None]
+
+        def call(key, video_id, clip, frames) -> None:
+            refs = tuple(FrameRef(video_id, t) for t in frames)
+            text = self.backend.narrate(BackendRequest(video_id, clip, refs, self.prompt)).text
+            if not text.strip():
+                raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
+            self.cache.put(key, text.strip())
+
+        self._count(cache_hits=len(jobs) - len(misses), cache_misses=len(misses))
+        calls = [functools.partial(call, *miss) for miss in misses]
+        self._count(retries=dispatch(calls, self.c_max, self.clock)[1])
 
     def narrate_plans(self, plans: Sequence[ClipPlan]) -> list[EpisodicMemory]:
         """Narrate every clip of every plan; one memory per plan, in order.
 
         Frame counts are checked before any backend call. Each distinct
         cache key is narrated at most once: hits are served inline, misses
-        by ``min(c_max, misses)`` threads pulling from one shared iterator.
-        The first failure stops the hand-out and is re-raised once every
-        thread has joined; narrations finished before it stay cached.
+        by one :func:`dispatch`. Narrations finished before a failure stay
+        cached.
         """
         jobs: dict[NarrationCacheKey, tuple] = {}
         for plan in plans:
@@ -353,36 +392,9 @@ class NarrationEngine:
             for clip, frames in zip(plan.clips, plan.frames):
                 self._check_frames(frames)
                 jobs.setdefault(self._key(video_id, clip), (video_id, clip, frames))
-        misses = [job for key, job in jobs.items() if self.cache.get(key) is None]
-        with self._stats_lock:
-            self._clips_requested += sum(len(plan.clips) for plan in plans)
-            self._clips_unique += len(jobs)
-            self._cache_hits += len(jobs) - len(misses)
-        pending, lock, errors = iter(misses), threading.Lock(), []
-
-        def work() -> None:
-            while True:
-                with lock:
-                    job = None if errors else next(pending, None)
-                if job is None:
-                    return
-                try:
-                    self.narrate_clip(*job)
-                except Exception as exc:  # re-raised on the calling thread
-                    errors.append(exc)
-                    return
-
-        workers = [threading.Thread(target=work) for _ in misses[: self.c_max]]
-        try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-        except BaseException as exc:  # an interrupt: stop the hand-out, then leave
-            errors.append(exc)
-            raise
-        if errors:
-            raise errors[0]
+        requested = sum(len(plan.clips) for plan in plans)
+        self._count(clips_requested=requested, clips_unique=len(jobs))
+        self._narrate_jobs(jobs)
         return [
             build_episodic_memory(
                 plan.candidate_key,

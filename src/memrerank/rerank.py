@@ -11,8 +11,8 @@ fail a run. The rerank log is JSON Lines written through
 
 from __future__ import annotations
 
+import functools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +20,7 @@ from typing import Sequence
 from .core import CandidateList, EpisodicMemory, Query
 from .errors import BackendError, MemoryCountMismatchError, SchemaViolation
 from .ingest import write_jsonl
-from .narration import Backend, render_memory
+from .narration import Backend, dispatch, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
 CANDIDATE_HEADING = "Candidate {index}"
@@ -193,14 +193,13 @@ def rerank_many(
     c_max: int,
     include_scores: bool = False,
 ) -> list[RerankOutcome]:
-    """Rerank several queries, up to ``c_max`` selection calls in flight."""
-
-    def job(item):
-        query, clist, memories = item
-        return rerank(query, clist, memories, backend, include_scores=include_scores)
-
-    with ThreadPoolExecutor(max_workers=c_max) as pool:
-        return list(pool.map(job, items))
+    """Rerank several queries, up to ``c_max`` selection calls in flight.
+    ``rerank`` falls back on a backend error, so no selection is retried."""
+    calls = [
+        functools.partial(rerank, *item, backend, include_scores=include_scores)
+        for item in items
+    ]
+    return dispatch(calls, c_max)[0]
 
 
 def log_record(outcome: RerankOutcome, skipped: bool = False, reason: str = "") -> dict:

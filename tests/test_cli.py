@@ -299,6 +299,15 @@ class TestConfigPrecedence:
     def test_missing_config_file_rejected(self, tmp_path):
         assert run(["plan", "--config", tmp_path / "absent.json"]) == 2
 
+    def test_config_directory_rejected(self, tmp_path, caplog):
+        directory = tmp_path / "config.json"
+        directory.mkdir()
+        with caplog.at_level("ERROR"):
+            code = run(["plan", "--config", directory, "--out", tmp_path / "run"])
+        assert code == 2
+        assert str(directory) in caplog.text
+        assert not (tmp_path / "run" / "manifests.jsonl").exists()
+
     @pytest.mark.parametrize(
         "content", [b"{", b"[1]", b'{"seed": 1}\xff'], ids=["not-json", "array", "not-utf8"]
     )
@@ -376,6 +385,19 @@ class TestSimulate:
         assert run(["simulate", "--out", out]) == 0
         scenario = json.loads((out / "scenario.json").read_text())
         assert scenario["knobs"] == asdict(ScenarioKnobs())
+
+    @pytest.mark.parametrize(
+        "flags, knob",
+        [(["--videos", 0], "num_videos"), (["--recall-rho", 1.5], "recall_rho")],
+        ids=["videos", "recall-rho"],
+    )
+    def test_out_of_range_knob_exits_2(self, tmp_path, caplog, flags, knob):
+        out = tmp_path / "run"
+        with caplog.at_level("ERROR"):
+            code = run(["simulate", "--out", out, *flags])
+        assert code == 2
+        assert knob in caplog.text
+        assert not (out / "scenario.json").exists()
 
 
 class TestRankSource:

@@ -80,6 +80,31 @@ class GaugeBackend(Backend):
         return BackendResponse(text="1", backend_id=self.backend_id)
 
 
+class FakeClock(narration.Clock):
+    """Advances by each wait instead of blocking; records the waits."""
+
+    def __init__(self):
+        self.t = 0.0
+        self.waits = []
+
+    def now(self):
+        return self.t
+
+    def wait(self, condition, timeout):
+        self.waits.append(timeout)
+        self.t += timeout
+
+
+class FastClock(narration.Clock):
+    """Real time run 100 times faster: a 1 s backoff takes 10 ms."""
+
+    def now(self):
+        return time.monotonic() * 100
+
+    def wait(self, condition, timeout):
+        condition.wait(timeout / 100)
+
+
 def plan_for(start, end, rank=1, video_id="v0", query_id="v0-q000"):
     return plan_candidate(
         candidate(start, end, 0.9, rank), 20.0, 1.0, video_id=video_id, query_id=query_id
@@ -131,34 +156,35 @@ class TestNarrateClip:
             engine.narrate_clip("v0", interval(0, 21), tuple(float(t) for t in range(21)))
 
     def test_retries_then_succeeds(self):
-        sleeps = []
+        clock = FakeClock()
         backend = FixedBackend(failures=2)
-        engine = NarrationEngine(backend, sleep=sleeps.append)
+        engine = NarrationEngine(backend, clock=clock)
         text = engine.narrate_clip("v0", interval(0, 5), (0.0,))
         assert "steady narration" in text
-        assert sleeps == [1.0, 2.0]
+        assert clock.waits == [1.0, 2.0]
         assert backend.narrate_calls == 3
+        assert engine.stats()["retries"] == 2
 
     def test_persistent_failure_exhausts_backoff(self):
-        sleeps = []
+        clock = FakeClock()
         backend = FixedBackend(failures=99)
-        engine = NarrationEngine(backend, sleep=sleeps.append)
-        with pytest.raises(BackendUnavailableError):
+        engine = NarrationEngine(backend, clock=clock)
+        with pytest.raises(BackendUnavailableError, match="failed after 4 attempts"):
             engine.narrate_clip("v0", interval(0, 5), (0.0,))
-        assert sleeps == [1.0, 2.0, 4.0]
+        assert clock.waits == [1.0, 2.0, 4.0]
         assert backend.narrate_calls == 4
 
     def test_empty_output_retried_then_reported(self):
-        sleeps = []
+        clock = FakeClock()
         backend = FixedBackend(empties=99)
-        engine = NarrationEngine(backend, sleep=sleeps.append)
+        engine = NarrationEngine(backend, clock=clock)
         with pytest.raises(EmptyNarrationError):
             engine.narrate_clip("v0", interval(0, 5), (0.0,))
-        assert sleeps == [1.0, 2.0, 4.0]
+        assert clock.waits == [1.0, 2.0, 4.0]
 
     def test_empty_then_good_output(self):
         backend = FixedBackend(empties=1)
-        engine = NarrationEngine(backend, sleep=lambda s: None)
+        engine = NarrationEngine(backend, clock=FakeClock())
         assert "steady narration" in engine.narrate_clip("v0", interval(0, 5), (0.0,))
 
 
@@ -362,29 +388,42 @@ class TestNarratePlans:
 
     def test_exhausted_retries_keep_finished_narrations(self, tmp_path):
         class BrokenClipBackend(GaugeBackend):
+            """Clip [40, 50) always fails. Its last failure waits until the
+            other worker is inside a call, then marks every later call late."""
+
+            failures = late = 0
+            exhausted = False
+
             def _narrate(self, request):
+                if self.exhausted:
+                    self.late += 1
                 if request.images[0].timestamp_s == 40.0:
+                    self.failures += 1
+                    if self.failures == 4:
+                        deadline = time.monotonic() + 5
+                        while self.in_flight == 0 and time.monotonic() < deadline:
+                            time.sleep(0.001)
+                        self.exhausted = True
                     raise BackendUnavailableError("down for this clip")
                 return super()._narrate(request)
 
         path = tmp_path / "cache.jsonl"
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(8)]
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(40)]
         backend = BrokenClipBackend(delay_s=0.02)
-        engine = NarrationEngine(
-            backend, NarrationCache(path), c_max=2, sleep=lambda s: None
-        )
-        with pytest.raises(BackendUnavailableError):
+        engine = NarrationEngine(backend, NarrationCache(path), c_max=2, clock=FastClock())
+        with pytest.raises(BackendUnavailableError, match="failed after 4 attempts"):
             engine.narrate_plans(plans)
         engine.close()
-        # The third clip fails four attempts; the hand-out stops there, so
-        # the second worker finishes at most one more clip.
+        # The retries freed their slot, so other clips finished meanwhile;
+        # after the last failure no further clip was handed out.
         finished = backend.narrate_calls - 4
-        assert 2 <= finished <= 3
+        assert backend.late == 0
+        assert 3 <= finished < 39
         assert len(NarrationCache(path)) == finished
         resumed = GaugeBackend(delay_s=0.0)
         with NarrationEngine(resumed, NarrationCache(path)) as engine:
             engine.narrate_plans(plans)
-        assert resumed.narrate_calls == 8 - finished
+        assert resumed.narrate_calls == 40 - finished
 
     def test_interrupt_stops_the_hand_out(self, monkeypatch):
         started = []
@@ -423,6 +462,99 @@ class TestNarratePlans:
             sequential = engine.narrate_plans(plans)
         assert concurrent == sequential
         assert [m.candidate_key for m in concurrent] == [p.candidate_key for p in plans]
+
+
+class OnceBrokenBackend(GaugeBackend):
+    """The first request for clip [0, 10) fails; the rest succeed."""
+
+    def __init__(self, delay_s):
+        super().__init__(delay_s)
+        self.failed = threading.Event()
+        self.retried_at = None
+        self.last_end = 0.0
+
+    def _narrate(self, request):
+        if request.images[0].timestamp_s == 0.0:
+            if not self.failed.is_set():
+                with self.lock:
+                    self.max_in_flight = self.in_flight  # count from the failure on
+                self.failed.set()
+                raise BackendUnavailableError("once")
+            self.retried_at = time.monotonic()
+            return super()._narrate(request)
+        response = super()._narrate(request)
+        self.last_end = max(self.last_end, time.monotonic())  # of the other clips
+        return response
+
+
+class TestDispatch:
+    def test_backoff_frees_the_slot(self):
+        # Clip [0, 10) waits out a real 1 s backoff; meanwhile the other six
+        # clips still run two at a time and finish before its retry.
+        backend = OnceBrokenBackend(delay_s=0.02)
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(7)]
+        with NarrationEngine(backend, c_max=2) as engine:
+            engine.narrate_plans(plans)
+            assert engine.stats()["retries"] == 1
+        assert backend.max_in_flight == 2
+        assert backend.narrate_calls == 8
+        assert backend.last_end < backend.retried_at
+
+    def test_retries_under_thread_churn(self):
+        # Every clip fails its first attempt: a lost update of the retry
+        # queue or count would drop a clip, run one twice or miscount.
+        class FirstAttemptFails(FixedBackend):
+            def __init__(self):
+                super().__init__()
+                self.seen = set()
+                self.seen_lock = threading.Lock()
+
+            def _narrate(self, request):
+                with self.seen_lock:
+                    first = request.images not in self.seen
+                    self.seen.add(request.images)
+                if first:
+                    raise BackendUnavailableError("first attempt")
+                return super()._narrate(request)
+
+        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(50)]
+        backend = FirstAttemptFails()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with NarrationEngine(backend, c_max=8, clock=FastClock()) as engine:
+                memories = engine.narrate_plans(plans)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert backend.narrate_calls == 100
+        assert engine.stats()["retries"] == 50
+        assert all("steady narration" in m.entries[0].narration for m in memories)
+
+    def test_interrupt_during_backoff_returns_at_once(self, monkeypatch):
+        backend = OnceBrokenBackend(delay_s=0.0)
+        started = []
+        thread_class = threading.Thread
+
+        class InterruptedJoin(thread_class):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                backend.failed.wait(5)
+                time.sleep(0.1)  # both workers now wait for the 1 s backoff
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(narration.threading, "Thread", InterruptedJoin)
+        plans = [plan_for(0.0, 10.0, rank=1), plan_for(20.0, 30.0, rank=2)]
+        with pytest.raises(KeyboardInterrupt):
+            NarrationEngine(backend, c_max=2).narrate_plans(plans)
+        interrupted = time.monotonic()
+        for worker in started:
+            thread_class.join(worker, timeout=5)
+            assert not worker.is_alive()
+        assert time.monotonic() - interrupted < 0.5
+        assert backend.narrate_calls == 2  # the retry never ran
 
 
 class TestPromptTemplate:

@@ -17,6 +17,7 @@ from memrerank import (
 from memrerank.errors import (
     BackendUnavailableError,
     MemoryCountMismatchError,
+    SchemaViolation,
 )
 from memrerank.rerank import identity_outcome, log_record, promote, write_rerank_log
 from memrerank.synth import oracle_selector, stub_backend
@@ -236,6 +237,33 @@ class TestRerankMany:
         assert [o.query_id for o in outcomes] == ["v0-q000", "v0-q001"]
         sequential = rerank_many(items, oracle_selector(scenario), c_max=1)
         assert outcomes == sequential
+
+    def test_c_max_below_one_rejected(self):
+        scenario = tiny_scenario()
+        clist_, memories = memories_for(scenario, "v0-q000")
+        items = [(query_for(scenario, "v0-q000"), clist_, memories)]
+        with pytest.raises(SchemaViolation, match="c_max"):
+            rerank_many(items, oracle_selector(scenario), c_max=0)
+
+    def test_failed_selection_falls_back_without_retry(self):
+        class DownSelector(Backend):
+            backend_id = "down"
+
+            def _narrate(self, request):
+                raise AssertionError("rerank never narrates")
+
+            def _select(self, prompt):
+                raise BackendUnavailableError("selection endpoint down")
+
+        scenario = tiny_scenario()
+        items = []
+        for query_id in ("v0-q000", "v0-q001"):
+            clist_, memories = memories_for(scenario, query_id)
+            items.append((query_for(scenario, query_id), clist_, memories))
+        backend = DownSelector()
+        outcomes = rerank_many(items, backend, c_max=2)
+        assert backend.select_calls == 2
+        assert [(o.fallback_used, o.raw_answer) for o in outcomes] == [(True, "")] * 2
 
 
 class TestOutcomeValidation:
