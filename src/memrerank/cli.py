@@ -332,10 +332,12 @@ def cmd_narrate(args: argparse.Namespace) -> int:
     with narration.NarrationEngine(
         backend, cache, prompt=_prompt_template(cfg), c_max=cfg.c_max
     ) as engine:
-        memories = engine.narrate_plans(plans)
-        stats = engine.stats()
+        try:
+            memories = engine.narrate_plans(plans)
+        finally:  # the stats of this run, failed or not
+            stats = engine.stats()
+            ingest.write_report_file(stats, cfg.cache_dir / NARRATE_STATS_FILE)
     narration.write_memories(memories, cfg.output_dir / MEMORIES_FILE)
-    ingest.write_report_file(stats, cfg.cache_dir / NARRATE_STATS_FILE)
     logger.info(
         "narrated %d candidates (%d backend calls, %d cache hits)",
         len(memories),

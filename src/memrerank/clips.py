@@ -2,9 +2,11 @@
 
 A candidate interval is cut into contiguous clips of ``clip_len_s``
 seconds (a shorter tail is kept in full), and each clip is sampled at
-``fps`` starting from its own start time. Intervals are half-open, so
-clip boundaries are never double-counted. Manifests are JSON Lines
-written and read through :mod:`memrerank.ingest`.
+``fps`` from its own start time (:func:`clip_frames`). Intervals are
+half-open, so clip boundaries are never double-counted. A manifest holds
+one JSON-Lines record per clip, written and read through
+:mod:`memrerank.ingest`: its bounds and the run's ``fps`` and
+``clip_len_s``, from which the frames are derived, not stored.
 """
 
 from __future__ import annotations
@@ -28,44 +30,35 @@ COVER_TOLERANCE_S = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class ClipPlan:
-    """Clips covering one candidate plus the frame timestamps per clip."""
+    """Clips covering one candidate, sampled as :func:`clip_frames` says."""
 
     candidate_key: CandidateKey
     clips: tuple[TimeInterval, ...]
-    frames: tuple[tuple[float, ...], ...]
+    fps: float
+    clip_len_s: float
 
     def __post_init__(self):
         object.__setattr__(self, "clips", tuple(self.clips))
-        object.__setattr__(self, "frames", tuple(tuple(f) for f in self.frames))
+        for name in ("fps", "clip_len_s"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 < value < math.inf:
+                raise SchemaViolation(name, f"must be a positive number, got {value!r}")
         if not self.clips:
             raise SchemaViolation("clips", "plan has no clips")
-        if len(self.clips) != len(self.frames):
-            raise SchemaViolation(
-                "frames",
-                f"{len(self.frames)} frame groups for {len(self.clips)} clips",
-            )
         previous = None
-        for clip, timestamps in zip(self.clips, self.frames):
+        for clip in self.clips:
+            if clip.duration_s <= 0:
+                raise SchemaViolation("clips", f"clip [{clip.start_s}, {clip.end_s}) is empty")
             if previous is not None and abs(clip.start_s - previous.end_s) > 1e-6:
                 raise SchemaViolation(
                     "clips", f"gap between clips at {previous.end_s} -> {clip.start_s}"
                 )
             previous = clip
-            if not timestamps:
-                raise SchemaViolation(
-                    "frame_timestamps",
-                    f"clip [{clip.start_s}, {clip.end_s}) has no frames",
-                )
-            for t in timestamps:
-                if not clip.start_s <= t < clip.end_s:
-                    raise SchemaViolation(
-                        "frame_timestamps",
-                        f"timestamp {t} outside clip [{clip.start_s}, {clip.end_s})",
-                    )
 
     @property
-    def interval(self) -> TimeInterval:
-        return TimeInterval(self.clips[0].start_s, self.clips[-1].end_s)
+    def frames(self) -> tuple[tuple[float, ...], ...]:
+        """The frame timestamps of each clip."""
+        return tuple(clip_frames(clip, self.fps, self.clip_len_s) for clip in self.clips)
 
     @property
     def total_frames(self) -> int:
@@ -114,6 +107,13 @@ def sample_frames(clip: TimeInterval, fps: float = DEFAULT_FPS) -> tuple[float, 
     return tuple(timestamps)
 
 
+def clip_frames(clip: TimeInterval, fps: float, clip_len_s: float) -> tuple[float, ...]:
+    """``sample_frames`` capped at ``ceil(clip_len_s * fps)``: a full clip
+    can be a few ulps longer than ``clip_len_s`` (cut points and the
+    candidate end are separate sums), which would give it one frame more."""
+    return sample_frames(clip, fps)[: math.ceil(clip_len_s * fps)]
+
+
 def plan_candidate(
     candidate: CandidateSegment,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
@@ -122,26 +122,16 @@ def plan_candidate(
     video_id: str,
     query_id: str,
 ) -> ClipPlan:
-    """Compose clip cutting and frame sampling for one candidate.
-
-    No clip gets more than ``ceil(clip_len_s * fps)`` frames. Cut points
-    and the candidate end are separate sums, so a full clip can be a few
-    ulps longer than ``clip_len_s``; ``sample_frames`` would then give it
-    one frame more.
-    """
-    clips = plan_clips(candidate.interval, clip_len_s)
-    frames = tuple(
-        sample_frames(clip, fps)[: math.ceil(clip_len_s * fps)] for clip in clips
-    )
+    """Cut one candidate into clips, to be sampled at ``fps``."""
     key = CandidateKey(video_id, query_id, candidate.rank)
-    return ClipPlan(key, clips, frames)
+    return ClipPlan(key, plan_clips(candidate.interval, clip_len_s), fps, clip_len_s)
 
 
 def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
     """Write one JSON-Lines record per clip; returns the record count."""
     records = []
     for plan in plans:
-        for clip, timestamps in zip(plan.clips, plan.frames):
+        for clip in plan.clips:
             records.append(
                 {
                     "video_id": plan.candidate_key.video_id,
@@ -149,7 +139,8 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
                     "rank": plan.candidate_key.rank,
                     "clip_start_s": clip.start_s,
                     "clip_end_s": clip.end_s,
-                    "frame_timestamps": list(timestamps),
+                    "fps": plan.fps,
+                    "clip_len_s": plan.clip_len_s,
                 }
             )
     records.sort(
@@ -159,27 +150,29 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
     return len(records)
 
 
-def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, ...]]:
-    return (
-        CandidateKey.from_record(record),
-        TimeInterval(record["clip_start_s"], record["clip_end_s"]),
-        tuple(float(t) for t in record["frame_timestamps"]),
-    )
+def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, float]]:
+    if "frame_timestamps" in record:
+        raise ValueError("frame_timestamps is the old manifest format; re-run plan")
+    sampling = (record["fps"], record["clip_len_s"])
+    if type(sampling[0]) not in (int, float) or type(sampling[1]) not in (int, float):
+        raise TypeError(f"fps and clip_len_s must be numbers, got {sampling!r}")
+    clip = TimeInterval(record["clip_start_s"], record["clip_end_s"])
+    return CandidateKey.from_record(record), clip, sampling
 
 
 def read_frame_manifests(path: str | Path) -> list[ClipPlan]:
-    """Rebuild per-candidate clip plans from a manifest file."""
-    groups: dict[CandidateKey, list[tuple[TimeInterval, tuple[float, ...]]]] = {}
-    for key, clip, timestamps in read_jsonl(path, "manifest", _manifest_entry):
-        groups.setdefault(key, []).append((clip, timestamps))
+    """Rebuild per-candidate clip plans from a manifest file.
+
+    The clips of one candidate must share their ``fps`` and ``clip_len_s``.
+    """
+    groups: dict[CandidateKey, list[tuple[TimeInterval, tuple[float, float]]]] = {}
+    for key, clip, sampling in read_jsonl(path, "manifest", _manifest_entry):
+        groups.setdefault(key, []).append((clip, sampling))
     plans = []
     for key in sorted(groups):
         entries = sorted(groups[key], key=lambda item: item[0].start_s)
-        plans.append(
-            ClipPlan(
-                key,
-                tuple(clip for clip, _ in entries),
-                tuple(timestamps for _, timestamps in entries),
-            )
-        )
+        samplings = {sampling for _, sampling in entries}
+        if len(samplings) > 1:
+            raise SchemaViolation("fps", f"clips of {key} differ in (fps, clip_len_s)")
+        plans.append(ClipPlan(key, tuple(clip for clip, _ in entries), *samplings.pop()))
     return plans

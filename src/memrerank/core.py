@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     EmptyCandidateListError,
@@ -51,6 +51,9 @@ class TimeInterval:
     end_s: float
 
     def __post_init__(self):
+        start, end = self.start_s, self.end_s
+        if type(start) is float and type(end) is float and 0.0 <= start <= end < math.inf:
+            return  # the common case: valid floats, nothing to convert
         object.__setattr__(self, "start_s", _as_finite_time(self.start_s, "start_s"))
         object.__setattr__(self, "end_s", _as_finite_time(self.end_s, "end_s"))
         if self.start_s < 0:
@@ -154,21 +157,23 @@ class CandidateList:
         return tuple(c.interval for c in self.candidates)
 
 
-def validate_candidate_list(clist: CandidateList) -> CandidateList:
-    """Return the canonical form of a candidate list.
+def canonical_order(
+    candidates: Sequence[CandidateSegment], limit: int | None = None
+) -> tuple[CandidateSegment, ...]:
+    """The first ``limit`` (default all) candidates by descending score,
+    ties broken by earlier start then shorter duration, ranked by position;
+    the sort is stable, and a candidate already at its rank is reused."""
+    ordered = sorted(candidates, key=lambda c: (-c.score, c.interval.start_s, c.interval.duration_s))
+    return tuple(
+        candidate if candidate.rank == position else replace(candidate, rank=position)
+        for position, candidate in enumerate(ordered[:limit], start=1)
+    )
 
-    Candidates are ordered by descending score, ties broken by earlier
-    start then shorter duration, and ranks reassigned by position. The
-    operation is idempotent and stable on already-canonical input.
-    """
-    ordered = sorted(
-        clist.candidates,
-        key=lambda c: (-c.score, c.interval.start_s, c.interval.duration_s),
-    )
-    reranked = tuple(
-        replace(candidate, rank=position + 1) for position, candidate in enumerate(ordered)
-    )
-    return CandidateList(clist.video_id, clist.query_id, reranked)
+
+def validate_candidate_list(clist: CandidateList) -> CandidateList:
+    """The canonical form of a candidate list (:func:`canonical_order`);
+    idempotent and stable on already-canonical input."""
+    return CandidateList(clist.video_id, clist.query_id, canonical_order(clist.candidates))
 
 
 @dataclass(frozen=True, slots=True)

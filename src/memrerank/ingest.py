@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -31,7 +32,7 @@ from .core import (
     CandidateSegment,
     Query,
     TimeInterval,
-    validate_candidate_list,
+    canonical_order,
 )
 from .errors import (
     GtOutOfBoundsError,
@@ -121,12 +122,6 @@ class Dataset:
         for video in self.videos:
             yield from video.queries
 
-    def video(self, video_id: str) -> VideoRecord:
-        for video in self.videos:
-            if video.video_id == video_id:
-                return video
-        raise KeyError(video_id)
-
     def query_ids(self) -> set[str]:
         return {q.query_id for q in self.iter_queries()}
 
@@ -141,9 +136,8 @@ def format_seconds(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
     text = repr(value)
-    if "e" not in text and "E" not in text and "." in text:
-        if len(text.split(".", 1)[1]) >= 3:
-            return text
+    if "e" not in text and len(text) - text.index(".") > 3:  # no exponent: a "." is there
+        return text
     digits = 3
     while digits <= 1100:
         text = f"{value:.{digits}f}"
@@ -154,25 +148,33 @@ def format_seconds(value: float) -> str:
     raise ValueError(f"cannot render {value!r} as a plain decimal")
 
 
+_EXACT = frozenset({str, float, int, bool, type(None), dict, list, tuple})
+
+
 def _emit_json(value, out: list[str]) -> None:
-    if value is None or isinstance(value, bool):
-        out.append(json.dumps(value))
-    elif isinstance(value, float):
+    kind = type(value)
+    if kind not in _EXACT:  # a subclass or a non-dict mapping: as its first base
+        kind = next((b for b in (float, int, str, Mapping, list, tuple) if isinstance(value, b)), None)
+    if kind is str:
+        out.append(encode_basestring(value))  # what json.dumps applies to any str
+    elif kind is float:
         out.append(format_seconds(value))
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, Mapping):
+    elif kind is bool or value is None:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is dict or kind is Mapping:
         out.append("{")
         for i, key in enumerate(sorted(value)):
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(
+                encode_basestring(key) if isinstance(key, str) else json.dumps(key, ensure_ascii=False)
+            )
             out.append(":")
             _emit_json(value[key], out)
         out.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         out.append("[")
         for i, item in enumerate(value):
             if i:
@@ -237,9 +239,10 @@ def write_report_file(value, path: str | Path) -> None:
 
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     """One compact JSON record per line, keys sorted."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(record, sort_keys=True)
     with atomic_writer(path) as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(encode(record) + "\n")
 
 
 def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
@@ -276,7 +279,7 @@ def _as_array(value, field: str) -> list:
 
 
 def _as_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # the types of parsed JSON numbers; not bool
         raise SchemaViolation(field, f"expected a number, got {value!r}")
     return float(value)
 
@@ -368,9 +371,10 @@ def load_candidates(
 ) -> list[CandidateList]:
     """Load, validate, and truncate candidate lists to the top-k.
 
-    With ``canonical=True`` (base-model output) candidates are reordered
-    by descending score and ranked by position. Reranked files are loaded
-    with ``canonical=False``: file order is the ranking and is preserved.
+    Every candidate is validated, kept or not. With ``canonical=True``
+    (base-model output) candidates are reordered by descending score and
+    ranked by position. Reranked files are loaded with ``canonical=False``:
+    file order is the ranking and is preserved.
     """
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
@@ -391,7 +395,7 @@ def load_candidates(
             raise UnknownQueryIdError(f"candidates for unknown query '{query_id}'")
         segments = []
         for position, raw_candidate in enumerate(
-            _as_array(raw.get("candidates"), "candidates")
+            _as_array(raw.get("candidates"), "candidates"), start=1
         ):
             raw_candidate = _as_object(raw_candidate, "candidates[]")
             segments.append(
@@ -401,13 +405,11 @@ def load_candidates(
                         _as_number(raw_candidate.get("end_s"), "end_s"),
                     ),
                     score=_as_number(raw_candidate.get("score"), "score"),
-                    rank=position + 1,
+                    rank=position,
                 )
             )
-        parsed = CandidateList(video_id, query_id, tuple(segments))
-        if canonical:
-            parsed = validate_candidate_list(parsed)
-        lists.append(CandidateList(video_id, query_id, parsed.candidates[:top_k]))
+        kept = canonical_order(segments, top_k) if canonical else segments[:top_k]
+        lists.append(CandidateList(video_id, query_id, kept))
     return lists
 
 

@@ -26,12 +26,12 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .clips import ClipPlan
+from . import clips
 from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval
 from .errors import (
     BackendUnavailableError,
@@ -67,11 +67,11 @@ class PromptTemplate:
     """Versioned narration instruction; the version tracks the text."""
 
     text: str
+    version: str = field(init=False)  # computed once: every cache key carries it
 
-    @property
-    def version(self) -> str:
+    def __post_init__(self):
         digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()[:12]
-        return f"narr-{digest}"
+        object.__setattr__(self, "version", f"narr-{digest}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PromptTemplate":
@@ -235,18 +235,20 @@ class Clock:
         condition.wait(timeout)  # returns early when notified
 
 
-def dispatch(calls: Sequence[Callable], c_max: int, clock: Clock = Clock()) -> tuple[list, int]:
+def dispatch(
+    calls: Sequence[Callable], c_max: int, clock: Clock = Clock(), on_retry=lambda: None
+) -> list:
     """Run ``calls`` on at most ``min(c_max, len(calls))`` threads; return
-    their results in order and the number of retries. A transient failure
-    (``BackendUnavailableError``, ``EmptyNarrationError``) is queued again,
-    due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, while its worker takes
+    their results in order. A transient failure (``BackendUnavailableError``,
+    ``EmptyNarrationError``) is queued again, due ``RETRY_BACKOFF_S[n - 1]``
+    s after the n-th, and reported to ``on_retry``, while its worker takes
     the next ready call (a due retry first). Any other error, or a last
     failure, stops the hand-out and is re-raised here once the calls in
     flight finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
         raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
     results, errors, delayed = [None] * len(calls), [], []  # (due, index, failures)
-    fresh, ready, retries = ((i, 0) for i in range(len(calls))), threading.Condition(), 0
+    fresh, ready = ((i, 0) for i in range(len(calls))), threading.Condition()
 
     def next_call() -> tuple[int, int] | None:
         with ready:
@@ -265,7 +267,6 @@ def dispatch(calls: Sequence[Callable], c_max: int, clock: Clock = Clock()) -> t
             ready.notify_all()
 
     def work() -> None:
-        nonlocal retries
         while job := next_call():
             index, failures = job
             try:
@@ -276,7 +277,7 @@ def dispatch(calls: Sequence[Callable], c_max: int, clock: Clock = Clock()) -> t
                     with ready:
                         due = clock.now() + RETRY_BACKOFF_S[failures]
                         heapq.heappush(delayed, (due, index, failures + 1))
-                        retries += 1
+                    on_retry()
                     continue
                 if isinstance(exc, BackendUnavailableError):
                     exc = BackendUnavailableError(f"failed after {failures + 1} attempts: {exc}")
@@ -293,7 +294,7 @@ def dispatch(calls: Sequence[Callable], c_max: int, clock: Clock = Clock()) -> t
         raise
     if errors:
         raise errors[0]
-    return results, retries
+    return results
 
 
 class NarrationEngine:
@@ -341,15 +342,6 @@ class NarrationEngine:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _check_frames(self, frame_timestamps: Sequence[float]) -> None:
-        if not frame_timestamps:
-            raise SchemaViolation("frame_timestamps", "clip has no frames to narrate")
-        if len(frame_timestamps) > MAX_IMAGES_PER_REQUEST:
-            raise ImageLimitExceededError(
-                f"{len(frame_timestamps)} frames exceed the per-request cap "
-                f"of {MAX_IMAGES_PER_REQUEST}"
-            )
-
     def _key(self, video_id: str, clip: TimeInterval) -> NarrationCacheKey:
         version, backend = self.prompt.version, self.backend.backend_id
         return NarrationCacheKey(video_id, clip.start_s, clip.end_s, version, backend)
@@ -358,17 +350,17 @@ class NarrationEngine:
         self, video_id: str, clip: TimeInterval, frame_timestamps: Sequence[float]
     ) -> str:
         """Cached narration for one clip; a miss is a one-job dispatch."""
-        self._check_frames(frame_timestamps)
         key = self._key(video_id, clip)
-        self._narrate_jobs({key: (video_id, clip, frame_timestamps)})
+        self._narrate_jobs({key: (video_id, clip, lambda: frame_timestamps)})
         return self.cache.get(key)
 
     def _narrate_jobs(self, jobs: Mapping[NarrationCacheKey, tuple]) -> None:
-        """Serve hits from the cache and narrate the misses in one dispatch."""
+        """Serve hits from the cache and narrate the misses in one dispatch; a job
+        is (video id, clip, a function giving its frames, called on a miss)."""
         misses = [(key, *job) for key, job in jobs.items() if self.cache.get(key) is None]
 
         def call(key, video_id, clip, frames) -> None:
-            refs = tuple(FrameRef(video_id, t) for t in frames)
+            refs = tuple(FrameRef(video_id, t) for t in frames())
             text = self.backend.narrate(BackendRequest(video_id, clip, refs, self.prompt)).text
             if not text.strip():
                 raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
@@ -376,21 +368,27 @@ class NarrationEngine:
 
         self._count(cache_hits=len(jobs) - len(misses), cache_misses=len(misses))
         calls = [functools.partial(call, *miss) for miss in misses]
-        self._count(retries=dispatch(calls, self.c_max, self.clock)[1])
+        dispatch(calls, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
 
-    def narrate_plans(self, plans: Sequence[ClipPlan]) -> list[EpisodicMemory]:
+    def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:
         """Narrate every clip of every plan; one memory per plan, in order.
 
-        Frame counts are checked before any backend call. Each distinct
+        Frame caps are checked before any backend call. Each distinct
         cache key is narrated at most once: hits are served inline, misses
-        by one :func:`dispatch`. Narrations finished before a failure stay
-        cached.
+        by one :func:`dispatch`, and only misses have their frames derived.
+        Narrations finished before a failure stay cached.
         """
         jobs: dict[NarrationCacheKey, tuple] = {}
         for plan in plans:
+            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
+            if plan.clip_len_s * plan.fps > MAX_IMAGES_PER_REQUEST:
+                raise ImageLimitExceededError(
+                    f"{plan.candidate_key}: {plan.clip_len_s} s clips at {plan.fps} fps "
+                    f"exceed the per-request cap of {MAX_IMAGES_PER_REQUEST} frames"
+                )
             video_id = plan.candidate_key.video_id
-            for clip, frames in zip(plan.clips, plan.frames):
-                self._check_frames(frames)
+            for clip in plan.clips:
+                frames = functools.partial(clips.clip_frames, clip, plan.fps, plan.clip_len_s)
                 jobs.setdefault(self._key(video_id, clip), (video_id, clip, frames))
         requested = sum(len(plan.clips) for plan in plans)
         self._count(clips_requested=requested, clips_unique=len(jobs))
@@ -412,7 +410,7 @@ class NarrationEngine:
 
 def build_episodic_memory(
     candidate_key: CandidateKey,
-    plan: ClipPlan,
+    plan: clips.ClipPlan,
     narrations: Mapping[TimeInterval, str],
     *,
     prompt_version: str,

@@ -199,7 +199,7 @@ def rerank_many(
         functools.partial(rerank, *item, backend, include_scores=include_scores)
         for item in items
     ]
-    return dispatch(calls, c_max)[0]
+    return dispatch(calls, c_max)
 
 
 def log_record(outcome: RerankOutcome, skipped: bool = False, reason: str = "") -> dict:

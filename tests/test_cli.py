@@ -8,8 +8,13 @@ from pathlib import Path
 import pytest
 
 import memrerank
+from memrerank import Backend, clips, narration, synth
 from memrerank.cli import RunConfig, build_parser, main
+from memrerank.clips import clip_frames, read_frame_manifests
+from memrerank.errors import BackendUnavailableError
 from memrerank.synth import ScenarioKnobs
+
+from helpers import interval
 
 
 def run(args):
@@ -97,10 +102,10 @@ class TestPipeline:
         "bad_line",
         [
             '{"video_id": "v000", "query_id": "v000-q000", "rank": 1, '
-            '"clip_start_s": 1.0, "clip_end_s": 2.0, "frame_timestamps": ["x"]}',
+            '"clip_start_s": 1.0, "clip_end_s": 2.0, "fps": "x", "clip_len_s": 20.0}',
             "[1, 2]",
             '{"video_id": "v000", "query_id": "v000-q000", "rank": "1", '
-            '"clip_start_s": 1.0, "clip_end_s": 2.0, "frame_timestamps": [1.0]}',
+            '"clip_start_s": 1.0, "clip_end_s": 2.0, "fps": 1.0, "clip_len_s": 20.0}',
         ],
         ids=["non-numeric-frame", "array-record", "string-rank"],
     )
@@ -115,6 +120,45 @@ class TestPipeline:
             code = run(["narrate", "--out", out, "--backend", "stub"])
         assert code == 4
         assert any(f"manifests.jsonl:{lines}:" in m for m in caplog.messages)
+
+    def test_old_format_manifest_asks_for_a_new_plan(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for record in records:
+            fps, clip_len_s = record.pop("fps"), record.pop("clip_len_s")
+            clip = interval(record["clip_start_s"], record["clip_end_s"])
+            record["frame_timestamps"] = list(clip_frames(clip, fps, clip_len_s))
+        manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("manifests.jsonl:1:" in m and "re-run plan" in m for m in caplog.messages)
+        assert not (out / "memories.jsonl").exists()
+
+    @pytest.mark.parametrize("field, value", [("fps", 2.0), ("clip_len_s", 40.0)])
+    def test_hand_edited_sampling_over_the_request_cap_exits_4(
+        self, tmp_path, caplog, field, value
+    ):
+        # 20 s clips at 2 fps, or 40 s clips at 1 fps, need 40 frames; a
+        # narration request holds 20.
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        manifest.write_text(
+            "".join(json.dumps({**r, field: value}, sort_keys=True) + "\n" for r in records)
+        )
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("per-request cap" in m for m in caplog.messages)
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert stats["backend_calls"] == 0
+        assert not (out / "memories.jsonl").exists()
 
     def test_string_rank_in_memories_exits_4(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -154,6 +198,59 @@ class TestPipeline:
         second = json.loads(stats_path.read_text())
         assert second["backend_calls"] == 0
         assert second["cache_hits"] == first["backend_calls"]
+
+    def test_warm_narrate_derives_no_frames(self, tmp_path, monkeypatch):
+        derived = []
+
+        def counting_clip_frames(clip, fps, clip_len_s):
+            derived.append(clip)
+            return clip_frames(clip, fps, clip_len_s)
+
+        monkeypatch.setattr(clips, "clip_frames", counting_clip_frames)
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        stats_path = out / "cache" / "narrate_stats.json"
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        cold = json.loads(stats_path.read_text())
+        assert cold["cache_misses"] > 0
+        assert len(derived) == cold["cache_misses"] == cold["backend_calls"]
+        derived.clear()
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert json.loads(stats_path.read_text())["cache_misses"] == 0
+        assert derived == []
+
+    def test_failed_narrate_writes_its_own_stats(self, tmp_path, monkeypatch):
+        class Down(Backend):
+            backend_id = "down"
+
+            def _narrate(self, request):
+                raise BackendUnavailableError("down")
+
+            def _select(self, prompt):
+                raise BackendUnavailableError("down")
+
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        stats_path = out / "cache" / "narrate_stats.json"
+        first = json.loads(stats_path.read_text())
+        assert (first["backend_calls"], first["retries"]) == (first["cache_misses"], 0)
+        # One worker and no backoff: the first clip is tried 4 times, then
+        # the run stops.
+        monkeypatch.setattr(narration, "RETRY_BACKOFF_S", (0.0, 0.0, 0.0))
+        monkeypatch.setattr(synth, "stub_backend", lambda scenario: Down())
+        assert run(["narrate", "--out", out, "--backend", "stub", "--c-max", 1]) == 5
+        second = json.loads(stats_path.read_text())
+        assert second == {
+            "backend_calls": 4,
+            "cache_hits": 0,
+            "cache_misses": first["cache_misses"],
+            "clips_requested": first["clips_requested"],
+            "clips_unique": first["clips_unique"],
+            "retries": 3,
+        }
 
     def test_stage_reruns_are_byte_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -254,10 +351,11 @@ class TestPipeline:
 
         rewrite_candidates(out, widen_first)
         assert run(["plan", "--out", out]) == 0
-        records = [json.loads(line) for line in (out / "manifests.jsonl").read_text().splitlines()]
-        clip = next(r for r in records if r["clip_start_s"] == 25.511)
-        assert clip["clip_end_s"] == 45.511
-        assert len(clip["frame_timestamps"]) == 20
+        plans = read_frame_manifests(out / "manifests.jsonl")
+        plan = next(p for p in plans if interval(25.511, 45.511) in p.clips)
+        assert plan.clips[1] == interval(25.511, 45.511)
+        assert (plan.fps, plan.clip_len_s) == (1.0, 20.0)
+        assert len(plan.frames[1]) == 20
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
 
     def test_nlq_eval_uses_rerank_predictions(self, tmp_path):

@@ -1,9 +1,13 @@
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memrerank import plan_candidate, plan_clips, sample_frames
-from memrerank.clips import ClipPlan, read_frame_manifests, write_frame_manifests
+from memrerank.clips import ClipPlan, clip_frames, read_frame_manifests, write_frame_manifests
 from memrerank.core import CandidateKey
 from memrerank.errors import SchemaViolation, ZeroLengthSegmentError
 
@@ -121,21 +125,52 @@ class TestPlanCandidate:
 
 
 class TestClipPlanInvariants:
-    def test_frames_must_lie_inside_clip(self):
-        with pytest.raises(SchemaViolation):
-            ClipPlan(
-                CandidateKey("v0", "q0", 1),
-                (interval(0, 10),),
-                ((12.0,),),
-            )
+    @settings(max_examples=300)
+    @given(
+        start_ms=st.integers(min_value=0, max_value=500_000),
+        length_ms=st.integers(min_value=1, max_value=90_000),
+        clip_len_s=st.sampled_from([20.0, 10.0, 7.5, 3.0]),
+        fps=st.sampled_from([1.0, 0.5, 2 / 3, 0.3, 2.0]),
+    )
+    def test_frames_must_lie_inside_clip(self, start_ms, length_ms, clip_len_s, fps):
+        # Millisecond bounds, like the 3-decimal candidate files, give
+        # clips a few ulps over clip_len_s.
+        start, end = start_ms / 1000, (start_ms + length_ms) / 1000
+        plan = plan_candidate(
+            candidate(start, end, 0.5, 1), clip_len_s, fps, video_id="v0", query_id="q0"
+        )
+        cap = math.ceil(clip_len_s * fps)
+        assert len(plan.frames) == len(plan.clips)
+        for clip, frames in zip(plan.clips, plan.frames):
+            assert 1 <= len(frames) <= cap
+            assert all(clip.start_s <= t < clip.end_s for t in frames)
+            assert frames == clip_frames(clip, fps, clip_len_s)
 
     def test_clips_must_be_contiguous(self):
         with pytest.raises(SchemaViolation):
             ClipPlan(
                 CandidateKey("v0", "q0", 1),
                 (interval(0, 10), interval(11, 20)),
-                ((0.0,), (11.0,)),
+                1.0,
+                20.0,
             )
+
+    def test_zero_length_clip_rejected(self):
+        with pytest.raises(SchemaViolation):
+            ClipPlan(
+                CandidateKey("v0", "q0", 1),
+                (interval(0, 10), interval(10, 10)),
+                1.0,
+                20.0,
+            )
+
+    @pytest.mark.parametrize(
+        "fps, clip_len_s",
+        [(0.0, 20.0), (1.0, -20.0), (math.nan, 20.0), (1.0, math.inf), (True, 20.0), ("1", 20.0)],
+    )
+    def test_sampling_must_be_positive_numbers(self, fps, clip_len_s):
+        with pytest.raises(SchemaViolation):
+            ClipPlan(CandidateKey("v0", "q0", 1), (interval(0, 10),), fps, clip_len_s)
 
 
 class TestManifestRoundTrip:
@@ -167,3 +202,42 @@ class TestManifestRoundTrip:
         write_frame_manifests(plans, first)
         write_frame_manifests(plans, second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_record_holds_bounds_and_sampling_not_frames(self, tmp_path):
+        plans = [
+            plan_candidate(
+                candidate(5.0, 30.0, 0.9, 1), 20.0, 0.5, video_id="v0", query_id="q0"
+            )
+        ]
+        path = tmp_path / "manifests.jsonl"
+        write_frame_manifests(plans, path)
+        assert [json.loads(line) for line in path.read_text().splitlines()] == [
+            {"video_id": "v0", "query_id": "q0", "rank": 1, "clip_start_s": start,
+             "clip_end_s": end, "fps": 0.5, "clip_len_s": 20.0}
+            for start, end in [(5.0, 25.0), (25.0, 30.0)]
+        ]
+        (loaded,) = read_frame_manifests(path)
+        assert loaded.frames == ((5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 21.0, 23.0), (25.0, 27.0, 29.0))
+
+    def test_old_format_record_asks_for_a_new_plan(self, tmp_path):
+        path = tmp_path / "manifests.jsonl"
+        path.write_text(
+            '{"video_id": "v0", "query_id": "q0", "rank": 1, "clip_start_s": 0.0, '
+            '"clip_end_s": 2.0, "frame_timestamps": [0.0, 1.0]}\n'
+        )
+        with pytest.raises(SchemaViolation, match=r"manifests\.jsonl:1: .*re-run plan"):
+            read_frame_manifests(path)
+
+    def test_clips_of_one_candidate_share_their_sampling(self, tmp_path):
+        plans = [
+            plan_candidate(
+                candidate(0.0, 45.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
+            )
+        ]
+        path = tmp_path / "manifests.jsonl"
+        write_frame_manifests(plans, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"fps": 1.0', '"fps": 0.5')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaViolation, match="differ in"):
+            read_frame_manifests(path)

@@ -1,10 +1,11 @@
 import ast
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memrerank
@@ -25,8 +26,15 @@ from memrerank.errors import (
     ParseError,
     SchemaViolation,
     UnknownQueryIdError,
+    ValidationError,
 )
-from memrerank.ingest import format_seconds, read_jsonl, write_json_file, write_jsonl
+from memrerank.ingest import (
+    dump_json,
+    format_seconds,
+    read_jsonl,
+    write_json_file,
+    write_jsonl,
+)
 
 from helpers import clist, interval
 
@@ -217,6 +225,67 @@ class TestLoadCandidates:
         assert len(lists[0]) == min(top_k, num)
 
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 5.0, 12.5]),  # start
+                st.sampled_from([1.0, 8.0]),  # duration
+                st.sampled_from([0.2, 0.5, 0.9]),  # score
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        st.integers(min_value=1, max_value=10),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_a_direct_reference(
+        self, tmp_path_factory, triples, top_k, presorted, canonical
+    ):
+        # Few distinct values, so scores, starts and durations tie often;
+        # a presorted file is already in canonical order.
+        def canonical_key(triple):
+            start, duration, score = triple
+            return (-score, start, duration)
+
+        if presorted:
+            triples = sorted(triples, key=canonical_key)
+        payload = {
+            "predictions": [
+                {
+                    "video_id": "v0",
+                    "query_id": "v0-q0",
+                    "candidates": [
+                        {"start_s": start, "end_s": start + duration, "score": score}
+                        for start, duration, score in triples
+                    ],
+                }
+            ]
+        }
+        ordered = sorted(triples, key=canonical_key) if canonical else triples
+        expected = clist(
+            "v0", "v0-q0", [(s, s + d, score) for s, d, score in ordered[:top_k]]
+        )
+        path = write_file(tmp_path_factory.mktemp("cands"), "c.json", payload)
+        assert load_candidates(path, top_k=top_k, canonical=canonical) == [expected]
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"score": "high"}, {"score": math.nan}, {"start_s": 30.0, "end_s": 30.0}, {"start_s": -1.0}],
+        ids=["string-score", "nan-score", "zero-length", "negative-start"],
+    )
+    def test_malformed_candidate_beyond_top_k_rejected(self, tmp_path, bad, canonical):
+        # Candidate 0 has the lowest score and candidate 6 the last place
+        # in the file: beyond the top 2 by score and by file order.
+        payload = candidates_payload(7)
+        payload["predictions"][0]["candidates"][0 if canonical else 6].update(bad)
+        path = write_file(tmp_path, "c.json", payload)
+        with pytest.raises(ValidationError):
+            load_candidates(path, top_k=2, canonical=canonical)
+
+
 finite_seconds = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -310,6 +379,60 @@ class TestFormatSeconds:
         text = format_seconds(value)
         assert float(text) == value
         assert not math.isnan(float(text))
+
+
+class TestDumpJson:
+    """Pins the data-file bytes: non-ASCII text stays raw, control
+    characters are escaped, floats are plain decimals with at least three
+    fractional digits, keys are sorted, tuples are arrays, and a ``str``
+    subclass or a non-dict mapping encodes like its base."""
+
+    VALUE = {
+        "text": "naïve café — ✓ 日本",
+        "escapes": 'quote " backslash \\ slash / newline \n tab \t bell \x07 '
+        "del \x7f nul \x00 \u2028",
+        "floats": [
+            1.5, 0.1, 2.0, 1.2345678901234567, 1e-07, 1.25e-20, 1e22,
+            1.7976931348623157e308, 123456.789012, -0.0, -2.5,
+        ],
+        "ints": [0, -7, 2**70],
+        "flags": [True, False, None],
+        "nested": {"tuple": (1, (2.0, "x")), "list": [[], {}, ()], "dict": {"b": 1, "a": [None]}},
+        "ключ": "значение",
+        "track": Track.GOALSTEP,
+        "proxy": types.MappingProxyType({"z": 0.25, "y": "é"}),
+    }
+    GOLDEN = (
+        '{"escapes":"quote \\" backslash \\\\ slash / newline \\n tab \\t bell '
+        '\\u0007 del \x7f nul \\u0000 \u2028",'
+        '"flags":[true,false,null],'
+        '"floats":[1.500,0.100,2.000,1.2345678901234567,0.00000010000000000,'
+        "0.000000000000000000012500000,10000000000000000000000.000,"
+        + "179769313486231570814527423731704356798070567525844996598917476803157260780"
+        "028538760589558632766878171540458953514382464234321326889464182768467546703"
+        "537516986049910576551282076245490090389328944075868508455133942304583236903"
+        "222948165808559332123348274797826204144723168738177180919299881250404026184"
+        "124858368.000,123456.789012,-0.000,-2.500],"
+        '"ints":[0,-7,1180591620717411303424],'
+        '"nested":{"dict":{"a":[null],"b":1},"list":[[],{},[]],"tuple":[1,[2.000,"x"]]},'
+        '"proxy":{"y":"é","z":0.250},'
+        '"text":"naïve café — ✓ 日本","track":"goalstep","ключ":"значение"}'
+    )
+
+    def test_golden_bytes(self):
+        assert dump_json(self.VALUE) == self.GOLDEN
+
+    def test_golden_text_is_json_of_the_value(self):
+        decoded = json.loads(self.GOLDEN)
+        assert decoded["escapes"] == self.VALUE["escapes"]
+        assert decoded["floats"] == self.VALUE["floats"]
+
+    @pytest.mark.parametrize(
+        "value", [object(), {1, 2}, b"bytes", {"k": [1j]}], ids=["object", "set", "bytes", "nested"]
+    )
+    def test_unsupported_type_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dump_json(value)
 
 
 class TestAtomicWrite:
