@@ -10,6 +10,7 @@ file, then built-in default.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -252,9 +253,9 @@ def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
 
 
 def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
-    """The configured backend. The scripted ones load the scenario over
-    ``inputs``, the stage's (dataset, candidate lists), which are loaded
-    here when the stage has not loaded them itself."""
+    """The configured backend. The scripted ones load the scenario, over
+    ``inputs`` (the stage's dataset and candidate lists) or else over
+    inputs they load themselves, when the first request reaches them."""
     if cfg.backend == "remote":
         from .remote import FrameProvider, RemoteBackend
 
@@ -263,8 +264,11 @@ def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
             provider = FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
         return RemoteBackend.from_env(frame_provider=provider)
     cfg.require(cfg.scenario, "simulate", "scenario file")
-    dataset, lists = inputs if inputs is not None else _load_inputs(cfg)
-    scenario = synth.load_scenario(cfg.scenario, dataset, lists)
+
+    def scenario() -> synth.Scenario:
+        dataset, lists = inputs if inputs is not None else _load_inputs(cfg)
+        return synth.load_scenario(cfg.scenario, dataset, lists)
+
     if cfg.backend == "oracle":
         return synth.oracle_selector(scenario)
     return synth.stub_backend(scenario)
@@ -540,12 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one stage with the cyclic collector paused: a stage leaves no
+    garbage in reference cycles but its argument parser's, so collecting
+    would only cost time. The collector's state is restored on every way
+    out."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        logging.basicConfig(
+            level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
+        )
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MemrerankError as exc:
         logger.error("%s", exc)
@@ -556,6 +565,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         logger.error("i/o failure: %s", exc)
         return 6
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

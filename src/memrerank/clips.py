@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .core import CandidateKey, CandidateSegment, TimeInterval
+from .core import CandidateKey, CandidateSegment, TimeInterval, clip_bounds
 from .errors import SchemaViolation, ZeroLengthSegmentError
 from .ingest import read_jsonl, write_jsonl
 
@@ -156,8 +156,7 @@ def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, fl
     sampling = (record["fps"], record["clip_len_s"])
     if type(sampling[0]) not in (int, float) or type(sampling[1]) not in (int, float):
         raise TypeError(f"fps and clip_len_s must be numbers, got {sampling!r}")
-    clip = TimeInterval(record["clip_start_s"], record["clip_end_s"])
-    return CandidateKey.from_record(record), clip, sampling
+    return CandidateKey.from_record(record), TimeInterval(*clip_bounds(record)), sampling
 
 
 def read_frame_manifests(path: str | Path) -> list[ClipPlan]:

@@ -117,6 +117,19 @@ class CandidateKey(NamedTuple):
         return key
 
 
+def clip_bounds(record) -> tuple[float, float]:
+    """The ``clip_start_s`` and ``clip_end_s`` of a stage-file record;
+    ``TypeError`` when either is not a JSON number and ``ValueError``
+    when they are not ``0 <= start <= end < inf``."""
+    start, end = record["clip_start_s"], record["clip_end_s"]
+    # The types of parsed JSON numbers; a bool is not one.
+    if type(start) not in (int, float) or type(end) not in (int, float):
+        raise TypeError(f"clip bounds must be numbers, got {(start, end)!r}")
+    if not 0 <= start <= end < math.inf:
+        raise ValueError(f"clip bounds must be finite, 0 <= start <= end, got {(start, end)!r}")
+    return start, end
+
+
 def _require_id(value, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise SchemaViolation(what, f"must be a non-empty string, got {value!r}")

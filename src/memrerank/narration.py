@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import clips
-from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval
+from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, clip_bounds
 from .errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -149,8 +149,7 @@ class NarrationCacheKey(NamedTuple):
     def from_dict(cls, payload: dict) -> "NarrationCacheKey":
         return cls(
             payload["video_id"],
-            float(payload["clip_start_s"]),
-            float(payload["clip_end_s"]),
+            *clip_bounds(payload),
             payload["prompt_version"],
             payload["backend_id"],
         )
@@ -487,7 +486,7 @@ def _memory_from_record(record) -> EpisodicMemory:
     return EpisodicMemory(
         candidate_key=CandidateKey.from_record(record),
         entries=tuple(
-            MemoryEntry(TimeInterval(e["clip_start_s"], e["clip_end_s"]), e["narration"])
+            MemoryEntry(TimeInterval(*clip_bounds(e)), e["narration"])
             for e in record["entries"]
         ),
         prompt_version=record["prompt_version"],

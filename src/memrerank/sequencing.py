@@ -9,10 +9,12 @@ query (the rank) and one term per adjacent pair (the penalty), so the
 cost of a suffix depends on earlier choices only through the immediately
 preceding choice. Minimizing suffix cost per (query, choice) state and
 walking the resulting table forward therefore yields a global minimum in
-O(K * C^2) time. Costs are accumulated in exact rational arithmetic so
-tie detection (and hence tie-breaking) never depends on float summation
-order; ties are broken by the lexicographically smallest rank vector,
-then earliest start times.
+O(K * C^2) time. Costs are accumulated as integers over a common
+power-of-two denominator, equivalent to exact rationals, so tie detection
+(and hence tie-breaking) never depends on float summation order; ties
+are broken by the lexicographically smallest rank vector, then earliest
+start times. ``brute_force_optimize`` is the independent reference in
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -119,36 +121,45 @@ def optimize_sequence(task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig
     Ties on cost are broken by the lexicographically smallest rank
     vector, then earliest start times.
     """
-    lam = Fraction(cfg.lambda_penalty)
     num_queries = len(task.queries)
     ranks = [[c.rank for c in clist.candidates] for clist in task.lists]
     starts = [[c.interval.start_s for c in clist.candidates] for clist in task.lists]
+    # Every float is a dyadic rational, so lambda and each pair's penalty
+    # are integers over powers of two, and every cost of the task is an
+    # integer count of 1/unit.
+    lam_num, lam_den = cfg.lambda_penalty.as_integer_ratio()
+    ratios = [
+        [[start_penalty(a, b).as_integer_ratio() for b in after] for a in before]
+        for before, after in zip(starts, starts[1:])
+    ]
+    den = max((d for pair in ratios for row in pair for _, d in row), default=1)
+    unit = lam_den * den
+    # penalties[i][j][k]: lambda times the penalty of choice j at query i
+    # then choice k at query i + 1, in units of 1/unit.
+    penalties = [
+        [[lam_num * n * (den // d) for n, d in row] for row in pair] for pair in ratios
+    ]
 
-    # suffix[j]: exact minimal cost of queries i..K-1 when query i picks j.
-    suffix = [Fraction(r) for r in ranks[num_queries - 1]]
+    # suffix[j]: minimal cost of queries i..K-1 when query i picks j.
+    suffix = [r * unit for r in ranks[num_queries - 1]]
     next_choice: list[list[int]] = [[] for _ in range(num_queries)]
     for i in range(num_queries - 2, -1, -1):
+        following = list(zip(ranks[i + 1], starts[i + 1]))
         new_suffix = []
         pointers = []
-        for j in range(len(ranks[i])):
-            start_j = starts[i][j]
+        for j, row in enumerate(penalties[i]):
             best_val = None
             best_k = -1
-            for k in range(len(ranks[i + 1])):
-                penalty = start_penalty(start_j, starts[i + 1][k])
-                val = suffix[k] if penalty == 0.0 else lam * Fraction(penalty) + suffix[k]
+            for k, penalty in enumerate(row):
+                val = penalty + suffix[k]
                 if (
                     best_val is None
                     or val < best_val
-                    or (
-                        val == best_val
-                        and (ranks[i + 1][k], starts[i + 1][k])
-                        < (ranks[i + 1][best_k], starts[i + 1][best_k])
-                    )
+                    or (val == best_val and following[k] < following[best_k])
                 ):
                     best_val = val
                     best_k = k
-            new_suffix.append(Fraction(ranks[i][j]) + best_val)
+            new_suffix.append(ranks[i][j] * unit + best_val)
             pointers.append(best_k)
         suffix = new_suffix
         next_choice[i] = pointers

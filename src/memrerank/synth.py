@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import random
 import re
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     CandidateList,
@@ -263,15 +264,35 @@ def generate_scenario(
 class ScriptedStubBackend(Backend):
     """Answers narration requests from the event script and selection
     requests by matching the query's target event label against the
-    candidate memories. Never touches pixel data."""
+    candidate memories. Never touches pixel data.
+
+    Built over a ``Scenario``, or over a function that loads one: then the
+    scenario is loaded once, when the first request arrives, so a stage
+    whose requests are all answered from the cache never reads it."""
 
     backend_id = "stub"
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario | Callable[[], Scenario]):
         super().__init__()
+        self._load_lock = threading.Lock()
+        self._load = scenario if callable(scenario) else None
+        if self._load is None:
+            self._adopt(scenario)
+
+    def _adopt(self, scenario: Scenario) -> None:
         self._script = scenario.script_by_video()
 
+    def _loaded(self) -> None:
+        # ``_load`` is cleared only once the scenario is adopted, so the
+        # lock is taken only while a load may still be due.
+        if self._load is not None:
+            with self._load_lock:
+                if self._load is not None:
+                    self._adopt(self._load())
+                    self._load = None
+
     def _narrate(self, request: BackendRequest) -> BackendResponse:
+        self._loaded()
         overlapping = [
             event.label
             for event in self._script.get(request.video_id, ())
@@ -298,6 +319,7 @@ class ScriptedStubBackend(Backend):
         return query_text_line, ["\n".join(s) for s in sections]
 
     def _select(self, prompt: str) -> BackendResponse:
+        self._loaded()  # unused here, but loading checks it against the run
         query_line, sections = self._split_prompt(prompt)
         label_match = _EVENT_IN_QUERY.search(query_line)
         if label_match is None:
@@ -319,12 +341,13 @@ class _GroundTruthSelector(ScriptedStubBackend):
     score the scenario's candidate lists, which a stage loads from the
     same lists it builds its selection prompts from."""
 
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
+    def _adopt(self, scenario: Scenario) -> None:
+        super()._adopt(scenario)
         self._gt = scenario.ground_truth_by_query()
         self._lists = scenario.candidates_by_query()
 
     def _query_id(self, prompt: str) -> str:
+        self._loaded()
         query_line, _ = self._split_prompt(prompt)
         tag = _QUERY_TAG.search(query_line)
         if tag is None or tag.group(1) not in self._gt:
@@ -362,15 +385,15 @@ class WorstSelectorBackend(_GroundTruthSelector):
         return BackendResponse(text=str(worst + 1), backend_id=self.backend_id)
 
 
-def stub_backend(scenario: Scenario) -> ScriptedStubBackend:
+def stub_backend(scenario: Scenario | Callable[[], Scenario]) -> ScriptedStubBackend:
     return ScriptedStubBackend(scenario)
 
 
-def oracle_selector(scenario: Scenario) -> OracleSelectorBackend:
+def oracle_selector(scenario: Scenario | Callable[[], Scenario]) -> OracleSelectorBackend:
     return OracleSelectorBackend(scenario)
 
 
-def worst_selector(scenario: Scenario) -> WorstSelectorBackend:
+def worst_selector(scenario: Scenario | Callable[[], Scenario]) -> WorstSelectorBackend:
     return WorstSelectorBackend(scenario)
 
 

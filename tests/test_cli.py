@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import memrerank
-from memrerank import Backend, clips, narration, synth
+from memrerank import Backend, cli, clips, ingest, narration, synth
 from memrerank.cli import RunConfig, build_parser, main
 from memrerank.clips import clip_frames, read_frame_manifests
 from memrerank.errors import BackendUnavailableError
@@ -174,6 +175,52 @@ class TestPipeline:
             code = run(["rerank", "--out", out, "--backend", "oracle"])
         assert code == 4
         assert any(f"memories.jsonl:{len(lines) + 1}:" in m for m in caplog.messages)
+
+    # A clip bound must be a finite, non-negative JSON number no later
+    # than the clip's end: not a string (even of a number) or a bool.
+    BAD_BOUNDS = pytest.mark.parametrize(
+        "bound",
+        [
+            str,
+            lambda value: "x",
+            lambda value: True,
+            lambda value: float("nan"),
+            lambda value: -1.0,
+        ],
+        ids=["numeric-string", "non-numeric-string", "bool", "nan", "negative"],
+    )
+
+    @BAD_BOUNDS
+    def test_malformed_clip_bound_in_manifest_exits_4(self, tmp_path, caplog, bound):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        first, *rest = manifest.read_text().splitlines()
+        record = json.loads(first)
+        record["clip_start_s"] = bound(record["clip_start_s"])
+        manifest.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("manifests.jsonl:1:" in m for m in caplog.messages)
+
+    @BAD_BOUNDS
+    def test_malformed_clip_bound_in_memories_exits_4(self, tmp_path, caplog, bound):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        memories = out / "memories.jsonl"
+        first, *rest = memories.read_text().splitlines()
+        record = json.loads(first)
+        entry = record["entries"][0]
+        entry["clip_end_s"] = bound(entry["clip_end_s"])
+        memories.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run(["rerank", "--out", out, "--backend", "oracle"])
+        assert code == 4
+        assert any("memories.jsonl:1:" in m for m in caplog.messages)
 
     def test_truncated_metrics_comparison_exits_4(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -368,6 +415,142 @@ class TestPipeline:
         compare = json.loads((out / "metrics_compare.json").read_text())
         assert compare["before"]["num_queries"] == 6
         assert compare["after"]["num_queries"] == 6
+
+
+class TestScenarioLoads:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Calls of the three input loaders, by name."""
+        counts = dict.fromkeys(("load_scenario", "load_annotations", "load_candidates"), 0)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(synth, "load_scenario")
+        counted(ingest, "load_annotations")
+        counted(ingest, "load_candidates")
+        return counts
+
+    def test_narrate_loads_the_scenario_only_for_misses(self, tmp_path, loads):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        loads.update(dict.fromkeys(loads, 0))
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert loads == dict.fromkeys(loads, 1)
+        loads.update(dict.fromkeys(loads, 0))
+        assert run(["narrate", "--out", out, "--backend", "stub", "--c-max", 1]) == 0
+        assert json.loads((out / "cache" / "narrate_stats.json").read_text())["cache_hits"] > 0
+        assert loads == dict.fromkeys(loads, 0)
+
+    def test_rerank_loads_the_scenario_at_its_first_selection(self, tmp_path, loads):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        loads.update(dict.fromkeys(loads, 0))
+        assert run(["rerank", "--out", out, "--backend", "oracle", "--limit", 0]) == 0
+        assert loads["load_scenario"] == 0
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        assert loads["load_scenario"] == 1
+
+    def test_warm_narrate_without_the_inputs_it_does_not_need(self, tmp_path):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        memories = (out / "memories.jsonl").read_bytes()
+        (out / "scenario.json").write_text("{")
+        (out / "candidates.json").write_text("{")
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert (out / "memories.jsonl").read_bytes() == memories
+
+    def test_cold_narrate_over_a_malformed_scenario_exits_4(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        (out / "scenario.json").write_text("{")
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("scenario.json" in m for m in caplog.messages)
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert stats["backend_calls"] <= 4  # the calls in flight when the load failed
+
+
+class TestCyclicCollector:
+    """A stage runs with the cyclic collector paused, so a stage must not
+    leave garbage in reference cycles that grows with its input."""
+
+    STAGES = ("plan", "narrate", "rerank", "optimize", "eval", "report")
+
+    @staticmethod
+    def _cyclic_garbage(argv) -> int:
+        """Objects the stage of ``argv`` leaves unreachable in cycles."""
+        gc.collect()  # what earlier code left is freed, not counted
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(argv) == 0
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+
+    def _per_stage(self, out, videos, queries):
+        counts = {
+            "simulate": self._cyclic_garbage(
+                ["simulate", "--out", out, "--seed", 7, "--videos", videos,
+                 "--queries-per-video", queries]
+            )
+        }
+        for stage in self.STAGES:
+            backend = ["--backend", "oracle"] if stage == "rerank" else []
+            counts[stage] = self._cyclic_garbage([stage, "--out", out, *backend])
+        return counts
+
+    def test_stage_garbage_does_not_grow_with_input(self, tmp_path):
+        small = self._per_stage(tmp_path / "small", 5, 4)
+        large = self._per_stage(tmp_path / "large", 40, 5)
+        for stage, count in large.items():
+            assert count <= small[stage], (stage, small, large)
+
+    def test_collector_paused_during_the_stage(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(gc.isenabled()) or 0)
+        assert gc.isenabled()
+        assert run(["report", "--out", tmp_path]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_state_restored_on_every_exit(self, tmp_path):
+        out = tmp_path / "run"
+        simulate(out)
+        assert gc.isenabled()
+        (out / "metrics_compare.json").write_text("{")
+        assert run(["report", "--out", out]) == 4
+        assert gc.isenabled()
+        (tmp_path / "file").write_text("")
+        assert run(["simulate", "--out", tmp_path / "file" / "run"]) == 6
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            run(["plan", "--backend", "nope"])
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, tmp_path):
+        gc.disable()
+        try:
+            simulate(tmp_path / "run")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestConfigPrecedence:

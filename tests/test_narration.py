@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -214,6 +215,23 @@ class TestNarrationCache:
             reloaded = NarrationCache(path)
         assert len(reloaded) == 2
         assert any("corrupt" in message for message in caplog.messages)
+
+    @pytest.mark.parametrize("bound", ["5.0", "x", True, float("nan"), -1.0])
+    def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, bound):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.put(self._key(5.0, 15.0), "world")
+        cache.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["key"]["clip_start_s"] = bound
+        path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert len(reloaded) == 1
+        assert reloaded.get(self._key(5.0, 15.0)) is None
+        assert any(f"corrupt cache record {path}:2" in m for m in caplog.messages)
 
     def test_warm_cache_issues_zero_backend_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"

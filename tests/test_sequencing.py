@@ -169,6 +169,62 @@ class TestOptimizeSequence:
         assert selection_cost(task, sel, cfg) <= selection_cost(task, baseline, cfg)
 
 
+def _float_sum(values):
+    """Float sum in the order given."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestExactCosts:
+    """The DP against the Fraction brute force where float costs would err:
+    weights and starts with long binary expansions, penalties far below
+    the ranks, and ties that only exact arithmetic sees."""
+
+    LAMBDAS = (0.0, 0.1, 1 / 3, 1e-300, 5e-324, 1e300)
+
+    @staticmethod
+    def _random_task(rng, start):
+        return make_task(
+            [[start(rng) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 4))]
+        )
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda rng: rng.randint(0, 300) * 0.1,
+            lambda rng: rng.randint(0, 300) * 0.1 + rng.randint(0, 3) * 2.0**-40,
+            lambda rng: rng.randint(0, 8) * 5e-324,
+            lambda rng: 1e-310 + rng.randint(0, 8) * 5e-324,
+        ],
+        ids=["tenths", "tenths-2^-40", "subnormal", "subnormal-offset"],
+    )
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_matches_brute_force(self, start, lam):
+        rng = random.Random(f"{lam!r}")
+        cfg = OptimizerConfig(lambda_penalty=lam)
+        for _ in range(20):
+            task = self._random_task(rng, start)
+            assert optimize_sequence(task, cfg) == brute_force_optimize(task, cfg)
+
+    def test_exact_tie_float_summation_would_break(self):
+        # Two selections of rank sum 5 and exact penalty sum 2^-50:
+        # A = (0, 1, 1) pays 2^-51 twice, B = (0, 0, 2) pays 2^-50 once.
+        # Summed in floats, front to back or back to front, each of A's
+        # halves rounds away once the sum reaches 4, so A looks cheaper;
+        # exactly, they tie and B's rank vector (1, 1, 3) beats A's (1, 2, 2).
+        half = 2.0**-51
+        task = make_task([[3.5], [8.0, 3.5 - half], [1.0, 3.5 - 2 * half, 8.0 - 2 * half]])
+        cfg = OptimizerConfig(lambda_penalty=1.0)
+        a, b = Selection((0, 1, 1)), Selection((0, 0, 2))
+        assert pair_penalties(task, a) == [half, half]
+        assert pair_penalties(task, b) == [0.0, 2 * half]
+        assert _float_sum([1, 2, half, 2, half]) < _float_sum([1, 1, 0.0, 3, 2 * half])
+        assert _float_sum([2, half, 2, half, 1]) < _float_sum([3, 2 * half, 1, 0.0, 1])
+        assert optimize_sequence(task, cfg) == brute_force_optimize(task, cfg) == b
+
+
 class TestBruteForce:
     def test_instance_too_large(self):
         # 5^10 combinations exceed the 1e6 guard.

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -139,6 +141,50 @@ class TestStubBackend:
         default = NarrationEngine(stub_backend(scenario))
         assert custom.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
         assert default.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
+
+
+class TestScenarioOnFirstRequest:
+    def test_loaded_once_when_the_first_request_arrives(self):
+        from memrerank import plan_candidate
+
+        scenario = tiny_scenario()
+        loads = []
+
+        def slow_load():  # long enough for every worker to arrive during it
+            loads.append(1)
+            time.sleep(0.05)
+            return scenario
+
+        backend = stub_backend(slow_load)
+        assert loads == []
+        clist = scenario.candidates_by_query()["v0-q001"]
+        plans = [
+            plan_candidate(c, 5.0, 1.0, video_id="v0", query_id="v0-q001")
+            for c in clist.candidates
+        ]
+        interval_s = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch often, racing for the load
+        try:
+            with NarrationEngine(backend, c_max=8) as engine:
+                lazy = engine.narrate_plans(plans)
+        finally:
+            sys.setswitchinterval(interval_s)
+        assert loads == [1]
+        assert backend.narrate_calls > 8
+        with NarrationEngine(stub_backend(scenario)) as engine:
+            assert lazy == engine.narrate_plans(plans)
+
+    def test_selectors_load_at_their_first_selection(self):
+        scenario = tiny_scenario()
+        query, clist, prompt = _selection_prompt(scenario, "v0-q001")
+        loads = []
+        oracle = oracle_selector(lambda: loads.append(1) or scenario)
+        worst = worst_selector(lambda: loads.append(1) or scenario)
+        assert loads == []
+        assert oracle.select(prompt).text == oracle_selector(scenario).select(prompt).text
+        assert worst.select(prompt).text == worst_selector(scenario).select(prompt).text
+        assert oracle.select(prompt) == oracle_selector(scenario).select(prompt)
+        assert loads == [1, 1]
 
 
 def _selection_prompt(scenario, query_id):
