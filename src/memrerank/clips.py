@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import CandidateKey, CandidateSegment, TimeInterval, clip_bounds
-from .errors import SchemaViolation, ZeroLengthSegmentError
+from .errors import SchemaViolation, ValidationError
 from .ingest import read_jsonl, write_jsonl
 
 DEFAULT_CLIP_LEN_S = 20.0
@@ -75,9 +75,7 @@ def plan_clips(segment: TimeInterval, clip_len_s: float = DEFAULT_CLIP_LEN_S) ->
     if clip_len_s <= 0 or not math.isfinite(clip_len_s):
         raise SchemaViolation("clip_len_s", f"must be a positive number, got {clip_len_s}")
     if segment.duration_s <= 0:
-        raise ZeroLengthSegmentError(
-            f"segment [{segment.start_s}, {segment.end_s}) has no duration"
-        )
+        raise ValidationError(f"segment [{segment.start_s}, {segment.end_s}) has no duration")
     count = max(1, math.ceil(segment.duration_s / clip_len_s))
     bounds = [segment.start_s]
     for i in range(1, count):

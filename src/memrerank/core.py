@@ -12,17 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    EmptyCandidateListError,
-    EmptyListError,
-    InvalidRankError,
-    InvertedIntervalError,
-    MissingNarrationError,
-    NegativeTimeError,
-    NonFiniteScoreError,
-    NonFiniteTimeError,
-    SchemaViolation,
-)
+from .errors import SchemaViolation, ValidationError
 
 # Entries of an episodic memory must tile the candidate interval; adjacent
 # clips may disagree by at most this much (float noise from serialization).
@@ -33,9 +23,9 @@ def _as_finite_time(value, what: str) -> float:
     try:
         value = float(value)
     except (TypeError, ValueError):
-        raise NonFiniteTimeError(f"{what} is not a number: {value!r}") from None
+        raise ValidationError(f"{what} is not a number: {value!r}") from None
     if not math.isfinite(value):
-        raise NonFiniteTimeError(f"{what} must be finite, got {value!r}")
+        raise ValidationError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -57,11 +47,9 @@ class TimeInterval:
         object.__setattr__(self, "start_s", _as_finite_time(self.start_s, "start_s"))
         object.__setattr__(self, "end_s", _as_finite_time(self.end_s, "end_s"))
         if self.start_s < 0:
-            raise NegativeTimeError(f"start_s must be >= 0, got {self.start_s}")
+            raise ValidationError(f"start_s must be >= 0, got {self.start_s}")
         if self.end_s < self.start_s:
-            raise InvertedIntervalError(
-                f"end_s {self.end_s} precedes start_s {self.start_s}"
-            )
+            raise ValidationError(f"end_s {self.end_s} precedes start_s {self.start_s}")
 
     @property
     def duration_s(self) -> float:
@@ -82,7 +70,7 @@ class CandidateSegment:
 
     def __post_init__(self):
         if self.interval.duration_s <= 0:
-            raise InvertedIntervalError(
+            raise ValidationError(
                 f"candidate interval must have positive length, got "
                 f"[{self.interval.start_s}, {self.interval.end_s})"
             )
@@ -90,12 +78,12 @@ class CandidateSegment:
         try:
             score = float(score)
         except (TypeError, ValueError):
-            raise NonFiniteScoreError(f"score is not a number: {score!r}") from None
+            raise ValidationError(f"score is not a number: {score!r}") from None
         if not math.isfinite(score):
-            raise NonFiniteScoreError(f"score must be finite, got {score!r}")
+            raise ValidationError(f"score must be finite, got {score!r}")
         object.__setattr__(self, "score", score)
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise InvalidRankError(f"rank must be a positive integer, got {self.rank!r}")
+            raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
 
 
 class CandidateKey(NamedTuple):
@@ -155,10 +143,10 @@ class CandidateList:
         _require_id(self.query_id, "query_id")
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
-            raise EmptyListError(f"query '{self.query_id}' has no candidates")
+            raise ValidationError(f"query '{self.query_id}' has no candidates")
         for position, candidate in enumerate(self.candidates):
             if candidate.rank != position + 1:
-                raise InvalidRankError(
+                raise ValidationError(
                     f"candidate at position {position} carries rank "
                     f"{candidate.rank}; expected {position + 1}"
                 )
@@ -255,8 +243,6 @@ class SequenceTask:
                     f"list for '{clist.query_id}' aligned with query "
                     f"'{query.query_id}'",
                 )
-            if not clist.candidates:
-                raise EmptyCandidateListError(query.query_id)
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -286,7 +272,7 @@ class MemoryEntry:
 
     def __post_init__(self):
         if not isinstance(self.narration, str) or not self.narration.strip():
-            raise MissingNarrationError(
+            raise ValidationError(
                 f"clip [{self.clip.start_s}, {self.clip.end_s}) has no narration"
             )
 
@@ -303,15 +289,13 @@ class EpisodicMemory:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
-            raise MissingNarrationError(
-                f"memory for {self.candidate_key} has no entries"
-            )
+            raise ValidationError(f"memory for {self.candidate_key} has no entries")
         previous = None
         for entry in self.entries:
             if previous is not None:
                 gap = entry.clip.start_s - previous.end_s
                 if abs(gap) > CONTIGUITY_TOLERANCE_S:
-                    raise MissingNarrationError(
+                    raise ValidationError(
                         f"memory for {self.candidate_key} is not contiguous at "
                         f"{previous.end_s} -> {entry.clip.start_s}"
                     )

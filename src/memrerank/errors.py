@@ -1,8 +1,16 @@
 """Exception hierarchy shared by all memrerank modules.
 
-Errors are grouped so the CLI can map them onto distinct exit codes:
-``ConfigError`` (2), ``MissingInputError`` (3), ``ValidationError`` and
-subclasses (4), ``BackendError`` and subclasses (5).
+The CLI maps each base class onto an exit code: ``ConfigError`` (2),
+``MissingInputError`` (3), ``ValidationError`` (4) and ``BackendError``
+(5). A subclass exists only where code tells it apart:
+
+- ``ParseError`` and ``SchemaViolation`` are the exit-4 errors that carry
+  a location (``path``, ``line``, ``column``) or a ``field``;
+- ``InvalidKnobsError`` is a bad ``simulate`` flag (exit 2) when it comes
+  from the command line, and a malformed file (exit 4) otherwise;
+- ``BackendUnavailableError`` and ``EmptyNarrationError`` are the
+  transient failures the dispatcher retries; any other ``BackendError``
+  is permanent.
 """
 
 from __future__ import annotations
@@ -31,34 +39,6 @@ class ValidationError(MemrerankError):
     """Input data violates a structural or numeric contract."""
 
 
-class EmptyListError(ValidationError):
-    """A candidate list contains no candidates."""
-
-
-class NonFiniteScoreError(ValidationError):
-    """A candidate score is NaN or infinite."""
-
-
-class NonFiniteTimeError(ValidationError):
-    """A timestamp is NaN or infinite."""
-
-
-class NegativeTimeError(ValidationError):
-    """An interval starts before time zero."""
-
-
-class InvertedIntervalError(ValidationError):
-    """An interval ends before it starts (or is degenerate where forbidden)."""
-
-
-class InvalidRankError(ValidationError):
-    """A candidate rank is not a positive 1-based position."""
-
-
-class ZeroLengthSegmentError(ValidationError):
-    """A segment with no duration cannot be decomposed into clips."""
-
-
 class ParseError(ValidationError):
     """A file is not syntactically valid; carries location information."""
 
@@ -80,55 +60,12 @@ class SchemaViolation(ValidationError):
         super().__init__(message)
 
 
-class GtOutOfBoundsError(ValidationError):
-    """A ground-truth interval falls outside its video duration."""
-
-    def __init__(self, query_id: str, detail: str = ""):
-        self.query_id = query_id
-        message = f"ground truth out of bounds for query '{query_id}'"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-
-class UnknownQueryIdError(ValidationError):
-    """A record references a query id absent from the dataset."""
-
-
-class NoQueriesError(ValidationError):
-    """Metrics were requested over an empty query set."""
-
-
 class InvalidKnobsError(ValidationError):
     """Scenario generation knobs are outside their stated ranges."""
 
 
-class IndexOutOfRangeError(ValidationError):
-    """A selection index does not address a candidate in its list."""
-
-
-class EmptyCandidateListError(ValidationError):
-    """A sequence task query has no candidates to select from."""
-
-
-class InstanceTooLargeError(ValidationError):
-    """Exhaustive search was requested on too large a selection space."""
-
-
-class MissingNarrationError(ValidationError):
-    """An episodic memory is missing the narration for one of its clips."""
-
-
-class MemoryCountMismatchError(ValidationError):
-    """The number of memories does not match the number of candidates."""
-
-
-class ImageLimitExceededError(ValidationError):
-    """A narration request carries more images than the per-request cap."""
-
-
 class BackendError(MemrerankError):
-    """Base class for multimodal-backend failures."""
+    """A multimodal-backend failure; permanent unless a subclass below."""
 
 
 class BackendUnavailableError(BackendError):
@@ -137,11 +74,3 @@ class BackendUnavailableError(BackendError):
 
 class EmptyNarrationError(BackendError):
     """The backend kept returning empty text for a narration request."""
-
-
-class BackendRejectedError(BackendError):
-    """The backend rejected a request permanently (non-retryable)."""
-
-
-class FrameUnavailableError(BackendError):
-    """A referenced frame image could not be located or extracted."""

@@ -11,8 +11,9 @@ float text, which round-trips too; both styles stay so that every output
 keeps the bytes earlier runs wrote.
 
 Validation is strict: malformed records are rejected, never repaired. A
-malformed file raises ``ParseError`` or ``SchemaViolation`` (exit code
-4); ``read_jsonl`` names the file and line of the bad record.
+malformed file raises a ``ValidationError`` (exit code 4): a
+``ParseError`` at the file's line and column when it is not JSON, and
+``read_jsonl`` names the file and line of the bad record.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from .core import (
     TimeInterval,
     canonical_order,
 )
-from .errors import (
-    GtOutOfBoundsError,
-    ParseError,
-    SchemaViolation,
-    UnknownQueryIdError,
-)
+from .errors import ParseError, SchemaViolation, ValidationError
 
 PREDICTIONS_VERSION = "emc-1"
 DEFAULT_TOP_K = 5
@@ -112,9 +108,9 @@ class Dataset:
                     order_indices.add(query.order_index)
                 gt = query.ground_truth
                 if gt is not None and gt.end_s > video.duration_s:
-                    raise GtOutOfBoundsError(
-                        query.query_id,
-                        f"[{gt.start_s}, {gt.end_s}] exceeds duration {video.duration_s}",
+                    raise ValidationError(
+                        f"ground truth out of bounds for query '{query.query_id}': "
+                        f"[{gt.start_s}, {gt.end_s}] exceeds duration {video.duration_s}"
                     )
 
     def iter_queries(self) -> Iterator[Query]:
@@ -249,8 +245,9 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
     """``parse`` applied to the JSON value of each non-blank line, in order.
 
     A line that is not UTF-8 JSON, or that ``parse`` rejects with
-    ``KeyError``, ``TypeError`` or ``ValueError``, raises
-    ``SchemaViolation(field)`` naming ``path:line``.
+    ``KeyError``, ``TypeError``, ``ValueError`` or a ``ValidationError``
+    (a domain type refusing the record), raises ``SchemaViolation(field)``
+    naming ``path:line``.
     """
     records = []
     with open(path, "rb") as handle:
@@ -259,7 +256,7 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
                 continue
             try:
                 records.append(parse(json.loads(line.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise SchemaViolation(
                     field, f"{path}:{line_no}: malformed record ({exc})"
                 ) from exc
@@ -278,8 +275,20 @@ def _as_array(value, field: str) -> list:
     return value
 
 
+NUMBER = (int, float)  # the types of parsed JSON numbers; a bool is not one
+
+
+def checked(value, kinds: tuple[type, ...], what: str):
+    """``value`` when its type is exactly one of ``kinds``, so a bool is
+    not taken for an int; ``TypeError`` naming ``what`` otherwise."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
 def _as_number(value, field: str) -> float:
-    if type(value) not in (int, float):  # the types of parsed JSON numbers; not bool
+    if type(value) not in NUMBER:
         raise SchemaViolation(field, f"expected a number, got {value!r}")
     return float(value)
 
@@ -392,7 +401,7 @@ def load_candidates(
             )
         seen.add((video_id, query_id))
         if known is not None and query_id not in known:
-            raise UnknownQueryIdError(f"candidates for unknown query '{query_id}'")
+            raise ValidationError(f"candidates for unknown query '{query_id}'")
         segments = []
         for position, raw_candidate in enumerate(
             _as_array(raw.get("candidates"), "candidates"), start=1

@@ -11,8 +11,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import MetricCell, MetricsReport, TimeInterval
-from .errors import NoQueriesError, SchemaViolation, UnknownQueryIdError
-from .ingest import read_json_file, write_report_file
+from .errors import SchemaViolation, ValidationError
+from .ingest import NUMBER, checked, read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ def recall_at_k(
     misses.
     """
     if not ground_truth:
-        raise NoQueriesError("recall over an empty query set")
+        raise ValidationError("recall over an empty query set")
     hits = 0
     for query_id, gt in ground_truth.items():
         ranked = predictions.get(query_id, ())
@@ -102,13 +102,11 @@ def evaluate_run(
         if query.ground_truth is not None:
             ground_truth[query.query_id] = query.ground_truth
     if not ground_truth:
-        raise NoQueriesError("dataset has no annotated queries to score")
+        raise ValidationError("dataset has no annotated queries to score")
     known = {q.query_id for q in dataset.iter_queries()}
     unknown = sorted(set(predictions) - known)
     if unknown:
-        raise UnknownQueryIdError(
-            f"predictions reference unknown query ids: {', '.join(unknown[:5])}"
-        )
+        raise ValidationError(f"predictions reference unknown query ids: {', '.join(unknown[:5])}")
     missing = sorted(set(ground_truth) - set(predictions))
     if missing:
         logger.warning(
@@ -147,13 +145,17 @@ def report_to_dict(report: MetricsReport) -> dict:
 def report_from_dict(payload: dict) -> MetricsReport:
     try:
         cells = tuple(
-            MetricCell(int(c["k"]), float(c["iou"]), float(c["value"]))
+            MetricCell(
+                checked(c["k"], (int,), "k"),
+                float(checked(c["iou"], NUMBER, "iou")),
+                float(checked(c["value"], NUMBER, "value")),
+            )
             for c in payload["cells"]
         )
         return MetricsReport(
             cells=cells,
-            mean_r1=float(payload["mean_r1"]),
-            num_queries=int(payload["num_queries"]),
+            mean_r1=float(checked(payload["mean_r1"], NUMBER, "mean_r1")),
+            num_queries=checked(payload["num_queries"], (int,), "num_queries"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation("metrics", f"malformed report payload: {exc}") from exc

@@ -36,9 +36,8 @@ from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, clip_
 from .errors import (
     BackendUnavailableError,
     EmptyNarrationError,
-    ImageLimitExceededError,
-    MissingNarrationError,
     SchemaViolation,
+    ValidationError,
 )
 from .ingest import read_jsonl, write_jsonl
 
@@ -96,7 +95,7 @@ class BackendRequest:
             self, "images", tuple(FrameRef(*ref) for ref in self.images)
         )
         if not 1 <= len(self.images) <= MAX_IMAGES_PER_REQUEST:
-            raise ImageLimitExceededError(
+            raise ValidationError(
                 f"{len(self.images)} images; allowed 1..{MAX_IMAGES_PER_REQUEST}"
             )
 
@@ -381,7 +380,7 @@ class NarrationEngine:
         for plan in plans:
             # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
             if plan.clip_len_s * plan.fps > MAX_IMAGES_PER_REQUEST:
-                raise ImageLimitExceededError(
+                raise ValidationError(
                     f"{plan.candidate_key}: {plan.clip_len_s} s clips at {plan.fps} fps "
                     f"exceed the per-request cap of {MAX_IMAGES_PER_REQUEST} frames"
                 )
@@ -424,7 +423,7 @@ def build_episodic_memory(
     for clip in sorted(plan.clips, key=lambda c: c.start_s):
         text = narrations.get(clip)
         if text is None:
-            raise MissingNarrationError(
+            raise ValidationError(
                 f"no narration for clip [{clip.start_s}, {clip.end_s}) of "
                 f"{candidate_key}"
             )

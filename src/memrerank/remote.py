@@ -17,12 +17,7 @@ from pathlib import Path
 
 import requests
 
-from .errors import (
-    BackendRejectedError,
-    BackendUnavailableError,
-    ConfigError,
-    FrameUnavailableError,
-)
+from .errors import BackendError, BackendUnavailableError, ConfigError
 from .narration import Backend, BackendRequest, BackendResponse, FrameRef
 
 ENV_API_BASE = "MEMRERANK_API_BASE"
@@ -61,7 +56,7 @@ class FrameProvider:
         if not path.exists() and self.extract_cmd:
             self._extract(ref, path)
         if not path.exists():
-            raise FrameUnavailableError(f"no frame image at {path}")
+            raise BackendError(f"no frame image at {path}")
         return path.read_bytes()
 
     def _extract(self, ref: FrameRef, out_path: Path) -> None:
@@ -76,9 +71,7 @@ class FrameProvider:
         ]
         result = subprocess.run(args, capture_output=True, text=True)
         if result.returncode != 0:
-            raise FrameUnavailableError(
-                f"frame extraction failed for {ref}: {result.stderr.strip()[:500]}"
-            )
+            raise BackendError(f"frame extraction failed for {ref}: {result.stderr.strip()[:500]}")
 
 
 class RemoteBackend(Backend):
@@ -128,14 +121,14 @@ class RemoteBackend(Backend):
         if response.status_code >= 500:
             raise BackendUnavailableError(f"server error {response.status_code}")
         if response.status_code >= 400:
-            raise BackendRejectedError(
+            raise BackendError(
                 f"request rejected with status {response.status_code}: "
                 f"{response.text[:500]}"
             )
         try:
             text = response.json()["text"]
         except (ValueError, KeyError) as exc:
-            raise BackendRejectedError(f"malformed backend reply: {exc}") from exc
+            raise BackendError(f"malformed backend reply: {exc}") from exc
         return BackendResponse(text=text, backend_id=self.backend_id)
 
     def _encode_image(self, ref: FrameRef) -> dict:

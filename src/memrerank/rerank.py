@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import CandidateList, EpisodicMemory, Query
-from .errors import BackendError, MemoryCountMismatchError, SchemaViolation
+from .errors import BackendError, SchemaViolation, ValidationError
 from .ingest import write_jsonl
 from .narration import Backend, dispatch, render_memory
 
@@ -82,13 +82,9 @@ def build_rerank_prompt(
     confidence; by default the backend sees only positional labels.
     """
     if len(memories) != num_candidates:
-        raise MemoryCountMismatchError(
-            f"{len(memories)} memories for {num_candidates} candidates"
-        )
+        raise ValidationError(f"{len(memories)} memories for {num_candidates} candidates")
     if scores is not None and len(scores) != num_candidates:
-        raise MemoryCountMismatchError(
-            f"{len(scores)} scores for {num_candidates} candidates"
-        )
+        raise ValidationError(f"{len(scores)} scores for {num_candidates} candidates")
     lines = [
         "Below are frame-by-frame narrations of candidate video segments.",
         f"{QUERY_LINE_PREFIX}{query.text}",
@@ -155,7 +151,7 @@ def rerank(
     parse or backend failure (unless ``fallback`` is disabled)."""
     num_candidates = len(clist.candidates)
     if len(memories) != num_candidates:
-        raise MemoryCountMismatchError(
+        raise ValidationError(
             f"{len(memories)} memories for {num_candidates} candidates of "
             f"query '{query.query_id}'"
         )

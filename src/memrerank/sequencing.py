@@ -28,11 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import Selection, SequenceTask
-from .errors import (
-    IndexOutOfRangeError,
-    InstanceTooLargeError,
-    SchemaViolation,
-)
+from .errors import SchemaViolation, ValidationError
 from .ingest import write_report_file
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -71,12 +67,10 @@ def start_penalty(start_i: float, start_next: float) -> float:
 
 def _check_selection(task: SequenceTask, sel: Selection) -> None:
     if len(sel.choices) != len(task.queries):
-        raise IndexOutOfRangeError(
-            f"{len(sel.choices)} choices for {len(task.queries)} queries"
-        )
+        raise ValidationError(f"{len(sel.choices)} choices for {len(task.queries)} queries")
     for i, choice in enumerate(sel.choices):
         if choice >= len(task.lists[i]):
-            raise IndexOutOfRangeError(
+            raise ValidationError(
                 f"choice {choice} out of range for query "
                 f"'{task.queries[i].query_id}' ({len(task.lists[i])} candidates)"
             )
@@ -181,9 +175,7 @@ def brute_force_optimize(
     for clist in task.lists:
         size *= len(clist)
         if size > BRUTE_FORCE_LIMIT:
-            raise InstanceTooLargeError(
-                f"selection space exceeds {BRUTE_FORCE_LIMIT} combinations"
-            )
+            raise ValidationError(f"selection space exceeds {BRUTE_FORCE_LIMIT} combinations")
     lam = Fraction(cfg.lambda_penalty)
     best_key = None
     best_choices = None

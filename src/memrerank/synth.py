@@ -22,7 +22,7 @@ import re
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CandidateList,
@@ -32,7 +32,15 @@ from .core import (
     validate_candidate_list,
 )
 from .errors import InvalidKnobsError, SchemaViolation
-from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
+from .ingest import (
+    NUMBER,
+    Dataset,
+    Track,
+    VideoRecord,
+    checked,
+    read_json_file,
+    write_json_file,
+)
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest, BackendResponse
 from .rerank import QUERY_LINE_PREFIX
@@ -123,23 +131,6 @@ class Scenario:
             for q in self.dataset.iter_queries()
             if q.ground_truth is not None
         }
-
-    def latent_positives_by_query(self) -> dict[str, tuple[TimeInterval, ...]]:
-        return dict(self.latent_positives)
-
-    def target_label_by_query(self) -> dict[str, str]:
-        """Label of the scripted event each query's ground truth matches."""
-        script = self.script_by_video()
-        labels = {}
-        for query in self.dataset.iter_queries():
-            gt = query.ground_truth
-            if gt is None:
-                continue
-            for event in script[query.video_id]:
-                if event.interval == gt:
-                    labels[query.query_id] = event.label
-                    break
-        return labels
 
 
 def query_text(query_id: str, label: str) -> str:
@@ -441,17 +432,29 @@ def load_scenario(
             (
                 video_id,
                 tuple(
-                    ScriptedEvent(TimeInterval(e["start_s"], e["end_s"]), e["label"])
+                    ScriptedEvent(
+                        TimeInterval(
+                            checked(e["start_s"], NUMBER, "event start_s"),
+                            checked(e["end_s"], NUMBER, "event end_s"),
+                        ),
+                        checked(e["label"], (str,), "event label"),
+                    )
                     for e in events
                 ),
             )
             for video_id, events in sorted(payload["event_script"].items())
         )
         latent = tuple(
-            (query_id, tuple(TimeInterval(a, b) for a, b in pairs))
+            (
+                query_id,
+                tuple(
+                    TimeInterval(*(checked(t, NUMBER, "latent positive bound") for t in pair))
+                    for pair in pairs
+                ),
+            )
             for query_id, pairs in sorted(payload["latent_positives"].items())
         )
-        seed = int(payload["seed"])
+        seed = checked(payload["seed"], (int,), "seed")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation("scenario", f"malformed scenario file: {exc}") from exc
     if track is not dataset.track:
@@ -466,33 +469,3 @@ def load_scenario(
         candidates=tuple(candidates),
         latent_positives=latent,
     )
-
-
-def latent_inclusive_ground_truth(
-    scenario: Scenario,
-) -> dict[str, tuple[TimeInterval, ...]]:
-    """Annotated ground truth plus tracked latent positives per query,
-    for reporting metric-visible vs latent-inclusive recall."""
-    latents = scenario.latent_positives_by_query()
-    result = {}
-    for query_id, gt in scenario.ground_truth_by_query().items():
-        result[query_id] = (gt,) + latents.get(query_id, ())
-    return result
-
-
-def recall_with_targets(
-    predictions: Mapping[str, Sequence[TimeInterval]],
-    targets: Mapping[str, Sequence[TimeInterval]],
-    k: int,
-    threshold: float,
-) -> float:
-    """Recall@k where a query hits if any of its target intervals is
-    matched; used for latent-inclusive scoring."""
-    hits = 0
-    for query_id, intervals in targets.items():
-        ranked = predictions.get(query_id, ())[:k]
-        if any(
-            temporal_iou(p, target) >= threshold for p in ranked for target in intervals
-        ):
-            hits += 1
-    return 100.0 * hits / len(targets)

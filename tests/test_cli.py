@@ -57,6 +57,39 @@ def pipeline(out, seed=7, rerank_backend="oracle"):
     assert run(["eval", "--out", out]) == 0
 
 
+# Corruptions of a simulated run's inputs, one per malformed-input case.
+def first_candidate(**values):
+    def change(out):
+        rewrite_candidates(
+            out,
+            lambda prediction, position, record: record.update(values)
+            if prediction["query_id"] == "v000-q000" and position == 0
+            else None,
+        )
+
+    return change
+
+
+def gt_past_duration(out):
+    path = out / "annotations.json"
+    payload = json.loads(path.read_text())
+    video = payload["videos"][0]
+    video["duration_s"] = 1.5
+    video["queries"][0]["gt"] = {"start_s": 1.0, "end_s": 2.0}
+    path.write_text(json.dumps(payload))
+
+
+def unknown_candidate_query(out):
+    path = out / "candidates.json"
+    payload = json.loads(path.read_text())
+    payload["predictions"][0]["query_id"] = "nope"
+    path.write_text(json.dumps(payload))
+
+
+def unknown_prediction_query(out):
+    ingest.write_predictions({"nope": [interval(1, 2)]}, out / "predictions_rerank.json")
+
+
 class TestPipeline:
     def test_full_run_produces_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -176,6 +209,31 @@ class TestPipeline:
         assert code == 4
         assert any(f"memories.jsonl:{len(lines) + 1}:" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("defect", ["empty-narration", "not-contiguous"])
+    def test_memory_refused_by_its_type_names_the_line(self, tmp_path, caplog, defect):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        memories = out / "memories.jsonl"
+        lines = memories.read_text().splitlines()
+        line_no, record = next(
+            (n, r)
+            for n, r in enumerate(map(json.loads, lines), start=1)
+            if len(r["entries"]) > 1
+        )
+        second = record["entries"][1]
+        if defect == "empty-narration":
+            second["narration"] = ""
+        else:  # a gap between the first and the second clip
+            second["clip_start_s"] = (second["clip_start_s"] + second["clip_end_s"]) / 2
+        lines[line_no - 1] = json.dumps(record)
+        memories.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run(["rerank", "--out", out, "--backend", "oracle"])
+        assert code == 4
+        assert any(f"memories.jsonl:{line_no}: malformed record" in m for m in caplog.messages)
+
     # A clip bound must be a finite, non-negative JSON number no later
     # than the clip's end: not a string (even of a number) or a bool.
     BAD_BOUNDS = pytest.mark.parametrize(
@@ -231,6 +289,69 @@ class TestPipeline:
             code = run(["report", "--out", out])
         assert code == 4
         assert any("metrics_compare.json" in m for m in caplog.messages)
+        assert not (out / "report.txt").exists()
+
+    MALFORMED_INPUTS = [
+        ("plan", first_candidate(start_s=10.0, end_s=5.0), "end_s 5.0 precedes start_s 10.0"),
+        ("plan", first_candidate(start_s=-1.0), "start_s must be >= 0, got -1.0"),
+        (
+            "plan",
+            first_candidate(start_s=5.0, end_s=5.0),
+            "candidate interval must have positive length, got [5.0, 5.0)",
+        ),
+        ("plan", first_candidate(score=float("nan")), "score must be finite, got nan"),
+        (
+            "plan",
+            gt_past_duration,
+            "ground truth out of bounds for query 'v000-q000': [1.0, 2.0] exceeds duration 1.5",
+        ),
+        ("plan", unknown_candidate_query, "candidates for unknown query 'nope'"),
+        ("eval", unknown_prediction_query, "predictions reference unknown query ids: nope"),
+    ]
+
+    @pytest.mark.parametrize(
+        "stage, corrupt, message",
+        MALFORMED_INPUTS,
+        ids=[
+            "inverted-candidate", "negative-start", "zero-length-candidate", "nan-score",
+            "gt-past-duration", "candidates-for-unknown-query",
+            "predictions-for-unknown-query",
+        ],
+    )
+    def test_malformed_input_exit_code_and_message(
+        self, tmp_path, caplog, stage, corrupt, message
+    ):
+        out = tmp_path / "run"
+        simulate(out)
+        corrupt(out)
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out])
+        assert (code, caplog.messages) == (4, [message])
+
+    # A metrics value must have its JSON type: never converted from a
+    # string, a bool or a fraction.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda report: report["cells"][0].update(k="1"),
+            lambda report: report["cells"][0].update(iou="0.3"),
+            lambda report: report["cells"][0].update(value="50"),
+            lambda report: report.update(mean_r1=True),
+            lambda report: report.update(num_queries=6.9),
+        ],
+        ids=["k-string", "iou-string", "value-string", "mean_r1-bool", "num_queries-fraction"],
+    )
+    def test_mistyped_metrics_value_exits_4(self, tmp_path, caplog, change):
+        out = tmp_path / "run"
+        pipeline(out)
+        compare = out / "metrics_compare.json"
+        payload = json.loads(compare.read_text())
+        change(payload["after"])
+        compare.write_text(json.dumps(payload))
+        with caplog.at_level("ERROR"):
+            code = run(["report", "--out", out])
+        assert code == 4
+        assert any("malformed report payload" in m for m in caplog.messages)
         assert not (out / "report.txt").exists()
 
     def test_second_narrate_run_hits_cache_only(self, tmp_path):
@@ -482,6 +603,40 @@ class TestScenarioLoads:
         assert any("scenario.json" in m for m in caplog.messages)
         stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
         assert stats["backend_calls"] <= 4  # the calls in flight when the load failed
+
+
+    # A scenario value must have its JSON type: a label a string, a bound
+    # a number, the seed an integer; none is converted.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda scenario: scenario["event_script"]["v000"][0].update(label=5),
+            lambda scenario: scenario["event_script"]["v000"][0].update(
+                start_s=str(scenario["event_script"]["v000"][0]["start_s"])
+            ),
+            lambda scenario: scenario["event_script"]["v000"][0].update(end_s=True),
+            lambda scenario: scenario.update(seed=str(scenario["seed"])),
+            lambda scenario: scenario.update(seed=True),
+            lambda scenario: scenario["latent_positives"].update({"v000-q000": [["1.0", 2.0]]}),
+        ],
+        ids=[
+            "label-number", "start-string", "end-bool", "seed-string", "seed-bool",
+            "latent-bound-string",
+        ],
+    )
+    def test_mistyped_scenario_value_exits_4(self, tmp_path, caplog, change):
+        out = tmp_path / "run"
+        simulate(out, seed=3)
+        assert run(["plan", "--out", out]) == 0
+        path = out / "scenario.json"
+        scenario = json.loads(path.read_text())
+        change(scenario)
+        path.write_text(json.dumps(scenario))
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("malformed scenario file" in m for m in caplog.messages)
+        assert not (out / "memories.jsonl").exists()
 
 
 class TestCyclicCollector:

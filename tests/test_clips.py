@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from memrerank import plan_candidate, plan_clips, sample_frames
 from memrerank.clips import ClipPlan, clip_frames, read_frame_manifests, write_frame_manifests
 from memrerank.core import CandidateKey
-from memrerank.errors import SchemaViolation, ZeroLengthSegmentError
+from memrerank.errors import SchemaViolation, ValidationError
 
 from helpers import candidate, frame_count_oracle, interval
 
@@ -36,7 +36,9 @@ class TestPlanClips:
         assert [(c.start_s, c.end_s) for c in clips] == [(10.0, 10.4)]
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ZeroLengthSegmentError):
+        with pytest.raises(
+            ValidationError, match=r"^segment \[5\.0, 5\.0\) has no duration$"
+        ):
             plan_clips(interval(5.0, 5.0), 20.0)
 
     def test_cover_property_on_random_segments(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -13,16 +14,7 @@ from memrerank import (
     validate_candidate_list,
 )
 from memrerank.core import MetricCell, MetricsReport
-from memrerank.errors import (
-    EmptyCandidateListError,
-    EmptyListError,
-    InvalidRankError,
-    InvertedIntervalError,
-    NegativeTimeError,
-    NonFiniteScoreError,
-    NonFiniteTimeError,
-    SchemaViolation,
-)
+from memrerank.errors import SchemaViolation, ValidationError
 
 from helpers import candidate, clist, interval
 
@@ -33,17 +25,17 @@ class TestTimeInterval:
         assert iv.duration_s == 0.0
 
     def test_negative_start_rejected(self):
-        with pytest.raises(NegativeTimeError):
+        with pytest.raises(ValidationError, match="^start_s must be >= 0, got -0.1$"):
             TimeInterval(-0.1, 10.0)
 
     def test_inverted_rejected(self):
-        with pytest.raises(InvertedIntervalError):
+        with pytest.raises(ValidationError, match="^end_s 9.0 precedes start_s 10.0$"):
             TimeInterval(10.0, 9.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteTimeError):
+        with pytest.raises(ValidationError, match="^start_s must be finite, got nan$"):
             TimeInterval(float("nan"), 1.0)
-        with pytest.raises(NonFiniteTimeError):
+        with pytest.raises(ValidationError, match="^end_s must be finite, got inf$"):
             TimeInterval(0.0, float("inf"))
 
     def test_structural_equality_normalizes_ints(self):
@@ -61,17 +53,20 @@ class TestTimeInterval:
 
 class TestCandidateSegment:
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(InvertedIntervalError):
+        with pytest.raises(
+            ValidationError,
+            match=re.escape("candidate interval must have positive length, got [5.0, 5.0)"),
+        ):
             candidate(5, 5, 0.5, 1)
 
     def test_nan_score_rejected(self):
-        with pytest.raises(NonFiniteScoreError):
+        with pytest.raises(ValidationError, match="^score must be finite, got nan$"):
             candidate(0, 10, float("nan"), 1)
 
     def test_rank_must_be_positive_int(self):
-        with pytest.raises(InvalidRankError):
+        with pytest.raises(ValidationError, match="^rank must be a positive integer, got 0$"):
             candidate(0, 10, 0.5, 0)
-        with pytest.raises(InvalidRankError):
+        with pytest.raises(ValidationError, match="^rank must be a positive integer, got True$"):
             CandidateSegment(interval(0, 10), 0.5, rank=True)
 
 
@@ -87,7 +82,7 @@ class TestValidateCandidateList:
         assert validate_candidate_list(raw) == raw
 
     def test_empty_list_rejected(self):
-        with pytest.raises(EmptyListError):
+        with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
             CandidateList("v0", "q0", ())
 
     def test_score_ties_broken_by_start_then_duration(self):
@@ -100,7 +95,9 @@ class TestValidateCandidateList:
         ]
 
     def test_positional_ranks_enforced_at_construction(self):
-        with pytest.raises(InvalidRankError):
+        with pytest.raises(
+            ValidationError, match="^candidate at position 0 carries rank 2; expected 1$"
+        ):
             CandidateList("v0", "q0", (candidate(0, 10, 0.5, 2),))
 
     @given(
@@ -156,9 +153,8 @@ class TestSequenceTask:
 
     def test_empty_candidate_list_cannot_exist(self):
         # CandidateList itself refuses emptiness, so a task can never hold one.
-        with pytest.raises(EmptyListError):
+        with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
             clist("v0", "q0", [])
-        assert issubclass(EmptyCandidateListError, Exception)
 
 
 class TestMetricsReport:

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 import types
 from pathlib import Path
 
@@ -18,16 +19,7 @@ from memrerank import (
     write_candidates,
     write_predictions,
 )
-from memrerank.errors import (
-    EmptyListError,
-    GtOutOfBoundsError,
-    InvertedIntervalError,
-    NonFiniteScoreError,
-    ParseError,
-    SchemaViolation,
-    UnknownQueryIdError,
-    ValidationError,
-)
+from memrerank.errors import ParseError, SchemaViolation, ValidationError
 from memrerank.ingest import (
     dump_json,
     format_seconds,
@@ -83,7 +75,7 @@ class TestLoadAnnotations:
     def test_inverted_gt_rejected(self, tmp_path):
         payload = annotations_payload()
         payload["videos"][0]["queries"][0]["gt"] = {"start_s": 25.0, "end_s": 10.0}
-        with pytest.raises(InvertedIntervalError):
+        with pytest.raises(ValidationError, match="^end_s 10.0 precedes start_s 25.0$"):
             load_annotations(write_file(tmp_path, "a.json", payload))
 
     def test_mixed_order_index_rejected(self, tmp_path):
@@ -108,7 +100,12 @@ class TestLoadAnnotations:
     def test_gt_beyond_duration_rejected(self, tmp_path):
         payload = annotations_payload()
         payload["videos"][0]["duration_s"] = 60.0
-        with pytest.raises(GtOutOfBoundsError):
+        with pytest.raises(
+            ValidationError,
+            match=re.escape(
+                "ground truth out of bounds for query 'v0-q1': [40.0, 80.0] exceeds duration 60.0"
+            ),
+        ):
             load_annotations(write_file(tmp_path, "a.json", payload))
 
     def test_parse_error_carries_location(self, tmp_path):
@@ -176,20 +173,18 @@ class TestLoadCandidates:
         path.write_text(
             json.dumps(payload).replace("0.1", "NaN", 1), encoding="utf-8"
         )
-        with pytest.raises(NonFiniteScoreError):
+        with pytest.raises(ValidationError, match="^score must be finite, got nan$"):
             load_candidates(path)
 
     def test_empty_candidate_array_rejected(self, tmp_path):
         payload = {"predictions": [{"video_id": "v0", "query_id": "q", "candidates": []}]}
-        with pytest.raises(EmptyListError):
+        with pytest.raises(ValidationError, match="^query 'q' has no candidates$"):
             load_candidates(write_file(tmp_path, "c.json", payload))
 
     def test_negative_time_rejected(self, tmp_path):
         payload = candidates_payload(2)
         payload["predictions"][0]["candidates"][0]["start_s"] = -3.0
-        from memrerank.errors import NegativeTimeError
-
-        with pytest.raises(NegativeTimeError):
+        with pytest.raises(ValidationError, match="^start_s must be >= 0, got -3.0$"):
             load_candidates(write_file(tmp_path, "c.json", payload))
 
     def test_canonical_round_trip(self, tmp_path):
@@ -202,7 +197,9 @@ class TestLoadCandidates:
         dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))
         payload = candidates_payload(3)
         payload["predictions"][0]["query_id"] = "nonexistent"
-        with pytest.raises(UnknownQueryIdError):
+        with pytest.raises(
+            ValidationError, match="^candidates for unknown query 'nonexistent'$"
+        ):
             load_candidates(write_file(tmp_path, "c.json", payload), dataset=dataset)
 
     def test_non_canonical_load_preserves_order(self, tmp_path):

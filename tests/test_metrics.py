@@ -14,7 +14,7 @@ from memrerank import (
     recall_at_k,
     temporal_iou,
 )
-from memrerank.errors import NoQueriesError, SchemaViolation, UnknownQueryIdError
+from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.ingest import VideoRecord
 from memrerank.metrics import (
     display_value,
@@ -101,7 +101,7 @@ class TestRecallAtK:
         assert recall_at_k({}, {"q0": interval(0, 10)}, 5, 0.3) == 0.0
 
     def test_no_queries_rejected(self):
-        with pytest.raises(NoQueriesError):
+        with pytest.raises(ValidationError, match="^recall over an empty query set$"):
             recall_at_k({}, {}, 1, 0.3)
 
     def test_deeper_k_sees_later_predictions(self):
@@ -150,7 +150,9 @@ class TestEvaluateRun:
 
     def test_empty_dataset_rejected(self):
         dataset = Dataset(track=Track.NLQ, videos=())
-        with pytest.raises(NoQueriesError):
+        with pytest.raises(
+            ValidationError, match="^dataset has no annotated queries to score$"
+        ):
             evaluate_run({}, dataset)
 
     def test_missing_predictions_flagged_as_misses(self, caplog):
@@ -163,7 +165,9 @@ class TestEvaluateRun:
 
     def test_unknown_prediction_key_rejected(self):
         dataset = _dataset({"q0": interval(0, 10)})
-        with pytest.raises(UnknownQueryIdError):
+        with pytest.raises(
+            ValidationError, match="^predictions reference unknown query ids: zz$"
+        ):
             evaluate_run({"q0": (interval(0, 10),), "zz": (interval(0, 10),)}, dataset)
 
     @settings(max_examples=40, deadline=None)

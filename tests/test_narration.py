@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -21,8 +22,7 @@ from memrerank import narration
 from memrerank.errors import (
     BackendUnavailableError,
     EmptyNarrationError,
-    ImageLimitExceededError,
-    MissingNarrationError,
+    ValidationError,
 )
 from memrerank.narration import NarrationCacheKey
 from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
@@ -115,11 +115,11 @@ def plan_for(start, end, rank=1, video_id="v0", query_id="v0-q000"):
 class TestBackendRequest:
     def test_image_cap_enforced(self):
         frames = tuple(FrameRef("v0", float(t)) for t in range(21))
-        with pytest.raises(ImageLimitExceededError):
+        with pytest.raises(ValidationError, match=r"^21 images; allowed 1\.\.20$"):
             BackendRequest("v0", interval(0, 21), frames)
 
     def test_at_least_one_image(self):
-        with pytest.raises(ImageLimitExceededError):
+        with pytest.raises(ValidationError, match=r"^0 images; allowed 1\.\.20$"):
             BackendRequest("v0", interval(0, 21), ())
 
 
@@ -153,7 +153,7 @@ class TestNarrateClip:
 
     def test_frame_cap(self):
         engine = NarrationEngine(FixedBackend())
-        with pytest.raises(ImageLimitExceededError):
+        with pytest.raises(ValidationError, match=r"^21 images; allowed 1\.\.20$"):
             engine.narrate_clip("v0", interval(0, 21), tuple(float(t) for t in range(21)))
 
     def test_retries_then_succeeds(self):
@@ -276,7 +276,10 @@ class TestBuildEpisodicMemory:
     def test_missing_narration_rejected(self):
         plan = plan_for(0.0, 60.0)
         narrations = {plan.clips[0]: "first", plan.clips[2]: "third"}
-        with pytest.raises(MissingNarrationError):
+        with pytest.raises(
+            ValidationError,
+            match=re.escape("no narration for clip [20.0, 40.0) of CandidateKey("),
+        ):
             build_episodic_memory(
                 plan.candidate_key, plan, narrations, prompt_version="p1", backend_id="b"
             )
@@ -285,7 +288,7 @@ class TestBuildEpisodicMemory:
         from memrerank import EpisodicMemory
         from memrerank.core import CandidateKey
 
-        with pytest.raises(MissingNarrationError):
+        with pytest.raises(ValidationError, match=r"^memory for .* has no entries$"):
             EpisodicMemory(
                 candidate_key=CandidateKey("v0", "q0", 1),
                 entries=(),

@@ -1,16 +1,22 @@
 import base64
+import re
 
 import pytest
 
 from memrerank.errors import (
-    BackendRejectedError,
+    BackendError,
     BackendUnavailableError,
     ConfigError,
-    FrameUnavailableError,
+    EmptyNarrationError,
 )
 from memrerank.core import TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
+
+
+def assert_permanent(error):
+    """A permanent failure is none of the types the dispatcher retries."""
+    assert not isinstance(error, (BackendUnavailableError, EmptyNarrationError))
 
 
 class FakeResponse:
@@ -53,8 +59,11 @@ class TestFrameProvider:
 
     def test_missing_frame_without_extractor(self, tmp_path):
         provider = FrameProvider(tmp_path)
-        with pytest.raises(FrameUnavailableError):
+        missing = tmp_path / "v0" / frame_filename(7.0)
+        message = f"^no frame image at {re.escape(str(missing))}$"
+        with pytest.raises(BackendError, match=message) as info:
             provider.load(FrameRef("v0", 7.0))
+        assert_permanent(info.value)
 
     def test_extraction_command_template(self, tmp_path):
         marker = tmp_path / "observed_args.txt"
@@ -80,8 +89,9 @@ class TestFrameProvider:
         provider = FrameProvider(
             tmp_path, extract_cmd=f"{sys.executable} -c import_sys_fail {{video}} {{t}} {{out}}"
         )
-        with pytest.raises(FrameUnavailableError):
+        with pytest.raises(BackendError, match="^frame extraction failed for ") as info:
             provider.load(FrameRef("v0", 1.0))
+        assert_permanent(info.value)
 
 
 class TestRemoteBackend:
@@ -157,8 +167,11 @@ class TestRemoteBackend:
     def test_client_error_is_permanent(self):
         session = FakeSession(response=FakeResponse(status_code=403, text="denied"))
         backend = RemoteBackend("https://api.example.test", "k", session=session)
-        with pytest.raises(BackendRejectedError):
+        with pytest.raises(
+            BackendError, match="^request rejected with status 403: denied$"
+        ) as info:
             backend.select("x")
+        assert_permanent(info.value)
 
     def test_connection_error_is_transient(self):
         import requests
@@ -171,8 +184,9 @@ class TestRemoteBackend:
     def test_malformed_reply_rejected(self):
         session = FakeSession(response=FakeResponse(payload={"unexpected": 1}))
         backend = RemoteBackend("https://api.example.test", "k", session=session)
-        with pytest.raises(BackendRejectedError):
+        with pytest.raises(BackendError, match="^malformed backend reply: 'text'$") as info:
             backend.select("x")
+        assert_permanent(info.value)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("MEMRERANK_API_BASE", raising=False)

@@ -14,11 +14,7 @@ from memrerank import (
     rerank_many,
     temporal_iou,
 )
-from memrerank.errors import (
-    BackendUnavailableError,
-    MemoryCountMismatchError,
-    SchemaViolation,
-)
+from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
 from memrerank.rerank import identity_outcome, log_record, promote, write_rerank_log
 from memrerank.synth import oracle_selector, stub_backend
 
@@ -66,7 +62,7 @@ class TestBuildRerankPrompt:
         scenario = tiny_scenario()
         _, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        with pytest.raises(MemoryCountMismatchError):
+        with pytest.raises(ValidationError, match="^4 memories for 5 candidates$"):
             build_rerank_prompt(query, memories[:4], 5)
 
     def test_scores_included_on_request(self):
@@ -178,7 +174,9 @@ class TestRerank:
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        with pytest.raises(MemoryCountMismatchError):
+        with pytest.raises(
+            ValidationError, match="^4 memories for 5 candidates of query 'v0-q000'$"
+        ):
             rerank(query, clist_, memories[:4], stub_backend(scenario))
 
     def test_permutation_invariant_for_any_answer(self):

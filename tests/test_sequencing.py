@@ -15,11 +15,7 @@ from memrerank import (
     selection_cost,
     start_penalty,
 )
-from memrerank.errors import (
-    IndexOutOfRangeError,
-    InstanceTooLargeError,
-    SchemaViolation,
-)
+from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.sequencing import build_tasks, pair_penalties, write_optimizer_report
 
 from helpers import clist, random_sequence_task
@@ -75,7 +71,9 @@ class TestSelectionCost:
 
     def test_out_of_range_choice(self):
         task = make_task([[10.0]])
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(
+            ValidationError, match=r"^choice 1 out of range for query '.*' \(1 candidates\)$"
+        ):
             selection_cost(task, Selection((1,)), OptimizerConfig())
 
     def test_lambda_scales_penalties_only(self):
@@ -229,7 +227,9 @@ class TestBruteForce:
     def test_instance_too_large(self):
         # 5^10 combinations exceed the 1e6 guard.
         task = make_task([[float(i * 10 + j) for j in range(5)] for i in range(10)])
-        with pytest.raises(InstanceTooLargeError):
+        with pytest.raises(
+            ValidationError, match="^selection space exceeds 1000000 combinations$"
+        ):
             brute_force_optimize(task, OptimizerConfig())
 
     def test_single_query_matches_dp(self):
