@@ -1,5 +1,4 @@
-"""Command-line pipeline: simulate, plan, narrate, rerank, optimize, eval,
-report.
+"""Command-line pipeline: one subcommand per stage of ``STAGES``.
 
 Every stage reads and writes files under a shared output directory, so
 the expensive narration stage is resumable and each stage can be re-run
@@ -17,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateList
@@ -56,15 +56,6 @@ EXIT_CODES = {
     BackendError: 5,
 }
 
-# The settings nested under "paths" in a config file.
-_PATH_KEYS = {
-    "annotations",
-    "candidates",
-    "scenario",
-    "frames_root",
-    "cache_dir",
-    "output_dir",
-}
 DEFAULT_OUTPUT_DIR = "memrerank_out"
 # The path settings whose default lies under the output directory.
 _UNDER_OUTPUT_DIR = {
@@ -73,6 +64,8 @@ _UNDER_OUTPUT_DIR = {
     "candidates": CANDIDATES_FILE,
     "scenario": SCENARIO_FILE,
 }
+# The settings nested under "paths" in a config file.
+_PATH_KEYS = {*_UNDER_OUTPUT_DIR, "frames_root", "output_dir"}
 # The values a setting may take, for its flag and its config key alike.
 CHOICES = {
     "backend": ("stub", "oracle", "remote"),
@@ -193,12 +186,24 @@ class RunConfig:
                 f"clip_len_s * fps must be <= {narration.MAX_IMAGES_PER_REQUEST} "
                 "frames per clip, the narration request cap"
             )
+        _prompt_template(cfg.narration_prompt)  # read again by narrate
         return cfg
 
-    def require(self, path: Path, stage: str, what: str) -> Path:
+    def input(self, name: str) -> Path:
+        """The path of stage file ``name``, which must exist: the path setting
+        that defaults to it, if any, else ``name`` under the output directory."""
+        setting = next((s for s, file in _UNDER_OUTPUT_DIR.items() if file == name), None)
+        path = getattr(self, setting) if setting else self.output_dir / name
         if not path.exists():
-            raise MissingInputError(stage, f"{what} not found at {path}")
+            producer = next(stage.name for stage in STAGES if name in stage.writes)
+            raise MissingInputError(producer, path)
         return path
+
+    def output(self, name: str) -> Path:
+        """The path stage file ``name`` is written to, its directory made."""
+        directory = self.cache_dir if name in (CACHE_FILE, NARRATE_STATS_FILE) else self.output_dir
+        directory.mkdir(parents=True, exist_ok=True)
+        return directory / name
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,10 +251,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
     """The annotations and the top-k candidate lists."""
-    cfg.require(cfg.annotations, "simulate", "annotations file")
-    cfg.require(cfg.candidates, "simulate", "candidates file")
-    dataset = ingest.load_annotations(cfg.annotations)
-    return dataset, ingest.load_candidates(cfg.candidates, top_k=cfg.top_k, dataset=dataset)
+    annotations, candidates = cfg.input(ANNOTATIONS_FILE), cfg.input(CANDIDATES_FILE)
+    dataset = ingest.load_annotations(annotations)
+    return dataset, ingest.load_candidates(candidates, top_k=cfg.top_k, dataset=dataset)
 
 
 def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
@@ -263,35 +267,57 @@ def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
         if cfg.frames_root is not None:
             provider = FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
         return RemoteBackend.from_env(frame_provider=provider)
-    cfg.require(cfg.scenario, "simulate", "scenario file")
+    scenario_path = cfg.input(SCENARIO_FILE)
 
     def scenario() -> synth.Scenario:
         dataset, lists = inputs if inputs is not None else _load_inputs(cfg)
-        return synth.load_scenario(cfg.scenario, dataset, lists)
+        return synth.load_scenario(scenario_path, dataset, lists)
 
     if cfg.backend == "oracle":
         return synth.oracle_selector(scenario)
     return synth.stub_backend(scenario)
 
 
-def _prompt_template(cfg: RunConfig) -> narration.PromptTemplate:
-    if cfg.narration_prompt is not None:
-        return narration.PromptTemplate.from_file(cfg.narration_prompt)
-    return narration.DEFAULT_PROMPT
+def _prompt_template(path: Path | None) -> narration.PromptTemplate:
+    """The narration prompt of ``path``, the default one if it is None."""
+    if path is None:
+        return narration.DEFAULT_PROMPT
+    setting = f"setting narration_prompt={json.dumps(str(path))}"
+    try:
+        template = narration.PromptTemplate.from_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{setting} must be a readable UTF-8 file: {exc}") from exc
+    if not template.text:
+        raise ConfigError(f"{setting} must not be blank")
+    return template
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
+    # Each knob flag's dest is its ScenarioKnobs field, which holds the default.
+    parser.add_argument("--videos", dest="num_videos", type=int)
+    parser.add_argument("--queries-per-video", dest="queries_per_video", type=int)
+    parser.add_argument("--candidates-per-query", dest="candidates_per_query", type=int)
+    parser.add_argument("--recall-rho", dest="recall_rho", type=float)
+    parser.add_argument("--jitter", dest="jitter_s", type=float)
+    parser.add_argument("--latent-rate", dest="latent_positive_rate", type=float)
+    parser.add_argument(
+        "--track",
+        choices=[track.value for track in ingest.Track],
+        default=ingest.Track.GOALSTEP.value,
+    )
+    _add_common_flags(parser)
+
+
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
     try:
         knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
     except InvalidKnobsError as exc:  # a bad flag, not a malformed file
         raise ConfigError(str(exc)) from exc
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    synth.write_scenario(scenario, cfg.output_dir / SCENARIO_FILE)
-    ingest.write_annotations(scenario.dataset, cfg.output_dir / ANNOTATIONS_FILE)
-    ingest.write_candidates(scenario.candidates, cfg.output_dir / CANDIDATES_FILE)
+    synth.write_scenario(scenario, cfg.output(SCENARIO_FILE))
+    ingest.write_annotations(scenario.dataset, cfg.output(ANNOTATIONS_FILE))
+    ingest.write_candidates(scenario.candidates, cfg.output(CANDIDATES_FILE))
     logger.info(
         "simulated %d videos / %d queries (seed %d) into %s",
         knobs.num_videos,
@@ -302,13 +328,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    cfg.require(cfg.candidates, "simulate", "candidates file")
-    dataset = None
-    if cfg.annotations.exists():
-        dataset = ingest.load_annotations(cfg.annotations)
-    lists = ingest.load_candidates(cfg.candidates, top_k=cfg.top_k, dataset=dataset)
+def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _, lists = _load_inputs(cfg)
     plans = [
         clips.plan_candidate(
             candidate,
@@ -320,28 +341,24 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for clist in lists
         for candidate in clist.candidates
     ]
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    count = clips.write_frame_manifests(plans, cfg.output_dir / MANIFESTS_FILE)
+    count = clips.write_frame_manifests(plans, cfg.output(MANIFESTS_FILE))
     logger.info("planned %d clips over %d candidates", count, len(plans))
     return 0
 
 
-def cmd_narrate(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    manifest_path = cfg.require(cfg.output_dir / MANIFESTS_FILE, "plan", "frame manifests")
-    plans = clips.read_frame_manifests(manifest_path)
+def cmd_narrate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    plans = clips.read_frame_manifests(cfg.input(MANIFESTS_FILE))
     backend = _build_backend(cfg)
-    cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-    cache = narration.NarrationCache(cfg.cache_dir / CACHE_FILE)
+    cache = narration.NarrationCache(cfg.output(CACHE_FILE))
     with narration.NarrationEngine(
-        backend, cache, prompt=_prompt_template(cfg), c_max=cfg.c_max
+        backend, cache, prompt=_prompt_template(cfg.narration_prompt), c_max=cfg.c_max
     ) as engine:
         try:
             memories = engine.narrate_plans(plans)
         finally:  # the stats of this run, failed or not
             stats = engine.stats()
-            ingest.write_report_file(stats, cfg.cache_dir / NARRATE_STATS_FILE)
-    narration.write_memories(memories, cfg.output_dir / MEMORIES_FILE)
+            ingest.write_report_file(stats, cfg.output(NARRATE_STATS_FILE))
+    narration.write_memories(memories, cfg.output(MEMORIES_FILE))
     logger.info(
         "narrated %d candidates (%d backend calls, %d cache hits)",
         len(memories),
@@ -351,80 +368,63 @@ def cmd_narrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, lists = _load_inputs(cfg)
-    memories_path = cfg.require(cfg.output_dir / MEMORIES_FILE, "narrate", "memories file")
+    memories = narration.read_memories(cfg.input(MEMORIES_FILE))
     lists_by_query = {clist.query_id: clist for clist in lists}
     memories_by_query: dict[str, list] = {}
-    memories = narration.read_memories(memories_path)
     for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
     backend = _build_backend(cfg, (dataset, lists))
 
-    # The first ``rerank_limit`` queries with candidates, in dataset order.
-    jobs = [
-        (query, lists_by_query[query.query_id], memories_by_query.get(query.query_id, []))
-        for query in dataset.iter_queries()
-        if query.query_id in lists_by_query
-    ][: cfg.rerank_limit]
-    outcomes = rerank_many(
-        jobs, backend, c_max=cfg.c_max, include_scores=cfg.include_scores
-    )
-    outcome_by_query = {outcome.query_id: outcome for outcome in outcomes}
-
-    log_records = []
-    final_lists = []
-    predictions = {}
+    # One walk in dataset order: a query without candidates is logged as
+    # skipped, and each other one is a job, logged by its index once done.
+    jobs, log_records = [], []
     for query in dataset.iter_queries():
         clist = lists_by_query.get(query.query_id)
         if clist is None:
             log_records.append(
                 {"query_id": query.query_id, "skipped": True, "skip_reason": "no candidates"}
             )
-            continue
-        outcome = outcome_by_query.get(query.query_id)
-        if outcome is not None:
-            log_records.append(log_record(outcome))
         else:
-            outcome = identity_outcome(query.query_id, clist)
-            log_records.append(log_record(outcome, skipped=True, reason="limit"))
-        final_lists.append(outcome.reranked)
-        predictions[query.query_id] = outcome.reranked.intervals()
+            log_records.append(len(jobs))
+            jobs.append((query, clist, memories_by_query.get(query.query_id, [])))
+    # The first ``rerank_limit`` jobs go to the backend; the rest keep their order.
+    reranked = rerank_many(
+        jobs[: cfg.rerank_limit], backend, c_max=cfg.c_max, include_scores=cfg.include_scores
+    )
+    outcomes = reranked + [identity_outcome(q.query_id, c) for q, c, _ in jobs[len(reranked) :]]
+    for i, record in enumerate(log_records):
+        if isinstance(record, int):
+            limited = record >= len(reranked)
+            log_records[i] = log_record(outcomes[record], limited, "limit" if limited else "")
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_candidates(final_lists, cfg.output_dir / RERANKED_FILE)
-    ingest.write_predictions(predictions, cfg.output_dir / PREDICTIONS_RERANK_FILE)
-    write_rerank_log(log_records, cfg.output_dir / RERANK_LOG_FILE)
-    reranked_count = sum(1 for r in log_records if not r.get("skipped"))
+    predictions = {outcome.query_id: outcome.reranked.intervals() for outcome in outcomes}
+    ingest.write_candidates([outcome.reranked for outcome in outcomes], cfg.output(RERANKED_FILE))
+    ingest.write_predictions(predictions, cfg.output(PREDICTIONS_RERANK_FILE))
+    write_rerank_log(log_records, cfg.output(RERANK_LOG_FILE))
     logger.info(
         "reranked %d queries (%d skipped) with backend '%s'",
-        reranked_count,
-        len(log_records) - reranked_count,
+        len(reranked),
+        len(log_records) - len(reranked),
         backend.backend_id,
     )
     return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    cfg.require(cfg.annotations, "simulate", "annotations file")
-    dataset = ingest.load_annotations(cfg.annotations)
+def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
+    dataset = ingest.load_annotations(cfg.input(ANNOTATIONS_FILE))
     if dataset.track is not ingest.Track.GOALSTEP:
         raise ConfigError(
             "sequence optimization needs an ordered (goalstep) dataset; "
             "evaluate the rerank predictions directly for unordered tracks"
         )
-    if cfg.rank_source == "post_rerank":
-        source = cfg.require(
-            cfg.output_dir / RERANKED_FILE, "rerank", "reranked candidates file"
-        )
-        lists = ingest.load_candidates(
-            source, top_k=cfg.top_k, dataset=dataset, canonical=False
-        )
-    else:
-        source = cfg.require(cfg.candidates, "simulate", "candidates file")
-        lists = ingest.load_candidates(source, top_k=cfg.top_k, dataset=dataset)
+    # A reranked file's order is its ranking; base candidates rank by score.
+    post_rerank = cfg.rank_source == "post_rerank"
+    source = cfg.input(RERANKED_FILE if post_rerank else CANDIDATES_FILE)
+    lists = ingest.load_candidates(
+        source, top_k=cfg.top_k, dataset=dataset, canonical=not post_rerank
+    )
     opt_cfg = sequencing.OptimizerConfig(
         lambda_penalty=cfg.lambda_penalty,
         rank_source=sequencing.RankSource(cfg.rank_source),
@@ -435,16 +435,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     for task in tasks:
         selection = sequencing.optimize_sequence(task, opt_cfg)
         entries.append((task, selection))
-        for i, choice in enumerate(selection.choices):
-            clist = task.lists[i]
+        for query, clist, choice in zip(task.queries, task.lists, selection.choices):
             chosen = clist.candidates[choice]
             rest = [c.interval for j, c in enumerate(clist.candidates) if j != choice]
-            predictions[task.queries[i].query_id] = (chosen.interval, *rest)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    sequencing.write_optimizer_report(
-        entries, opt_cfg, cfg.output_dir / OPTIMIZER_REPORT_FILE
-    )
-    ingest.write_predictions(predictions, cfg.output_dir / PREDICTIONS_FINAL_FILE)
+            predictions[query.query_id] = (chosen.interval, *rest)
+    sequencing.write_optimizer_report(entries, opt_cfg, cfg.output(OPTIMIZER_REPORT_FILE))
+    ingest.write_predictions(predictions, cfg.output(PREDICTIONS_FINAL_FILE))
     logger.info(
         "optimized %d videos (%d queries) with lambda=%g, ranks from %s",
         len(tasks),
@@ -455,29 +451,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, lists = _load_inputs(cfg)
     before_predictions = {clist.query_id: clist.intervals() for clist in lists}
     final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
-    rerank_path = cfg.output_dir / PREDICTIONS_RERANK_FILE
-    if final_path.exists():
-        after_path = final_path
-    elif rerank_path.exists():
-        after_path = rerank_path
-    else:
-        raise MissingInputError(
-            "rerank",
-            f"no predictions file at {final_path} or {rerank_path}",
-        )
+    after_path = final_path if final_path.exists() else cfg.input(PREDICTIONS_RERANK_FILE)
     after_predictions = ingest.load_predictions(after_path)
     mcfg = metrics.MetricsConfig()
     before = metrics.evaluate_run(before_predictions, dataset, mcfg)
     after = metrics.evaluate_run(after_predictions, dataset, mcfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    metrics.write_metrics_report(before, cfg.output_dir / METRICS_BEFORE_FILE)
-    metrics.write_metrics_report(after, cfg.output_dir / METRICS_AFTER_FILE)
-    metrics.write_comparison(before, after, cfg.output_dir / METRICS_COMPARE_FILE)
+    metrics.write_metrics_report(before, cfg.output(METRICS_BEFORE_FILE))
+    metrics.write_metrics_report(after, cfg.output(METRICS_AFTER_FILE))
+    metrics.write_comparison(before, after, cfg.output(METRICS_COMPARE_FILE))
     logger.info(
         "evaluated %d queries: mean R@1 %.2f -> %.2f (after: %s)",
         before.num_queries,
@@ -488,18 +473,54 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    compare_path = cfg.require(
-        cfg.output_dir / METRICS_COMPARE_FILE, "eval", "metrics comparison file"
-    )
-    before, after = metrics.read_comparison(compare_path)
+def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
+    before, after = metrics.read_comparison(cfg.input(METRICS_COMPARE_FILE))
     table = metrics.format_comparison_table([("base", before), ("reranked", after)])
     print(table)
-    with ingest.atomic_writer(cfg.output_dir / REPORT_FILE) as handle:
+    with ingest.atomic_writer(cfg.output(REPORT_FILE)) as handle:
         handle.write(table)
         handle.write("\n")
     return 0
+
+
+class Stage(NamedTuple):
+    """One pipeline stage: its subcommand, the stage files it reads and
+    writes (the narration cache aside), and what adds its flags."""
+
+    name: str
+    command: Callable[[RunConfig, argparse.Namespace], int]
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    add_flags: Callable[[argparse.ArgumentParser], None] = _add_common_flags
+
+
+# The pipeline in run order: a stage that misses an input file names the
+# stage here that writes it. ``optimize`` reads the base candidates only
+# under ``--rank-source pre_rerank``, and ``eval`` the final predictions
+# when they exist and the rerank predictions otherwise.
+STAGES = (
+    Stage("simulate", cmd_simulate, "generate a synthetic scenario",
+          reads=(), writes=(SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
+          add_flags=_add_simulate_flags),
+    Stage("plan", cmd_plan, "emit per-clip frame manifests",
+          reads=(ANNOTATIONS_FILE, CANDIDATES_FILE), writes=(MANIFESTS_FILE,)),
+    Stage("narrate", cmd_narrate, "narrate clips into episodic memories",
+          reads=(MANIFESTS_FILE, SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
+          writes=(MEMORIES_FILE,)),
+    Stage("rerank", cmd_rerank, "promote the backend's pick per query",
+          reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, MEMORIES_FILE, SCENARIO_FILE),
+          writes=(RERANKED_FILE, RERANK_LOG_FILE, PREDICTIONS_RERANK_FILE)),
+    Stage("optimize", cmd_optimize, "enforce the sequential start-time prior",
+          reads=(ANNOTATIONS_FILE, RERANKED_FILE, CANDIDATES_FILE),
+          writes=(OPTIMIZER_REPORT_FILE, PREDICTIONS_FINAL_FILE)),
+    Stage("eval", cmd_eval, "compute recall metrics before/after",
+          reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, PREDICTIONS_FINAL_FILE,
+                 PREDICTIONS_RERANK_FILE),
+          writes=(METRICS_BEFORE_FILE, METRICS_AFTER_FILE, METRICS_COMPARE_FILE)),
+    Stage("report", cmd_report, "print the before/after metrics table",
+          reads=(METRICS_COMPARE_FILE,), writes=(REPORT_FILE,)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,34 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic scenario")
-    # Each knob flag's dest is its ScenarioKnobs field, which holds the default.
-    p_sim.add_argument("--videos", dest="num_videos", type=int)
-    p_sim.add_argument("--queries-per-video", dest="queries_per_video", type=int)
-    p_sim.add_argument("--candidates-per-query", dest="candidates_per_query", type=int)
-    p_sim.add_argument("--recall-rho", dest="recall_rho", type=float)
-    p_sim.add_argument("--jitter", dest="jitter_s", type=float)
-    p_sim.add_argument("--latent-rate", dest="latent_positive_rate", type=float)
-    p_sim.add_argument(
-        "--track",
-        choices=[track.value for track in ingest.Track],
-        default=ingest.Track.GOALSTEP.value,
-    )
-    _add_common_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    for name, func, help_text in [
-        ("plan", cmd_plan, "emit per-clip frame manifests"),
-        ("narrate", cmd_narrate, "narrate clips into episodic memories"),
-        ("rerank", cmd_rerank, "promote the backend's pick per query"),
-        ("optimize", cmd_optimize, "enforce the sequential start-time prior"),
-        ("eval", cmd_eval, "compute recall metrics before/after"),
-        ("report", cmd_report, "print the before/after metrics table"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        p.set_defaults(func=func)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        stage.add_flags(p)
+        p.set_defaults(func=stage.command)
     return parser
 
 
@@ -555,7 +552,7 @@ def main(argv=None) -> int:
             level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
         )
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(RunConfig.from_args(args), args)
     except MemrerankError as exc:
         logger.error("%s", exc)
         for cls, code in EXIT_CODES.items():

@@ -15,6 +15,8 @@ The CLI maps each base class onto an exit code: ``ConfigError`` (2),
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class MemrerankError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,12 +29,9 @@ class ConfigError(MemrerankError):
 class MissingInputError(MemrerankError):
     """A pipeline stage input file is absent; names the producing stage."""
 
-    def __init__(self, stage: str, detail: str = ""):
+    def __init__(self, stage: str, path: Path):
         self.stage = stage
-        message = f"missing input produced by stage '{stage}'"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
+        super().__init__(f"missing input produced by stage '{stage}': {path} not found")
 
 
 class ValidationError(MemrerankError):

@@ -20,7 +20,7 @@ import math
 import random
 import re
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -426,7 +426,10 @@ def load_scenario(
                 f"expected {SCENARIO_VERSION!r}, got {payload.get('version')!r}; "
                 "re-run simulate",
             )
-        knobs = ScenarioKnobs(**payload["knobs"])
+        kinds = {f.name: (int,) if f.type == "int" else NUMBER for f in fields(ScenarioKnobs)}
+        knobs = ScenarioKnobs(
+            **{k: checked(v, kinds[k], f"knob {k}") for k, v in payload["knobs"].items()}
+        )
         track = Track(payload["track"])
         script = tuple(
             (

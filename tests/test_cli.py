@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -95,42 +97,12 @@ class TestPipeline:
         out = tmp_path / "run"
         pipeline(out)
         assert run(["report", "--out", out]) == 0
-        for name in [
-            "scenario.json",
-            "annotations.json",
-            "candidates.json",
-            "manifests.jsonl",
-            "memories.jsonl",
-            "reranked_candidates.json",
-            "rerank_log.jsonl",
-            "predictions_rerank.json",
-            "optimizer_report.json",
-            "predictions_final.json",
-            "metrics_before.json",
-            "metrics_after.json",
-            "metrics_compare.json",
-            "report.txt",
-        ]:
-            assert (out / name).exists(), name
+        for stage in cli.STAGES:
+            for name in stage.writes:
+                assert (out / name).exists(), (stage.name, name)
         assert (out / "cache" / "narrations.jsonl").exists()
         table = capsys.readouterr().out
         assert "base" in table and "reranked" in table
-
-    def test_eval_without_predictions_names_rerank_stage(self, tmp_path, caplog):
-        out = tmp_path / "run"
-        simulate(out)
-        with caplog.at_level("ERROR"):
-            code = run(["eval", "--out", out])
-        assert code == 3
-        assert any("rerank" in message for message in caplog.messages)
-
-    def test_narrate_before_plan_names_plan_stage(self, tmp_path, caplog):
-        out = tmp_path / "run"
-        simulate(out)
-        with caplog.at_level("ERROR"):
-            code = run(["narrate", "--out", out, "--backend", "stub"])
-        assert code == 3
-        assert any("plan" in message for message in caplog.messages)
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -538,6 +510,79 @@ class TestPipeline:
         assert compare["after"]["num_queries"] == 6
 
 
+def writer_of(name):
+    """The stage of ``cli.STAGES`` that writes stage file ``name``."""
+    return next(stage.name for stage in cli.STAGES if name in stage.writes)
+
+
+def missing_input_cases():
+    """(stage, input) for every input each stage reads. ``eval`` reads the
+    final predictions only when they exist, so missing they are no error:
+    its missing-predictions case is the rerank predictions one."""
+    for stage in cli.STAGES:
+        for name in stage.reads:
+            if (stage.name, name) != ("eval", cli.PREDICTIONS_FINAL_FILE):
+                yield pytest.param(stage.name, name, id=f"{stage.name}-{name}")
+
+
+# The flags under which a stage reads the input, when its defaults do not.
+READ_FLAGS = {("optimize", cli.CANDIDATES_FILE): ["--rank-source", "pre_rerank"]}
+
+
+def readme_stage_rows():
+    """Stage name -> (reads, writes) of README.md § Stage artifacts, each
+    the backticked file names of its cell."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Stage artifacts", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0] not in ("stage", "") and not cells[0].startswith("-"):
+            rows[cells[0]] = tuple(tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:])
+    return rows
+
+
+class TestStageTable:
+    @pytest.fixture(scope="class")
+    def full_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("full") / "run"
+        pipeline(out)
+        assert run(["report", "--out", out]) == 0
+        return out
+
+    @pytest.mark.parametrize("stage, name", missing_input_cases())
+    def test_missing_input_names_its_writer(self, full_run, tmp_path, caplog, stage, name):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        shutil.rmtree(out / "cache")  # a cold narrate reads every input
+        (out / name).unlink()
+        if name == cli.PREDICTIONS_RERANK_FILE:  # eval prefers the final predictions
+            (out / cli.PREDICTIONS_FINAL_FILE).unlink()
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, *READ_FLAGS.get((stage, name), [])])
+        assert code == 3
+        assert caplog.messages == [
+            f"missing input produced by stage '{writer_of(name)}': {out / name} not found"
+        ]
+
+    def test_each_input_is_written_by_one_earlier_stage(self):
+        for position, stage in enumerate(cli.STAGES):
+            earlier = [s.name for s in cli.STAGES[:position]]
+            for name in stage.reads:
+                writers = [s.name for s in cli.STAGES if name in s.writes]
+                assert len(writers) == 1 and writers[0] in earlier, (stage.name, name, writers)
+
+    def test_subcommands_are_the_stages(self):
+        parser = build_parser()
+        for stage in cli.STAGES:
+            assert parser.parse_args([stage.name]).func is stage.command
+
+    def test_readme_stage_artifacts_match_the_table(self):
+        assert readme_stage_rows() == {
+            stage.name: (stage.reads, stage.writes) for stage in cli.STAGES
+        }
+
+
 class TestScenarioLoads:
     @pytest.fixture
     def loads(self, monkeypatch):
@@ -618,10 +663,12 @@ class TestScenarioLoads:
             lambda scenario: scenario.update(seed=str(scenario["seed"])),
             lambda scenario: scenario.update(seed=True),
             lambda scenario: scenario["latent_positives"].update({"v000-q000": [["1.0", 2.0]]}),
+            lambda scenario: scenario["knobs"].update(num_videos=2.5),
+            lambda scenario: scenario["knobs"].update(jitter_s=True),
         ],
         ids=[
             "label-number", "start-string", "end-bool", "seed-string", "seed-bool",
-            "latent-bound-string",
+            "latent-bound-string", "knob-int-fraction", "knob-number-bool",
         ],
     )
     def test_mistyped_scenario_value_exits_4(self, tmp_path, caplog, change):
@@ -643,7 +690,7 @@ class TestCyclicCollector:
     """A stage runs with the cyclic collector paused, so a stage must not
     leave garbage in reference cycles that grows with its input."""
 
-    STAGES = ("plan", "narrate", "rerank", "optimize", "eval", "report")
+    STAGES = tuple(stage.name for stage in cli.STAGES[1:])  # all but simulate
 
     @staticmethod
     def _cyclic_garbage(argv) -> int:
@@ -679,7 +726,14 @@ class TestCyclicCollector:
 
     def test_collector_paused_during_the_stage(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(gc.isenabled()) or 0)
+
+        def report(cfg, args):
+            seen.append(gc.isenabled())
+            return 0
+
+        # The parser takes each command from its STAGES entry.
+        stages = tuple(s._replace(command=report) if s.name == "report" else s for s in cli.STAGES)
+        monkeypatch.setattr(cli, "STAGES", stages)
         assert gc.isenabled()
         assert run(["report", "--out", tmp_path]) == 0
         assert seen == [False]
@@ -786,6 +840,28 @@ class TestConfigPrecedence:
         assert not (out / "manifests.jsonl").exists()
         key = next(iter(setting.get("paths", setting)))
         assert any(f"setting {key}=" in message for message in caplog.messages)
+
+    # A prompt file is read when the config is parsed, by every stage.
+    @pytest.mark.parametrize("stage", ["simulate", "narrate"])
+    @pytest.mark.parametrize("prompt", ["missing", "directory", "blank", "not-utf8"])
+    def test_unusable_prompt_file_rejected(self, tmp_path, caplog, prompt, stage):
+        out = tmp_path / "run"
+        if stage == "narrate":
+            simulate(out)
+            assert run(["plan", "--out", out]) == 0
+        path = tmp_path / "prompt.txt"
+        if prompt == "directory":
+            path.mkdir()
+        elif prompt == "blank":
+            path.write_text(" \n\t\n")
+        elif prompt == "not-utf8":
+            path.write_bytes(b"Describe \xff")
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, "--backend", "stub", "--prompt-file", path])
+        assert code == 2
+        assert any("setting narration_prompt=" in message for message in caplog.messages)
+        assert not (out / "cache").exists()
+        assert not (out / ("memories.jsonl" if stage == "narrate" else "scenario.json")).exists()
 
     def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path):
         names = {f.name for f in fields(RunConfig)}
