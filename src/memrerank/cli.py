@@ -189,11 +189,19 @@ class RunConfig:
         _prompt_template(cfg.narration_prompt)  # read again by narrate
         return cfg
 
-    def input(self, name: str) -> Path:
-        """The path of stage file ``name``, which must exist: the path setting
-        that defaults to it, if any, else ``name`` under the output directory."""
+    def _path(self, name: str) -> Path:
+        """Where stage file ``name`` lives: the path setting that defaults to
+        it, if any, else ``name`` under the cache directory for the cache
+        files and under the output directory for the rest."""
         setting = next((s for s, file in _UNDER_OUTPUT_DIR.items() if file == name), None)
-        path = getattr(self, setting) if setting else self.output_dir / name
+        if setting:
+            return getattr(self, setting)
+        cached = name in (CACHE_FILE, NARRATE_STATS_FILE)
+        return (self.cache_dir if cached else self.output_dir) / name
+
+    def input(self, name: str) -> Path:
+        """The path of stage file ``name``, which must exist."""
+        path = self._path(name)
         if not path.exists():
             producer = next(stage.name for stage in STAGES if name in stage.writes)
             raise MissingInputError(producer, path)
@@ -201,9 +209,9 @@ class RunConfig:
 
     def output(self, name: str) -> Path:
         """The path stage file ``name`` is written to, its directory made."""
-        directory = self.cache_dir if name in (CACHE_FILE, NARRATE_STATS_FILE) else self.output_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / name
+        path = self._path(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .core import CandidateKey, CandidateSegment, TimeInterval, clip_bounds
+from .core import NUMBER, CandidateKey, CandidateSegment, TimeInterval, checked, clip_bounds
 from .errors import SchemaViolation, ValidationError
 from .ingest import read_jsonl, write_jsonl
 
@@ -41,7 +41,7 @@ class ClipPlan:
         object.__setattr__(self, "clips", tuple(self.clips))
         for name in ("fps", "clip_len_s"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not 0 < value < math.inf:
+            if type(value) not in NUMBER or not 0 < value < math.inf:
                 raise SchemaViolation(name, f"must be a positive number, got {value!r}")
         if not self.clips:
             raise SchemaViolation("clips", "plan has no clips")
@@ -151,9 +151,10 @@ def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
 def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, float]]:
     if "frame_timestamps" in record:
         raise ValueError("frame_timestamps is the old manifest format; re-run plan")
-    sampling = (record["fps"], record["clip_len_s"])
-    if type(sampling[0]) not in (int, float) or type(sampling[1]) not in (int, float):
-        raise TypeError(f"fps and clip_len_s must be numbers, got {sampling!r}")
+    sampling = (
+        checked(record["fps"], NUMBER, "fps"),
+        checked(record["clip_len_s"], NUMBER, "clip_len_s"),
+    )
     return CandidateKey.from_record(record), TimeInterval(*clip_bounds(record)), sampling
 
 

@@ -9,6 +9,7 @@ compares structurally. Times are real seconds; candidate ranks are
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -17,6 +18,17 @@ from .errors import SchemaViolation, ValidationError
 # Entries of an episodic memory must tile the candidate interval; adjacent
 # clips may disagree by at most this much (float noise from serialization).
 CONTIGUITY_TOLERANCE_S = 1e-6
+
+NUMBER = (int, float)  # the types of parsed JSON numbers; a bool is not one
+
+
+def checked(value, kinds: tuple[type, ...], what: str):
+    """``value`` when its type is exactly one of ``kinds``, so a bool is
+    not taken for an int; ``TypeError`` naming ``what`` otherwise."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{what} must be {names}, got {reprlib.repr(value)}")
+    return value
 
 
 def _as_finite_time(value, what: str) -> float:
@@ -97,22 +109,19 @@ class CandidateKey(NamedTuple):
     def from_record(cls, record) -> "CandidateKey":
         """The key of a stage-file record; ``TypeError`` when an id is not a
         string or the rank is not an integer."""
-        key = cls(record["video_id"], record["query_id"], record["rank"])
-        if not (isinstance(key.video_id, str) and isinstance(key.query_id, str)):
-            raise TypeError(f"candidate ids must be strings, got {key[:2]!r}")
-        if isinstance(key.rank, bool) or not isinstance(key.rank, int):
-            raise TypeError(f"candidate rank must be an integer, got {key.rank!r}")
-        return key
+        return cls(
+            checked(record["video_id"], (str,), "video_id"),
+            checked(record["query_id"], (str,), "query_id"),
+            checked(record["rank"], (int,), "rank"),
+        )
 
 
 def clip_bounds(record) -> tuple[float, float]:
     """The ``clip_start_s`` and ``clip_end_s`` of a stage-file record;
     ``TypeError`` when either is not a JSON number and ``ValueError``
     when they are not ``0 <= start <= end < inf``."""
-    start, end = record["clip_start_s"], record["clip_end_s"]
-    # The types of parsed JSON numbers; a bool is not one.
-    if type(start) not in (int, float) or type(end) not in (int, float):
-        raise TypeError(f"clip bounds must be numbers, got {(start, end)!r}")
+    start = checked(record["clip_start_s"], NUMBER, "clip_start_s")
+    end = checked(record["clip_end_s"], NUMBER, "clip_end_s")
     if not 0 <= start <= end < math.inf:
         raise ValueError(f"clip bounds must be finite, 0 <= start <= end, got {(start, end)!r}")
     return start, end

@@ -12,8 +12,9 @@ keeps the bytes earlier runs wrote.
 
 Validation is strict: malformed records are rejected, never repaired. A
 malformed file raises a ``ValidationError`` (exit code 4): a
-``ParseError`` at the file's line and column when it is not JSON, and
-``read_jsonl`` names the file and line of the bad record.
+``ParseError`` at the file's line and column when it is not JSON, and a
+``SchemaViolation`` naming the file (``read_json_file``) or the file and
+line of the bad record (``read_jsonl``) when its shape or types are wrong.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
+    NUMBER,
     CandidateList,
     CandidateSegment,
     Query,
     TimeInterval,
     canonical_order,
+    checked,
 )
 from .errors import ParseError, SchemaViolation, ValidationError
 
@@ -213,17 +216,30 @@ def write_json_file(value, path: str | Path) -> None:
         handle.write("\n")
 
 
-def read_json_file(path: str | Path):
+def read_json_file(path: str | Path, what: str, parse: Callable):
+    """``parse`` applied to the JSON value of ``path``, a file of ``what``.
+
+    A file that is not UTF-8 JSON raises ``ParseError`` at its line and
+    column. A ``KeyError``, ``TypeError`` or ``ValueError`` from ``parse``
+    raises ``SchemaViolation(what)`` naming ``path``; a ``ValidationError``
+    (a domain type refusing a value) passes through with its own message.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        value = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, exc.colno, exc.msg) from exc
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         column = exc.start - data.rfind(b"\n", 0, exc.start)
         raise ParseError(str(path), line, column, f"not UTF-8 ({exc.reason})") from exc
+    try:
+        return parse(value)
+    except KeyError as exc:
+        raise SchemaViolation(what, f"{path}: malformed {what}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(what, f"{path}: malformed {what}: {exc}") from exc
 
 
 def write_report_file(value, path: str | Path) -> None:
@@ -263,81 +279,46 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
     return records
 
 
-def _as_object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(field, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _as_array(value, field: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaViolation(field, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-NUMBER = (int, float)  # the types of parsed JSON numbers; a bool is not one
-
-
-def checked(value, kinds: tuple[type, ...], what: str):
-    """``value`` when its type is exactly one of ``kinds``, so a bool is
-    not taken for an int; ``TypeError`` naming ``what`` otherwise."""
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise TypeError(f"{what} must be {names}, got {value!r}")
-    return value
-
-
-def _as_number(value, field: str) -> float:
-    if type(value) not in NUMBER:
-        raise SchemaViolation(field, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_string(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaViolation(field, f"expected a string, got {value!r}")
-    return value
+def _number(raw: dict, key: str) -> float:
+    return float(checked(raw[key], NUMBER, key))
 
 
 def _parse_query(raw, video_id: str) -> Query:
-    raw = _as_object(raw, "queries[]")
-    query_id = _as_string(raw.get("query_id"), "query_id")
-    text = _as_string(raw.get("text"), "text")
-    gt = None
-    if raw.get("gt") is not None:
-        gt_obj = _as_object(raw["gt"], "gt")
-        gt = TimeInterval(
-            _as_number(gt_obj.get("start_s"), "gt.start_s"),
-            _as_number(gt_obj.get("end_s"), "gt.end_s"),
-        )
+    checked(raw, (dict,), "query")
+    gt = raw.get("gt")
+    if gt is not None:
+        checked(gt, (dict,), "gt")
+        gt = TimeInterval(_number(gt, "start_s"), _number(gt, "end_s"))
     return Query(
-        query_id=query_id,
+        query_id=checked(raw["query_id"], (str,), "query_id"),
         video_id=video_id,
-        text=text,
+        text=checked(raw["text"], (str,), "text"),
         order_index=raw.get("order_index"),
         ground_truth=gt,
     )
 
 
+def _parse_annotations(root) -> Dataset:
+    checked(root, (dict,), "annotations")
+    track = Track(checked(root["track"], (str,), "track"))
+    videos = []
+    for raw in checked(root["videos"], (list,), "videos"):
+        checked(raw, (dict,), "video")
+        video_id = checked(raw["video_id"], (str,), "video_id")
+        queries = checked(raw["queries"], (list,), "queries")
+        videos.append(
+            VideoRecord(
+                video_id,
+                _number(raw, "duration_s"),
+                tuple(_parse_query(query, video_id) for query in queries),
+            )
+        )
+    return Dataset(track=track, videos=tuple(videos))
+
+
 def load_annotations(path: str | Path) -> Dataset:
     """Parse and fully validate an annotations file."""
-    root = _as_object(read_json_file(path), "<root>")
-    track_text = _as_string(root.get("track"), "track")
-    try:
-        track = Track(track_text)
-    except ValueError:
-        raise SchemaViolation("track", f"unknown track {track_text!r}") from None
-    videos = []
-    for raw_video in _as_array(root.get("videos"), "videos"):
-        raw_video = _as_object(raw_video, "videos[]")
-        video_id = _as_string(raw_video.get("video_id"), "video_id")
-        duration = _as_number(raw_video.get("duration_s"), "duration_s")
-        queries = tuple(
-            _parse_query(raw_query, video_id)
-            for raw_query in _as_array(raw_video.get("queries"), "queries")
-        )
-        videos.append(VideoRecord(video_id, duration, queries))
-    return Dataset(track=track, videos=tuple(videos))
+    return read_json_file(path, "annotations file", _parse_annotations)
 
 
 def write_annotations(dataset: Dataset, path: str | Path) -> None:
@@ -387,39 +368,32 @@ def load_candidates(
     """
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
-    root = _as_object(read_json_file(path), "<root>")
     known = dataset.query_ids() if dataset is not None else None
-    lists: list[CandidateList] = []
-    seen: set[tuple[str, str]] = set()
-    for raw in _as_array(root.get("predictions"), "predictions"):
-        raw = _as_object(raw, "predictions[]")
-        video_id = _as_string(raw.get("video_id"), "video_id")
-        query_id = _as_string(raw.get("query_id"), "query_id")
-        if (video_id, query_id) in seen:
-            raise SchemaViolation(
-                "query_id", f"duplicate candidate list for query '{query_id}'"
-            )
-        seen.add((video_id, query_id))
-        if known is not None and query_id not in known:
-            raise ValidationError(f"candidates for unknown query '{query_id}'")
-        segments = []
-        for position, raw_candidate in enumerate(
-            _as_array(raw.get("candidates"), "candidates"), start=1
-        ):
-            raw_candidate = _as_object(raw_candidate, "candidates[]")
-            segments.append(
-                CandidateSegment(
-                    interval=TimeInterval(
-                        _as_number(raw_candidate.get("start_s"), "start_s"),
-                        _as_number(raw_candidate.get("end_s"), "end_s"),
-                    ),
-                    score=_as_number(raw_candidate.get("score"), "score"),
-                    rank=position,
-                )
-            )
-        kept = canonical_order(segments, top_k) if canonical else segments[:top_k]
-        lists.append(CandidateList(video_id, query_id, kept))
-    return lists
+
+    def parse(root) -> list[CandidateList]:
+        checked(root, (dict,), "candidates")
+        lists: list[CandidateList] = []
+        seen: set[tuple[str, str]] = set()
+        for raw in checked(root["predictions"], (list,), "predictions"):
+            checked(raw, (dict,), "prediction")
+            video_id = checked(raw["video_id"], (str,), "video_id")
+            query_id = checked(raw["query_id"], (str,), "query_id")
+            if (video_id, query_id) in seen:
+                raise ValueError(f"duplicate candidate list for query '{query_id}'")
+            seen.add((video_id, query_id))
+            if known is not None and query_id not in known:
+                raise ValidationError(f"candidates for unknown query '{query_id}'")
+            segments = []
+            candidates = checked(raw["candidates"], (list,), "candidates")
+            for position, c in enumerate(candidates, start=1):
+                checked(c, (dict,), "candidate")
+                interval = TimeInterval(_number(c, "start_s"), _number(c, "end_s"))
+                segments.append(CandidateSegment(interval, _number(c, "score"), position))
+            kept = canonical_order(segments, top_k) if canonical else segments[:top_k]
+            lists.append(CandidateList(video_id, query_id, kept))
+        return lists
+
+    return read_json_file(path, "candidates file", parse)
 
 
 def write_candidates(lists: Iterable[CandidateList], path: str | Path) -> None:
@@ -463,30 +437,26 @@ def write_predictions(
     write_json_file({"version": PREDICTIONS_VERSION, "results": records}, path)
 
 
-def load_predictions(path: str | Path) -> dict[str, tuple[TimeInterval, ...]]:
-    root = _as_object(read_json_file(path), "<root>")
+def _parse_predictions(root) -> dict[str, tuple[TimeInterval, ...]]:
+    checked(root, (dict,), "predictions")
     version = root.get("version")
     if version != PREDICTIONS_VERSION:
-        raise SchemaViolation(
-            "version", f"expected {PREDICTIONS_VERSION!r}, got {version!r}"
-        )
+        raise ValueError(f"version: expected {PREDICTIONS_VERSION!r}, got {version!r}")
     results: dict[str, tuple[TimeInterval, ...]] = {}
-    for raw in _as_array(root.get("results"), "results"):
-        raw = _as_object(raw, "results[]")
-        query_id = _as_string(raw.get("query_id"), "query_id")
+    for raw in checked(root["results"], (list,), "results"):
+        checked(raw, (dict,), "result")
+        query_id = checked(raw["query_id"], (str,), "query_id")
         if query_id in results:
-            raise SchemaViolation("query_id", f"duplicate result for '{query_id}'")
+            raise ValueError(f"duplicate result for '{query_id}'")
         intervals = []
-        for pair in _as_array(raw.get("intervals"), "intervals"):
-            pair = _as_array(pair, "intervals[]")
-            if len(pair) != 2:
-                raise SchemaViolation(
-                    "intervals", f"expected [start_s, end_s], got {pair!r}"
-                )
-            intervals.append(
-                TimeInterval(
-                    _as_number(pair[0], "intervals[0]"), _as_number(pair[1], "intervals[1]")
-                )
-            )
+        for pair in checked(raw["intervals"], (list,), "intervals"):
+            if len(checked(pair, (list,), "interval")) != 2:
+                raise ValueError(f"interval: expected [start_s, end_s], got {pair!r}")
+            start, end = (float(checked(t, NUMBER, "interval bound")) for t in pair)
+            intervals.append(TimeInterval(start, end))
         results[query_id] = tuple(intervals)
     return results
+
+
+def load_predictions(path: str | Path) -> dict[str, tuple[TimeInterval, ...]]:
+    return read_json_file(path, "predictions file", _parse_predictions)

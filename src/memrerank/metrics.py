@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import MetricCell, MetricsReport, TimeInterval
+from .core import NUMBER, MetricCell, MetricsReport, TimeInterval, checked
 from .errors import SchemaViolation, ValidationError
-from .ingest import NUMBER, checked, read_json_file, write_report_file
+from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
 
@@ -142,23 +142,23 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> MetricsReport:
-    try:
-        cells = tuple(
-            MetricCell(
-                checked(c["k"], (int,), "k"),
-                float(checked(c["iou"], NUMBER, "iou")),
-                float(checked(c["value"], NUMBER, "value")),
-            )
-            for c in payload["cells"]
+def report_from_dict(payload) -> MetricsReport:
+    """The report of a payload ``report_to_dict`` wrote; ``KeyError`` or
+    ``TypeError`` when a value is missing or of the wrong JSON type."""
+    checked(payload, (dict,), "report")
+    cells = tuple(
+        MetricCell(
+            checked(c["k"], (int,), "k"),
+            float(checked(c["iou"], NUMBER, "iou")),
+            float(checked(c["value"], NUMBER, "value")),
         )
-        return MetricsReport(
-            cells=cells,
-            mean_r1=float(checked(payload["mean_r1"], NUMBER, "mean_r1")),
-            num_queries=checked(payload["num_queries"], (int,), "num_queries"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation("metrics", f"malformed report payload: {exc}") from exc
+        for c in checked(payload["cells"], (list,), "cells")
+    )
+    return MetricsReport(
+        cells=cells,
+        mean_r1=float(checked(payload["mean_r1"], NUMBER, "mean_r1")),
+        num_queries=checked(payload["num_queries"], (int,), "num_queries"),
+    )
 
 
 def write_metrics_report(report: MetricsReport, path: str | Path) -> None:
@@ -166,7 +166,7 @@ def write_metrics_report(report: MetricsReport, path: str | Path) -> None:
 
 
 def read_metrics_report(path: str | Path) -> MetricsReport:
-    return report_from_dict(read_json_file(path))
+    return read_json_file(path, "report payload", report_from_dict)
 
 
 def write_comparison(
@@ -178,12 +178,13 @@ def write_comparison(
     )
 
 
+def _comparison_from_dict(payload) -> tuple[MetricsReport, MetricsReport]:
+    checked(payload, (dict,), "comparison")
+    return report_from_dict(payload["before"]), report_from_dict(payload["after"])
+
+
 def read_comparison(path: str | Path) -> tuple[MetricsReport, MetricsReport]:
-    payload = read_json_file(path)
-    try:
-        return report_from_dict(payload["before"]), report_from_dict(payload["after"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation("metrics", f"malformed comparison file: {exc}") from exc
+    return read_json_file(path, "report payload", _comparison_from_dict)
 
 
 def display_value(value: float) -> str:

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import clips
-from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, clip_bounds
+from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
 from .errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -147,10 +147,10 @@ class NarrationCacheKey(NamedTuple):
     @classmethod
     def from_dict(cls, payload: dict) -> "NarrationCacheKey":
         return cls(
-            payload["video_id"],
+            checked(payload["video_id"], (str,), "video_id"),
             *clip_bounds(payload),
-            payload["prompt_version"],
-            payload["backend_id"],
+            checked(payload["prompt_version"], (str,), "prompt_version"),
+            checked(payload["backend_id"], (str,), "backend_id"),
         )
 
 
@@ -488,8 +488,8 @@ def _memory_from_record(record) -> EpisodicMemory:
             MemoryEntry(TimeInterval(*clip_bounds(e)), e["narration"])
             for e in record["entries"]
         ),
-        prompt_version=record["prompt_version"],
-        backend_id=record["backend_id"],
+        prompt_version=checked(record["prompt_version"], (str,), "prompt_version"),
+        backend_id=checked(record["backend_id"], (str,), "backend_id"),
     )
 
 

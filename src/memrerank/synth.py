@@ -25,22 +25,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .core import (
+    NUMBER,
     CandidateList,
     CandidateSegment,
     Query,
     TimeInterval,
+    checked,
     validate_candidate_list,
 )
 from .errors import InvalidKnobsError, SchemaViolation
-from .ingest import (
-    NUMBER,
-    Dataset,
-    Track,
-    VideoRecord,
-    checked,
-    read_json_file,
-    write_json_file,
-)
+from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest, BackendResponse
 from .rerank import QUERY_LINE_PREFIX
@@ -418,19 +412,28 @@ def load_scenario(
 ) -> Scenario:
     """The scenario of ``path`` over the dataset and candidate lists the
     calling stage loaded from the annotations and candidates files."""
-    payload = read_json_file(path)
-    try:
+
+    def parse(payload) -> Scenario:
+        checked(payload, (dict,), "scenario")
         if payload.get("version") != SCENARIO_VERSION:
-            raise SchemaViolation(
-                "version",
-                f"expected {SCENARIO_VERSION!r}, got {payload.get('version')!r}; "
-                "re-run simulate",
+            raise ValueError(
+                f"expected version {SCENARIO_VERSION!r}, got {payload.get('version')!r}; "
+                "re-run simulate"
             )
         kinds = {f.name: (int,) if f.type == "int" else NUMBER for f in fields(ScenarioKnobs)}
+        raw_knobs = checked(payload["knobs"], (dict,), "knobs")
+        if not raw_knobs.keys() <= kinds.keys():
+            raise ValueError(f"unknown knobs {sorted(raw_knobs.keys() - kinds.keys())}")
         knobs = ScenarioKnobs(
-            **{k: checked(v, kinds[k], f"knob {k}") for k, v in payload["knobs"].items()}
+            **{k: checked(v, kinds[k], f"knob {k}") for k, v in raw_knobs.items()}
         )
         track = Track(payload["track"])
+        if track is not dataset.track:
+            raise ValueError(
+                f"scenario track is {track.value}, annotations are {dataset.track.value}"
+            )
+        events_by_video = checked(payload["event_script"], (dict,), "event_script")
+        latent_by_query = checked(payload["latent_positives"], (dict,), "latent_positives")
         script = tuple(
             (
                 video_id,
@@ -445,7 +448,7 @@ def load_scenario(
                     for e in events
                 ),
             )
-            for video_id, events in sorted(payload["event_script"].items())
+            for video_id, events in sorted(events_by_video.items())
         )
         latent = tuple(
             (
@@ -455,20 +458,15 @@ def load_scenario(
                     for pair in pairs
                 ),
             )
-            for query_id, pairs in sorted(payload["latent_positives"].items())
+            for query_id, pairs in sorted(latent_by_query.items())
         )
-        seed = checked(payload["seed"], (int,), "seed")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation("scenario", f"malformed scenario file: {exc}") from exc
-    if track is not dataset.track:
-        raise SchemaViolation(
-            "track", f"scenario is {track.value}, annotations are {dataset.track.value}"
+        return Scenario(
+            seed=checked(payload["seed"], (int,), "seed"),
+            knobs=knobs,
+            dataset=dataset,
+            event_script=script,
+            candidates=tuple(candidates),
+            latent_positives=latent,
         )
-    return Scenario(
-        seed=seed,
-        knobs=knobs,
-        dataset=dataset,
-        event_script=script,
-        candidates=tuple(candidates),
-        latent_positives=latent,
-    )
+
+    return read_json_file(path, "scenario file", parse)

@@ -181,7 +181,9 @@ class TestPipeline:
         assert code == 4
         assert any(f"memories.jsonl:{len(lines) + 1}:" in m for m in caplog.messages)
 
-    @pytest.mark.parametrize("defect", ["empty-narration", "not-contiguous"])
+    @pytest.mark.parametrize(
+        "defect", ["empty-narration", "not-contiguous", "prompt-version-number", "backend-id-null"]
+    )
     def test_memory_refused_by_its_type_names_the_line(self, tmp_path, caplog, defect):
         out = tmp_path / "run"
         simulate(out)
@@ -197,8 +199,12 @@ class TestPipeline:
         second = record["entries"][1]
         if defect == "empty-narration":
             second["narration"] = ""
-        else:  # a gap between the first and the second clip
+        elif defect == "not-contiguous":  # a gap between the first and the second clip
             second["clip_start_s"] = (second["clip_start_s"] + second["clip_end_s"]) / 2
+        elif defect == "prompt-version-number":
+            record["prompt_version"] = 5
+        else:
+            record["backend_id"] = None
         lines[line_no - 1] = json.dumps(record)
         memories.write_text("\n".join(lines) + "\n")
         with caplog.at_level("ERROR"):
@@ -299,6 +305,81 @@ class TestPipeline:
         with caplog.at_level("ERROR"):
             code = run([stage, "--out", out])
         assert (code, caplog.messages) == (4, [message])
+
+    # Each whole-file JSON stage file, through the stage that reads it:
+    # (file, stage, fault on its payload, the key the fault removes).
+    READER_CASES = {
+        "annotations-wrong-type": (
+            "annotations.json", "plan", lambda p: p["videos"][0].update(duration_s="60"), None,
+        ),
+        "annotations-missing-key": (
+            "annotations.json", "plan", lambda p: p["videos"][0]["queries"][0].pop("text"), "text",
+        ),
+        "annotations-array-for-object": (
+            "annotations.json", "plan", lambda p: p.update(videos=[["v000", 60.0]]), None,
+        ),
+        "candidates-wrong-type": (
+            "candidates.json", "plan",
+            lambda p: p["predictions"][0]["candidates"][0].update(score="x"), None,
+        ),
+        "candidates-missing-key": (
+            "candidates.json", "plan",
+            lambda p: p["predictions"][0]["candidates"][0].pop("end_s"), "end_s",
+        ),
+        "candidates-array-for-object": (
+            "candidates.json", "plan",
+            lambda p: p["predictions"][0].update(candidates=[[1.0, 2.0, 0.5]]), None,
+        ),
+        "predictions-wrong-type": (
+            "predictions_rerank.json", "eval", lambda p: p["results"][0].update(query_id=5), None,
+        ),
+        "predictions-missing-key": (
+            "predictions_rerank.json", "eval", lambda p: p["results"][0].pop("intervals"),
+            "intervals",
+        ),
+        "predictions-array-for-object": (
+            "predictions_rerank.json", "eval", lambda p: p.update(results=[["v000-q000"]]), None,
+        ),
+        "scenario-wrong-type": ("scenario.json", "narrate", lambda p: p.update(seed="3"), None),
+        "scenario-missing-key": (
+            "scenario.json", "narrate", lambda p: p.pop("latent_positives"), "latent_positives",
+        ),
+        "scenario-array-for-object": (
+            "scenario.json", "narrate", lambda p: p.update(knobs=[]), None,
+        ),
+        "metrics-wrong-type": (
+            "metrics_compare.json", "report", lambda p: p["after"].update(num_queries=6.9), None,
+        ),
+        "metrics-missing-key": (
+            "metrics_compare.json", "report", lambda p: p["after"].pop("mean_r1"), "mean_r1",
+        ),
+        "metrics-array-for-object": (
+            "metrics_compare.json", "report", lambda p: p.update(before=[]), None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_malformed_stage_file_names_itself(self, tmp_path, caplog, case):
+        name, stage, fault, missing = self.READER_CASES[case]
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        lists = ingest.load_candidates(out / "candidates.json")
+        ingest.write_predictions(
+            {clist.query_id: clist.intervals() for clist in lists}, out / "predictions_rerank.json"
+        )
+        assert run(["eval", "--out", out]) == 0
+        path = out / name
+        payload = json.loads(path.read_text())
+        fault(payload)
+        path.write_text(json.dumps(payload))
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, "--backend", "stub"])  # narrate runs cold
+        assert code == 4
+        (message,) = caplog.messages
+        assert str(path) in message
+        if missing is not None:
+            assert f"missing key '{missing}'" in message
 
     # A metrics value must have its JSON type: never converted from a
     # string, a bool or a fraction.
@@ -910,6 +991,15 @@ class TestSimulate:
         assert code == 2
         assert knob in caplog.text
         assert not (out / "scenario.json").exists()
+
+    def test_writes_where_the_path_settings_point(self, tmp_path):
+        out, inputs = tmp_path / "run", tmp_path / "inputs"
+        flags = {
+            f"--{kind}": inputs / f"{kind}.json" for kind in ("annotations", "candidates", "scenario")
+        }
+        simulate(out, **flags)
+        assert all(path.exists() for path in flags.values())
+        assert run(["plan", "--out", out, *(part for flag in flags.items() for part in flag)]) == 0
 
 
 class TestRankSource:

@@ -216,8 +216,18 @@ class TestNarrationCache:
         assert len(reloaded) == 2
         assert any("corrupt" in message for message in caplog.messages)
 
-    @pytest.mark.parametrize("bound", ["5.0", "x", True, float("nan"), -1.0])
-    def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, bound):
+    @pytest.mark.parametrize(
+        "field, bound",
+        [
+            *(("clip_start_s", bound) for bound in ["5.0", "x", True, float("nan"), -1.0]),
+            ("video_id", 5),
+            ("prompt_version", 5),
+            ("backend_id", None),
+        ],
+        ids=["5.0", "x", "True", "nan", "-1.0", "video_id-number", "prompt_version-number",
+             "backend_id-null"],
+    )
+    def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, field, bound):
         path = tmp_path / "cache.jsonl"
         cache = NarrationCache(path)
         cache.put(self._key(), "hello")
@@ -225,7 +235,7 @@ class TestNarrationCache:
         cache.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
-        record["key"]["clip_start_s"] = bound
+        record["key"][field] = bound
         path.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             reloaded = NarrationCache(path)
