@@ -8,135 +8,4 @@ enforcing a non-decreasing start-time prior. Everything is scored with
 recall@k at IoU thresholds.
 """
 
-from .clips import ClipPlan, plan_candidate, plan_clips, sample_frames
-from .core import (
-    CandidateKey,
-    CandidateList,
-    CandidateSegment,
-    EpisodicMemory,
-    MemoryEntry,
-    MetricCell,
-    MetricsReport,
-    Query,
-    Selection,
-    SequenceTask,
-    TimeInterval,
-    validate_candidate_list,
-)
-from .ingest import (
-    Dataset,
-    Track,
-    VideoRecord,
-    load_annotations,
-    load_candidates,
-    load_predictions,
-    write_annotations,
-    write_candidates,
-    write_predictions,
-)
-from .metrics import (
-    MetricsConfig,
-    evaluate_run,
-    mean_r1,
-    recall_at_k,
-    temporal_iou,
-)
-from .narration import (
-    Backend,
-    BackendRequest,
-    BackendResponse,
-    FrameRef,
-    NarrationCache,
-    NarrationEngine,
-    PromptTemplate,
-    build_episodic_memory,
-    render_memory,
-)
-from .rerank import (
-    RerankOutcome,
-    build_rerank_prompt,
-    parse_selection,
-    rerank,
-    rerank_many,
-)
-from .sequencing import (
-    OptimizerConfig,
-    RankSource,
-    brute_force_optimize,
-    optimize_sequence,
-    selection_cost,
-    start_penalty,
-)
-from .synth import (
-    Scenario,
-    ScenarioKnobs,
-    generate_scenario,
-    load_scenario,
-    oracle_selector,
-    stub_backend,
-    worst_selector,
-    write_scenario,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Backend",
-    "BackendRequest",
-    "BackendResponse",
-    "CandidateKey",
-    "CandidateList",
-    "CandidateSegment",
-    "ClipPlan",
-    "Dataset",
-    "EpisodicMemory",
-    "FrameRef",
-    "MemoryEntry",
-    "MetricCell",
-    "MetricsConfig",
-    "MetricsReport",
-    "NarrationCache",
-    "NarrationEngine",
-    "OptimizerConfig",
-    "PromptTemplate",
-    "Query",
-    "RankSource",
-    "RerankOutcome",
-    "Scenario",
-    "ScenarioKnobs",
-    "Selection",
-    "SequenceTask",
-    "TimeInterval",
-    "Track",
-    "VideoRecord",
-    "brute_force_optimize",
-    "build_episodic_memory",
-    "build_rerank_prompt",
-    "evaluate_run",
-    "generate_scenario",
-    "load_annotations",
-    "load_candidates",
-    "load_predictions",
-    "load_scenario",
-    "mean_r1",
-    "optimize_sequence",
-    "oracle_selector",
-    "parse_selection",
-    "plan_candidate",
-    "plan_clips",
-    "recall_at_k",
-    "render_memory",
-    "rerank",
-    "rerank_many",
-    "sample_frames",
-    "selection_cost",
-    "start_penalty",
-    "stub_backend",
-    "temporal_iou",
-    "validate_candidate_list",
-    "worst_selector",
-    "write_annotations",
-    "write_candidates",
-    "write_predictions",
-    "write_scenario",
-]

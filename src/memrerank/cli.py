@@ -465,9 +465,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
     after_path = final_path if final_path.exists() else cfg.input(PREDICTIONS_RERANK_FILE)
     after_predictions = ingest.load_predictions(after_path)
-    mcfg = metrics.MetricsConfig()
-    before = metrics.evaluate_run(before_predictions, dataset, mcfg)
-    after = metrics.evaluate_run(after_predictions, dataset, mcfg)
+    before = metrics.evaluate_run(before_predictions, dataset)
+    after = metrics.evaluate_run(after_predictions, dataset)
     metrics.write_metrics_report(before, cfg.output(METRICS_BEFORE_FILE))
     metrics.write_metrics_report(after, cfg.output(METRICS_AFTER_FILE))
     metrics.write_comparison(before, after, cfg.output(METRICS_COMPARE_FILE))

@@ -60,10 +60,6 @@ class ClipPlan:
         """The frame timestamps of each clip."""
         return tuple(clip_frames(clip, self.fps, self.clip_len_s) for clip in self.clips)
 
-    @property
-    def total_frames(self) -> int:
-        return sum(len(group) for group in self.frames)
-
 
 def plan_clips(segment: TimeInterval, clip_len_s: float = DEFAULT_CLIP_LEN_S) -> tuple[TimeInterval, ...]:
     """Cut a segment into contiguous clips of ``clip_len_s`` seconds.

@@ -361,6 +361,3 @@ class MetricsReport:
             if cell.k == k and cell.iou == iou:
                 return cell.value
         raise KeyError((k, iou))
-
-    def as_mapping(self) -> dict[tuple[int, float], float]:
-        return {(cell.k, cell.iou): cell.value for cell in self.cells}

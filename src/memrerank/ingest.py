@@ -454,6 +454,8 @@ def _parse_predictions(root) -> dict[str, tuple[TimeInterval, ...]]:
                 raise ValueError(f"interval: expected [start_s, end_s], got {pair!r}")
             start, end = (float(checked(t, NUMBER, "interval bound")) for t in pair)
             intervals.append(TimeInterval(start, end))
+        if not intervals:
+            raise ValueError(f"query '{query_id}' has no predicted intervals")
         results[query_id] = tuple(intervals)
     return results
 

@@ -6,7 +6,6 @@ Reports are read and written through :mod:`memrerank.ingest`.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -16,30 +15,9 @@ from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
 
+# The reported cells: R@k for each k at each IoU threshold, both ascending.
 DEFAULT_KS = (1, 5)
 DEFAULT_IOU_THRESHOLDS = (0.3, 0.5)
-
-
-@dataclass(frozen=True, slots=True)
-class MetricsConfig:
-    """Which k values and IoU thresholds to report."""
-
-    ks: tuple[int, ...] = DEFAULT_KS
-    iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
-
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
-        object.__setattr__(self, "iou_thresholds", tuple(self.iou_thresholds))
-        if not self.ks or any(
-            not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in self.ks
-        ):
-            raise SchemaViolation("ks", f"k values must be positive integers, got {self.ks}")
-        if not self.iou_thresholds or any(
-            not 0.0 < m <= 1.0 for m in self.iou_thresholds
-        ):
-            raise SchemaViolation(
-                "iou_thresholds", f"thresholds must lie in (0, 1], got {self.iou_thresholds}"
-            )
 
 
 def temporal_iou(a: TimeInterval, b: TimeInterval) -> float:
@@ -90,7 +68,6 @@ def mean_r1(r1_first: float, *r1_rest: float) -> float:
 def evaluate_run(
     predictions: Mapping[str, Sequence[TimeInterval]],
     dataset,
-    cfg: MetricsConfig = MetricsConfig(),
 ) -> MetricsReport:
     """Score a prediction map against every annotated query of a dataset.
 
@@ -115,19 +92,14 @@ def evaluate_run(
             len(ground_truth),
             missing[0],
         )
-    cells = []
-    for k in sorted(set(cfg.ks)):
-        for threshold in sorted(set(cfg.iou_thresholds)):
-            cells.append(
-                MetricCell(k, threshold, recall_at_k(predictions, ground_truth, k, threshold))
-            )
-    r1_values = [
-        recall_at_k(predictions, ground_truth, 1, threshold)
-        for threshold in sorted(set(cfg.iou_thresholds))
-    ]
+    cells = tuple(
+        MetricCell(k, threshold, recall_at_k(predictions, ground_truth, k, threshold))
+        for k in DEFAULT_KS
+        for threshold in DEFAULT_IOU_THRESHOLDS
+    )
     return MetricsReport(
-        cells=tuple(cells),
-        mean_r1=mean_r1(*r1_values),
+        cells=cells,
+        mean_r1=mean_r1(*(cell.value for cell in cells if cell.k == 1)),
         num_queries=len(ground_truth),
     )
 
@@ -165,10 +137,6 @@ def write_metrics_report(report: MetricsReport, path: str | Path) -> None:
     write_report_file(report_to_dict(report), path)
 
 
-def read_metrics_report(path: str | Path) -> MetricsReport:
-    return read_json_file(path, "report payload", report_from_dict)
-
-
 def write_comparison(
     before: MetricsReport, after: MetricsReport, path: str | Path
 ) -> None:
@@ -192,26 +160,14 @@ def display_value(value: float) -> str:
     return f"{round(value, 2):.2f}"
 
 
-def format_comparison_table(
-    rows: Sequence[tuple[str, MetricsReport]],
-    cfg: MetricsConfig = MetricsConfig(),
-) -> str:
+def format_comparison_table(rows: Sequence[tuple[str, MetricsReport]]) -> str:
     """Text table with one row per method: R@k at each threshold + mean R@1."""
-    ks = sorted(set(cfg.ks))
-    thresholds = sorted(set(cfg.iou_thresholds))
-    headers = ["method"]
-    for k in ks:
-        for m in thresholds:
-            headers.append(f"R@{k}@{m:g}")
-    headers.append("Mean R@1")
+    grid = [(k, m) for k in DEFAULT_KS for m in DEFAULT_IOU_THRESHOLDS]
+    headers = ["method", *(f"R@{k}@{m:g}" for k, m in grid), "Mean R@1"]
     table = [headers]
     for name, report in rows:
-        row = [name]
-        for k in ks:
-            for m in thresholds:
-                row.append(display_value(report.value_at(k, m)))
-        row.append(display_value(report.mean_r1))
-        table.append(row)
+        values = [report.value_at(k, m) for k, m in grid] + [report.mean_r1]
+        table.append([name, *map(display_value, values)])
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     lines = []
     for row in table:

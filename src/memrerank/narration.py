@@ -166,6 +166,7 @@ class NarrationCache:
         self._entries: dict[NarrationCacheKey, str] = {}
         self._lock = threading.Lock()
         self._handle = None
+        self._torn_tail = False
         if self._path is not None:
             if self._path.exists():
                 self._load()
@@ -173,13 +174,14 @@ class NarrationCache:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
 
     def _load(self) -> None:
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
+        raw = b"\n"
+        with open(self._path, "rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                     key = NarrationCacheKey.from_dict(record["key"])
                     text = record["text"]
                     if not isinstance(text, str) or not text.strip():
@@ -193,6 +195,8 @@ class NarrationCache:
                     )
                     continue
                 self._entries[key] = text
+        # A last record cut short of its newline must not absorb the next put.
+        self._torn_tail = not raw.endswith(b"\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -209,6 +213,8 @@ class NarrationCache:
                 return
             if self._handle is None:
                 self._handle = open(self._path, "a", encoding="utf-8")
+                if self._torn_tail:
+                    self._handle.write("\n")
             record = {
                 "key": key._asdict(),
                 "text": text,

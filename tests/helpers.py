@@ -4,19 +4,9 @@ from __future__ import annotations
 
 import random
 
-from memrerank import (
-    CandidateList,
-    CandidateSegment,
-    Dataset,
-    Query,
-    Scenario,
-    ScenarioKnobs,
-    SequenceTask,
-    TimeInterval,
-    Track,
-)
-from memrerank.ingest import VideoRecord
-from memrerank.synth import ScriptedEvent, query_text
+from memrerank.core import CandidateList, CandidateSegment, Query, SequenceTask, TimeInterval
+from memrerank.ingest import Dataset, Track, VideoRecord
+from memrerank.synth import Scenario, ScenarioKnobs, ScriptedEvent, query_text
 
 
 def interval(start, end) -> TimeInterval:

@@ -13,27 +13,25 @@ from contextlib import contextmanager
 
 import pytest
 
-from memrerank import (
-    NarrationEngine,
+from memrerank.cli import main as cli_main
+from memrerank.clips import plan_candidate, plan_clips, sample_frames
+from memrerank.core import Selection
+from memrerank.metrics import mean_r1, recall_at_k, temporal_iou
+from memrerank.narration import NarrationEngine
+from memrerank.rerank import rerank
+from memrerank.sequencing import (
     OptimizerConfig,
-    ScenarioKnobs,
-    Selection,
     brute_force_optimize,
-    generate_scenario,
-    mean_r1,
     optimize_sequence,
-    oracle_selector,
-    plan_candidate,
-    plan_clips,
-    recall_at_k,
-    rerank,
-    sample_frames,
     selection_cost,
+)
+from memrerank.synth import (
+    ScenarioKnobs,
+    generate_scenario,
+    oracle_selector,
     stub_backend,
-    temporal_iou,
     worst_selector,
 )
-from memrerank.cli import main as cli_main
 
 from helpers import (
     frame_count_oracle,
@@ -131,7 +129,7 @@ def test_02_optimizer_oracle_equivalence():
 def test_03_optimizer_scale():
     with criterion(3, "optimizer solves K=500, C=5 under one second"):
         from helpers import clist
-        from memrerank import Query, SequenceTask
+        from memrerank.core import Query, SequenceTask
 
         rng = random.Random(555)
         queries, lists = [], []

@@ -11,10 +11,15 @@ from pathlib import Path
 import pytest
 
 import memrerank
-from memrerank import Backend, cli, clips, ingest, narration, synth
+import memrerank.cli as cli
+import memrerank.clips as clips
+import memrerank.ingest as ingest
+import memrerank.narration as narration
+import memrerank.synth as synth
 from memrerank.cli import RunConfig, build_parser, main
 from memrerank.clips import clip_frames, read_frame_manifests
 from memrerank.errors import BackendUnavailableError
+from memrerank.narration import Backend
 from memrerank.synth import ScenarioKnobs
 
 from helpers import interval
@@ -339,6 +344,9 @@ class TestPipeline:
         ),
         "predictions-array-for-object": (
             "predictions_rerank.json", "eval", lambda p: p.update(results=[["v000-q000"]]), None,
+        ),
+        "predictions-empty-intervals": (
+            "predictions_rerank.json", "eval", lambda p: p["results"][0].update(intervals=[]), None,
         ),
         "scenario-wrong-type": ("scenario.json", "narrate", lambda p: p.update(seed="3"), None),
         "scenario-missing-key": (

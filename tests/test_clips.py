@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memrerank import plan_candidate, plan_clips, sample_frames
-from memrerank.clips import ClipPlan, clip_frames, read_frame_manifests, write_frame_manifests
+from memrerank.clips import (
+    ClipPlan,
+    clip_frames,
+    plan_candidate,
+    plan_clips,
+    read_frame_manifests,
+    sample_frames,
+    write_frame_manifests,
+)
 from memrerank.core import CandidateKey
 from memrerank.errors import SchemaViolation, ValidationError
 
@@ -88,14 +95,14 @@ class TestPlanCandidate:
             candidate(0.0, 45.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
         )
         assert [len(group) for group in plan.frames] == [20, 20, 5]
-        assert plan.total_frames == expected_total == 45
+        assert sum(map(len, plan.frames)) == expected_total == 45
 
     def test_single_clip(self):
         plan = plan_candidate(
             candidate(0.0, 20.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
         )
         assert len(plan.clips) == 1
-        assert plan.total_frames == 20
+        assert [len(group) for group in plan.frames] == [20]
 
     def test_full_clip_a_few_ulps_long_keeps_its_frame_cap(self):
         # 25.511 + 20 rounds below the cut 5.511 + 40, so stepping

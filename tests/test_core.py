@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from memrerank import (
+from memrerank.core import (
     CandidateList,
     CandidateSegment,
+    MetricCell,
+    MetricsReport,
     Query,
     SequenceTask,
     TimeInterval,
     validate_candidate_list,
 )
-from memrerank.core import MetricCell, MetricsReport
 from memrerank.errors import SchemaViolation, ValidationError
 
 from helpers import candidate, clist, interval
@@ -176,5 +177,7 @@ class TestMetricsReport:
             mean_r1=50.0,
             num_queries=4,
         )
+        assert report.value_at(1, 0.3) == 50.0
         assert report.value_at(5, 0.3) == 75.0
-        assert report.as_mapping()[(1, 0.3)] == 50.0
+        with pytest.raises(KeyError):
+            report.value_at(1, 0.5)

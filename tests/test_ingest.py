@@ -10,22 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memrerank
-from memrerank import (
+from memrerank.errors import ParseError, SchemaViolation, ValidationError
+from memrerank.ingest import (
+    PREDICTIONS_VERSION,
     Track,
+    dump_json,
+    format_seconds,
     load_annotations,
     load_candidates,
     load_predictions,
+    read_jsonl,
     write_annotations,
     write_candidates,
-    write_predictions,
-)
-from memrerank.errors import ParseError, SchemaViolation, ValidationError
-from memrerank.ingest import (
-    dump_json,
-    format_seconds,
-    read_jsonl,
     write_json_file,
     write_jsonl,
+    write_predictions,
 )
 
 from helpers import clist, interval
@@ -307,6 +306,15 @@ class TestPredictions:
     def test_empty_interval_list_rejected(self, tmp_path):
         with pytest.raises(SchemaViolation):
             write_predictions({"q0": ()}, tmp_path / "p.json")
+
+    def test_empty_interval_list_refused_when_read(self, tmp_path):
+        payload = {"version": PREDICTIONS_VERSION, "results": [{"query_id": "q0", "intervals": []}]}
+        path = write_file(tmp_path, "p.json", payload)
+        with pytest.raises(
+            SchemaViolation,
+            match=r"p\.json: malformed predictions file: query 'q0' has no predicted intervals$",
+        ):
+            load_predictions(path)
 
     def test_version_checked(self, tmp_path):
         path = write_file(tmp_path, "p.json", {"version": "other", "results": []})

@@ -4,23 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memrerank import (
-    Dataset,
-    MetricsConfig,
-    Query,
-    Track,
-    evaluate_run,
-    mean_r1,
-    recall_at_k,
-    temporal_iou,
-)
+from memrerank.core import Query
 from memrerank.errors import SchemaViolation, ValidationError
-from memrerank.ingest import VideoRecord
+from memrerank.ingest import Dataset, Track, VideoRecord, read_json_file
 from memrerank.metrics import (
+    DEFAULT_IOU_THRESHOLDS,
+    DEFAULT_KS,
     display_value,
+    evaluate_run,
     format_comparison_table,
+    mean_r1,
     read_comparison,
-    read_metrics_report,
+    recall_at_k,
+    report_from_dict,
+    temporal_iou,
     write_comparison,
     write_metrics_report,
 )
@@ -185,14 +182,19 @@ class TestEvaluateRun:
                 ps = rng.uniform(0, 200)
                 ranked.append(interval(ps, ps + rng.uniform(1, 30)))
             predictions[qid] = tuple(ranked)
-        cfg = MetricsConfig(ks=(1, 3, 5), iou_thresholds=(0.1, 0.3, 0.5, 0.7))
-        report = evaluate_run(predictions, _dataset(gt), cfg)
-        for m in cfg.iou_thresholds:
-            values = [report.value_at(k, m) for k in sorted(cfg.ks)]
+        ks, thresholds = (1, 3, 5), (0.1, 0.3, 0.5, 0.7)
+        for m in thresholds:
+            values = [recall_at_k(predictions, gt, k, m) for k in ks]
             assert values == sorted(values)
-        for k in cfg.ks:
-            values = [report.value_at(k, m) for m in sorted(cfg.iou_thresholds)]
+        for k in ks:
+            values = [recall_at_k(predictions, gt, k, m) for m in thresholds]
             assert values == sorted(values, reverse=True)
+        report = evaluate_run(predictions, _dataset(gt))
+        assert [(c.k, c.iou, c.value) for c in report.cells] == [
+            (k, m, recall_at_k(predictions, gt, k, m))
+            for k in DEFAULT_KS
+            for m in DEFAULT_IOU_THRESHOLDS
+        ]
 
 
 class TestReportFiles:
@@ -205,7 +207,7 @@ class TestReportFiles:
         report = self._report()
         path = tmp_path / "metrics.json"
         write_metrics_report(report, path)
-        assert read_metrics_report(path) == report
+        assert read_json_file(path, "report payload", report_from_dict) == report
 
     def test_comparison_round_trip(self, tmp_path):
         report = self._report()

@@ -6,25 +6,25 @@ import time
 
 import pytest
 
-from memrerank import (
-    Backend,
-    BackendRequest,
-    BackendResponse,
-    FrameRef,
-    NarrationCache,
-    NarrationEngine,
-    PromptTemplate,
-    build_episodic_memory,
-    plan_candidate,
-    render_memory,
-)
-from memrerank import narration
+import memrerank.narration as narration
+from memrerank.clips import plan_candidate
 from memrerank.errors import (
     BackendUnavailableError,
     EmptyNarrationError,
     ValidationError,
 )
-from memrerank.narration import NarrationCacheKey
+from memrerank.narration import (
+    Backend,
+    BackendRequest,
+    BackendResponse,
+    FrameRef,
+    NarrationCache,
+    NarrationCacheKey,
+    NarrationEngine,
+    PromptTemplate,
+    build_episodic_memory,
+    render_memory,
+)
 from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
 
 from helpers import candidate, interval, tiny_scenario
@@ -243,6 +243,35 @@ class TestNarrationCache:
         assert reloaded.get(self._key(5.0, 15.0)) is None
         assert any(f"corrupt cache record {path}:2" in m for m in caplog.messages)
 
+    def test_record_torn_inside_a_character_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.close()
+        record = {"key": self._key(5.0, 15.0)._asdict(), "text": "café"}
+        line = json.dumps(record, ensure_ascii=False).encode("utf-8")
+        with open(path, "ab") as handle:
+            handle.write(line[: line.index("é".encode("utf-8")) + 1])
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert len(reloaded) == 1
+        assert any(f"corrupt cache record {path}:2" in m for m in caplog.messages)
+
+    def test_put_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.close()
+        with open(path, "ab") as handle:
+            handle.write(b'{"key": {"video_id": "v0"')
+        repaired = NarrationCache(path)
+        assert len(repaired) == 1
+        repaired.put(self._key(5.0, 15.0), "world")
+        repaired.close()
+        reloaded = NarrationCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get(self._key(5.0, 15.0)) == "world"
+
     def test_warm_cache_issues_zero_backend_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         plan = plan_for(0.0, 45.0)
@@ -295,8 +324,7 @@ class TestBuildEpisodicMemory:
             )
 
     def test_zero_entry_memory_is_unrepresentable(self):
-        from memrerank import EpisodicMemory
-        from memrerank.core import CandidateKey
+        from memrerank.core import CandidateKey, EpisodicMemory
 
         with pytest.raises(ValidationError, match=r"^memory for .* has no entries$"):
             EpisodicMemory(

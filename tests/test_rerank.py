@@ -2,20 +2,21 @@ import random
 
 import pytest
 
-from memrerank import (
-    Backend,
-    BackendResponse,
-    NarrationEngine,
+from memrerank.clips import plan_candidate
+from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
+from memrerank.metrics import temporal_iou
+from memrerank.narration import Backend, BackendResponse, NarrationEngine
+from memrerank.rerank import (
     RerankOutcome,
     build_rerank_prompt,
+    identity_outcome,
+    log_record,
     parse_selection,
-    plan_candidate,
+    promote,
     rerank,
     rerank_many,
-    temporal_iou,
+    write_rerank_log,
 )
-from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
-from memrerank.rerank import identity_outcome, log_record, promote, write_rerank_log
 from memrerank.synth import oracle_selector, stub_backend
 
 from helpers import clist, interval, tiny_scenario

@@ -4,19 +4,19 @@ import time
 
 import pytest
 
-from memrerank import (
+from memrerank.core import Query, Selection, SequenceTask
+from memrerank.errors import SchemaViolation, ValidationError
+from memrerank.sequencing import (
     OptimizerConfig,
-    Query,
     RankSource,
-    Selection,
-    SequenceTask,
     brute_force_optimize,
+    build_tasks,
     optimize_sequence,
+    pair_penalties,
     selection_cost,
     start_penalty,
+    write_optimizer_report,
 )
-from memrerank.errors import SchemaViolation, ValidationError
-from memrerank.sequencing import build_tasks, pair_penalties, write_optimizer_report
 
 from helpers import clist, random_sequence_task
 
@@ -251,8 +251,7 @@ class TestOptimizerConfig:
 class TestBuildTasks:
     def test_groups_and_orders_by_index(self):
         from helpers import interval
-        from memrerank import Dataset, Track
-        from memrerank.ingest import VideoRecord
+        from memrerank.ingest import Dataset, Track, VideoRecord
 
         queries = (
             Query("v0-q1", "v0", "later", order_index=1, ground_truth=interval(30, 40)),
@@ -270,8 +269,7 @@ class TestBuildTasks:
 
     def test_missing_list_rejected(self):
         from helpers import interval
-        from memrerank import Dataset, Track
-        from memrerank.ingest import VideoRecord
+        from memrerank.ingest import Dataset, Track, VideoRecord
 
         queries = (Query("v0-q0", "v0", "step", order_index=0, ground_truth=interval(5, 15)),)
         dataset = Dataset(

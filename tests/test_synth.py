@@ -4,21 +4,22 @@ import time
 
 import pytest
 
-from memrerank import (
+from memrerank.clips import plan_candidate
+from memrerank.errors import InvalidKnobsError, SchemaViolation
+from memrerank.ingest import Track
+from memrerank.metrics import temporal_iou
+from memrerank.narration import BackendRequest, FrameRef, NarrationEngine, PromptTemplate
+from memrerank.rerank import build_rerank_prompt
+from memrerank.synth import (
     ScenarioKnobs,
-    Track,
     generate_scenario,
     load_scenario,
     oracle_selector,
+    query_text,
     stub_backend,
-    temporal_iou,
     worst_selector,
     write_scenario,
 )
-from memrerank.errors import InvalidKnobsError, SchemaViolation
-from memrerank.narration import BackendRequest, FrameRef, NarrationEngine, PromptTemplate
-from memrerank.rerank import build_rerank_prompt
-from memrerank.synth import query_text
 
 from helpers import interval, tiny_scenario
 
@@ -141,8 +142,6 @@ class TestStubBackend:
 
 class TestScenarioOnFirstRequest:
     def test_loaded_once_when_the_first_request_arrives(self):
-        from memrerank import plan_candidate
-
         scenario = tiny_scenario()
         loads = []
 
@@ -185,8 +184,6 @@ class TestScenarioOnFirstRequest:
 
 def _selection_prompt(scenario, query_id):
     """Build a real selection prompt through the narration and rerank paths."""
-    from memrerank import NarrationEngine, plan_candidate
-
     clist = scenario.candidates_by_query()[query_id]
     query = next(
         q for q in scenario.dataset.iter_queries() if q.query_id == query_id
@@ -221,7 +218,6 @@ class TestSelectors:
 
     def test_single_candidate_answer_is_one(self):
         from helpers import clist as make_clist
-        from memrerank import NarrationEngine, plan_candidate
 
         scenario = tiny_scenario()
         single = make_clist("v0", "v0-q000", [(48, 60, 0.8)])
