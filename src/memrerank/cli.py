@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateList
-from .rerank import identity_outcome, log_record, rerank_many, write_rerank_log
+from .rerank import RerankOutcome, promote, rerank_many
 from .errors import (
     BackendError,
     ConfigError,
@@ -401,16 +401,17 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     reranked = rerank_many(
         jobs[: cfg.rerank_limit], backend, c_max=cfg.c_max, include_scores=cfg.include_scores
     )
-    outcomes = reranked + [identity_outcome(q.query_id, c) for q, c, _ in jobs[len(reranked) :]]
+    outcomes = reranked + [RerankOutcome(clist) for _, clist, _ in jobs[len(reranked) :]]
     for i, record in enumerate(log_records):
         if isinstance(record, int):
             limited = record >= len(reranked)
-            log_records[i] = log_record(outcomes[record], limited, "limit" if limited else "")
+            log_records[i] = outcomes[record].log_record("limit" if limited else "")
 
-    predictions = {outcome.query_id: outcome.reranked.intervals() for outcome in outcomes}
-    ingest.write_candidates([outcome.reranked for outcome in outcomes], cfg.output(RERANKED_FILE))
+    promoted = [outcome.reranked for outcome in outcomes]
+    ingest.write_candidates(promoted, cfg.output(RERANKED_FILE))
+    predictions = {clist.query_id: clist.intervals() for clist in promoted}
     ingest.write_predictions(predictions, cfg.output(PREDICTIONS_RERANK_FILE))
-    write_rerank_log(log_records, cfg.output(RERANK_LOG_FILE))
+    ingest.write_jsonl(log_records, cfg.output(RERANK_LOG_FILE))
     logger.info(
         "reranked %d queries (%d skipped) with backend '%s'",
         len(reranked),
@@ -444,9 +445,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         selection = sequencing.optimize_sequence(task, opt_cfg)
         entries.append((task, selection))
         for query, clist, choice in zip(task.queries, task.lists, selection.choices):
-            chosen = clist.candidates[choice]
-            rest = [c.interval for j, c in enumerate(clist.candidates) if j != choice]
-            predictions[query.query_id] = (chosen.interval, *rest)
+            predictions[query.query_id] = promote(clist, choice + 1).intervals()
     sequencing.write_optimizer_report(entries, opt_cfg, cfg.output(OPTIMIZER_REPORT_FILE))
     ingest.write_predictions(predictions, cfg.output(PREDICTIONS_FINAL_FILE))
     logger.info(

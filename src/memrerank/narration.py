@@ -13,7 +13,8 @@ once: each cache key reaches the backend at most once, and at most
 a retry backoff holds none of them (:func:`dispatch`, which the rerank
 stage's selections go through too). Memories files are
 JSON Lines written and read through :mod:`memrerank.ingest`; the cache
-keeps its own append-only log, whose torn or corrupt records are skipped.
+keeps its own append-only log, whose torn or corrupt records are skipped
+and then removed from it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     SchemaViolation,
     ValidationError,
 )
-from .ingest import read_jsonl, write_jsonl
+from .ingest import atomic_writer, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -100,17 +101,12 @@ class BackendRequest:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class BackendResponse:
-    text: str
-    backend_id: str
-
-
 class Backend(abc.ABC):
     """Multimodal model interface: narrate frame batches, answer selections.
 
-    Subclasses implement ``_narrate`` and ``_select``; the public methods
-    count invocations so cache coherence can be asserted.
+    Subclasses implement ``_narrate`` and ``_select``, each returning the
+    reply text; the public methods count invocations so cache coherence
+    can be asserted.
     """
 
     backend_id: str = "backend"
@@ -120,21 +116,21 @@ class Backend(abc.ABC):
         self.narrate_calls = 0
         self.select_calls = 0
 
-    def narrate(self, request: BackendRequest) -> BackendResponse:
+    def narrate(self, request: BackendRequest) -> str:
         with self._call_lock:
             self.narrate_calls += 1
         return self._narrate(request)
 
-    def select(self, prompt: str) -> BackendResponse:
+    def select(self, prompt: str) -> str:
         with self._call_lock:
             self.select_calls += 1
         return self._select(prompt)
 
     @abc.abstractmethod
-    def _narrate(self, request: BackendRequest) -> BackendResponse: ...
+    def _narrate(self, request: BackendRequest) -> str: ...
 
     @abc.abstractmethod
-    def _select(self, prompt: str) -> BackendResponse: ...
+    def _select(self, prompt: str) -> str: ...
 
 
 class NarrationCacheKey(NamedTuple):
@@ -166,7 +162,6 @@ class NarrationCache:
         self._entries: dict[NarrationCacheKey, str] = {}
         self._lock = threading.Lock()
         self._handle = None
-        self._torn_tail = False
         if self._path is not None:
             if self._path.exists():
                 self._load()
@@ -174,7 +169,11 @@ class NarrationCache:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
 
     def _load(self) -> None:
-        raw = b"\n"
+        """Read the records. When one is corrupt (it is warned about), or the
+        last line lacks its newline, the file is rewritten from the valid
+        records, byte for byte, so no warning repeats and the next put starts
+        a line of its own; a clean file is left as it is."""
+        kept, dirty, raw = [], False, b"\n"
         with open(self._path, "rb") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -193,10 +192,13 @@ class NarrationCache:
                         line_no,
                         exc,
                     )
+                    dirty = True
                     continue
                 self._entries[key] = text
-        # A last record cut short of its newline must not absorb the next put.
-        self._torn_tail = not raw.endswith(b"\n")
+                kept.append(raw)
+        if dirty or not raw.endswith(b"\n"):
+            with atomic_writer(self._path) as handle:
+                handle.writelines(line.decode("utf-8").removesuffix("\n") + "\n" for line in kept)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -213,8 +215,6 @@ class NarrationCache:
                 return
             if self._handle is None:
                 self._handle = open(self._path, "a", encoding="utf-8")
-                if self._torn_tail:
-                    self._handle.write("\n")
             record = {
                 "key": key._asdict(),
                 "text": text,
@@ -365,7 +365,7 @@ class NarrationEngine:
 
         def call(key, video_id, clip, frames) -> None:
             refs = tuple(FrameRef(video_id, t) for t in frames())
-            text = self.backend.narrate(BackendRequest(video_id, clip, refs, self.prompt)).text
+            text = self.backend.narrate(BackendRequest(video_id, clip, refs, self.prompt))
             if not text.strip():
                 raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
             self.cache.put(key, text.strip())

@@ -18,7 +18,7 @@ from pathlib import Path
 import requests
 
 from .errors import BackendError, BackendUnavailableError, ConfigError
-from .narration import Backend, BackendRequest, BackendResponse, FrameRef
+from .narration import Backend, BackendRequest, FrameRef
 
 ENV_API_BASE = "MEMRERANK_API_BASE"
 ENV_API_KEY = "MEMRERANK_API_KEY"
@@ -79,7 +79,8 @@ class RemoteBackend(Backend):
 
     Both narration and selection requests POST to ``<base>/generate``
     with an instruction, an ordered (possibly empty) image list, and an
-    output-length cap; the response carries a ``text`` field.
+    output-length cap. A reply must be a JSON object whose ``text`` is a
+    string; any other reply is a permanent ``BackendError``.
     """
 
     def __init__(
@@ -111,7 +112,7 @@ class RemoteBackend(Backend):
             )
         return cls(base, key, frame_provider=frame_provider, **kwargs)
 
-    def _post(self, payload: dict) -> BackendResponse:
+    def _post(self, payload: dict) -> str:
         try:
             response = self._session.post(
                 self._url, json=payload, headers=self._headers, timeout=self._timeout_s
@@ -127,9 +128,11 @@ class RemoteBackend(Backend):
             )
         try:
             text = response.json()["text"]
-        except (ValueError, KeyError) as exc:
+            if not isinstance(text, str):
+                raise TypeError(f"'text' is {type(text).__name__}, not str")
+        except (ValueError, KeyError, TypeError) as exc:  # permanent: never retried
             raise BackendError(f"malformed backend reply: {exc}") from exc
-        return BackendResponse(text=text, backend_id=self.backend_id)
+        return text
 
     def _encode_image(self, ref: FrameRef) -> dict:
         payload = {"video_id": ref.video_id, "timestamp_s": ref.timestamp_s}
@@ -137,7 +140,7 @@ class RemoteBackend(Backend):
             payload["data_b64"] = base64.b64encode(self._frames.load(ref)).decode("ascii")
         return payload
 
-    def _narrate(self, request: BackendRequest) -> BackendResponse:
+    def _narrate(self, request: BackendRequest) -> str:
         return self._post(
             {
                 "instruction": narration_instruction(request),
@@ -146,5 +149,5 @@ class RemoteBackend(Backend):
             }
         )
 
-    def _select(self, prompt: str) -> BackendResponse:
+    def _select(self, prompt: str) -> str:
         return self._post({"instruction": prompt, "images": [], "max_output_chars": 64})

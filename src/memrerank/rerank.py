@@ -5,8 +5,8 @@ rendered memory, labeled "Candidate 1".."Candidate C", and must answer
 with a single integer. Parsing is forgiving (first in-range integer
 anywhere in the reply); anything else, a failed call included, falls
 back to the original order, so reranking can never lose candidates or
-fail a run. The rerank log is JSON Lines written through
-:mod:`memrerank.ingest`.
+fail a run. An outcome holds the pick as a rank; :func:`promote` is the
+one place a list is reordered.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .core import CandidateList, EpisodicMemory, Query
-from .errors import BackendError, SchemaViolation, ValidationError
-from .ingest import write_jsonl
+from .errors import BackendError, ValidationError
 from .narration import Backend, dispatch, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
@@ -30,61 +28,17 @@ CANDIDATE_HEADING = "Candidate {index}"
 _INTEGER_TOKEN = re.compile(r"(?<!\d)(?<!\d\.)(\d+)(?!\.?\d)")
 
 
-@dataclass(frozen=True, slots=True)
-class RerankOutcome:
-    """Result of reranking one query's candidate list."""
-
-    query_id: str
-    original: CandidateList
-    reranked: CandidateList
-    selected_rank: int
-    fallback_used: bool
-    raw_answer: str
-
-    def __post_init__(self):
-        def multiset(clist: CandidateList):
-            return sorted(
-                (c.interval.start_s, c.interval.end_s, c.score) for c in clist.candidates
-            )
-
-        if multiset(self.original) != multiset(self.reranked):
-            raise SchemaViolation(
-                "reranked", "reranked candidates are not a permutation of the original"
-            )
-        selected = self.original.candidates[self.selected_rank - 1]
-        promoted = self.reranked.candidates[0]
-        if (promoted.interval, promoted.score) != (selected.interval, selected.score):
-            raise SchemaViolation(
-                "selected_rank", "promoted candidate does not match selected rank"
-            )
-        rest = [
-            (c.interval, c.score)
-            for i, c in enumerate(self.original.candidates)
-            if i != self.selected_rank - 1
-        ]
-        kept = [(c.interval, c.score) for c in self.reranked.candidates[1:]]
-        if rest != kept:
-            raise SchemaViolation(
-                "reranked", "non-promoted candidates changed relative order"
-            )
-
-
 def build_rerank_prompt(
-    query: Query,
-    memories: Sequence[EpisodicMemory],
-    num_candidates: int,
-    *,
-    scores: Sequence[float] | None = None,
+    query: Query, memories: Sequence[EpisodicMemory], *, scores: Sequence[float] | None = None
 ) -> str:
-    """One reasoning document over all candidates' memories.
+    """One reasoning document over the candidates' memories, one memory per
+    candidate in rank order.
 
     ``scores`` optionally annotates each candidate with its model
     confidence; by default the backend sees only positional labels.
     """
-    if len(memories) != num_candidates:
-        raise ValidationError(f"{len(memories)} memories for {num_candidates} candidates")
-    if scores is not None and len(scores) != num_candidates:
-        raise ValidationError(f"{len(scores)} scores for {num_candidates} candidates")
+    if scores is not None and len(scores) != len(memories):
+        raise ValidationError(f"{len(scores)} scores for {len(memories)} candidates")
     lines = [
         "Below are frame-by-frame narrations of candidate video segments.",
         f"{QUERY_LINE_PREFIX}{query.text}",
@@ -98,7 +52,7 @@ def build_rerank_prompt(
         lines.append("")
     lines.append(
         "Which candidate best matches the query? "
-        f"Answer with a single integer between 1 and {num_candidates}."
+        f"Answer with a single integer between 1 and {len(memories)}."
     )
     return "\n".join(lines)
 
@@ -114,7 +68,9 @@ def parse_selection(answer: str, num_candidates: int) -> int | None:
 
 def promote(clist: CandidateList, selected_rank: int) -> CandidateList:
     """Move the candidate at ``selected_rank`` to the front, keep the rest
-    in order, and reassign positional ranks."""
+    in order, and reassign positional ranks. Rank 1 keeps ``clist`` itself."""
+    if selected_rank == 1:
+        return clist
     index = selected_rank - 1
     reordered = [clist.candidates[index]]
     reordered.extend(c for i, c in enumerate(clist.candidates) if i != index)
@@ -125,17 +81,35 @@ def promote(clist: CandidateList, selected_rank: int) -> CandidateList:
     )
 
 
-def identity_outcome(
-    query_id: str, clist: CandidateList, raw_answer: str = "", fallback_used: bool = False
-) -> RerankOutcome:
-    return RerankOutcome(
-        query_id=query_id,
-        original=clist,
-        reranked=clist,
-        selected_rank=1,
-        fallback_used=fallback_used,
-        raw_answer=raw_answer,
-    )
+@dataclass(frozen=True, slots=True)
+class RerankOutcome:
+    """Result of reranking one query's candidate list: the backend's pick,
+    or rank 1 when there was none to make or it fell back."""
+
+    original: CandidateList
+    selected_rank: int = 1
+    fallback_used: bool = False
+    raw_answer: str = ""
+
+    @property
+    def reranked(self) -> CandidateList:
+        return promote(self.original, self.selected_rank)
+
+    def log_record(self, skip_reason: str = "") -> dict:
+        """The rerank-log record; a ``skip_reason`` marks it skipped."""
+        record = {
+            "query_id": self.original.query_id,
+            "video_id": self.original.video_id,
+            "num_candidates": len(self.original.candidates),
+            "original_ranks": [c.rank for c in self.original.candidates],
+            "selected_rank": self.selected_rank,
+            "fallback_used": self.fallback_used,
+            "raw_answer": self.raw_answer,
+            "skipped": bool(skip_reason),
+        }
+        if skip_reason:
+            record["skip_reason"] = skip_reason
+        return record
 
 
 def rerank(
@@ -145,10 +119,9 @@ def rerank(
     backend: Backend,
     *,
     include_scores: bool = False,
-    fallback: bool = True,
 ) -> RerankOutcome:
     """Promote the backend's pick; fall back to the original order on any
-    parse or backend failure (unless ``fallback`` is disabled)."""
+    parse or backend failure."""
     num_candidates = len(clist.candidates)
     if len(memories) != num_candidates:
         raise ValidationError(
@@ -156,30 +129,18 @@ def rerank(
             f"query '{query.query_id}'"
         )
     if num_candidates == 1:
-        return identity_outcome(query.query_id, clist)
+        return RerankOutcome(clist)
     prompt = build_rerank_prompt(
-        query,
-        memories,
-        num_candidates,
-        scores=[c.score for c in clist.candidates] if include_scores else None,
+        query, memories, scores=[c.score for c in clist.candidates] if include_scores else None
     )
     try:
-        answer = backend.select(prompt).text
+        answer = backend.select(prompt)
     except BackendError:
-        if not fallback:
-            raise
         answer = ""  # no pick: the fallback below, logged with an empty answer
     selected = parse_selection(answer, num_candidates)
     if selected is None:
-        return identity_outcome(query.query_id, clist, answer, fallback_used=True)
-    return RerankOutcome(
-        query_id=query.query_id,
-        original=clist,
-        reranked=promote(clist, selected),
-        selected_rank=selected,
-        fallback_used=False,
-        raw_answer=answer,
-    )
+        return RerankOutcome(clist, fallback_used=True, raw_answer=answer)
+    return RerankOutcome(clist, selected, raw_answer=answer)
 
 
 def rerank_many(
@@ -196,23 +157,3 @@ def rerank_many(
         for item in items
     ]
     return dispatch(calls, c_max)
-
-
-def log_record(outcome: RerankOutcome, skipped: bool = False, reason: str = "") -> dict:
-    record = {
-        "query_id": outcome.query_id,
-        "video_id": outcome.original.video_id,
-        "num_candidates": len(outcome.original.candidates),
-        "original_ranks": [c.rank for c in outcome.original.candidates],
-        "selected_rank": outcome.selected_rank,
-        "fallback_used": outcome.fallback_used,
-        "raw_answer": outcome.raw_answer,
-        "skipped": skipped,
-    }
-    if reason:
-        record["skip_reason"] = reason
-    return record
-
-
-def write_rerank_log(records: Sequence[dict], path: str | Path) -> None:
-    write_jsonl(records, path)

@@ -36,7 +36,7 @@ from .core import (
 from .errors import InvalidKnobsError, SchemaViolation
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
-from .narration import Backend, BackendRequest, BackendResponse
+from .narration import Backend, BackendRequest
 from .rerank import QUERY_LINE_PREFIX
 
 SCENARIO_VERSION = "scenario-2"
@@ -276,15 +276,14 @@ class ScriptedStubBackend(Backend):
                     self._adopt(self._load())
                     self._load = None
 
-    def _narrate(self, request: BackendRequest) -> BackendResponse:
+    def _narrate(self, request: BackendRequest) -> str:
         self._loaded()
         overlapping = [
             event.label
             for event in self._script.get(request.video_id, ())
             if event.interval.overlaps(request.clip)
         ]
-        text = "events: " + ("; ".join(overlapping) if overlapping else "none")
-        return BackendResponse(text=text, backend_id=self.backend_id)
+        return "events: " + ("; ".join(overlapping) if overlapping else "none")
 
     @staticmethod
     def _split_prompt(prompt: str) -> tuple[str, list[str]]:
@@ -303,22 +302,17 @@ class ScriptedStubBackend(Backend):
             raise SchemaViolation("prompt", "selection prompt lacks a query line")
         return query_text_line, ["\n".join(s) for s in sections]
 
-    def _select(self, prompt: str) -> BackendResponse:
+    def _select(self, prompt: str) -> str:
         self._loaded()  # unused here, but loading checks it against the run
         query_line, sections = self._split_prompt(prompt)
         label_match = _EVENT_IN_QUERY.search(query_line)
         if label_match is None:
-            return BackendResponse(
-                text="cannot tell which event is requested", backend_id=self.backend_id
-            )
+            return "cannot tell which event is requested"
         pattern = re.compile(rf"\b{re.escape(label_match.group(1))}\b")
         for index, section in enumerate(sections, start=1):
             if pattern.search(section):
-                return BackendResponse(text=str(index), backend_id=self.backend_id)
-        return BackendResponse(
-            text="none of the candidates match the query events",
-            backend_id=self.backend_id,
-        )
+                return str(index)
+        return "none of the candidates match the query events"
 
 
 class _GroundTruthSelector(ScriptedStubBackend):
@@ -353,10 +347,10 @@ class OracleSelectorBackend(_GroundTruthSelector):
 
     backend_id = "oracle"
 
-    def _select(self, prompt: str) -> BackendResponse:
+    def _select(self, prompt: str) -> str:
         ious = self._ious(self._query_id(prompt))
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
-        return BackendResponse(text=str(best + 1), backend_id=self.backend_id)
+        return str(best + 1)
 
 
 class WorstSelectorBackend(_GroundTruthSelector):
@@ -364,10 +358,10 @@ class WorstSelectorBackend(_GroundTruthSelector):
 
     backend_id = "adversarial"
 
-    def _select(self, prompt: str) -> BackendResponse:
+    def _select(self, prompt: str) -> str:
         ious = self._ious(self._query_id(prompt))
         worst = min(range(len(ious)), key=lambda i: (ious[i], i))
-        return BackendResponse(text=str(worst + 1), backend_id=self.backend_id)
+        return str(worst + 1)
 
 
 def stub_backend(scenario: Scenario | Callable[[], Scenario]) -> ScriptedStubBackend:

@@ -519,6 +519,46 @@ class TestPipeline:
         reranked = json.loads((out / "reranked_candidates.json").read_text())
         assert len(reranked["predictions"]) == 6
 
+    def test_rerank_log_records_in_dataset_order(self, tmp_path):
+        # v001-q001 loses its candidate list; the limit covers video v000.
+        out = tmp_path / "run"
+        simulate(out, seed=21, videos=2, queries=3)
+        candidates = json.loads((out / "candidates.json").read_text())
+        base = {p["query_id"]: p["candidates"] for p in candidates["predictions"]}
+        candidates["predictions"] = [
+            p for p in candidates["predictions"] if p["query_id"] != "v001-q001"
+        ]
+        (out / "candidates.json").write_text(json.dumps(candidates))
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert run(["rerank", "--out", out, "--backend", "stub", "--limit", 3]) == 0
+
+        def record(query_id, selected_rank=1, fallback_used=False, raw_answer="", skip=""):
+            entry = {
+                "query_id": query_id, "video_id": query_id[:4], "num_candidates": 5,
+                "original_ranks": [1, 2, 3, 4, 5], "selected_rank": selected_rank,
+                "fallback_used": fallback_used, "raw_answer": raw_answer,
+                "skipped": bool(skip),
+            }
+            return {**entry, "skip_reason": skip} if skip else entry
+
+        log = (out / "rerank_log.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in log] == [
+            record("v000-q000", fallback_used=True,
+                   raw_answer="none of the candidates match the query events"),
+            record("v000-q001", raw_answer="1"),
+            record("v000-q002", selected_rank=2, raw_answer="2"),
+            record("v001-q000", skip="limit"),
+            {"query_id": "v001-q001", "skipped": True, "skip_reason": "no candidates"},
+            record("v001-q002", skip="limit"),
+        ]
+        reranked = json.loads((out / "reranked_candidates.json").read_text())
+        lists = {p["query_id"]: p["candidates"] for p in reranked["predictions"]}
+        first, second, *rest = base["v000-q002"]
+        assert lists["v000-q002"] == [second, first, *rest]
+        assert lists["v000-q000"] == base["v000-q000"]
+        assert "v001-q001" not in lists
+
     def test_optimize_rejects_unordered_track(self, tmp_path, caplog):
         out = tmp_path / "run"
         simulate(out, **{"--track": "nlq"})

@@ -16,7 +16,6 @@ from memrerank.errors import (
 from memrerank.narration import (
     Backend,
     BackendRequest,
-    BackendResponse,
     FrameRef,
     NarrationCache,
     NarrationCacheKey,
@@ -46,14 +45,11 @@ class FixedBackend(Backend):
             raise BackendUnavailableError("flaky")
         if self.empties > 0:
             self.empties -= 1
-            return BackendResponse(text="   ", backend_id=self.backend_id)
-        return BackendResponse(
-            text=f"a steady narration of {len(request.images)} frames",
-            backend_id=self.backend_id,
-        )
+            return "   "
+        return f"a steady narration of {len(request.images)} frames"
 
     def _select(self, prompt):
-        return BackendResponse(text="1", backend_id=self.backend_id)
+        return "1"
 
 
 class GaugeBackend(Backend):
@@ -75,10 +71,10 @@ class GaugeBackend(Backend):
         time.sleep(self.delay_s)
         with self.lock:
             self.in_flight -= 1
-        return BackendResponse(text="ok", backend_id=self.backend_id)
+        return "ok"
 
     def _select(self, prompt):
-        return BackendResponse(text="1", backend_id=self.backend_id)
+        return "1"
 
 
 class FakeClock(narration.Clock):
@@ -271,6 +267,47 @@ class TestNarrationCache:
         reloaded = NarrationCache(path)
         assert len(reloaded) == 2
         assert reloaded.get(self._key(5.0, 15.0)) == "world"
+
+    def test_corrupt_record_dropped_after_one_warning(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.put(self._key(5.0, 15.0), "world")
+        cache.close()
+        valid = path.read_bytes()
+        first, second = valid.splitlines(keepends=True)
+        path.write_bytes(first + b"GARBAGE\n" + second)
+        with caplog.at_level("WARNING"):
+            NarrationCache(path)
+        assert any("corrupt" in m for m in caplog.messages)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert caplog.messages == []
+        assert path.read_bytes() == valid
+        assert len(reloaded) == 2
+
+    def test_last_record_without_newline_gets_one(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.close()
+        valid = path.read_bytes()
+        path.write_bytes(valid.removesuffix(b"\n"))
+        with caplog.at_level("WARNING"):
+            assert len(NarrationCache(path)) == 1
+        assert caplog.messages == []
+        assert path.read_bytes() == valid
+
+    def test_clean_cache_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.close()
+        before = path.stat()
+        assert len(NarrationCache(path)) == 1
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     def test_warm_cache_issues_zero_backend_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -9,9 +9,14 @@ from memrerank.errors import (
     ConfigError,
     EmptyNarrationError,
 )
+from memrerank.clips import plan_candidate
 from memrerank.core import TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
+from memrerank.rerank import rerank
+from memrerank.synth import stub_backend
+
+from helpers import candidate, tiny_scenario
 
 
 def assert_permanent(error):
@@ -115,7 +120,7 @@ class TestRemoteBackend:
             session=session,
         )
         reply = backend.narrate(self._request())
-        assert reply.text == "a narration"
+        assert reply == "a narration"
         (sent,) = session.requests
         assert sent["url"] == "https://api.example.test/v1/generate"
         assert sent["headers"]["Authorization"] == "Bearer sekret"
@@ -153,7 +158,7 @@ class TestRemoteBackend:
         session = FakeSession(response=FakeResponse(payload={"text": "3"}))
         backend = RemoteBackend("https://api.example.test", "k", session=session)
         reply = backend.select("pick one")
-        assert reply.text == "3"
+        assert reply == "3"
         (sent,) = session.requests
         assert sent["json"]["images"] == []
         assert sent["json"]["instruction"] == "pick one"
@@ -187,6 +192,35 @@ class TestRemoteBackend:
         with pytest.raises(BackendError, match="^malformed backend reply: 'text'$") as info:
             backend.select("x")
         assert_permanent(info.value)
+
+    @pytest.mark.parametrize("call", ["narrate", "select"])
+    @pytest.mark.parametrize(
+        "body",
+        [{"text": None}, {"text": 3}, ["text"], "x"],
+        ids=["null", "number", "array", "string"],
+    )
+    def test_reply_without_a_text_string_is_permanent(self, body, call):
+        session = FakeSession(response=FakeResponse(payload=body))
+        backend = RemoteBackend("https://api.example.test", "k", session=session)
+        if call == "narrate":  # the stage fails at once, so narrate exits 5
+            plan = plan_candidate(
+                candidate(1.0, 3.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
+            )
+            with pytest.raises(BackendError, match="^malformed backend reply: ") as info:
+                NarrationEngine(backend).narrate_plans([plan])
+            assert_permanent(info.value)
+        else:  # the selection falls back with an empty answer
+            scenario = tiny_scenario()
+            clist = scenario.candidates_by_query()["v0-q000"]
+            query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
+            plans = [
+                plan_candidate(c, 20.0, 1.0, video_id="v0", query_id="v0-q000")
+                for c in clist.candidates
+            ]
+            memories = NarrationEngine(stub_backend(scenario)).narrate_plans(plans)
+            outcome = rerank(query, clist, memories, backend)
+            assert (outcome.fallback_used, outcome.raw_answer) == (True, "")
+        assert len(session.requests) == 1  # not retried
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("MEMRERANK_API_BASE", raising=False)

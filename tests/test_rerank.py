@@ -1,21 +1,20 @@
+import json
 import random
 
 import pytest
 
 from memrerank.clips import plan_candidate
 from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
+from memrerank.ingest import write_jsonl
 from memrerank.metrics import temporal_iou
-from memrerank.narration import Backend, BackendResponse, NarrationEngine
+from memrerank.narration import Backend, NarrationEngine
 from memrerank.rerank import (
     RerankOutcome,
     build_rerank_prompt,
-    identity_outcome,
-    log_record,
     parse_selection,
     promote,
     rerank,
     rerank_many,
-    write_rerank_log,
 )
 from memrerank.synth import oracle_selector, stub_backend
 
@@ -45,7 +44,7 @@ class TestBuildRerankPrompt:
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        prompt = build_rerank_prompt(query, memories, 5)
+        prompt = build_rerank_prompt(query, memories)
         for i in range(1, 6):
             assert f"\nCandidate {i}\n" in f"\n{prompt}\n"
         assert prompt.count(query.text) == 1
@@ -55,25 +54,25 @@ class TestBuildRerankPrompt:
         scenario = tiny_scenario()
         _, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        prompt = build_rerank_prompt(query, memories[:1], 1)
+        prompt = build_rerank_prompt(query, memories[:1])
         assert "Candidate 1" in prompt
         assert "Candidate 2" not in prompt
-
-    def test_count_mismatch(self):
-        scenario = tiny_scenario()
-        _, memories = memories_for(scenario, "v0-q000")
-        query = query_for(scenario, "v0-q000")
-        with pytest.raises(ValidationError, match="^4 memories for 5 candidates$"):
-            build_rerank_prompt(query, memories[:4], 5)
 
     def test_scores_included_on_request(self):
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
         prompt = build_rerank_prompt(
-            query, memories, 5, scores=[c.score for c in clist_.candidates]
+            query, memories, scores=[c.score for c in clist_.candidates]
         )
         assert "model score: 0.9" in prompt
+
+    def test_score_count_mismatch(self):
+        scenario = tiny_scenario()
+        _, memories = memories_for(scenario, "v0-q000")
+        query = query_for(scenario, "v0-q000")
+        with pytest.raises(ValidationError, match="^4 scores for 5 candidates$"):
+            build_rerank_prompt(query, memories, scores=[0.9, 0.8, 0.7, 0.6])
 
 
 class TestParseSelection:
@@ -123,7 +122,7 @@ class TestRerank:
                 raise AssertionError("not used")
 
             def _select(self, prompt):
-                return BackendResponse(text="7", backend_id=self.backend_id)
+                return "7"
 
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
@@ -149,8 +148,6 @@ class TestRerank:
         outcome = rerank(query, clist_, memories, DownBackend())
         assert outcome.fallback_used
         assert outcome.reranked == clist_
-        with pytest.raises(BackendUnavailableError):
-            rerank(query, clist_, memories, DownBackend(), fallback=False)
 
     def test_single_candidate_skips_backend(self):
         class CountingBackend(Backend):
@@ -160,7 +157,7 @@ class TestRerank:
                 raise AssertionError("not used")
 
             def _select(self, prompt):
-                return BackendResponse(text="1", backend_id=self.backend_id)
+                return "1"
 
         scenario = tiny_scenario()
         _, memories = memories_for(scenario, "v0-q000")
@@ -193,9 +190,7 @@ class TestRerank:
 
             def _select(self, prompt):
                 choices = ["1", "2", "3", "4", "5", "7", "nah", "pick 2 or 3"]
-                return BackendResponse(
-                    text=self.rng.choice(choices), backend_id=self.backend_id
-                )
+                return self.rng.choice(choices)
 
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
@@ -233,7 +228,7 @@ class TestRerankMany:
             clist_, memories = memories_for(scenario, query_id)
             items.append((query_for(scenario, query_id), clist_, memories))
         outcomes = rerank_many(items, oracle_selector(scenario), c_max=4)
-        assert [o.query_id for o in outcomes] == ["v0-q000", "v0-q001"]
+        assert [o.original.query_id for o in outcomes] == ["v0-q000", "v0-q001"]
         sequential = rerank_many(items, oracle_selector(scenario), c_max=1)
         assert outcomes == sequential
 
@@ -265,39 +260,25 @@ class TestRerankMany:
         assert [(o.fallback_used, o.raw_answer) for o in outcomes] == [(True, "")] * 2
 
 
-class TestOutcomeValidation:
-    def test_non_permutation_rejected(self):
-        from memrerank.errors import SchemaViolation
-
-        original = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.8)])
-        other = clist("v0", "q0", [(0, 10, 0.9), (40, 50, 0.8)])
-        with pytest.raises(SchemaViolation):
-            RerankOutcome(
-                query_id="q0",
-                original=original,
-                reranked=other,
-                selected_rank=1,
-                fallback_used=False,
-                raw_answer="1",
-            )
-
+class TestPromote:
     def test_promote_reassigns_positional_ranks(self):
         original = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.8), (40, 50, 0.7)])
         moved = promote(original, 3)
         assert [c.interval.start_s for c in moved.candidates] == [40.0, 0.0, 20.0]
         assert [c.rank for c in moved.candidates] == [1, 2, 3]
+        assert RerankOutcome(original, 3).reranked == moved
+
+    def test_rank_one_keeps_the_list_itself(self):
+        original = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.8)])
+        assert promote(original, 1) is original
+        assert RerankOutcome(original).reranked is original
 
 
 class TestRerankLog:
     def test_log_round_trip(self, tmp_path):
-        import json
-
         original = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.8)])
-        records = [
-            log_record(identity_outcome("q0", original), skipped=True, reason="limit")
-        ]
         path = tmp_path / "log.jsonl"
-        write_rerank_log(records, path)
+        write_jsonl([RerankOutcome(original).log_record("limit")], path)
         loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert loaded[0]["query_id"] == "q0"
         assert loaded[0]["skipped"] is True

@@ -114,13 +114,13 @@ class TestStubBackend:
         scenario = tiny_scenario()
         backend = stub_backend(scenario)
         reply = backend.narrate(self._request(scenario, "v0", interval(55, 105)))
-        assert reply.text == "events: e1; e2; e3"
+        assert reply == "events: e1; e2; e3"
 
     def test_narration_none(self):
         scenario = tiny_scenario()
         backend = stub_backend(scenario)
         reply = backend.narrate(self._request(scenario, "v0", interval(63, 69)))
-        assert reply.text == "events: none"
+        assert reply == "events: none"
 
     def test_identical_request_identical_reply(self):
         scenario = tiny_scenario()
@@ -176,9 +176,8 @@ class TestScenarioOnFirstRequest:
         oracle = oracle_selector(lambda: loads.append(1) or scenario)
         worst = worst_selector(lambda: loads.append(1) or scenario)
         assert loads == []
-        assert oracle.select(prompt).text == oracle_selector(scenario).select(prompt).text
-        assert worst.select(prompt).text == worst_selector(scenario).select(prompt).text
         assert oracle.select(prompt) == oracle_selector(scenario).select(prompt)
+        assert worst.select(prompt) == worst_selector(scenario).select(prompt)
         assert loads == [1, 1]
 
 
@@ -195,7 +194,7 @@ def _selection_prompt(scenario, query_id):
             for c in clist.candidates
         ]
     )
-    return query, clist, build_rerank_prompt(query, memories, len(memories))
+    return query, clist, build_rerank_prompt(query, memories)
 
 
 class TestSelectors:
@@ -205,7 +204,7 @@ class TestSelectors:
         ious = [temporal_iou(c.interval, query.ground_truth) for c in clist.candidates]
         expected = max(range(len(ious)), key=lambda i: (ious[i], -i)) + 1
         reply = oracle_selector(scenario).select(prompt)
-        assert reply.text == str(expected) == "3"
+        assert reply == str(expected) == "3"
 
     def test_oracle_all_zero_ious_picks_first(self):
         scenario = tiny_scenario()
@@ -214,7 +213,7 @@ class TestSelectors:
         query, clist, prompt = _selection_prompt(scenario, "v0-q000")
         backend = oracle_selector(scenario)
         backend._gt[query.query_id] = interval(500.0, 510.0)
-        assert backend.select(prompt).text == "1"
+        assert backend.select(prompt) == "1"
 
     def test_single_candidate_answer_is_one(self):
         from helpers import clist as make_clist
@@ -233,15 +232,15 @@ class TestSelectors:
                 for c in single.candidates
             ]
         )
-        prompt = build_rerank_prompt(query, memories, 1)
-        assert backend.select(prompt).text == "1"
+        prompt = build_rerank_prompt(query, memories)
+        assert backend.select(prompt) == "1"
 
     def test_worst_selector_answers_argmin(self):
         scenario = tiny_scenario()
         query, clist, prompt = _selection_prompt(scenario, "v0-q001")
         ious = [temporal_iou(c.interval, query.ground_truth) for c in clist.candidates]
         expected = min(range(len(ious)), key=lambda i: (ious[i], i)) + 1
-        assert worst_selector(scenario).select(prompt).text == str(expected)
+        assert worst_selector(scenario).select(prompt) == str(expected)
 
 
 class TestScenarioFile:
