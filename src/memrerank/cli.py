@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
-from .core import CandidateList
+from .core import CandidateKey, CandidateList
 from .rerank import RerankOutcome, promote, rerank_many
 from .errors import (
     BackendError,
@@ -340,14 +340,13 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, lists = _load_inputs(cfg)
     plans = [
         clips.plan_candidate(
-            candidate,
+            CandidateKey(clist.video_id, clist.query_id, rank),
+            candidate.interval,
             cfg.clip_len_s,
             cfg.fps,
-            video_id=clist.video_id,
-            query_id=clist.query_id,
         )
         for clist in lists
-        for candidate in clist.candidates
+        for rank, candidate in enumerate(clist.candidates, start=1)
     ]
     count = clips.write_frame_manifests(plans, cfg.output(MANIFESTS_FILE))
     logger.info("planned %d clips over %d candidates", count, len(plans))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .core import NUMBER, CandidateKey, CandidateSegment, TimeInterval, checked, clip_bounds
+from .core import NUMBER, CandidateKey, TimeInterval, checked, clip_bounds
 from .errors import SchemaViolation, ValidationError
 from .ingest import read_jsonl, write_jsonl
 
@@ -109,16 +109,14 @@ def clip_frames(clip: TimeInterval, fps: float, clip_len_s: float) -> tuple[floa
 
 
 def plan_candidate(
-    candidate: CandidateSegment,
+    key: CandidateKey,
+    interval: TimeInterval,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     fps: float = DEFAULT_FPS,
-    *,
-    video_id: str,
-    query_id: str,
 ) -> ClipPlan:
-    """Cut one candidate into clips, to be sampled at ``fps``."""
-    key = CandidateKey(video_id, query_id, candidate.rank)
-    return ClipPlan(key, plan_clips(candidate.interval, clip_len_s), fps, clip_len_s)
+    """Cut candidate ``key``, which spans ``interval``, into clips, to be
+    sampled at ``fps``."""
+    return ClipPlan(key, plan_clips(interval, clip_len_s), fps, clip_len_s)
 
 
 def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:

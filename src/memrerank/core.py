@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import SchemaViolation, ValidationError
@@ -74,11 +74,11 @@ class TimeInterval:
 
 @dataclass(frozen=True, slots=True)
 class CandidateSegment:
-    """One proposed segment: a non-degenerate interval, model score, rank."""
+    """One proposed segment: a non-degenerate interval and a model score.
+    Its rank is its position in its :class:`CandidateList`."""
 
     interval: TimeInterval
     score: float
-    rank: int
 
     def __post_init__(self):
         if self.interval.duration_s <= 0:
@@ -94,8 +94,6 @@ class CandidateSegment:
         if not math.isfinite(score):
             raise ValidationError(f"score must be finite, got {score!r}")
         object.__setattr__(self, "score", score)
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
 
 
 class CandidateKey(NamedTuple):
@@ -135,12 +133,9 @@ def _require_id(value, what: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CandidateList:
-    """Ordered candidates for one query; rank equals 1-based position.
-
-    The constructor enforces the positional-rank invariant only.
-    Descending-score order is the canonical form established by
-    :func:`validate_candidate_list`; reranked lists deliberately break it
-    while keeping positional ranks.
+    """Ordered candidates for one query; a candidate's rank is its 1-based
+    position. Descending-score order is the canonical form of
+    :func:`canonical_order`; reranked lists deliberately break it.
     """
 
     video_id: str
@@ -153,12 +148,6 @@ class CandidateList:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
             raise ValidationError(f"query '{self.query_id}' has no candidates")
-        for position, candidate in enumerate(self.candidates):
-            if candidate.rank != position + 1:
-                raise ValidationError(
-                    f"candidate at position {position} carries rank "
-                    f"{candidate.rank}; expected {position + 1}"
-                )
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -171,19 +160,9 @@ def canonical_order(
     candidates: Sequence[CandidateSegment], limit: int | None = None
 ) -> tuple[CandidateSegment, ...]:
     """The first ``limit`` (default all) candidates by descending score,
-    ties broken by earlier start then shorter duration, ranked by position;
-    the sort is stable, and a candidate already at its rank is reused."""
+    ties broken by earlier start then shorter duration; the sort is stable."""
     ordered = sorted(candidates, key=lambda c: (-c.score, c.interval.start_s, c.interval.duration_s))
-    return tuple(
-        candidate if candidate.rank == position else replace(candidate, rank=position)
-        for position, candidate in enumerate(ordered[:limit], start=1)
-    )
-
-
-def validate_candidate_list(clist: CandidateList) -> CandidateList:
-    """The canonical form of a candidate list (:func:`canonical_order`);
-    idempotent and stable on already-canonical input."""
-    return CandidateList(clist.video_id, clist.query_id, canonical_order(clist.candidates))
+    return tuple(ordered[:limit])
 
 
 @dataclass(frozen=True, slots=True)

@@ -362,9 +362,9 @@ def load_candidates(
     """Load, validate, and truncate candidate lists to the top-k.
 
     Every candidate is validated, kept or not. With ``canonical=True``
-    (base-model output) candidates are reordered by descending score and
-    ranked by position. Reranked files are loaded with ``canonical=False``:
-    file order is the ranking and is preserved.
+    (base-model output) candidates are reordered by descending score.
+    Reranked files are loaded with ``canonical=False``: file order is the
+    ranking and is preserved.
     """
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
@@ -385,10 +385,10 @@ def load_candidates(
                 raise ValidationError(f"candidates for unknown query '{query_id}'")
             segments = []
             candidates = checked(raw["candidates"], (list,), "candidates")
-            for position, c in enumerate(candidates, start=1):
+            for c in candidates:
                 checked(c, (dict,), "candidate")
                 interval = TimeInterval(_number(c, "start_s"), _number(c, "end_s"))
-                segments.append(CandidateSegment(interval, _number(c, "score"), position))
+                segments.append(CandidateSegment(interval, _number(c, "score")))
             kept = canonical_order(segments, top_k) if canonical else segments[:top_k]
             lists.append(CandidateList(video_id, query_id, kept))
         return lists

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CandidateList, EpisodicMemory, Query
@@ -67,18 +67,14 @@ def parse_selection(answer: str, num_candidates: int) -> int | None:
 
 
 def promote(clist: CandidateList, selected_rank: int) -> CandidateList:
-    """Move the candidate at ``selected_rank`` to the front, keep the rest
-    in order, and reassign positional ranks. Rank 1 keeps ``clist`` itself."""
+    """Move the candidate at ``selected_rank`` to the front and keep the
+    rest in order. Rank 1 keeps ``clist`` itself."""
     if selected_rank == 1:
         return clist
+    candidates = clist.candidates
     index = selected_rank - 1
-    reordered = [clist.candidates[index]]
-    reordered.extend(c for i, c in enumerate(clist.candidates) if i != index)
-    return CandidateList(
-        clist.video_id,
-        clist.query_id,
-        tuple(replace(c, rank=position + 1) for position, c in enumerate(reordered)),
-    )
+    reordered = (candidates[index], *candidates[:index], *candidates[index + 1 :])
+    return CandidateList(clist.video_id, clist.query_id, reordered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +96,8 @@ class RerankOutcome:
         record = {
             "query_id": self.original.query_id,
             "video_id": self.original.video_id,
-            "num_candidates": len(self.original.candidates),
-            "original_ranks": [c.rank for c in self.original.candidates],
+            "num_candidates": len(self.original),
+            "original_ranks": list(range(1, len(self.original) + 1)),
             "selected_rank": self.selected_rank,
             "fallback_used": self.fallback_used,
             "raw_answer": self.raw_answer,
@@ -128,6 +124,14 @@ def rerank(
             f"{len(memories)} memories for {num_candidates} candidates of "
             f"query '{query.query_id}'"
         )
+    for rank, (candidate, memory) in enumerate(zip(clist.candidates, memories), start=1):
+        span, interval = memory.span, candidate.interval
+        if span != interval:
+            raise ValidationError(
+                f"the memory of rank {rank} of query '{query.query_id}' spans "
+                f"[{span.start_s}, {span.end_s}) but the candidate spans "
+                f"[{interval.start_s}, {interval.end_s}); re-run plan and narrate"
+            )
     if num_candidates == 1:
         return RerankOutcome(clist)
     prompt = build_rerank_prompt(

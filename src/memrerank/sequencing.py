@@ -12,9 +12,9 @@ walking the resulting table forward therefore yields a global minimum in
 O(K * C^2) time. Costs are accumulated as integers over a common
 power-of-two denominator, equivalent to exact rationals, so tie detection
 (and hence tie-breaking) never depends on float summation order; ties
-are broken by the lexicographically smallest rank vector, then earliest
-start times. ``brute_force_optimize`` is the independent reference in
-``Fraction`` arithmetic.
+are broken by the lexicographically smallest rank vector. A rank is a
+position, so no two selections share a rank vector and the tie-break
+always decides.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +29,6 @@ from .core import Selection, SequenceTask
 from .errors import SchemaViolation, ValidationError
 from .ingest import write_report_file
 
-BRUTE_FORCE_LIMIT = 1_000_000
 DEFAULT_LAMBDA_PENALTY = 1.0
 
 
@@ -79,9 +76,7 @@ def _check_selection(task: SequenceTask, sel: Selection) -> None:
 def selection_cost(task: SequenceTask, sel: Selection, cfg: OptimizerConfig) -> float:
     """Rank sum plus weighted start-penalty sum for one selection."""
     _check_selection(task, sel)
-    rank_sum = sum(
-        task.lists[i].candidates[choice].rank for i, choice in enumerate(sel.choices)
-    )
+    rank_sum = sum(choice + 1 for choice in sel.choices)
     penalty_sum = sum(pair_penalties(task, sel))
     return rank_sum + cfg.lambda_penalty * penalty_sum
 
@@ -96,27 +91,13 @@ def pair_penalties(task: SequenceTask, sel: Selection) -> list[float]:
     return [start_penalty(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _exact_cost(task: SequenceTask, choices: Sequence[int], lam: Fraction) -> Fraction:
-    cost = Fraction(0)
-    prev_start = None
-    for i, choice in enumerate(choices):
-        candidate = task.lists[i].candidates[choice]
-        cost += candidate.rank
-        start = candidate.interval.start_s
-        if prev_start is not None and prev_start > start:
-            cost += lam * Fraction(prev_start - start)
-        prev_start = start
-    return cost
-
-
 def optimize_sequence(task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig()) -> Selection:
     """Globally minimal selection via dynamic programming.
 
     Ties on cost are broken by the lexicographically smallest rank
-    vector, then earliest start times.
+    vector: each step takes the first of its minimal choices.
     """
     num_queries = len(task.queries)
-    ranks = [[c.rank for c in clist.candidates] for clist in task.lists]
     starts = [[c.interval.start_s for c in clist.candidates] for clist in task.lists]
     # Every float is a dyadic rational, so lambda and each pair's penalty
     # are integers over powers of two, and every cost of the task is an
@@ -135,62 +116,23 @@ def optimize_sequence(task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig
     ]
 
     # suffix[j]: minimal cost of queries i..K-1 when query i picks j.
-    suffix = [r * unit for r in ranks[num_queries - 1]]
+    suffix = [(j + 1) * unit for j in range(len(task.lists[-1]))]
     next_choice: list[list[int]] = [[] for _ in range(num_queries)]
     for i in range(num_queries - 2, -1, -1):
-        following = list(zip(ranks[i + 1], starts[i + 1]))
         new_suffix = []
         pointers = []
         for j, row in enumerate(penalties[i]):
-            best_val = None
-            best_k = -1
-            for k, penalty in enumerate(row):
-                val = penalty + suffix[k]
-                if (
-                    best_val is None
-                    or val < best_val
-                    or (val == best_val and following[k] < following[best_k])
-                ):
-                    best_val = val
-                    best_k = k
-            new_suffix.append(ranks[i][j] * unit + best_val)
-            pointers.append(best_k)
+            costs = [p + s for p, s in zip(row, suffix)]
+            best = min(costs)
+            new_suffix.append((j + 1) * unit + best)
+            pointers.append(costs.index(best))
         suffix = new_suffix
         next_choice[i] = pointers
 
-    head = min(
-        range(len(ranks[0])), key=lambda j: (suffix[j], ranks[0][j], starts[0][j])
-    )
-    choices = [head]
+    choices = [suffix.index(min(suffix))]
     for i in range(num_queries - 1):
         choices.append(next_choice[i][choices[-1]])
     return Selection(tuple(choices))
-
-
-def brute_force_optimize(
-    task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig()
-) -> Selection:
-    """Exhaustive reference search with identical objective and tie-break."""
-    size = 1
-    for clist in task.lists:
-        size *= len(clist)
-        if size > BRUTE_FORCE_LIMIT:
-            raise ValidationError(f"selection space exceeds {BRUTE_FORCE_LIMIT} combinations")
-    lam = Fraction(cfg.lambda_penalty)
-    best_key = None
-    best_choices = None
-    for choices in product(*(range(len(clist)) for clist in task.lists)):
-        rank_vec = tuple(
-            task.lists[i].candidates[c].rank for i, c in enumerate(choices)
-        )
-        start_vec = tuple(
-            task.lists[i].candidates[c].interval.start_s for i, c in enumerate(choices)
-        )
-        key = (_exact_cost(task, choices, lam), rank_vec, start_vec)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_choices = choices
-    return Selection(best_choices)
 
 
 def build_tasks(dataset, lists: Sequence) -> list[SequenceTask]:
@@ -233,9 +175,7 @@ def write_optimizer_report(
             {
                 "video_id": task.video_id,
                 "choices": list(sel.choices),
-                "ranks": [
-                    task.lists[i].candidates[c].rank for i, c in enumerate(sel.choices)
-                ],
+                "ranks": [choice + 1 for choice in sel.choices],
                 "total_cost": selection_cost(task, sel, cfg),
                 "pair_penalties": pair_penalties(task, sel),
             }

@@ -30,8 +30,8 @@ from .core import (
     CandidateSegment,
     Query,
     TimeInterval,
+    canonical_order,
     checked,
-    validate_candidate_list,
 )
 from .errors import InvalidKnobsError, SchemaViolation
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
@@ -217,17 +217,11 @@ def generate_scenario(
                 segments.append(distractor)
 
             noise = min(1.0, knobs.jitter_s)
-            candidates = tuple(
-                CandidateSegment(
-                    interval=iv,
-                    score=temporal_iou(iv, gt) + noise * rng.random(),
-                    rank=position + 1,
-                )
-                for position, iv in enumerate(segments)
-            )
-            all_lists.append(
-                validate_candidate_list(CandidateList(video_id, query_id, candidates))
-            )
+            candidates = [
+                CandidateSegment(iv, temporal_iou(iv, gt) + noise * rng.random())
+                for iv in segments
+            ]
+            all_lists.append(CandidateList(video_id, query_id, canonical_order(candidates)))
 
         relabeled = tuple(
             ScriptedEvent(event.interval, labels[j]) for j, event in enumerate(events)

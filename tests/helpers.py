@@ -3,9 +3,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import product
+from typing import Sequence
 
-from memrerank.core import CandidateList, CandidateSegment, Query, SequenceTask, TimeInterval
+from memrerank.clips import ClipPlan, plan_candidate
+from memrerank.core import (
+    CandidateKey,
+    CandidateList,
+    CandidateSegment,
+    Query,
+    Selection,
+    SequenceTask,
+    TimeInterval,
+)
+from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
+from memrerank.sequencing import OptimizerConfig
 from memrerank.synth import Scenario, ScenarioKnobs, ScriptedEvent, query_text
 
 
@@ -13,20 +27,23 @@ def interval(start, end) -> TimeInterval:
     return TimeInterval(float(start), float(end))
 
 
-def candidate(start, end, score, rank) -> CandidateSegment:
-    return CandidateSegment(interval=interval(start, end), score=float(score), rank=rank)
+def candidate(start, end, score) -> CandidateSegment:
+    return CandidateSegment(interval(start, end), float(score))
 
 
 def clist(video_id, query_id, triples) -> CandidateList:
-    """Candidate list from (start, end, score) triples, ranks by position."""
-    return CandidateList(
-        video_id,
-        query_id,
-        tuple(
-            candidate(s, e, score, position + 1)
-            for position, (s, e, score) in enumerate(triples)
-        ),
-    )
+    """Candidate list from (start, end, score) triples, in that order."""
+    return CandidateList(video_id, query_id, tuple(candidate(*t) for t in triples))
+
+
+def plan_list(clist_: CandidateList, clip_len_s=20.0, fps=1.0) -> list[ClipPlan]:
+    """One clip plan per candidate of ``clist_``, keyed by its rank."""
+    return [
+        plan_candidate(
+            CandidateKey(clist_.video_id, clist_.query_id, rank), c.interval, clip_len_s, fps
+        )
+        for rank, c in enumerate(clist_.candidates, start=1)
+    ]
 
 
 def frame_count_oracle(start: float, end: float) -> int:
@@ -79,10 +96,40 @@ def random_sequence_task(rng: random.Random, max_k: int = 6, max_c: int = 5) -> 
             start = rng.uniform(0.0, 600.0)
             length = rng.uniform(1.0, 60.0)
             triples.append((start, start + length, rng.random()))
-        # Positional ranks stand in for descending-score order; the
-        # optimizer only consumes ranks and starts.
+        # Positions stand in for descending-score order; the optimizer
+        # only consumes ranks and starts.
         lists.append(clist(video_id, query_id, triples))
     return SequenceTask(video_id, tuple(queries), tuple(lists))
+
+
+BRUTE_FORCE_LIMIT = 1_000_000
+
+
+def _exact_cost(task: SequenceTask, choices: Sequence[int], lam: Fraction) -> Fraction:
+    cost = Fraction(0)
+    prev_start = None
+    for i, choice in enumerate(choices):
+        cost += choice + 1
+        start = task.lists[i].candidates[choice].interval.start_s
+        if prev_start is not None and prev_start > start:
+            cost += lam * Fraction(prev_start - start)
+        prev_start = start
+    return cost
+
+
+def brute_force_optimize(
+    task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig()
+) -> Selection:
+    """Exhaustive reference for ``optimize_sequence`` in ``Fraction``
+    arithmetic: the least cost, ties broken by the smallest rank vector."""
+    size = 1
+    for clist_ in task.lists:
+        size *= len(clist_)
+        if size > BRUTE_FORCE_LIMIT:
+            raise ValidationError(f"selection space exceeds {BRUTE_FORCE_LIMIT} combinations")
+    lam = Fraction(cfg.lambda_penalty)
+    choices = product(*(range(len(clist_)) for clist_ in task.lists))
+    return Selection(min(choices, key=lambda c: (_exact_cost(task, c, lam), c)))
 
 
 def tiny_scenario() -> Scenario:

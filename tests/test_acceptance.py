@@ -14,17 +14,12 @@ from contextlib import contextmanager
 import pytest
 
 from memrerank.cli import main as cli_main
-from memrerank.clips import plan_candidate, plan_clips, sample_frames
+from memrerank.clips import plan_clips, sample_frames
 from memrerank.core import Selection
 from memrerank.metrics import mean_r1, recall_at_k, temporal_iou
 from memrerank.narration import NarrationEngine
 from memrerank.rerank import rerank
-from memrerank.sequencing import (
-    OptimizerConfig,
-    brute_force_optimize,
-    optimize_sequence,
-    selection_cost,
-)
+from memrerank.sequencing import OptimizerConfig, optimize_sequence, selection_cost
 from memrerank.synth import (
     ScenarioKnobs,
     generate_scenario,
@@ -34,9 +29,11 @@ from memrerank.synth import (
 )
 
 from helpers import (
+    brute_force_optimize,
     frame_count_oracle,
     interval,
     iou_grid_oracle,
+    plan_list,
     random_sequence_task,
 )
 
@@ -75,14 +72,7 @@ def big_memories(big_scenario):
     queries = {q.query_id: q for q in big_scenario.dataset.iter_queries()}
     items = {}
     for clist in big_scenario.candidates:
-        memories = engine.narrate_plans(
-            [
-                plan_candidate(
-                    c, 20.0, 1.0, video_id=clist.video_id, query_id=clist.query_id
-                )
-                for c in clist.candidates
-            ]
-        )
+        memories = engine.narrate_plans(plan_list(clist))
         items[clist.query_id] = (queries[clist.query_id], clist, memories)
     return items
 

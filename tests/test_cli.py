@@ -20,6 +20,7 @@ from memrerank.cli import RunConfig, build_parser, main
 from memrerank.clips import clip_frames, read_frame_manifests
 from memrerank.errors import BackendUnavailableError
 from memrerank.narration import Backend
+from memrerank.rerank import QUERY_LINE_PREFIX
 from memrerank.synth import ScenarioKnobs
 
 from helpers import interval
@@ -608,6 +609,23 @@ class TestPipeline:
         assert code == 4
         assert any("missing from script" in message for message in caplog.messages)
 
+    def test_memories_of_another_scenario_rejected(self, tmp_path, caplog):
+        # Memories narrated at seed 7 do not cover the candidates of seed 8.
+        out = tmp_path / "run"
+        simulate(out, seed=7, videos=3, queries=4)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        simulate(out, seed=8, videos=3, queries=4)
+        with caplog.at_level("ERROR"):
+            code = run(["rerank", "--out", out, "--backend", "stub"])
+        assert code == 4
+        stale = re.compile(
+            r"the memory of rank \d+ of query 'v\d{3}-q\d{3}' spans \[[\d.]+, [\d.]+\) "
+            r"but the candidate spans \[[\d.]+, [\d.]+\); re-run plan and narrate$"
+        )
+        assert any(stale.search(message) for message in caplog.messages)
+        assert not (out / "reranked_candidates.json").exists()
+
     def test_clip_a_few_ulps_long_gets_no_extra_frame(self, tmp_path):
         # The second 20 s clip of [5.511, 81.704) is a few ulps longer
         # than 20 s; 21 frames would exceed the per-request cap.
@@ -1059,6 +1077,55 @@ class TestRankSource:
         pre = json.loads((out / "optimizer_report.json").read_text())
         assert post["rank_source"] == "post_rerank"
         assert pre["rank_source"] == "pre_rerank"
+
+
+class TestIncludeScores:
+    def test_scores_reach_the_prompt_only_with_the_flag(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        prompts = []
+        stub_backend = synth.stub_backend
+
+        def recording_stub(scenario):
+            backend = stub_backend(scenario)
+            select = backend._select
+
+            def _select(prompt):
+                prompts.append(prompt)
+                return select(prompt)
+
+            backend._select = _select
+            return backend
+
+        monkeypatch.setattr(synth, "stub_backend", recording_stub)
+        outputs = (cli.RERANKED_FILE, cli.RERANK_LOG_FILE, cli.PREDICTIONS_RERANK_FILE)
+
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        without = {name: (out / name).read_bytes() for name in outputs}
+        assert len(prompts) == 6
+        assert not any("model score: " in prompt for prompt in prompts)
+
+        prompts.clear()
+        assert run(["rerank", "--out", out, "--backend", "stub", "--include-scores"]) == 0
+        dataset = ingest.load_annotations(out / "annotations.json")
+        texts = {query.query_id: query.text for query in dataset.iter_queries()}
+        scores_by_text = {
+            texts[clist.query_id]: [candidate.score for candidate in clist.candidates]
+            for clist in ingest.load_candidates(out / "candidates.json", dataset=dataset)
+        }
+        assert len(prompts) == 6
+        for prompt in prompts:
+            lines = prompt.splitlines()
+            text = next(line for line in lines if line.startswith(QUERY_LINE_PREFIX))
+            shown = [
+                float(line.removeprefix("model score: "))
+                for line in lines
+                if line.startswith("model score: ")
+            ]
+            assert shown == scores_by_text[text.removeprefix(QUERY_LINE_PREFIX)]
+        assert {name: (out / name).read_bytes() for name in outputs} == without
 
 
 class TestEntryPoints:

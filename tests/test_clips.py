@@ -18,7 +18,7 @@ from memrerank.clips import (
 from memrerank.core import CandidateKey
 from memrerank.errors import SchemaViolation, ValidationError
 
-from helpers import candidate, frame_count_oracle, interval
+from helpers import frame_count_oracle, interval
 
 
 class TestPlanClips:
@@ -91,45 +91,33 @@ class TestPlanCandidate:
     def test_three_clip_plan(self):
         # Independent total: walk t from 0 in 1 s steps over [0, 45).
         expected_total = frame_count_oracle(0.0, 45.0)
-        plan = plan_candidate(
-            candidate(0.0, 45.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-        )
+        plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(0.0, 45.0), 20.0, 1.0)
         assert [len(group) for group in plan.frames] == [20, 20, 5]
         assert sum(map(len, plan.frames)) == expected_total == 45
 
     def test_single_clip(self):
-        plan = plan_candidate(
-            candidate(0.0, 20.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-        )
+        plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(0.0, 20.0), 20.0, 1.0)
         assert len(plan.clips) == 1
         assert [len(group) for group in plan.frames] == [20]
 
     def test_full_clip_a_few_ulps_long_keeps_its_frame_cap(self):
         # 25.511 + 20 rounds below the cut 5.511 + 40, so stepping
         # sample_frames would give the second clip a 21st frame.
-        plan = plan_candidate(
-            candidate(5.511, 81.704, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-        )
+        plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(5.511, 81.704), 20.0, 1.0)
         assert plan.clips[1] == interval(25.511, 45.511)
         assert len(sample_frames(plan.clips[1], 1.0)) == 21
         assert [len(group) for group in plan.frames] == [20, 20, 20, 17]
         assert plan.frames[1] == sample_frames(plan.clips[1], 1.0)[:20]
 
     def test_sub_second_candidate(self):
-        plan = plan_candidate(
-            candidate(3.5, 4.0, 0.9, 2), 20.0, 1.0, video_id="v0", query_id="q0"
-        )
+        plan = plan_candidate(CandidateKey("v0", "q0", 2), interval(3.5, 4.0), 20.0, 1.0)
         assert plan.clips == (interval(3.5, 4.0),)
         assert plan.frames == ((3.5,),)
         assert plan.candidate_key == CandidateKey("v0", "q0", 2)
 
     def test_determinism(self):
-        a = plan_candidate(
-            candidate(7.25, 63.1, 0.4, 3), 20.0, 1.0, video_id="v1", query_id="q9"
-        )
-        b = plan_candidate(
-            candidate(7.25, 63.1, 0.4, 3), 20.0, 1.0, video_id="v1", query_id="q9"
-        )
+        a = plan_candidate(CandidateKey("v1", "q9", 3), interval(7.25, 63.1), 20.0, 1.0)
+        b = plan_candidate(CandidateKey("v1", "q9", 3), interval(7.25, 63.1), 20.0, 1.0)
         assert a == b
 
 
@@ -145,9 +133,7 @@ class TestClipPlanInvariants:
         # Millisecond bounds, like the 3-decimal candidate files, give
         # clips a few ulps over clip_len_s.
         start, end = start_ms / 1000, (start_ms + length_ms) / 1000
-        plan = plan_candidate(
-            candidate(start, end, 0.5, 1), clip_len_s, fps, video_id="v0", query_id="q0"
-        )
+        plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(start, end), clip_len_s, fps)
         cap = math.ceil(clip_len_s * fps)
         assert len(plan.frames) == len(plan.clips)
         for clip, frames in zip(plan.clips, plan.frames):
@@ -185,12 +171,8 @@ class TestClipPlanInvariants:
 class TestManifestRoundTrip:
     def test_round_trip(self, tmp_path):
         plans = [
-            plan_candidate(
-                candidate(0.0, 45.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-            ),
-            plan_candidate(
-                candidate(12.5, 30.0, 0.8, 2), 20.0, 1.0, video_id="v0", query_id="q0"
-            ),
+            plan_candidate(CandidateKey("v0", "q0", 1), interval(0.0, 45.0), 20.0, 1.0),
+            plan_candidate(CandidateKey("v0", "q0", 2), interval(12.5, 30.0), 20.0, 1.0),
         ]
         path = tmp_path / "manifests.jsonl"
         count = write_frame_manifests(plans, path)
@@ -202,9 +184,7 @@ class TestManifestRoundTrip:
 
     def test_write_is_deterministic(self, tmp_path):
         plans = [
-            plan_candidate(
-                candidate(1.0, 33.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-            )
+            plan_candidate(CandidateKey("v0", "q0", 1), interval(1.0, 33.0), 20.0, 1.0)
         ]
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
@@ -214,9 +194,7 @@ class TestManifestRoundTrip:
 
     def test_record_holds_bounds_and_sampling_not_frames(self, tmp_path):
         plans = [
-            plan_candidate(
-                candidate(5.0, 30.0, 0.9, 1), 20.0, 0.5, video_id="v0", query_id="q0"
-            )
+            plan_candidate(CandidateKey("v0", "q0", 1), interval(5.0, 30.0), 20.0, 0.5)
         ]
         path = tmp_path / "manifests.jsonl"
         write_frame_manifests(plans, path)
@@ -239,9 +217,7 @@ class TestManifestRoundTrip:
 
     def test_clips_of_one_candidate_share_their_sampling(self, tmp_path):
         plans = [
-            plan_candidate(
-                candidate(0.0, 45.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-            )
+            plan_candidate(CandidateKey("v0", "q0", 1), interval(0.0, 45.0), 20.0, 1.0)
         ]
         path = tmp_path / "manifests.jsonl"
         write_frame_manifests(plans, path)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from memrerank.core import (
     CandidateList,
-    CandidateSegment,
     MetricCell,
     MetricsReport,
     Query,
     SequenceTask,
     TimeInterval,
-    validate_candidate_list,
+    canonical_order,
 )
 from memrerank.errors import SchemaViolation, ValidationError
 
@@ -58,29 +57,23 @@ class TestCandidateSegment:
             ValidationError,
             match=re.escape("candidate interval must have positive length, got [5.0, 5.0)"),
         ):
-            candidate(5, 5, 0.5, 1)
+            candidate(5, 5, 0.5)
 
     def test_nan_score_rejected(self):
         with pytest.raises(ValidationError, match="^score must be finite, got nan$"):
-            candidate(0, 10, float("nan"), 1)
-
-    def test_rank_must_be_positive_int(self):
-        with pytest.raises(ValidationError, match="^rank must be a positive integer, got 0$"):
-            candidate(0, 10, 0.5, 0)
-        with pytest.raises(ValidationError, match="^rank must be a positive integer, got True$"):
-            CandidateSegment(interval(0, 10), 0.5, rank=True)
+            candidate(0, 10, float("nan"))
 
 
 class TestValidateCandidateList:
+    """The canonical form of a candidate list, :func:`canonical_order`."""
+
     def test_reorders_by_score_and_assigns_ranks(self):
         raw = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.5), (40, 50, 0.7)])
-        valid = validate_candidate_list(raw)
-        assert [c.score for c in valid.candidates] == [0.9, 0.7, 0.5]
-        assert [c.rank for c in valid.candidates] == [1, 2, 3]
+        assert [c.score for c in canonical_order(raw.candidates)] == [0.9, 0.7, 0.5]
 
     def test_already_sorted_unchanged(self):
         raw = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.5)])
-        assert validate_candidate_list(raw) == raw
+        assert canonical_order(raw.candidates) == raw.candidates
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
@@ -88,18 +81,12 @@ class TestValidateCandidateList:
 
     def test_score_ties_broken_by_start_then_duration(self):
         raw = clist("v0", "q0", [(30, 50, 0.5), (10, 40, 0.5), (10, 25, 0.5)])
-        valid = validate_candidate_list(raw)
-        assert [(c.interval.start_s, c.interval.end_s) for c in valid.candidates] == [
+        ordered = canonical_order(raw.candidates)
+        assert [(c.interval.start_s, c.interval.end_s) for c in ordered] == [
             (10.0, 25.0),
             (10.0, 40.0),
             (30.0, 50.0),
         ]
-
-    def test_positional_ranks_enforced_at_construction(self):
-        with pytest.raises(
-            ValidationError, match="^candidate at position 0 carries rank 2; expected 1$"
-        ):
-            CandidateList("v0", "q0", (candidate(0, 10, 0.5, 2),))
 
     @given(
         st.lists(
@@ -116,12 +103,10 @@ class TestValidateCandidateList:
         raw = clist(
             "v0", "q0", [(s, s + length, score) for s, length, score in triples]
         )
-        once = validate_candidate_list(raw)
-        twice = validate_candidate_list(once)
-        assert once == twice
-        scores = [c.score for c in once.candidates]
+        once = canonical_order(raw.candidates)
+        assert canonical_order(once) == once
+        scores = [c.score for c in once]
         assert scores == sorted(scores, reverse=True)
-        assert [c.rank for c in once.candidates] == list(range(1, len(scores) + 1))
 
 
 class TestSequenceTask:

@@ -158,7 +158,6 @@ class TestLoadCandidates:
         assert [c.score for c in clist_.candidates] == pytest.approx(
             [0.6, 0.5, 0.4, 0.3, 0.2]
         )
-        assert [c.rank for c in clist_.candidates] == [1, 2, 3, 4, 5]
 
     def test_top_one_keeps_argmax(self, tmp_path):
         lists = load_candidates(write_file(tmp_path, "c.json", candidates_payload(4)), top_k=1)

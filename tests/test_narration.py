@@ -8,6 +8,7 @@ import pytest
 
 import memrerank.narration as narration
 from memrerank.clips import plan_candidate
+from memrerank.core import CandidateKey
 from memrerank.errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -26,7 +27,7 @@ from memrerank.narration import (
 )
 from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
 
-from helpers import candidate, interval, tiny_scenario
+from helpers import interval, plan_list, tiny_scenario
 
 
 class FixedBackend(Backend):
@@ -103,9 +104,7 @@ class FastClock(narration.Clock):
 
 
 def plan_for(start, end, rank=1, video_id="v0", query_id="v0-q000"):
-    return plan_candidate(
-        candidate(start, end, 0.9, rank), 20.0, 1.0, video_id=video_id, query_id=query_id
-    )
+    return plan_candidate(CandidateKey(video_id, query_id, rank), interval(start, end), 20.0, 1.0)
 
 
 class TestBackendRequest:
@@ -361,7 +360,7 @@ class TestBuildEpisodicMemory:
             )
 
     def test_zero_entry_memory_is_unrepresentable(self):
-        from memrerank.core import CandidateKey, EpisodicMemory
+        from memrerank.core import EpisodicMemory
 
         with pytest.raises(ValidationError, match=r"^memory for .* has no entries$"):
             EpisodicMemory(
@@ -546,11 +545,7 @@ class TestNarratePlans:
     def test_memories_independent_of_c_max(self):
         knobs = ScenarioKnobs(num_videos=3, queries_per_video=3, candidates_per_query=5)
         scenario = generate_scenario(knobs, seed=11)
-        plans = [
-            plan_candidate(c, 20.0, 1.0, video_id=clist.video_id, query_id=clist.query_id)
-            for clist in scenario.candidates
-            for c in clist.candidates
-        ]
+        plans = [plan for clist in scenario.candidates for plan in plan_list(clist)]
         assert len({plan.candidate_key.video_id for plan in plans}) == 3
         with NarrationEngine(stub_backend(scenario), c_max=4) as engine:
             concurrent = engine.narrate_plans(plans)

@@ -10,13 +10,13 @@ from memrerank.errors import (
     EmptyNarrationError,
 )
 from memrerank.clips import plan_candidate
-from memrerank.core import TimeInterval
+from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
 from memrerank.rerank import rerank
 from memrerank.synth import stub_backend
 
-from helpers import candidate, tiny_scenario
+from helpers import interval, plan_list, tiny_scenario
 
 
 def assert_permanent(error):
@@ -203,9 +203,7 @@ class TestRemoteBackend:
         session = FakeSession(response=FakeResponse(payload=body))
         backend = RemoteBackend("https://api.example.test", "k", session=session)
         if call == "narrate":  # the stage fails at once, so narrate exits 5
-            plan = plan_candidate(
-                candidate(1.0, 3.0, 0.9, 1), 20.0, 1.0, video_id="v0", query_id="q0"
-            )
+            plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(1.0, 3.0), 20.0, 1.0)
             with pytest.raises(BackendError, match="^malformed backend reply: ") as info:
                 NarrationEngine(backend).narrate_plans([plan])
             assert_permanent(info.value)
@@ -213,11 +211,7 @@ class TestRemoteBackend:
             scenario = tiny_scenario()
             clist = scenario.candidates_by_query()["v0-q000"]
             query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
-            plans = [
-                plan_candidate(c, 20.0, 1.0, video_id="v0", query_id="v0-q000")
-                for c in clist.candidates
-            ]
-            memories = NarrationEngine(stub_backend(scenario)).narrate_plans(plans)
+            memories = NarrationEngine(stub_backend(scenario)).narrate_plans(plan_list(clist))
             outcome = rerank(query, clist, memories, backend)
             assert (outcome.fallback_used, outcome.raw_answer) == (True, "")
         assert len(session.requests) == 1  # not retried

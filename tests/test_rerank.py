@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from memrerank.clips import plan_candidate
 from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
 from memrerank.ingest import write_jsonl
 from memrerank.metrics import temporal_iou
@@ -18,18 +17,14 @@ from memrerank.rerank import (
 )
 from memrerank.synth import oracle_selector, stub_backend
 
-from helpers import clist, interval, tiny_scenario
+from helpers import clist, interval, plan_list, tiny_scenario
 
 
 def memories_for(scenario, query_id):
     """Stub-narrated memory per candidate, ordered by rank."""
     clist_ = scenario.candidates_by_query()[query_id]
     engine = NarrationEngine(stub_backend(scenario))
-    plans = [
-        plan_candidate(candidate, 20.0, 1.0, video_id=clist_.video_id, query_id=query_id)
-        for candidate in clist_.candidates
-    ]
-    return clist_, engine.narrate_plans(plans)
+    return clist_, engine.narrate_plans(plan_list(clist_))
 
 
 def query_for(scenario, query_id):
@@ -164,7 +159,7 @@ class TestRerank:
         query = query_for(scenario, "v0-q000")
         single = clist("v0", "v0-q000", [(48, 60, 0.8)])
         backend = CountingBackend()
-        outcome = rerank(query, single, memories[:1], backend)
+        outcome = rerank(query, single, memories[1:2], backend)  # the [48, 60) memory
         assert backend.select_calls == 0
         assert outcome.reranked == single
 
@@ -176,6 +171,18 @@ class TestRerank:
             ValidationError, match="^4 memories for 5 candidates of query 'v0-q000'$"
         ):
             rerank(query, clist_, memories[:4], stub_backend(scenario))
+
+    def test_memory_of_another_candidate_rejected(self):
+        scenario = tiny_scenario()
+        clist_, memories = memories_for(scenario, "v0-q000")
+        query = query_for(scenario, "v0-q000")
+        swapped = [memories[1], memories[0], *memories[2:]]
+        with pytest.raises(
+            ValidationError,
+            match=r"^the memory of rank 1 of query 'v0-q000' spans \[48\.0, 60\.0\) but the "
+            r"candidate spans \[10\.0, 40\.0\); re-run plan and narrate$",
+        ):
+            rerank(query, clist_, swapped, stub_backend(scenario))
 
     def test_permutation_invariant_for_any_answer(self):
         class ArbitraryBackend(Backend):
@@ -265,7 +272,6 @@ class TestPromote:
         original = clist("v0", "q0", [(0, 10, 0.9), (20, 30, 0.8), (40, 50, 0.7)])
         moved = promote(original, 3)
         assert [c.interval.start_s for c in moved.candidates] == [40.0, 0.0, 20.0]
-        assert [c.rank for c in moved.candidates] == [1, 2, 3]
         assert RerankOutcome(original, 3).reranked == moved
 
     def test_rank_one_keeps_the_list_itself(self):

@@ -9,7 +9,6 @@ from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.sequencing import (
     OptimizerConfig,
     RankSource,
-    brute_force_optimize,
     build_tasks,
     optimize_sequence,
     pair_penalties,
@@ -18,12 +17,12 @@ from memrerank.sequencing import (
     write_optimizer_report,
 )
 
-from helpers import clist, random_sequence_task
+from helpers import brute_force_optimize, clist, random_sequence_task
 
 
 def make_task(start_lists):
-    """Task from per-query candidate start times; scores force positional
-    ranks to match the given order."""
+    """Task from per-query candidate start times, ranked in the given
+    order (scores descend with it)."""
     video_id = "v0"
     queries = []
     lists = []

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from memrerank.clips import plan_candidate
 from memrerank.errors import InvalidKnobsError, SchemaViolation
 from memrerank.ingest import Track
 from memrerank.metrics import temporal_iou
@@ -21,7 +20,7 @@ from memrerank.synth import (
     write_scenario,
 )
 
-from helpers import interval, tiny_scenario
+from helpers import interval, plan_list, tiny_scenario
 
 
 class TestKnobs:
@@ -103,7 +102,6 @@ class TestGenerateScenario:
         for clist in scenario.candidates:
             scores = [c.score for c in clist.candidates]
             assert scores == sorted(scores, reverse=True)
-            assert [c.rank for c in clist.candidates] == list(range(1, len(scores) + 1))
 
 
 class TestStubBackend:
@@ -153,10 +151,7 @@ class TestScenarioOnFirstRequest:
         backend = stub_backend(slow_load)
         assert loads == []
         clist = scenario.candidates_by_query()["v0-q001"]
-        plans = [
-            plan_candidate(c, 5.0, 1.0, video_id="v0", query_id="v0-q001")
-            for c in clist.candidates
-        ]
+        plans = plan_list(clist, clip_len_s=5.0)
         interval_s = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers switch often, racing for the load
         try:
@@ -188,12 +183,7 @@ def _selection_prompt(scenario, query_id):
         q for q in scenario.dataset.iter_queries() if q.query_id == query_id
     )
     engine = NarrationEngine(stub_backend(scenario))
-    memories = engine.narrate_plans(
-        [
-            plan_candidate(c, 20.0, 1.0, video_id=clist.video_id, query_id=query_id)
-            for c in clist.candidates
-        ]
-    )
+    memories = engine.narrate_plans(plan_list(clist))
     return query, clist, build_rerank_prompt(query, memories)
 
 
@@ -226,12 +216,7 @@ class TestSelectors:
             q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000"
         )
         engine = NarrationEngine(stub_backend(scenario))
-        memories = engine.narrate_plans(
-            [
-                plan_candidate(c, 20.0, 1.0, video_id="v0", query_id="v0-q000")
-                for c in single.candidates
-            ]
-        )
+        memories = engine.narrate_plans(plan_list(single))
         prompt = build_rerank_prompt(query, memories)
         assert backend.select(prompt) == "1"
 
