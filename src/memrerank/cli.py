@@ -69,7 +69,7 @@ _PATH_KEYS = {*_UNDER_OUTPUT_DIR, "frames_root", "output_dir"}
 # The values a setting may take, for its flag and its config key alike.
 CHOICES = {
     "backend": ("stub", "oracle", "remote"),
-    "rank_source": tuple(source.value for source in sequencing.RankSource),
+    "rank_source": ("pre_rerank", "post_rerank"),
 }
 
 
@@ -124,7 +124,7 @@ class RunConfig:
     backend: str = "stub"
     c_max: int = narration.DEFAULT_C_MAX
     lambda_penalty: float = sequencing.DEFAULT_LAMBDA_PENALTY
-    rank_source: str = sequencing.RankSource.POST_RERANK.value
+    rank_source: str = "post_rerank"
     rerank_limit: int | None = None
     seed: int = 0
     narration_prompt: Path | None = None
@@ -433,19 +433,17 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     lists = ingest.load_candidates(
         source, top_k=cfg.top_k, dataset=dataset, canonical=not post_rerank
     )
-    opt_cfg = sequencing.OptimizerConfig(
-        lambda_penalty=cfg.lambda_penalty,
-        rank_source=sequencing.RankSource(cfg.rank_source),
-    )
     tasks = sequencing.build_tasks(dataset, lists)
     entries = []
     predictions = {}
     for task in tasks:
-        selection = sequencing.optimize_sequence(task, opt_cfg)
-        entries.append((task, selection))
-        for query, clist, choice in zip(task.queries, task.lists, selection.choices):
-            predictions[query.query_id] = promote(clist, choice + 1).intervals()
-    sequencing.write_optimizer_report(entries, opt_cfg, cfg.output(OPTIMIZER_REPORT_FILE))
+        choices = sequencing.optimize_sequence(task, cfg.lambda_penalty)
+        entries.append((task, choices))
+        for clist, choice in zip(task, choices):
+            predictions[clist.query_id] = promote(clist, choice + 1).intervals()
+    sequencing.write_optimizer_report(
+        entries, cfg.lambda_penalty, cfg.rank_source, cfg.output(OPTIMIZER_REPORT_FILE)
+    )
     ingest.write_predictions(predictions, cfg.output(PREDICTIONS_FINAL_FILE))
     logger.info(
         "optimized %d videos (%d queries) with lambda=%g, ranks from %s",

@@ -3,7 +3,9 @@
 All types are frozen dataclasses (or named tuples) validated on
 construction: once built, a value is safe to share across threads and
 compares structurally. Times are real seconds; candidate ranks are
-1-based positions (rank 1 = best).
+1-based positions (rank 1 = best). A video's step sequence is just its
+``CandidateList``s in step order and a selection a tuple of positions, so
+the optimizer in ``sequencing`` needs no type of its own here.
 """
 
 from __future__ import annotations
@@ -188,66 +190,6 @@ class Query:
             if self.order_index < 0:
                 raise SchemaViolation(
                     "order_index", f"must be >= 0, got {self.order_index}"
-                )
-
-
-@dataclass(frozen=True, slots=True)
-class SequenceTask:
-    """An ordered run of step queries with one candidate list per query."""
-
-    video_id: str
-    queries: tuple[Query, ...]
-    lists: tuple[CandidateList, ...]
-
-    def __post_init__(self):
-        _require_id(self.video_id, "video_id")
-        object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "lists", tuple(self.lists))
-        if not self.queries:
-            raise SchemaViolation("queries", "sequence task has no queries")
-        if len(self.queries) != len(self.lists):
-            raise SchemaViolation(
-                "lists",
-                f"{len(self.lists)} candidate lists for {len(self.queries)} queries",
-            )
-        previous = None
-        for query, clist in zip(self.queries, self.lists):
-            if query.video_id != self.video_id or clist.video_id != self.video_id:
-                raise SchemaViolation("video_id", "task spans multiple videos")
-            if query.order_index is None:
-                raise SchemaViolation(
-                    "order_index", f"query '{query.query_id}' has no order index"
-                )
-            if previous is not None and query.order_index <= previous:
-                raise SchemaViolation(
-                    "order_index",
-                    f"order indices must be strictly increasing, got {previous} "
-                    f"then {query.order_index}",
-                )
-            previous = query.order_index
-            if clist.query_id != query.query_id:
-                raise SchemaViolation(
-                    "query_id",
-                    f"list for '{clist.query_id}' aligned with query "
-                    f"'{query.query_id}'",
-                )
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-
-@dataclass(frozen=True, slots=True)
-class Selection:
-    """One chosen candidate position (0-based) per query of a task."""
-
-    choices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "choices", tuple(self.choices))
-        for choice in self.choices:
-            if not isinstance(choice, int) or isinstance(choice, bool) or choice < 0:
-                raise SchemaViolation(
-                    "choices", f"must be non-negative integers, got {choice!r}"
                 )
 
 

@@ -121,9 +121,6 @@ class Dataset:
         for video in self.videos:
             yield from video.queries
 
-    def query_ids(self) -> set[str]:
-        return {q.query_id for q in self.iter_queries()}
-
 
 def format_seconds(value: float) -> str:
     """Render a float as a plain decimal with >= 3 fractional digits.
@@ -364,25 +361,34 @@ def load_candidates(
     Every candidate is validated, kept or not. With ``canonical=True``
     (base-model output) candidates are reordered by descending score.
     Reranked files are loaded with ``canonical=False``: file order is the
-    ranking and is preserved.
+    ranking and is preserved. A query has at most one list, and with a
+    ``dataset`` each list must name a known query and that query's video.
     """
     if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
         raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
-    known = dataset.query_ids() if dataset is not None else None
+    video_of = None
+    if dataset is not None:
+        video_of = {query.query_id: query.video_id for query in dataset.iter_queries()}
 
     def parse(root) -> list[CandidateList]:
         checked(root, (dict,), "candidates")
         lists: list[CandidateList] = []
-        seen: set[tuple[str, str]] = set()
+        seen: set[str] = set()
         for raw in checked(root["predictions"], (list,), "predictions"):
             checked(raw, (dict,), "prediction")
             video_id = checked(raw["video_id"], (str,), "video_id")
             query_id = checked(raw["query_id"], (str,), "query_id")
-            if (video_id, query_id) in seen:
+            if query_id in seen:
                 raise ValueError(f"duplicate candidate list for query '{query_id}'")
-            seen.add((video_id, query_id))
-            if known is not None and query_id not in known:
-                raise ValidationError(f"candidates for unknown query '{query_id}'")
+            seen.add(query_id)
+            if video_of is not None:
+                if query_id not in video_of:
+                    raise ValidationError(f"candidates for unknown query '{query_id}'")
+                if video_id != video_of[query_id]:
+                    raise ValueError(
+                        f"candidate list for query '{query_id}' names video "
+                        f"'{video_id}', but the query is in '{video_of[query_id]}'"
+                    )
             segments = []
             candidates = checked(raw["candidates"], (list,), "candidates")
             for c in candidates:

@@ -13,13 +13,11 @@ from memrerank.core import (
     CandidateList,
     CandidateSegment,
     Query,
-    Selection,
-    SequenceTask,
     TimeInterval,
 )
 from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
-from memrerank.sequencing import OptimizerConfig
+from memrerank.sequencing import DEFAULT_LAMBDA_PENALTY
 from memrerank.synth import Scenario, ScenarioKnobs, ScriptedEvent, query_text
 
 
@@ -74,22 +72,13 @@ def iou_grid_oracle(a: TimeInterval, b: TimeInterval, points: int = 10_000) -> f
     return inter / union if union else 0.0
 
 
-def random_sequence_task(rng: random.Random, max_k: int = 6, max_c: int = 5) -> SequenceTask:
-    """A goalstep task with random list sizes, starts, and scores."""
+def random_sequence_task(
+    rng: random.Random, max_k: int = 6, max_c: int = 5
+) -> tuple[CandidateList, ...]:
+    """One video's step lists with random list sizes, starts, and scores."""
     k = rng.randint(1, max_k)
-    video_id = "rv0"
-    queries = []
     lists = []
     for i in range(k):
-        query_id = f"{video_id}-q{i}"
-        queries.append(
-            Query(
-                query_id=query_id,
-                video_id=video_id,
-                text=f"step {i}",
-                order_index=i,
-            )
-        )
         c = rng.randint(1, max_c)
         triples = []
         for _ in range(c):
@@ -98,19 +87,19 @@ def random_sequence_task(rng: random.Random, max_k: int = 6, max_c: int = 5) -> 
             triples.append((start, start + length, rng.random()))
         # Positions stand in for descending-score order; the optimizer
         # only consumes ranks and starts.
-        lists.append(clist(video_id, query_id, triples))
-    return SequenceTask(video_id, tuple(queries), tuple(lists))
+        lists.append(clist("rv0", f"rv0-q{i}", triples))
+    return tuple(lists)
 
 
 BRUTE_FORCE_LIMIT = 1_000_000
 
 
-def _exact_cost(task: SequenceTask, choices: Sequence[int], lam: Fraction) -> Fraction:
+def _exact_cost(lists: Sequence[CandidateList], choices: Sequence[int], lam: Fraction) -> Fraction:
     cost = Fraction(0)
     prev_start = None
-    for i, choice in enumerate(choices):
+    for clist_, choice in zip(lists, choices):
         cost += choice + 1
-        start = task.lists[i].candidates[choice].interval.start_s
+        start = clist_.candidates[choice].interval.start_s
         if prev_start is not None and prev_start > start:
             cost += lam * Fraction(prev_start - start)
         prev_start = start
@@ -118,18 +107,18 @@ def _exact_cost(task: SequenceTask, choices: Sequence[int], lam: Fraction) -> Fr
 
 
 def brute_force_optimize(
-    task: SequenceTask, cfg: OptimizerConfig = OptimizerConfig()
-) -> Selection:
+    lists: Sequence[CandidateList], lambda_penalty: float = DEFAULT_LAMBDA_PENALTY
+) -> tuple[int, ...]:
     """Exhaustive reference for ``optimize_sequence`` in ``Fraction``
     arithmetic: the least cost, ties broken by the smallest rank vector."""
     size = 1
-    for clist_ in task.lists:
+    for clist_ in lists:
         size *= len(clist_)
         if size > BRUTE_FORCE_LIMIT:
             raise ValidationError(f"selection space exceeds {BRUTE_FORCE_LIMIT} combinations")
-    lam = Fraction(cfg.lambda_penalty)
-    choices = product(*(range(len(clist_)) for clist_ in task.lists))
-    return Selection(min(choices, key=lambda c: (_exact_cost(task, c, lam), c)))
+    lam = Fraction(lambda_penalty)
+    choices = product(*(range(len(clist_)) for clist_ in lists))
+    return min(choices, key=lambda c: (_exact_cost(lists, c, lam), c))
 
 
 def tiny_scenario() -> Scenario:

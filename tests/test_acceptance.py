@@ -15,11 +15,10 @@ import pytest
 
 from memrerank.cli import main as cli_main
 from memrerank.clips import plan_clips, sample_frames
-from memrerank.core import Selection
 from memrerank.metrics import mean_r1, recall_at_k, temporal_iou
 from memrerank.narration import NarrationEngine
 from memrerank.rerank import rerank
-from memrerank.sequencing import OptimizerConfig, optimize_sequence, selection_cost
+from memrerank.sequencing import optimize_sequence, selection_cost
 from memrerank.synth import (
     ScenarioKnobs,
     generate_scenario,
@@ -107,11 +106,11 @@ def test_02_optimizer_oracle_equivalence():
         t0 = time.perf_counter()
         for i in range(500):
             task = random_sequence_task(rng, max_k=6, max_c=5)
-            cfg = OptimizerConfig(lambda_penalty=lambdas[i % len(lambdas)])
-            fast = optimize_sequence(task, cfg)
-            slow = brute_force_optimize(task, cfg)
+            lam = lambdas[i % len(lambdas)]
+            fast = optimize_sequence(task, lam)
+            slow = brute_force_optimize(task, lam)
             assert fast == slow, f"instance {i}: {fast} != {slow}"
-            assert selection_cost(task, fast, cfg) == selection_cost(task, slow, cfg)
+            assert selection_cost(task, fast, lam) == selection_cost(task, slow, lam)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -119,28 +118,20 @@ def test_02_optimizer_oracle_equivalence():
 def test_03_optimizer_scale():
     with criterion(3, "optimizer solves K=500, C=5 under one second"):
         from helpers import clist
-        from memrerank.core import Query, SequenceTask
 
         rng = random.Random(555)
-        queries, lists = [], []
+        lists = []
         for i in range(500):
-            qid = f"s-q{i}"
-            queries.append(Query(qid, "s", f"step {i}", order_index=i))
             triples = []
             for _ in range(5):
                 start = rng.uniform(0.0, 600.0)
                 triples.append((start, start + rng.uniform(1.0, 60.0), rng.random()))
-            lists.append(clist("s", qid, triples))
-        task = SequenceTask("s", tuple(queries), tuple(lists))
-        cfg = OptimizerConfig()
+            lists.append(clist("s", f"s-q{i}", triples))
         t0 = time.perf_counter()
-        selection = optimize_sequence(task, cfg)
+        selection = optimize_sequence(lists)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
-        all_rank_one = Selection(tuple(0 for _ in range(500)))
-        assert selection_cost(task, selection, cfg) <= selection_cost(
-            task, all_rank_one, cfg
-        )
+        assert selection_cost(lists, selection, 1.0) <= selection_cost(lists, (0,) * 500, 1.0)
 
 
 def test_04_r5_permutation_invariance(big_scenario, big_memories):

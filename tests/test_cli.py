@@ -336,6 +336,13 @@ class TestPipeline:
             "candidates.json", "plan",
             lambda p: p["predictions"][0].update(candidates=[[1.0, 2.0, 0.5]]), None,
         ),
+        "candidates-under-another-video": (
+            "candidates.json", "plan", lambda p: p["predictions"][0].update(video_id="v001"), None,
+        ),
+        "candidates-second-list-for-a-query": (
+            "candidates.json", "plan",
+            lambda p: p["predictions"].append({**p["predictions"][0], "video_id": "v001"}), None,
+        ),
         "predictions-wrong-type": (
             "predictions_rerank.json", "eval", lambda p: p["results"][0].update(query_id=5), None,
         ),
@@ -559,6 +566,18 @@ class TestPipeline:
         assert lists["v000-q002"] == [second, first, *rest]
         assert lists["v000-q000"] == base["v000-q000"]
         assert "v001-q001" not in lists
+
+    def test_optimize_skips_a_video_without_queries(self, tmp_path):
+        out = tmp_path / "run"
+        simulate(out)
+        path = out / "annotations.json"
+        payload = json.loads(path.read_text())
+        payload["videos"].append({"video_id": "v999", "duration_s": 100.0, "queries": []})
+        path.write_text(json.dumps(payload))
+        for stage in ("plan", "narrate", "rerank", "optimize", "eval"):
+            assert run([stage, "--out", out]) == 0, stage
+        report = json.loads((out / "optimizer_report.json").read_text())
+        assert [video["video_id"] for video in report["videos"]] == ["v000", "v001"]
 
     def test_optimize_rejects_unordered_track(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -968,11 +987,13 @@ class TestConfigPrecedence:
             {"top_k": 5.0},
             {"fps": float("inf")},
             {"backend": "imaginary"},
+            {"rank_source": "sideways"},
         ],
         ids=[
             "top_k-string", "fps-string", "rerank_limit-string", "seed-array",
             "annotations-number", "include_scores-string", "top_k-bool", "c_max-fraction",
             "frame_extract_cmd-number", "top_k-float", "fps-infinity", "backend-unknown",
+            "rank_source-unknown",
         ],
     )
     def test_mistyped_config_value_rejected(self, tmp_path, caplog, setting):
@@ -1022,6 +1043,13 @@ class TestConfigPrecedence:
         )
         with_nulls = RunConfig.from_args(parser.parse_args(["plan", "--config", str(config)]))
         assert with_nulls == RunConfig.from_args(parser.parse_args(["plan"]))
+
+    def test_negative_lambda_rejected(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        with caplog.at_level("ERROR"):
+            code = run(["plan", "--out", out, "--lambda", "-0.5"])
+        assert (code, caplog.messages) == (2, ["lambda_penalty must be >= 0"])
 
     def test_frames_per_clip_over_request_cap_rejected(self, tmp_path, caplog):
         # 20 s clips at 2 fps need 40 frames; a narration request holds 20.

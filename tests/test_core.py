@@ -9,8 +9,6 @@ from memrerank.core import (
     CandidateList,
     MetricCell,
     MetricsReport,
-    Query,
-    SequenceTask,
     TimeInterval,
     canonical_order,
 )
@@ -79,6 +77,10 @@ class TestValidateCandidateList:
         with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
             CandidateList("v0", "q0", ())
 
+    def test_empty_candidate_list_cannot_exist(self):
+        with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
+            clist("v0", "q0", [])
+
     def test_score_ties_broken_by_start_then_duration(self):
         raw = clist("v0", "q0", [(30, 50, 0.5), (10, 40, 0.5), (10, 25, 0.5)])
         ordered = canonical_order(raw.candidates)
@@ -107,40 +109,6 @@ class TestValidateCandidateList:
         assert canonical_order(once) == once
         scores = [c.score for c in once]
         assert scores == sorted(scores, reverse=True)
-
-
-class TestSequenceTask:
-    def _queries(self, orders):
-        return tuple(
-            Query(f"q{i}", "v0", f"step {i}", order_index=o)
-            for i, o in enumerate(orders)
-        )
-
-    def _lists(self, n):
-        return tuple(clist("v0", f"q{i}", [(0, 10, 0.5)]) for i in range(n))
-
-    def test_valid_task(self):
-        task = SequenceTask("v0", self._queries([0, 1, 2]), self._lists(3))
-        assert len(task) == 3
-
-    def test_order_must_strictly_increase(self):
-        with pytest.raises(SchemaViolation):
-            SequenceTask("v0", self._queries([0, 0]), self._lists(2))
-
-    def test_missing_order_index_rejected(self):
-        queries = (Query("q0", "v0", "step", order_index=None),)
-        with pytest.raises(SchemaViolation):
-            SequenceTask("v0", queries, self._lists(1))
-
-    def test_list_alignment_checked(self):
-        lists = (clist("v0", "other", [(0, 10, 0.5)]),)
-        with pytest.raises(SchemaViolation):
-            SequenceTask("v0", self._queries([0]), lists)
-
-    def test_empty_candidate_list_cannot_exist(self):
-        # CandidateList itself refuses emptiness, so a task can never hold one.
-        with pytest.raises(ValidationError, match="^query 'q0' has no candidates$"):
-            clist("v0", "q0", [])
 
 
 class TestMetricsReport:

@@ -2,6 +2,8 @@
 
 A change meant to leave the outputs byte-identical keeps these digests;
 a change that alters an output on purpose updates them and says why.
+``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints
+the tables the current code produces, ready to paste over the ones below.
 At 6 videos x 5 queries the stub and oracle picks leave rank 1 twice and
 the optimizer leaves rank 1 in each of the six videos, so promotion and the
 sequence prior both shape the pinned bytes.
@@ -35,6 +37,12 @@ def simulate_and_narrate(out, track):
     run(out, "narrate", "--backend", "stub")
 
 
+def optimize_onward(out, *flags):
+    run(out, "optimize", *flags)
+    run(out, "eval")
+    run(out, "report")
+
+
 def rerank_onward(out, backend, optimize=True):
     run(out, "rerank", "--backend", backend)
     if optimize:
@@ -43,18 +51,51 @@ def rerank_onward(out, backend, optimize=True):
     run(out, "report")
 
 
+# Each run yields the name of a table below once its outputs should match it.
+def goalstep_stub_then_oracle(out):
+    simulate_and_narrate(out, "goalstep")
+    rerank_onward(out, "stub")
+    yield "GOALSTEP_STUB"
+    rerank_onward(out, "oracle")
+    yield "GOALSTEP_ORACLE"
+
+
+def goalstep_optimizer_settings(out):
+    simulate_and_narrate(out, "goalstep")
+    rerank_onward(out, "stub")
+    yield "GOALSTEP_STUB"
+    optimize_onward(out, "--rank-source", "pre_rerank")
+    yield "GOALSTEP_PRE_RERANK"
+    # 0.1 is not a power of two: its integer ratio has a large numerator and
+    # denominator, which scale every integer cost of the DP.
+    optimize_onward(out, "--lambda", 0.1)
+    yield "GOALSTEP_LAMBDA_0_1"
+
+
+def nlq_stub(out):
+    simulate_and_narrate(out, "nlq")
+    rerank_onward(out, "stub", optimize=False)
+    yield "NLQ_STUB"
+
+
+RUNS = (goalstep_stub_then_oracle, goalstep_optimizer_settings, nlq_stub)
+
+
+def check(run_, out):
+    for name in run_(out):
+        assert digests(out) == globals()[name], name
+
+
 def test_goalstep_stub_then_oracle(tmp_path):
-    simulate_and_narrate(tmp_path, "goalstep")
-    rerank_onward(tmp_path, "stub")
-    assert digests(tmp_path) == GOALSTEP_STUB
-    rerank_onward(tmp_path, "oracle")
-    assert digests(tmp_path) == GOALSTEP_ORACLE
+    check(goalstep_stub_then_oracle, tmp_path)
+
+
+def test_goalstep_optimizer_settings(tmp_path):
+    check(goalstep_optimizer_settings, tmp_path)
 
 
 def test_nlq_stub(tmp_path):
-    simulate_and_narrate(tmp_path, "nlq")
-    rerank_onward(tmp_path, "stub", optimize=False)
-    assert digests(tmp_path) == NLQ_STUB
+    check(nlq_stub, tmp_path)
 
 
 GOALSTEP_STUB = {
@@ -79,6 +120,20 @@ GOALSTEP_ORACLE = {
     **GOALSTEP_STUB,
     "rerank_log.jsonl": "d6ece22d85d01b0b2c5ffb513113538c2f19d7989555ad25df04eebdce81e577",
 }
+# Ranked by score, the base lists put the stub's picks lower, so the report's
+# ranks and costs move while the chosen segments stay the same.
+GOALSTEP_PRE_RERANK = {
+    **GOALSTEP_STUB,
+    "optimizer_report.json": "5ff39b4817ff886710e02c99fcf71b9d3d2b6e4e51fa0aca271a7d809b619e21",
+}
+GOALSTEP_LAMBDA_0_1 = {
+    **GOALSTEP_STUB,
+    "metrics_after.json": "298a6a3438ae6d54c433e6ed9845beee5cfcebecfa8d96d637970105df99ae04",
+    "metrics_compare.json": "0149fe95b05035546bb01348602fb4e32e9a88c2712950b9d943dda68f444607",
+    "optimizer_report.json": "3c8964f75a47093d20503f25954260da086e004286925ba222a36af728a91fa5",
+    "predictions_final.json": "91637321367b229f1294958956069f3da0dde0d6ba23badea2942dfc54a05d8d",
+    "report.txt": "44fd772ee3efe6e548a537f4bf3b93c8c76a4719ab889f763572899ef43e7c10",
+}
 NLQ_STUB = {
     "annotations.json": "63fa50c188528eb3bcd0ab0d7accd655c062ee4078dfeb9f412c1abcaa15d23b",
     "cache/narrate_stats.json": "bf2a0101891cc2d08a03a7aabd8ec1be9f2cdcf116a8c14f6e631ab8e1bfa3c1",
@@ -94,3 +149,35 @@ NLQ_STUB = {
     "reranked_candidates.json": "e37b66f0c57bd43f51497f4a0a197b74c169e900fff2bf03104d299e0a662cd4",
     "scenario.json": "362c93fed00ed398b19b09b70dd4ad43e0f434e87d49825d267ad36f0c9108fc",
 }
+
+
+def print_tables():
+    """Print the table of every name the runs yield: a run's first table in
+    full, each later one as the entries that differ from that first."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    lines, printed = [], set()
+    for run_ in RUNS:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            out = Path(tmp)
+            first = None
+            for name in run_(out):
+                found = digests(out)
+                first = first or (name, found)
+                if name in printed:
+                    continue
+                printed.add(name)
+                lines.append(f"{name} = {{")
+                if name != first[0]:
+                    lines.append(f"    **{first[0]},")
+                    found = {k: v for k, v in found.items() if first[1].get(k) != v}
+                lines.extend(f'    "{file}": "{digest}",' for file, digest in found.items())
+                lines.append("}")
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    print_tables()

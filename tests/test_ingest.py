@@ -83,6 +83,12 @@ class TestLoadAnnotations:
         with pytest.raises(SchemaViolation):
             load_annotations(write_file(tmp_path, "a.json", payload))
 
+    def test_duplicate_order_index_rejected(self, tmp_path):
+        payload = annotations_payload()
+        payload["videos"][0]["queries"][1]["order_index"] = 0
+        with pytest.raises(SchemaViolation, match="duplicate order index 0 in video 'v0'"):
+            load_annotations(write_file(tmp_path, "a.json", payload))
+
     def test_goalstep_requires_order_everywhere(self, tmp_path):
         payload = annotations_payload()
         for query in payload["videos"][0]["queries"]:
@@ -199,6 +205,32 @@ class TestLoadCandidates:
             ValidationError, match="^candidates for unknown query 'nonexistent'$"
         ):
             load_candidates(write_file(tmp_path, "c.json", payload), dataset=dataset)
+
+    def test_list_under_another_video_rejected(self, tmp_path):
+        dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))
+        payload = candidates_payload(3)
+        payload["predictions"][0]["video_id"] = "v1"
+        path = write_file(tmp_path, "c.json", payload)
+        with pytest.raises(SchemaViolation) as caught:
+            load_candidates(path, dataset=dataset)
+        assert str(caught.value).endswith(
+            f"{path}: malformed candidates file: candidate list for query 'v0-q0' "
+            "names video 'v1', but the query is in 'v0'"
+        )
+        # Without a dataset there is no query's video to compare with.
+        assert [clist_.video_id for clist_ in load_candidates(path)] == ["v1"]
+
+    def test_second_list_for_a_query_rejected(self, tmp_path):
+        dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))
+        payload = candidates_payload(3)
+        payload["predictions"].append({**payload["predictions"][0], "video_id": "v1"})
+        path = write_file(tmp_path, "c.json", payload)
+        for known in (None, dataset):
+            with pytest.raises(SchemaViolation) as caught:
+                load_candidates(path, dataset=known)
+            assert str(caught.value).endswith(
+                f"{path}: malformed candidates file: duplicate candidate list for query 'v0-q0'"
+            )
 
     def test_non_canonical_load_preserves_order(self, tmp_path):
         # A reranked file is ordered by preference, not score.

@@ -4,11 +4,9 @@ import time
 
 import pytest
 
-from memrerank.core import Query, Selection, SequenceTask
+from memrerank.core import Query
 from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.sequencing import (
-    OptimizerConfig,
-    RankSource,
     build_tasks,
     optimize_sequence,
     pair_penalties,
@@ -21,20 +19,12 @@ from helpers import brute_force_optimize, clist, random_sequence_task
 
 
 def make_task(start_lists):
-    """Task from per-query candidate start times, ranked in the given
-    order (scores descend with it)."""
-    video_id = "v0"
-    queries = []
-    lists = []
-    for i, starts in enumerate(start_lists):
-        query_id = f"{video_id}-q{i}"
-        queries.append(Query(query_id, video_id, f"step {i}", order_index=i))
-        triples = [
-            (start, start + 10.0, 1.0 - 0.1 * position)
-            for position, start in enumerate(starts)
-        ]
-        lists.append(clist(video_id, query_id, triples))
-    return SequenceTask(video_id, tuple(queries), tuple(lists))
+    """Step lists of video v0 from per-step candidate start times, ranked
+    in the given order (scores descend with it)."""
+    return tuple(
+        clist("v0", f"v0-q{i}", [(s, s + 10.0, 1.0 - 0.1 * j) for j, s in enumerate(starts)])
+        for i, starts in enumerate(start_lists)
+    )
 
 
 class TestStartPenalty:
@@ -52,64 +42,60 @@ class TestSelectionCost:
     def test_three_step_hand_computed(self):
         # All rank-1 with starts (10, 5, 20): 3 + max(0,10-5) + max(0,5-20) = 8.
         task = make_task([[10.0], [5.0], [20.0]])
-        sel = Selection((0, 0, 0))
-        cost = selection_cost(task, sel, OptimizerConfig(lambda_penalty=1.0))
+        cost = selection_cost(task, (0, 0, 0), 1.0)
         assert cost == 8.0
         # Cross-check against the exhaustive oracle on this one-point space.
-        assert cost == selection_cost(
-            task, brute_force_optimize(task, OptimizerConfig()), OptimizerConfig()
-        )
+        assert cost == selection_cost(task, brute_force_optimize(task), 1.0)
 
     def test_monotone_starts_cost_equals_k(self):
         task = make_task([[0.0], [10.0], [20.0], [30.0]])
-        assert selection_cost(task, Selection((0, 0, 0, 0)), OptimizerConfig()) == 4.0
+        assert selection_cost(task, (0, 0, 0, 0), 1.0) == 4.0
 
     def test_single_query_rank_three(self):
         task = make_task([[50.0, 40.0, 30.0]])
-        assert selection_cost(task, Selection((2,)), OptimizerConfig()) == 3.0
+        assert selection_cost(task, (2,), 1.0) == 3.0
 
     def test_out_of_range_choice(self):
         task = make_task([[10.0]])
         with pytest.raises(
             ValidationError, match=r"^choice 1 out of range for query '.*' \(1 candidates\)$"
         ):
-            selection_cost(task, Selection((1,)), OptimizerConfig())
+            selection_cost(task, (1,), 1.0)
+        with pytest.raises(ValidationError, match=r"^choice -1 out of range for query "):
+            pair_penalties(task, (-1,))
 
     def test_lambda_scales_penalties_only(self):
         task = make_task([[40.0], [12.0]])
-        sel = Selection((0, 0))
-        assert selection_cost(task, sel, OptimizerConfig(lambda_penalty=0.0)) == 2.0
-        assert selection_cost(task, sel, OptimizerConfig(lambda_penalty=2.0)) == 58.0
+        sel = (0, 0)
+        assert selection_cost(task, sel, 0.0) == 2.0
+        assert selection_cost(task, sel, 2.0) == 58.0
 
 
 class TestOptimizeSequence:
     def test_monotone_rank_one_fixpoint_for_every_lambda(self):
         task = make_task([[5.0, 100.0], [10.0, 0.0], [15.0, 200.0]])
         for lam in (0.0, 0.1, 1.0, 10.0, 1e6):
-            cfg = OptimizerConfig(lambda_penalty=lam)
-            assert optimize_sequence(task, cfg) == Selection((0, 0, 0)), lam
+            assert optimize_sequence(task, lam) == (0, 0, 0), lam
 
     def test_two_by_two_tie_break(self):
         # q0: rank1 start 50, rank2 start 10; q1: rank1 start 20, rank2 start 60.
         # Costs: (1,1)=32, (1,2)=3, (2,1)=3, (2,2)=4; tie at 3 resolved to
         # rank vector (1,2).
         task = make_task([[50.0, 10.0], [20.0, 60.0]])
-        cfg = OptimizerConfig(lambda_penalty=1.0)
-        sel = optimize_sequence(task, cfg)
-        assert sel == Selection((0, 1))
-        assert selection_cost(task, sel, cfg) == 3.0
-        assert brute_force_optimize(task, cfg) == sel
+        sel = optimize_sequence(task, 1.0)
+        assert sel == (0, 1)
+        assert selection_cost(task, sel, 1.0) == 3.0
+        assert brute_force_optimize(task, 1.0) == sel
 
     def test_single_query_returns_rank_one(self):
         task = make_task([[30.0, 10.0, 50.0]])
-        assert optimize_sequence(task, OptimizerConfig()) == Selection((0,))
+        assert optimize_sequence(task) == (0,)
 
     def test_lambda_zero_returns_all_rank_one(self):
         rng = random.Random(5)
         for _ in range(25):
             task = random_sequence_task(rng)
-            sel = optimize_sequence(task, OptimizerConfig(lambda_penalty=0.0))
-            assert sel == Selection(tuple(0 for _ in task.queries))
+            assert optimize_sequence(task, 0.0) == (0,) * len(task)
 
     def test_large_lambda_prefers_zero_penalty_selection(self):
         rng = random.Random(11)
@@ -122,8 +108,8 @@ class TestOptimizeSequence:
                 base += rng.uniform(5.0, 30.0)
                 starts.append([base + 500.0, base + 900.0, base])
             task = make_task(starts)
-            big_lambda = sum(len(l) for l in task.lists) * 5 + 1
-            sel = optimize_sequence(task, OptimizerConfig(lambda_penalty=big_lambda))
+            big_lambda = sum(len(l) for l in task) * 5 + 1
+            sel = optimize_sequence(task, big_lambda)
             assert sum(pair_penalties(task, sel)) == 0.0
 
     def test_oracle_equivalence_on_random_instances(self):
@@ -131,11 +117,11 @@ class TestOptimizeSequence:
         lambdas = [0.0, 0.1, 1.0, 10.0]
         for i in range(120):
             task = random_sequence_task(rng)
-            cfg = OptimizerConfig(lambda_penalty=lambdas[i % len(lambdas)])
-            fast = optimize_sequence(task, cfg)
-            slow = brute_force_optimize(task, cfg)
+            lam = lambdas[i % len(lambdas)]
+            fast = optimize_sequence(task, lam)
+            slow = brute_force_optimize(task, lam)
             assert fast == slow
-            assert selection_cost(task, fast, cfg) == selection_cost(task, slow, cfg)
+            assert selection_cost(task, fast, lam) == selection_cost(task, slow, lam)
 
     def test_oracle_equivalence_under_heavy_ties(self):
         # Integer starts drawn from a tiny range make exact cost ties
@@ -148,8 +134,8 @@ class TestOptimizeSequence:
                 for _ in range(k)
             ]
             task = make_task(starts)
-            cfg = OptimizerConfig(lambda_penalty=rng.choice([0.0, 0.1, 1.0]))
-            assert optimize_sequence(task, cfg) == brute_force_optimize(task, cfg)
+            lam = rng.choice([0.0, 0.1, 1.0])
+            assert optimize_sequence(task, lam) == brute_force_optimize(task, lam)
 
     def test_scale_500_queries(self):
         rng = random.Random(3)
@@ -157,13 +143,11 @@ class TestOptimizeSequence:
             [rng.uniform(0.0, 600.0) for _ in range(5)] for _ in range(500)
         ]
         task = make_task(starts)
-        cfg = OptimizerConfig()
         t0 = time.perf_counter()
-        sel = optimize_sequence(task, cfg)
+        sel = optimize_sequence(task)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
-        baseline = Selection(tuple(0 for _ in range(500)))
-        assert selection_cost(task, sel, cfg) <= selection_cost(task, baseline, cfg)
+        assert selection_cost(task, sel, 1.0) <= selection_cost(task, (0,) * 500, 1.0)
 
 
 def _float_sum(values):
@@ -200,10 +184,9 @@ class TestExactCosts:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_matches_brute_force(self, start, lam):
         rng = random.Random(f"{lam!r}")
-        cfg = OptimizerConfig(lambda_penalty=lam)
         for _ in range(20):
             task = self._random_task(rng, start)
-            assert optimize_sequence(task, cfg) == brute_force_optimize(task, cfg)
+            assert optimize_sequence(task, lam) == brute_force_optimize(task, lam)
 
     def test_exact_tie_float_summation_would_break(self):
         # Two selections of rank sum 5 and exact penalty sum 2^-50:
@@ -213,13 +196,12 @@ class TestExactCosts:
         # exactly, they tie and B's rank vector (1, 1, 3) beats A's (1, 2, 2).
         half = 2.0**-51
         task = make_task([[3.5], [8.0, 3.5 - half], [1.0, 3.5 - 2 * half, 8.0 - 2 * half]])
-        cfg = OptimizerConfig(lambda_penalty=1.0)
-        a, b = Selection((0, 1, 1)), Selection((0, 0, 2))
+        a, b = (0, 1, 1), (0, 0, 2)
         assert pair_penalties(task, a) == [half, half]
         assert pair_penalties(task, b) == [0.0, 2 * half]
         assert _float_sum([1, 2, half, 2, half]) < _float_sum([1, 1, 0.0, 3, 2 * half])
         assert _float_sum([2, half, 2, half, 1]) < _float_sum([3, 2 * half, 1, 0.0, 1])
-        assert optimize_sequence(task, cfg) == brute_force_optimize(task, cfg) == b
+        assert optimize_sequence(task, 1.0) == brute_force_optimize(task, 1.0) == b
 
 
 class TestBruteForce:
@@ -229,22 +211,11 @@ class TestBruteForce:
         with pytest.raises(
             ValidationError, match="^selection space exceeds 1000000 combinations$"
         ):
-            brute_force_optimize(task, OptimizerConfig())
+            brute_force_optimize(task)
 
     def test_single_query_matches_dp(self):
         task = make_task([[9.0, 1.0]])
-        cfg = OptimizerConfig()
-        assert brute_force_optimize(task, cfg) == optimize_sequence(task, cfg)
-
-
-class TestOptimizerConfig:
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(SchemaViolation):
-            OptimizerConfig(lambda_penalty=-1.0)
-
-    def test_rank_source_coerced(self):
-        cfg = OptimizerConfig(rank_source="pre_rerank")
-        assert cfg.rank_source is RankSource.PRE_RERANK
+        assert brute_force_optimize(task) == optimize_sequence(task)
 
 
 class TestBuildTasks:
@@ -264,7 +235,7 @@ class TestBuildTasks:
             clist("v0", "v0-q1", [(20, 30, 0.8)]),
         ]
         (task,) = build_tasks(dataset, lists)
-        assert [q.query_id for q in task.queries] == ["v0-q0", "v0-q1"]
+        assert [step.query_id for step in task] == ["v0-q0", "v0-q1"]
 
     def test_missing_list_rejected(self):
         from helpers import interval
@@ -277,14 +248,21 @@ class TestBuildTasks:
         with pytest.raises(SchemaViolation):
             build_tasks(dataset, [])
 
+    def test_unordered_query_rejected(self):
+        from memrerank.ingest import Dataset, Track, VideoRecord
+
+        queries = (Query("v0-q0", "v0", "anything"),)
+        dataset = Dataset(track=Track.NLQ, videos=(VideoRecord("v0", 100.0, queries),))
+        with pytest.raises(SchemaViolation, match="query 'v0-q0' is unordered"):
+            build_tasks(dataset, [clist("v0", "v0-q0", [(0, 10, 0.9)])])
+
 
 class TestOptimizerReport:
     def test_report_contents(self, tmp_path):
         task = make_task([[50.0, 10.0], [20.0, 60.0]])
-        cfg = OptimizerConfig()
-        sel = optimize_sequence(task, cfg)
+        sel = optimize_sequence(task)
         path = tmp_path / "report.json"
-        write_optimizer_report([(task, sel)], cfg, path)
+        write_optimizer_report([(task, sel)], 1.0, "post_rerank", path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         (video,) = payload["videos"]
         assert video["video_id"] == "v0"
