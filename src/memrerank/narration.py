@@ -5,10 +5,10 @@ The backend is pluggable: deterministic stubs and oracles live in
 A narration request is structured (video id, clip bounds, frame refs and
 prompt template): the scripted backends read its fields, and only the
 HTTP client renders them into instruction text.
-Narrations are cached on disk keyed by (video, clip, prompt version,
-backend), so re-running a dataset with a warm cache issues zero backend
-calls. One narrate run schedules every distinct clip of every plan at
-once: each cache key reaches the backend at most once, and at most
+Narrations are cached on disk keyed by (video, clip, sampling, prompt
+version, backend), so re-running a dataset with a warm cache issues zero
+backend calls. One narrate run schedules every distinct clip of every plan
+at once: each cache key reaches the backend at most once, and at most
 ``c_max`` requests are in flight across the whole run; a clip waiting out
 a retry backoff holds none of them (:func:`dispatch`, which the rerank
 stage's selections go through too). Memories files are
@@ -20,7 +20,6 @@ and then removed from it.
 from __future__ import annotations
 
 import abc
-import functools
 import hashlib
 import heapq
 import json
@@ -30,10 +29,10 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from . import clips
-from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
+from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
 from .errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -134,9 +133,14 @@ class Backend(abc.ABC):
 
 
 class NarrationCacheKey(NamedTuple):
+    """Everything a narration request is built from: a clip of a video,
+    sampled as :func:`clips.clip_frames` says, and who narrates it how."""
+
     video_id: str
     clip_start_s: float
     clip_end_s: float
+    fps: float
+    clip_len_s: float
     prompt_version: str
     backend_id: str
 
@@ -145,6 +149,8 @@ class NarrationCacheKey(NamedTuple):
         return cls(
             checked(payload["video_id"], (str,), "video_id"),
             *clip_bounds(payload),
+            checked(payload["fps"], NUMBER, "fps"),
+            checked(payload["clip_len_s"], NUMBER, "clip_len_s"),
             checked(payload["prompt_version"], (str,), "prompt_version"),
             checked(payload["backend_id"], (str,), "backend_id"),
         )
@@ -240,19 +246,20 @@ class Clock:
 
 
 def dispatch(
-    calls: Sequence[Callable], c_max: int, clock: Clock = Clock(), on_retry=lambda: None
+    call: Callable, items: Sequence, c_max: int, clock: Clock = Clock(), on_retry=lambda: None
 ) -> list:
-    """Run ``calls`` on at most ``min(c_max, len(calls))`` threads; return
-    their results in order. A transient failure (``BackendUnavailableError``,
-    ``EmptyNarrationError``) is queued again, due ``RETRY_BACKOFF_S[n - 1]``
-    s after the n-th, and reported to ``on_retry``, while its worker takes
-    the next ready call (a due retry first). Any other error, or a last
+    """Run ``call`` on each of ``items`` on at most ``min(c_max,
+    len(items))`` threads; return the results in order. A transient failure
+    (``BackendUnavailableError``, ``EmptyNarrationError``) is queued again,
+    due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and reported to
+    ``on_retry``, while its worker takes the next ready call (a due retry
+    first). Any other error, or a last
     failure, stops the hand-out and is re-raised here once the calls in
     flight finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
         raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
-    results, errors, delayed = [None] * len(calls), [], []  # (due, index, failures)
-    fresh, ready = ((i, 0) for i in range(len(calls))), threading.Condition()
+    results, errors, delayed = [None] * len(items), [], []  # (due, index, failures)
+    fresh, ready = ((i, 0) for i in range(len(items))), threading.Condition()
 
     def next_call() -> tuple[int, int] | None:
         with ready:
@@ -274,7 +281,7 @@ def dispatch(
         while job := next_call():
             index, failures = job
             try:
-                results[index] = calls[index]()
+                results[index] = call(items[index])
             except Exception as exc:  # re-raised on the calling thread
                 transient = isinstance(exc, (BackendUnavailableError, EmptyNarrationError))
                 if transient and failures < len(RETRY_BACKOFF_S):
@@ -287,7 +294,7 @@ def dispatch(
                     exc = BackendUnavailableError(f"failed after {failures + 1} attempts: {exc}")
                 return stop(exc)
 
-    workers = [threading.Thread(target=work) for _ in calls[:c_max]]
+    workers = [threading.Thread(target=work) for _ in items[:c_max]]
     try:
         for worker in workers:
             worker.start()
@@ -346,33 +353,39 @@ class NarrationEngine:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _key(self, video_id: str, clip: TimeInterval) -> NarrationCacheKey:
+    def _key(
+        self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float
+    ) -> NarrationCacheKey:
         version, backend = self.prompt.version, self.backend.backend_id
-        return NarrationCacheKey(video_id, clip.start_s, clip.end_s, version, backend)
+        return NarrationCacheKey(
+            video_id, clip.start_s, clip.end_s, fps, clip_len_s, version, backend
+        )
 
     def narrate_clip(
-        self, video_id: str, clip: TimeInterval, frame_timestamps: Sequence[float]
+        self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float
     ) -> str:
-        """Cached narration for one clip; a miss is a one-job dispatch."""
-        key = self._key(video_id, clip)
-        self._narrate_jobs({key: (video_id, clip, lambda: frame_timestamps)})
+        """Cached narration for one clip, sampled as a plan of ``fps`` and
+        ``clip_len_s`` samples it; a miss is a one-job dispatch."""
+        key = self._key(video_id, clip, fps, clip_len_s)
+        self._narrate_jobs((key,))
         return self.cache.get(key)
 
-    def _narrate_jobs(self, jobs: Mapping[NarrationCacheKey, tuple]) -> None:
-        """Serve hits from the cache and narrate the misses in one dispatch; a job
-        is (video id, clip, a function giving its frames, called on a miss)."""
-        misses = [(key, *job) for key, job in jobs.items() if self.cache.get(key) is None]
+    def _narrate_jobs(self, keys: Collection[NarrationCacheKey]) -> None:
+        """Serve hits from the cache and narrate the misses in one dispatch;
+        a miss's clip and frames are derived from its key."""
+        misses = [key for key in keys if self.cache.get(key) is None]
 
-        def call(key, video_id, clip, frames) -> None:
-            refs = tuple(FrameRef(video_id, t) for t in frames())
-            text = self.backend.narrate(BackendRequest(video_id, clip, refs, self.prompt))
+        def call(key: NarrationCacheKey) -> None:
+            clip = TimeInterval(key.clip_start_s, key.clip_end_s)
+            frames = clips.clip_frames(clip, key.fps, key.clip_len_s)
+            refs = tuple(FrameRef(key.video_id, t) for t in frames)
+            text = self.backend.narrate(BackendRequest(key.video_id, clip, refs, self.prompt))
             if not text.strip():
                 raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
             self.cache.put(key, text.strip())
 
-        self._count(cache_hits=len(jobs) - len(misses), cache_misses=len(misses))
-        calls = [functools.partial(call, *miss) for miss in misses]
-        dispatch(calls, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
+        self._count(cache_hits=len(keys) - len(misses), cache_misses=len(misses))
+        dispatch(call, misses, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
 
     def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:
         """Narrate every clip of every plan; one memory per plan, in order.
@@ -382,7 +395,7 @@ class NarrationEngine:
         by one :func:`dispatch`, and only misses have their frames derived.
         Narrations finished before a failure stay cached.
         """
-        jobs: dict[NarrationCacheKey, tuple] = {}
+        plan_keys = []
         for plan in plans:
             # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
             if plan.clip_len_s * plan.fps > MAX_IMAGES_PER_REQUEST:
@@ -391,55 +404,22 @@ class NarrationEngine:
                     f"exceed the per-request cap of {MAX_IMAGES_PER_REQUEST} frames"
                 )
             video_id = plan.candidate_key.video_id
-            for clip in plan.clips:
-                frames = functools.partial(clips.clip_frames, clip, plan.fps, plan.clip_len_s)
-                jobs.setdefault(self._key(video_id, clip), (video_id, clip, frames))
-        requested = sum(len(plan.clips) for plan in plans)
-        self._count(clips_requested=requested, clips_unique=len(jobs))
-        self._narrate_jobs(jobs)
+            plan_keys.append(
+                [self._key(video_id, clip, plan.fps, plan.clip_len_s) for clip in plan.clips]
+            )
+        unique = dict.fromkeys(key for keys in plan_keys for key in keys)
+        self._count(clips_requested=sum(map(len, plan_keys)), clips_unique=len(unique))
+        self._narrate_jobs(unique)
+        get, version, backend = self.cache.get, self.prompt.version, self.backend.backend_id
         return [
-            build_episodic_memory(
+            EpisodicMemory(
                 plan.candidate_key,
-                plan,
-                {
-                    clip: self.cache.get(self._key(plan.candidate_key.video_id, clip))
-                    for clip in plan.clips
-                },
-                prompt_version=self.prompt.version,
-                backend_id=self.backend.backend_id,
+                tuple(MemoryEntry(clip, get(key)) for clip, key in zip(plan.clips, keys)),
+                version,
+                backend,
             )
-            for plan in plans
+            for plan, keys in zip(plans, plan_keys)
         ]
-
-
-def build_episodic_memory(
-    candidate_key: CandidateKey,
-    plan: clips.ClipPlan,
-    narrations: Mapping[TimeInterval, str],
-    *,
-    prompt_version: str,
-    backend_id: str,
-) -> EpisodicMemory:
-    """Assemble ordered memory entries from per-clip narrations.
-
-    The result depends only on the mapping's contents, never on the order
-    in which narrations completed.
-    """
-    entries = []
-    for clip in sorted(plan.clips, key=lambda c: c.start_s):
-        text = narrations.get(clip)
-        if text is None:
-            raise ValidationError(
-                f"no narration for clip [{clip.start_s}, {clip.end_s}) of "
-                f"{candidate_key}"
-            )
-        entries.append(MemoryEntry(clip, text))
-    return EpisodicMemory(
-        candidate_key=candidate_key,
-        entries=tuple(entries),
-        prompt_version=prompt_version,
-        backend_id=backend_id,
-    )
 
 
 def _compact_seconds(value: float) -> str:

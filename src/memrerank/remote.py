@@ -10,9 +10,11 @@ template with ``{video}``, ``{t}``, and ``{out}`` placeholders.
 from __future__ import annotations
 
 import base64
+import hashlib
 import os
 import shlex
 import subprocess
+import urllib.parse
 from pathlib import Path
 
 import requests
@@ -77,9 +79,10 @@ class FrameProvider:
 class RemoteBackend(Backend):
     """Authenticated JSON-over-HTTP backend.
 
-    Both narration and selection requests POST to ``<base>/generate``
-    with an instruction, an ordered (possibly empty) image list, and an
-    output-length cap. A reply must be a JSON object whose ``text`` is a
+    Its ``backend_id`` is derived from the base URL, which must be an
+    http or https URL with a host. Both narration and selection requests
+    POST to ``<base>/generate`` with an instruction, an ordered (possibly
+    empty) image list, and an output-length cap. A reply must be a JSON object whose ``text`` is a
     string; any other reply is a permanent ``BackendError``.
     """
 
@@ -90,11 +93,21 @@ class RemoteBackend(Backend):
         frame_provider: FrameProvider | None = None,
         session=None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        backend_id: str = "remote",
     ):
         super().__init__()
-        self.backend_id = backend_id
-        self._url = base_url.rstrip("/") + "/generate"
+        base_url = base_url.rstrip("/")
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"{ENV_API_BASE} must be an http or https URL with a host, got {base_url!r}"
+            )
+        # The id keys the narration cache, so each endpoint has its own entries.
+        self.backend_id = f"remote-{hashlib.sha256(base_url.encode('utf-8')).hexdigest()[:12]}"
+        self._url = base_url + "/generate"
         self._headers = {"Authorization": f"Bearer {api_key}"}
         self._frames = frame_provider
         self._session = session if session is not None else requests.Session()

@@ -11,7 +11,6 @@ one place a list is reordered.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -156,8 +155,6 @@ def rerank_many(
 ) -> list[RerankOutcome]:
     """Rerank several queries, up to ``c_max`` selection calls in flight.
     ``rerank`` falls back on a backend error, so no selection is retried."""
-    calls = [
-        functools.partial(rerank, *item, backend, include_scores=include_scores)
-        for item in items
-    ]
-    return dispatch(calls, c_max)
+    return dispatch(
+        lambda item: rerank(*item, backend, include_scores=include_scores), items, c_max
+    )

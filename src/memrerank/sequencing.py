@@ -112,8 +112,9 @@ def optimize_sequence(
 def build_tasks(
     dataset: Dataset, lists: Sequence[CandidateList]
 ) -> list[tuple[CandidateList, ...]]:
-    """The candidate lists of each video's step queries, in step order; a
-    video without queries has nothing to order and is skipped."""
+    """The candidate lists of each video's step queries, in step order. A
+    query without a list is left out, so its neighbours become adjacent
+    steps; a video left with no lists has nothing to order and is skipped."""
     by_query = {(clist.video_id, clist.query_id): clist for clist in lists}
     tasks = []
     for video in dataset.videos:
@@ -126,12 +127,8 @@ def build_tasks(
                     "optimization needs an ordered track",
                 )
             clist = by_query.get((video.video_id, query.query_id))
-            if clist is None:
-                raise SchemaViolation(
-                    "query_id",
-                    f"no candidate list for query '{query.query_id}'",
-                )
-            aligned.append(clist)
+            if clist is not None:
+                aligned.append(clist)
         if aligned:
             tasks.append(tuple(aligned))
     return tasks

@@ -9,6 +9,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+import requests
 
 import memrerank
 import memrerank.cli as cli
@@ -436,6 +437,20 @@ class TestPipeline:
         assert second["backend_calls"] == 0
         assert second["cache_hits"] == first["backend_calls"]
 
+    def test_replan_at_another_fps_narrates_again(self, tmp_path):
+        # The cache key carries the clip's sampling: the same clip bounds
+        # sampled at another fps are other frames, so no hit serves them.
+        out = tmp_path / "run"
+        simulate(out, videos=3, queries=4)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert run(["plan", "--out", out, "--fps", 0.5]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert stats["clips_unique"] > 0
+        assert stats["backend_calls"] == stats["cache_misses"] == stats["clips_unique"]
+        assert stats["cache_hits"] == 0
+
     def test_warm_narrate_derives_no_frames(self, tmp_path, monkeypatch):
         derived = []
 
@@ -578,6 +593,34 @@ class TestPipeline:
             assert run([stage, "--out", out]) == 0, stage
         report = json.loads((out / "optimizer_report.json").read_text())
         assert [video["video_id"] for video in report["videos"]] == ["v000", "v001"]
+
+    def test_optimize_leaves_out_a_query_without_candidates(self, tmp_path, caplog):
+        # v000-q001 loses its list: v000-q000 and v000-q002 become adjacent
+        # steps, and eval counts v000-q001 as a miss.
+        out = tmp_path / "run"
+        simulate(out, seed=7, videos=2, queries=3)
+        path = out / "candidates.json"
+        candidates = json.loads(path.read_text())
+        candidates["predictions"] = [
+            p for p in candidates["predictions"] if p["query_id"] != "v000-q001"
+        ]
+        path.write_text(json.dumps(candidates))
+        for stage in ("plan", "narrate", "rerank", "optimize"):
+            assert run([stage, "--out", out]) == 0, stage
+        with caplog.at_level("WARNING"):
+            assert run(["eval", "--out", out]) == 0
+        report = json.loads((out / "optimizer_report.json").read_text())
+        assert [len(video["choices"]) for video in report["videos"]] == [2, 3]
+        final = json.loads((out / "predictions_final.json").read_text())
+        assert [r["query_id"] for r in final["results"]] == [
+            "v000-q000", "v000-q002", "v001-q000", "v001-q001", "v001-q002",
+        ]
+        compare = json.loads((out / "metrics_compare.json").read_text())
+        assert compare["after"]["num_queries"] == 6
+        assert any(
+            "1 of 6 queries have no predictions and count as misses (first: v000-q001)" in m
+            for m in caplog.messages
+        )
 
     def test_optimize_rejects_unordered_track(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -1170,6 +1213,26 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "simulate" in result.stdout
+
+    @pytest.mark.parametrize("base", ["localhost:8000", "ftp://example", "http://"])
+    @pytest.mark.parametrize("stage", ["narrate", "rerank"])
+    def test_malformed_api_base_exits_2_before_any_request(
+        self, tmp_path, monkeypatch, caplog, stage, base
+    ):
+        def no_request(*args, **kwargs):
+            raise AssertionError("a request was sent")
+
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        monkeypatch.setenv("MEMRERANK_API_BASE", base)
+        monkeypatch.setenv("MEMRERANK_API_KEY", "k")
+        monkeypatch.setattr(requests.Session, "post", no_request)
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, "--backend", "remote"])
+        assert code == 2
+        assert any("MEMRERANK_API_BASE must be an http or https URL" in m for m in caplog.messages)
 
     def test_remote_backend_requires_env(self, tmp_path, monkeypatch, caplog):
         monkeypatch.delenv("MEMRERANK_API_BASE", raising=False)

@@ -8,7 +8,7 @@ import pytest
 
 import memrerank.narration as narration
 from memrerank.clips import plan_candidate
-from memrerank.core import CandidateKey
+from memrerank.core import CandidateKey, EpisodicMemory, MemoryEntry
 from memrerank.errors import (
     BackendUnavailableError,
     EmptyNarrationError,
@@ -22,7 +22,6 @@ from memrerank.narration import (
     NarrationCacheKey,
     NarrationEngine,
     PromptTemplate,
-    build_episodic_memory,
     render_memory,
 )
 from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
@@ -128,20 +127,20 @@ class TestNarrateClip:
         expected = [e.label for e in script if e.interval.overlaps(clip)]
         assert expected == ["e1", "e2"]
         engine = NarrationEngine(stub_backend(scenario))
-        text = engine.narrate_clip("v0", clip, (55.0, 60.0, 70.0))
+        text = engine.narrate_clip("v0", clip, 1.0, 20.0)
         assert text == "events: e1; e2"
 
     def test_clip_overlapping_nothing(self):
         scenario = tiny_scenario()
         engine = NarrationEngine(stub_backend(scenario))
-        assert engine.narrate_clip("v0", interval(42, 48), (42.0,)) == "events: none"
+        assert engine.narrate_clip("v0", interval(42, 48), 1.0, 20.0) == "events: none"
 
     def test_cache_hit_skips_backend(self):
         backend = FixedBackend()
         engine = NarrationEngine(backend)
-        first = engine.narrate_clip("v0", interval(0, 10), (0.0, 1.0))
+        first = engine.narrate_clip("v0", interval(0, 10), 1.0, 20.0)
         calls_after_first = backend.narrate_calls
-        second = engine.narrate_clip("v0", interval(0, 10), (0.0, 1.0))
+        second = engine.narrate_clip("v0", interval(0, 10), 1.0, 20.0)
         assert first == second
         assert backend.narrate_calls == calls_after_first
         assert engine.stats()["cache_hits"] == 1
@@ -149,13 +148,13 @@ class TestNarrateClip:
     def test_frame_cap(self):
         engine = NarrationEngine(FixedBackend())
         with pytest.raises(ValidationError, match=r"^21 images; allowed 1\.\.20$"):
-            engine.narrate_clip("v0", interval(0, 21), tuple(float(t) for t in range(21)))
+            engine.narrate_clip("v0", interval(0, 21), 1.0, 21.0)
 
     def test_retries_then_succeeds(self):
         clock = FakeClock()
         backend = FixedBackend(failures=2)
         engine = NarrationEngine(backend, clock=clock)
-        text = engine.narrate_clip("v0", interval(0, 5), (0.0,))
+        text = engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert "steady narration" in text
         assert clock.waits == [1.0, 2.0]
         assert backend.narrate_calls == 3
@@ -166,7 +165,7 @@ class TestNarrateClip:
         backend = FixedBackend(failures=99)
         engine = NarrationEngine(backend, clock=clock)
         with pytest.raises(BackendUnavailableError, match="failed after 4 attempts"):
-            engine.narrate_clip("v0", interval(0, 5), (0.0,))
+            engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert clock.waits == [1.0, 2.0, 4.0]
         assert backend.narrate_calls == 4
 
@@ -175,18 +174,28 @@ class TestNarrateClip:
         backend = FixedBackend(empties=99)
         engine = NarrationEngine(backend, clock=clock)
         with pytest.raises(EmptyNarrationError):
-            engine.narrate_clip("v0", interval(0, 5), (0.0,))
+            engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert clock.waits == [1.0, 2.0, 4.0]
 
     def test_empty_then_good_output(self):
         backend = FixedBackend(empties=1)
         engine = NarrationEngine(backend, clock=FakeClock())
-        assert "steady narration" in engine.narrate_clip("v0", interval(0, 5), (0.0,))
+        assert "steady narration" in engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
+
+    def test_fps_and_clip_len_key_the_narration(self):
+        backend = FixedBackend()
+        engine = NarrationEngine(backend)
+        one = engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
+        half = engine.narrate_clip("v0", interval(0, 5), 0.5, 20.0)
+        engine.narrate_clip("v0", interval(0, 5), 1.0, 2.0)
+        assert (one, half) == ("a steady narration of 5 frames", "a steady narration of 3 frames")
+        assert backend.narrate_calls == 3
+        assert engine.stats()["cache_hits"] == 0
 
 
 class TestNarrationCache:
     def _key(self, start=0.0, end=10.0):
-        return NarrationCacheKey("v0", start, end, "narr-x", "fixed")
+        return NarrationCacheKey("v0", start, end, 1.0, 20.0, "narr-x", "fixed")
 
     def test_persistent_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -216,11 +225,12 @@ class TestNarrationCache:
         [
             *(("clip_start_s", bound) for bound in ["5.0", "x", True, float("nan"), -1.0]),
             ("video_id", 5),
+            ("fps", "1.0"),
             ("prompt_version", 5),
             ("backend_id", None),
         ],
-        ids=["5.0", "x", "True", "nan", "-1.0", "video_id-number", "prompt_version-number",
-             "backend_id-null"],
+        ids=["5.0", "x", "True", "nan", "-1.0", "video_id-number", "fps-string",
+             "prompt_version-number", "backend_id-null"],
     )
     def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, field, bound):
         path = tmp_path / "cache.jsonl"
@@ -237,6 +247,23 @@ class TestNarrationCache:
         assert len(reloaded) == 1
         assert reloaded.get(self._key(5.0, 15.0)) is None
         assert any(f"corrupt cache record {path}:2" in m for m in caplog.messages)
+
+    def test_record_without_sampling_skipped_and_dropped(self, tmp_path, caplog):
+        # A record written before the key carried the clip's sampling.
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "hello")
+        cache.close()
+        valid = path.read_bytes()
+        record = {"key": self._key(5.0, 15.0)._asdict(), "text": "world"}
+        del record["key"]["fps"], record["key"]["clip_len_s"]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert len(reloaded) == 1
+        assert any(f"corrupt cache record {path}:2 ('fps')" in m for m in caplog.messages)
+        assert path.read_bytes() == valid
 
     def test_record_torn_inside_a_character_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
@@ -326,42 +353,29 @@ class TestNarrationCache:
 class TestBuildEpisodicMemory:
     def test_entries_ordered_regardless_of_mapping_order(self):
         plan = plan_for(0.0, 60.0)
-        narrations = {
-            plan.clips[2]: "third",
-            plan.clips[0]: "first",
-            plan.clips[1]: "second",
-        }
-        memory = build_episodic_memory(
-            plan.candidate_key, plan, narrations, prompt_version="p1", backend_id="b"
-        )
+        cache = NarrationCache()
+        engine = NarrationEngine(FixedBackend(), cache)
+        keys = [engine._key("v0", clip, plan.fps, plan.clip_len_s) for clip in plan.clips]
+        for key, text in reversed(list(zip(keys, ["first", "second", "third"]))):
+            cache.put(key, text)
+        [memory] = engine.narrate_plans([plan])
         assert [e.narration for e in memory.entries] == ["first", "second", "third"]
         assert memory.span == interval(0, 60)
+        assert engine.backend.narrate_calls == 0
 
     def test_single_clip(self):
         plan = plan_for(3.0, 9.0)
-        memory = build_episodic_memory(
-            plan.candidate_key,
-            plan,
-            {plan.clips[0]: "only"},
-            prompt_version="p1",
-            backend_id="b",
-        )
+        [memory] = NarrationEngine(FixedBackend()).narrate_plans([plan])
         assert len(memory.entries) == 1
+        assert memory.span == interval(3, 9)
 
     def test_missing_narration_rejected(self):
-        plan = plan_for(0.0, 60.0)
-        narrations = {plan.clips[0]: "first", plan.clips[2]: "third"}
         with pytest.raises(
-            ValidationError,
-            match=re.escape("no narration for clip [20.0, 40.0) of CandidateKey("),
+            ValidationError, match=re.escape("clip [20.0, 40.0) has no narration")
         ):
-            build_episodic_memory(
-                plan.candidate_key, plan, narrations, prompt_version="p1", backend_id="b"
-            )
+            MemoryEntry(interval(20, 40), None)
 
     def test_zero_entry_memory_is_unrepresentable(self):
-        from memrerank.core import EpisodicMemory
-
         with pytest.raises(ValidationError, match=r"^memory for .* has no entries$"):
             EpisodicMemory(
                 candidate_key=CandidateKey("v0", "q0", 1),
@@ -373,14 +387,8 @@ class TestBuildEpisodicMemory:
 
 class TestRenderMemory:
     def _memory(self):
-        plan = plan_for(0.0, 40.0, rank=2)
-        return build_episodic_memory(
-            plan.candidate_key,
-            plan,
-            {plan.clips[0]: "A", plan.clips[1]: "B"},
-            prompt_version="p1",
-            backend_id="b",
-        )
+        entries = (MemoryEntry(interval(0, 20), "A"), MemoryEntry(interval(20, 40), "B"))
+        return EpisodicMemory(CandidateKey("v0", "v0-q000", 2), entries, "p1", "b")
 
     def test_format(self):
         text = render_memory(self._memory())
@@ -666,6 +674,6 @@ class TestPromptTemplate:
         cache = NarrationCache()
         engine_a = NarrationEngine(backend, cache, prompt=PromptTemplate("one"))
         engine_b = NarrationEngine(backend, cache, prompt=PromptTemplate("two"))
-        engine_a.narrate_clip("v0", interval(0, 5), (0.0,))
-        engine_b.narrate_clip("v0", interval(0, 5), (0.0,))
+        engine_a.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
+        engine_b.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert backend.narrate_calls == 2

@@ -11,7 +11,7 @@ from memrerank.errors import (
 )
 from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
-from memrerank.narration import BackendRequest, FrameRef, NarrationEngine
+from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
 from memrerank.rerank import rerank
 from memrerank.synth import stub_backend
@@ -134,7 +134,7 @@ class TestRemoteBackend:
         session = FakeSession()
         backend = RemoteBackend("https://api.example.test", "k", session=session)
         engine = NarrationEngine(backend)
-        assert engine.narrate_clip("v0", TimeInterval(25.511, 45.511), (25.511, 26.511)) == (
+        assert engine.narrate_clip("v0", TimeInterval(25.511, 45.511), 1.0, 2.0) == (
             "a narration"
         )
         (sent,) = session.requests
@@ -224,4 +224,30 @@ class TestRemoteBackend:
         monkeypatch.setenv("MEMRERANK_API_BASE", "https://api.example.test")
         monkeypatch.setenv("MEMRERANK_API_KEY", "sekret")
         backend = RemoteBackend.from_env(session=FakeSession())
-        assert backend.backend_id == "remote"
+        assert re.fullmatch(r"remote-[0-9a-f]{12}", backend.backend_id)
+
+    def test_backend_id_is_derived_from_the_base_url(self):
+        ids = [
+            RemoteBackend(base, "k", session=FakeSession()).backend_id
+            for base in ("https://a.example.test", "https://a.example.test/", "https://b.example.test")
+        ]
+        assert ids[0] == ids[1] != ids[2]
+        assert "example" not in ids[0]
+
+    def test_two_endpoints_key_one_clip_differently(self):
+        cache = NarrationCache()
+        sessions = [FakeSession(), FakeSession()]
+        for base, session in zip(("https://a.example.test", "https://b.example.test"), sessions):
+            engine = NarrationEngine(RemoteBackend(base, "k", session=session), cache)
+            assert engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0) == "a narration"
+        assert [len(session.requests) for session in sessions] == [1, 1]
+        assert len(cache) == 2
+
+    @pytest.mark.parametrize(
+        "base", ["localhost:8000", "ftp://example", "http://", "http://:80", "http://[::1"]
+    )
+    def test_malformed_base_url_rejected(self, base):
+        session = FakeSession()
+        with pytest.raises(ConfigError, match="^MEMRERANK_API_BASE must be an http or https URL"):
+            RemoteBackend(base, "k", session=session)
+        assert session.requests == []

@@ -237,16 +237,28 @@ class TestBuildTasks:
         (task,) = build_tasks(dataset, lists)
         assert [step.query_id for step in task] == ["v0-q0", "v0-q1"]
 
-    def test_missing_list_rejected(self):
+    def test_missing_list_left_out(self):
         from helpers import interval
         from memrerank.ingest import Dataset, Track, VideoRecord
 
-        queries = (Query("v0-q0", "v0", "step", order_index=0, ground_truth=interval(5, 15)),)
+        def steps(video_id):
+            return tuple(
+                Query(f"{video_id}-q{i}", video_id, "step", order_index=i,
+                      ground_truth=interval(5, 15))
+                for i in range(3)
+            )
+
         dataset = Dataset(
-            track=Track.GOALSTEP, videos=(VideoRecord("v0", 100.0, queries),)
+            track=Track.GOALSTEP,
+            videos=(VideoRecord("v0", 100.0, steps("v0")), VideoRecord("v1", 100.0, steps("v1"))),
         )
-        with pytest.raises(SchemaViolation):
-            build_tasks(dataset, [])
+        lists = [
+            clist("v0", "v0-q0", [(0, 10, 0.9)]),
+            clist("v0", "v0-q2", [(20, 30, 0.8)]),
+        ]
+        # v0-q1 has no list, so v0-q0 and v0-q2 become adjacent; v1 has none.
+        (task,) = build_tasks(dataset, lists)
+        assert [step.query_id for step in task] == ["v0-q0", "v0-q2"]
 
     def test_unordered_query_rejected(self):
         from memrerank.ingest import Dataset, Track, VideoRecord

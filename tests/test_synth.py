@@ -131,11 +131,11 @@ class TestStubBackend:
         # another video and clip; the stub reads the request's fields.
         scenario = tiny_scenario()
         template = PromptTemplate("Describe.\nVideo: example\nClip: 0.0 to 1.0 seconds")
-        clip, frames = interval(55, 105), (55.0, 75.0, 95.0)
+        clip = interval(55, 105)  # sampled at 55, 75 and 95 s
         custom = NarrationEngine(stub_backend(scenario), prompt=template)
         default = NarrationEngine(stub_backend(scenario))
-        assert custom.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
-        assert default.narrate_clip("v0", clip, frames) == "events: e1; e2; e3"
+        assert custom.narrate_clip("v0", clip, 0.05, 50.0) == "events: e1; e2; e3"
+        assert default.narrate_clip("v0", clip, 0.05, 50.0) == "events: e1; e2; e3"
 
 
 class TestScenarioOnFirstRequest:
