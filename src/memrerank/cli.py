@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateKey, CandidateList
@@ -264,10 +264,13 @@ def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
     return dataset, ingest.load_candidates(candidates, top_k=cfg.top_k, dataset=dataset)
 
 
-def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
-    """The configured backend. The scripted ones load the scenario, over
-    ``inputs`` (the stage's dataset and candidate lists) or else over
-    inputs they load themselves, when the first request reaches them."""
+def _build_backend(
+    cfg: RunConfig, dataset: ingest.Dataset | None = None, lists: Sequence[CandidateList] = ()
+) -> narration.Backend:
+    """The configured backend. The scripted ones narrate from the event
+    script, which they load (with the annotations it is checked against)
+    at their first narration request; the oracle selects by scoring
+    ``lists`` against the ground truths of ``dataset``, the stage's own."""
     if cfg.backend == "remote":
         from .remote import FrameProvider, RemoteBackend
 
@@ -275,15 +278,14 @@ def _build_backend(cfg: RunConfig, inputs=None) -> narration.Backend:
         if cfg.frames_root is not None:
             provider = FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
         return RemoteBackend.from_env(frame_provider=provider)
-    scenario_path = cfg.input(SCENARIO_FILE)
 
-    def scenario() -> synth.Scenario:
-        dataset, lists = inputs if inputs is not None else _load_inputs(cfg)
-        return synth.load_scenario(scenario_path, dataset, lists)
+    def load_script() -> synth.EventScript:
+        annotations = ingest.load_annotations(cfg.input(ANNOTATIONS_FILE))
+        return synth.load_scenario(cfg.input(SCENARIO_FILE), annotations)
 
     if cfg.backend == "oracle":
-        return synth.oracle_selector(scenario)
-    return synth.stub_backend(scenario)
+        return synth.OracleSelectorBackend(load_script, dataset, lists)
+    return synth.stub_backend(load_script)
 
 
 def _prompt_template(path: Path | None) -> narration.PromptTemplate:
@@ -382,7 +384,7 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     memories_by_query: dict[str, list] = {}
     for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
-    backend = _build_backend(cfg, (dataset, lists))
+    backend = _build_backend(cfg, dataset, lists)
 
     # One walk in dataset order: a query without candidates is logged as
     # skipped, and each other one is a job, logged by its index once done.
@@ -461,8 +463,8 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
     after_path = final_path if final_path.exists() else cfg.input(PREDICTIONS_RERANK_FILE)
     after_predictions = ingest.load_predictions(after_path)
-    before = metrics.evaluate_run(before_predictions, dataset)
-    after = metrics.evaluate_run(after_predictions, dataset)
+    before = metrics.evaluate_run(before_predictions, dataset, "base candidates")
+    after = metrics.evaluate_run(after_predictions, dataset, after_path.name)
     metrics.write_metrics_report(before, cfg.output(METRICS_BEFORE_FILE))
     metrics.write_metrics_report(after, cfg.output(METRICS_AFTER_FILE))
     metrics.write_comparison(before, after, cfg.output(METRICS_COMPARE_FILE))
@@ -499,9 +501,10 @@ class Stage(NamedTuple):
 
 
 # The pipeline in run order: a stage that misses an input file names the
-# stage here that writes it. ``optimize`` reads the base candidates only
-# under ``--rank-source pre_rerank``, and ``eval`` the final predictions
-# when they exist and the rerank predictions otherwise.
+# stage here that writes it. ``narrate`` reads the scenario and annotations
+# only when a scripted backend narrates a cache miss, ``optimize`` the base
+# candidates only under ``--rank-source pre_rerank``, and ``eval`` the
+# final predictions when they exist and the rerank predictions otherwise.
 STAGES = (
     Stage("simulate", cmd_simulate, "generate a synthetic scenario",
           reads=(), writes=(SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
@@ -509,10 +512,10 @@ STAGES = (
     Stage("plan", cmd_plan, "emit per-clip frame manifests",
           reads=(ANNOTATIONS_FILE, CANDIDATES_FILE), writes=(MANIFESTS_FILE,)),
     Stage("narrate", cmd_narrate, "narrate clips into episodic memories",
-          reads=(MANIFESTS_FILE, SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
+          reads=(MANIFESTS_FILE, SCENARIO_FILE, ANNOTATIONS_FILE),
           writes=(MEMORIES_FILE,)),
     Stage("rerank", cmd_rerank, "promote the backend's pick per query",
-          reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, MEMORIES_FILE, SCENARIO_FILE),
+          reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, MEMORIES_FILE),
           writes=(RERANKED_FILE, RERANK_LOG_FILE, PREDICTIONS_RERANK_FILE)),
     Stage("optimize", cmd_optimize, "enforce the sequential start-time prior",
           reads=(ANNOTATIONS_FILE, RERANKED_FILE, CANDIDATES_FILE),

@@ -68,11 +68,13 @@ def mean_r1(r1_first: float, *r1_rest: float) -> float:
 def evaluate_run(
     predictions: Mapping[str, Sequence[TimeInterval]],
     dataset,
+    name: str = "predictions",
 ) -> MetricsReport:
     """Score a prediction map against every annotated query of a dataset.
 
-    Missing predictions are flagged and counted as misses; prediction keys
-    that do not belong to the dataset are an error.
+    Missing predictions are flagged, under the prediction set's ``name``,
+    and counted as misses; prediction keys that do not belong to the
+    dataset are an error.
     """
     ground_truth: dict[str, TimeInterval] = {}
     for query in dataset.iter_queries():
@@ -87,7 +89,8 @@ def evaluate_run(
     missing = sorted(set(ground_truth) - set(predictions))
     if missing:
         logger.warning(
-            "%d of %d queries have no predictions and count as misses (first: %s)",
+            "%s: %d of %d queries have no predictions and count as misses (first: %s)",
+            name,
             len(missing),
             len(ground_truth),
             missing[0],

@@ -9,9 +9,10 @@ matching (stub), by ground-truth IoU argmax (oracle), or by IoU argmin
 (adversarial), so full pipelines run without videos or a remote model.
 
 The scenario file holds only what the annotations and candidates files do
-not: the knobs, the event script and the latent positives. A stage loads
-it over the dataset and top-k candidate lists it already parsed, so the
-selectors score the very lists the selection prompts are built from.
+not: the knobs and the event script. The stub narrates from the script,
+loaded and checked against the annotations; the oracle and adversarial
+selectors score the dataset and top-k candidate lists their stage already
+parsed, the very lists the selection prompts are built from.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     NUMBER,
@@ -39,7 +40,7 @@ from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
 from .rerank import QUERY_LINE_PREFIX
 
-SCENARIO_VERSION = "scenario-2"
+SCENARIO_VERSION = "scenario-3"
 
 _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
 _QUERY_TAG = re.compile(r"\[([^\]]+)\]")
@@ -84,47 +85,20 @@ class ScriptedEvent:
     label: str
 
 
+# The scripted events of each video, by video id, in start order.
+EventScript = Mapping[str, tuple[ScriptedEvent, ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A replayable synthetic benchmark instance.
-
-    Every ground truth must be a scripted event, which also catches a
-    scenario file loaded over the annotations of another run.
-    """
+    """A replayable synthetic benchmark instance. A query's latent twin is
+    a scripted event other than its target that carries the target's label."""
 
     seed: int
     knobs: ScenarioKnobs
     dataset: Dataset
-    event_script: tuple[tuple[str, tuple[ScriptedEvent, ...]], ...]
+    event_script: EventScript
     candidates: tuple[CandidateList, ...]
-    latent_positives: tuple[tuple[str, tuple[TimeInterval, ...]], ...]
-
-    def __post_init__(self):
-        script = self.script_by_video()
-        for query in self.dataset.iter_queries():
-            gt = query.ground_truth
-            if gt is None:
-                continue
-            events = script.get(query.video_id, ())
-            if not any(e.interval == gt for e in events):
-                raise SchemaViolation(
-                    "event_script",
-                    f"ground truth of query '{query.query_id}' missing from script "
-                    "(are the scenario and annotations files from one run?)",
-                )
-
-    def script_by_video(self) -> dict[str, tuple[ScriptedEvent, ...]]:
-        return dict(self.event_script)
-
-    def candidates_by_query(self) -> dict[str, CandidateList]:
-        return {clist.query_id: clist for clist in self.candidates}
-
-    def ground_truth_by_query(self) -> dict[str, TimeInterval]:
-        return {
-            q.query_id: q.ground_truth
-            for q in self.dataset.iter_queries()
-            if q.ground_truth is not None
-        }
 
 
 def query_text(query_id: str, label: str) -> str:
@@ -151,9 +125,8 @@ def generate_scenario(
     """
     rng = random.Random(seed)
     videos = []
-    script: list[tuple[str, tuple[ScriptedEvent, ...]]] = []
+    script: dict[str, tuple[ScriptedEvent, ...]] = {}
     all_lists: list[CandidateList] = []
-    latent: list[tuple[str, tuple[TimeInterval, ...]]] = []
     num_queries = knobs.queries_per_video
     num_candidates = knobs.candidates_per_query
 
@@ -171,7 +144,6 @@ def generate_scenario(
         target_indices = sorted(rng.sample(range(num_events), num_queries))
         labels = {j: event.label for j, event in enumerate(events)}
         queries = []
-        video_latents: dict[str, tuple[TimeInterval, ...]] = {}
         twinned: set[int] = set()
 
         for i, target_idx in enumerate(target_indices):
@@ -196,7 +168,6 @@ def generate_scenario(
                     twin_idx = rng.choice(spare)
                     twinned.add(twin_idx)
                     labels[twin_idx] = target.label
-                    video_latents[query_id] = (events[twin_idx].interval,)
 
             gt = target.interval
             is_hit = rng.random() < knobs.recall_rho
@@ -223,20 +194,17 @@ def generate_scenario(
             ]
             all_lists.append(CandidateList(video_id, query_id, canonical_order(candidates)))
 
-        relabeled = tuple(
+        script[video_id] = tuple(
             ScriptedEvent(event.interval, labels[j]) for j, event in enumerate(events)
         )
-        script.append((video_id, relabeled))
-        latent.extend(sorted(video_latents.items()))
         videos.append(VideoRecord(video_id, duration, tuple(queries)))
 
     return Scenario(
         seed=seed,
         knobs=knobs,
         dataset=Dataset(track=track, videos=tuple(videos)),
-        event_script=tuple(script),
+        event_script=script,
         candidates=tuple(all_lists),
-        latent_positives=tuple(latent),
     )
 
 
@@ -245,33 +213,25 @@ class ScriptedStubBackend(Backend):
     requests by matching the query's target event label against the
     candidate memories. Never touches pixel data.
 
-    Built over a ``Scenario``, or over a function that loads one: then the
-    scenario is loaded once, when the first request arrives, so a stage
-    whose requests are all answered from the cache never reads it."""
+    ``load_script`` is called once, when the first narration request
+    arrives, so a stage whose clips are all cached, or that only selects,
+    never loads the script."""
 
     backend_id = "stub"
 
-    def __init__(self, scenario: Scenario | Callable[[], Scenario]):
+    def __init__(self, load_script: Callable[[], EventScript]):
         super().__init__()
         self._load_lock = threading.Lock()
-        self._load = scenario if callable(scenario) else None
-        if self._load is None:
-            self._adopt(scenario)
-
-    def _adopt(self, scenario: Scenario) -> None:
-        self._script = scenario.script_by_video()
-
-    def _loaded(self) -> None:
-        # ``_load`` is cleared only once the scenario is adopted, so the
-        # lock is taken only while a load may still be due.
-        if self._load is not None:
-            with self._load_lock:
-                if self._load is not None:
-                    self._adopt(self._load())
-                    self._load = None
+        self._load_script = load_script
+        self._script: EventScript | None = None
 
     def _narrate(self, request: BackendRequest) -> str:
-        self._loaded()
+        # ``_script`` is set only once loaded, so the lock is taken only
+        # while a load may still be due.
+        if self._script is None:
+            with self._load_lock:
+                if self._script is None:
+                    self._script = self._load_script()
         overlapping = [
             event.label
             for event in self._script.get(request.video_id, ())
@@ -297,7 +257,6 @@ class ScriptedStubBackend(Backend):
         return query_text_line, ["\n".join(s) for s in sections]
 
     def _select(self, prompt: str) -> str:
-        self._loaded()  # unused here, but loading checks it against the run
         query_line, sections = self._split_prompt(prompt)
         label_match = _EVENT_IN_QUERY.search(query_line)
         if label_match is None:
@@ -310,17 +269,24 @@ class ScriptedStubBackend(Backend):
 
 
 class _GroundTruthSelector(ScriptedStubBackend):
-    """Shared machinery for selectors that consult the ground truth. They
-    score the scenario's candidate lists, which a stage loads from the
-    same lists it builds its selection prompts from."""
+    """Shared machinery for selectors that score a query's candidate list
+    against its ground truth: the dataset and lists of the stage that
+    selects, the lists its selection prompts are built from. They narrate
+    as the stub does; built without a dataset, as in ``narrate``, they
+    only narrate."""
 
-    def _adopt(self, scenario: Scenario) -> None:
-        super()._adopt(scenario)
-        self._gt = scenario.ground_truth_by_query()
-        self._lists = scenario.candidates_by_query()
+    def __init__(
+        self,
+        load_script: Callable[[], EventScript],
+        dataset: Dataset | None = None,
+        lists: Iterable[CandidateList] = (),
+    ):
+        super().__init__(load_script)
+        queries = dataset.iter_queries() if dataset is not None else ()
+        self._gt = {q.query_id: q.ground_truth for q in queries if q.ground_truth is not None}
+        self._lists = {clist.query_id: clist for clist in lists}
 
     def _query_id(self, prompt: str) -> str:
-        self._loaded()
         query_line, _ = self._split_prompt(prompt)
         tag = _QUERY_TAG.search(query_line)
         if tag is None or tag.group(1) not in self._gt:
@@ -358,21 +324,13 @@ class WorstSelectorBackend(_GroundTruthSelector):
         return str(worst + 1)
 
 
-def stub_backend(scenario: Scenario | Callable[[], Scenario]) -> ScriptedStubBackend:
-    return ScriptedStubBackend(scenario)
-
-
-def oracle_selector(scenario: Scenario | Callable[[], Scenario]) -> OracleSelectorBackend:
-    return OracleSelectorBackend(scenario)
-
-
-def worst_selector(scenario: Scenario | Callable[[], Scenario]) -> WorstSelectorBackend:
-    return WorstSelectorBackend(scenario)
+def stub_backend(load_script: Callable[[], EventScript]) -> ScriptedStubBackend:
+    return ScriptedStubBackend(load_script)
 
 
 def write_scenario(scenario: Scenario, path: str | Path) -> None:
-    """The knobs, event script and latent positives; ``simulate`` writes
-    the dataset and candidates to their own files."""
+    """The knobs and event script; ``simulate`` writes the dataset and
+    candidates to their own files."""
     write_json_file(
         {
             "version": SCENARIO_VERSION,
@@ -384,77 +342,58 @@ def write_scenario(scenario: Scenario, path: str | Path) -> None:
                     {"start_s": e.interval.start_s, "end_s": e.interval.end_s, "label": e.label}
                     for e in events
                 ]
-                for video_id, events in scenario.event_script
-            },
-            "latent_positives": {
-                query_id: [[iv.start_s, iv.end_s] for iv in intervals]
-                for query_id, intervals in scenario.latent_positives
+                for video_id, events in scenario.event_script.items()
             },
         },
         path,
     )
 
 
-def load_scenario(
-    path: str | Path, dataset: Dataset, candidates: Sequence[CandidateList]
-) -> Scenario:
-    """The scenario of ``path`` over the dataset and candidate lists the
-    calling stage loaded from the annotations and candidates files."""
+def load_scenario(path: str | Path, dataset: Dataset) -> EventScript:
+    """The event script of the scenario file ``path``, checked against the
+    annotations ``dataset``: the file's track must be theirs, and every
+    ground truth a scripted event, which catches a scenario of another run."""
 
-    def parse(payload) -> Scenario:
+    def parse(payload) -> EventScript:
         checked(payload, (dict,), "scenario")
         if payload.get("version") != SCENARIO_VERSION:
             raise ValueError(
                 f"expected version {SCENARIO_VERSION!r}, got {payload.get('version')!r}; "
                 "re-run simulate"
             )
+        checked(payload["seed"], (int,), "seed")
         kinds = {f.name: (int,) if f.type == "int" else NUMBER for f in fields(ScenarioKnobs)}
         raw_knobs = checked(payload["knobs"], (dict,), "knobs")
         if not raw_knobs.keys() <= kinds.keys():
             raise ValueError(f"unknown knobs {sorted(raw_knobs.keys() - kinds.keys())}")
-        knobs = ScenarioKnobs(
-            **{k: checked(v, kinds[k], f"knob {k}") for k, v in raw_knobs.items()}
-        )
+        ScenarioKnobs(**{k: checked(v, kinds[k], f"knob {k}") for k, v in raw_knobs.items()})
         track = Track(payload["track"])
         if track is not dataset.track:
             raise ValueError(
                 f"scenario track is {track.value}, annotations are {dataset.track.value}"
             )
         events_by_video = checked(payload["event_script"], (dict,), "event_script")
-        latent_by_query = checked(payload["latent_positives"], (dict,), "latent_positives")
-        script = tuple(
-            (
-                video_id,
-                tuple(
-                    ScriptedEvent(
-                        TimeInterval(
-                            checked(e["start_s"], NUMBER, "event start_s"),
-                            checked(e["end_s"], NUMBER, "event end_s"),
-                        ),
-                        checked(e["label"], (str,), "event label"),
-                    )
-                    for e in events
-                ),
+        return {
+            video_id: tuple(
+                ScriptedEvent(
+                    TimeInterval(
+                        checked(e["start_s"], NUMBER, "event start_s"),
+                        checked(e["end_s"], NUMBER, "event end_s"),
+                    ),
+                    checked(e["label"], (str,), "event label"),
+                )
+                for e in events
             )
             for video_id, events in sorted(events_by_video.items())
-        )
-        latent = tuple(
-            (
-                query_id,
-                tuple(
-                    TimeInterval(*(checked(t, NUMBER, "latent positive bound") for t in pair))
-                    for pair in pairs
-                ),
-            )
-            for query_id, pairs in sorted(latent_by_query.items())
-        )
-        return Scenario(
-            seed=checked(payload["seed"], (int,), "seed"),
-            knobs=knobs,
-            dataset=dataset,
-            event_script=script,
-            candidates=tuple(candidates),
-            latent_positives=latent,
-        )
+        }
 
-    return read_json_file(path, "scenario file", parse)
+    script = read_json_file(path, "scenario file", parse)
+    for query in dataset.iter_queries():
+        gt = query.ground_truth
+        if gt is not None and not any(e.interval == gt for e in script.get(query.video_id, ())):
+            raise SchemaViolation(
+                "event_script",
+                f"ground truth of query '{query.query_id}' missing from script "
+                "(are the scenario and annotations files from one run?)",
+            )
+    return script

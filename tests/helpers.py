@@ -171,7 +171,24 @@ def tiny_scenario() -> Scenario:
         seed=0,
         knobs=ScenarioKnobs(num_videos=1, queries_per_video=2),
         dataset=dataset,
-        event_script=((video_id, events),),
+        event_script={video_id: events},
         candidates=lists,
-        latent_positives=(),
     )
+
+
+def candidates_by_query(scenario: Scenario) -> dict[str, CandidateList]:
+    return {clist.query_id: clist for clist in scenario.candidates}
+
+
+def ground_truth_by_query(scenario: Scenario) -> dict[str, TimeInterval]:
+    return {
+        q.query_id: q.ground_truth
+        for q in scenario.dataset.iter_queries()
+        if q.ground_truth is not None
+    }
+
+
+def selector(backend_class, scenario: Scenario):
+    """A ground-truth selector class over a generated scenario: its event
+    script, dataset and candidate lists."""
+    return backend_class(lambda: scenario.event_script, scenario.dataset, scenario.candidates)

@@ -20,20 +20,22 @@ from memrerank.narration import NarrationEngine
 from memrerank.rerank import rerank
 from memrerank.sequencing import optimize_sequence, selection_cost
 from memrerank.synth import (
+    OracleSelectorBackend,
     ScenarioKnobs,
+    WorstSelectorBackend,
     generate_scenario,
-    oracle_selector,
     stub_backend,
-    worst_selector,
 )
 
 from helpers import (
     brute_force_optimize,
     frame_count_oracle,
+    ground_truth_by_query,
     interval,
     iou_grid_oracle,
     plan_list,
     random_sequence_task,
+    selector,
 )
 
 
@@ -67,7 +69,7 @@ def big_scenario():
 @pytest.fixture(scope="module")
 def big_memories(big_scenario):
     """Stub-narrated memories for every candidate of the big scenario."""
-    engine = NarrationEngine(stub_backend(big_scenario))
+    engine = NarrationEngine(stub_backend(lambda: big_scenario.event_script))
     queries = {q.query_id: q for q in big_scenario.dataset.iter_queries()}
     items = {}
     for clist in big_scenario.candidates:
@@ -136,16 +138,16 @@ def test_03_optimizer_scale():
 
 def test_04_r5_permutation_invariance(big_scenario, big_memories):
     with criterion(4, "R@5 bit-identical under any reranking backend"):
-        gt = big_scenario.ground_truth_by_query()
+        gt = ground_truth_by_query(big_scenario)
         assert len(gt) >= 1000
         base_predictions = {
             query_id: clist.intervals()
             for query_id, (_, clist, _) in big_memories.items()
         }
         backends = [
-            stub_backend(big_scenario),
-            oracle_selector(big_scenario),
-            worst_selector(big_scenario),
+            stub_backend(lambda: big_scenario.event_script),
+            selector(OracleSelectorBackend, big_scenario),
+            selector(WorstSelectorBackend, big_scenario),
         ]
         for backend in backends:
             outcomes = rerank_all(big_memories, backend)
@@ -161,12 +163,12 @@ def test_04_r5_permutation_invariance(big_scenario, big_memories):
 
 def test_05_oracle_upper_bound(big_scenario, big_memories):
     with criterion(5, "oracle rerank lifts R@1 exactly to base R@5"):
-        gt = big_scenario.ground_truth_by_query()
+        gt = ground_truth_by_query(big_scenario)
         base_predictions = {
             query_id: clist.intervals()
             for query_id, (_, clist, _) in big_memories.items()
         }
-        outcomes = rerank_all(big_memories, oracle_selector(big_scenario))
+        outcomes = rerank_all(big_memories, selector(OracleSelectorBackend, big_scenario))
         after_predictions = {
             query_id: outcome.reranked.intervals()
             for query_id, outcome in outcomes.items()

@@ -359,7 +359,7 @@ class TestPipeline:
         ),
         "scenario-wrong-type": ("scenario.json", "narrate", lambda p: p.update(seed="3"), None),
         "scenario-missing-key": (
-            "scenario.json", "narrate", lambda p: p.pop("latent_positives"), "latent_positives",
+            "scenario.json", "narrate", lambda p: p.pop("event_script"), "event_script",
         ),
         "scenario-array-for-object": (
             "scenario.json", "narrate", lambda p: p.update(knobs=[]), None,
@@ -492,7 +492,7 @@ class TestPipeline:
         # One worker and no backoff: the first clip is tried 4 times, then
         # the run stops.
         monkeypatch.setattr(narration, "RETRY_BACKOFF_S", (0.0, 0.0, 0.0))
-        monkeypatch.setattr(synth, "stub_backend", lambda scenario: Down())
+        monkeypatch.setattr(synth, "stub_backend", lambda load_script: Down())
         assert run(["narrate", "--out", out, "--backend", "stub", "--c-max", 1]) == 5
         second = json.loads(stats_path.read_text())
         assert second == {
@@ -617,10 +617,12 @@ class TestPipeline:
         ]
         compare = json.loads((out / "metrics_compare.json").read_text())
         assert compare["after"]["num_queries"] == 6
-        assert any(
-            "1 of 6 queries have no predictions and count as misses (first: v000-q001)" in m
-            for m in caplog.messages
-        )
+        # One warning per prediction set, each naming its set.
+        warned = [m for m in caplog.messages if "have no predictions" in m]
+        assert warned == [
+            f"{name}: 1 of 6 queries have no predictions and count as misses (first: v000-q001)"
+            for name in ("base candidates", "predictions_final.json")
+        ]
 
     def test_optimize_rejects_unordered_track(self, tmp_path, caplog):
         out = tmp_path / "run"
@@ -813,27 +815,46 @@ class TestScenarioLoads:
         return counts
 
     def test_narrate_loads_the_scenario_only_for_misses(self, tmp_path, loads):
+        # A cold narrate loads the script and the annotations it is checked
+        # against, and never the candidates, which no narration reads.
         out = tmp_path / "run"
         simulate(out)
         assert run(["plan", "--out", out]) == 0
+        (out / "candidates.json").write_text("{")
         loads.update(dict.fromkeys(loads, 0))
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
-        assert loads == dict.fromkeys(loads, 1)
+        assert loads == {"load_scenario": 1, "load_annotations": 1, "load_candidates": 0}
         loads.update(dict.fromkeys(loads, 0))
         assert run(["narrate", "--out", out, "--backend", "stub", "--c-max", 1]) == 0
         assert json.loads((out / "cache" / "narrate_stats.json").read_text())["cache_hits"] > 0
         assert loads == dict.fromkeys(loads, 0)
 
-    def test_rerank_loads_the_scenario_at_its_first_selection(self, tmp_path, loads):
+    @pytest.mark.parametrize("backend", ["stub", "oracle"])
+    def test_rerank_loads_no_scenario(self, tmp_path, loads, backend):
         out = tmp_path / "run"
         simulate(out)
         assert run(["plan", "--out", out]) == 0
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        outputs = (cli.RERANKED_FILE, cli.RERANK_LOG_FILE, cli.PREDICTIONS_RERANK_FILE)
         loads.update(dict.fromkeys(loads, 0))
-        assert run(["rerank", "--out", out, "--backend", "oracle", "--limit", 0]) == 0
-        assert loads["load_scenario"] == 0
-        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
-        assert loads["load_scenario"] == 1
+        assert run(["rerank", "--out", out, "--backend", backend]) == 0
+        assert loads == {"load_scenario": 0, "load_annotations": 1, "load_candidates": 1}
+        with_file = {name: (out / name).read_bytes() for name in outputs}
+        (out / "scenario.json").unlink()
+        assert run(["rerank", "--out", out, "--backend", backend]) == 0
+        assert {name: (out / name).read_bytes() for name in outputs} == with_file
+
+    @pytest.mark.parametrize("version", ["scenario-1", "scenario-2"])
+    def test_old_scenario_version_rejected(self, tmp_path, caplog, version):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        path = out / "scenario.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("re-run simulate" in m for m in caplog.messages)
 
     def test_warm_narrate_without_the_inputs_it_does_not_need(self, tmp_path):
         out = tmp_path / "run"
@@ -871,13 +892,12 @@ class TestScenarioLoads:
             lambda scenario: scenario["event_script"]["v000"][0].update(end_s=True),
             lambda scenario: scenario.update(seed=str(scenario["seed"])),
             lambda scenario: scenario.update(seed=True),
-            lambda scenario: scenario["latent_positives"].update({"v000-q000": [["1.0", 2.0]]}),
             lambda scenario: scenario["knobs"].update(num_videos=2.5),
             lambda scenario: scenario["knobs"].update(jitter_s=True),
         ],
         ids=[
             "label-number", "start-string", "end-bool", "seed-string", "seed-bool",
-            "latent-bound-string", "knob-int-fraction", "knob-number-bool",
+            "knob-int-fraction", "knob-number-bool",
         ],
     )
     def test_mistyped_scenario_value_exits_4(self, tmp_path, caplog, change):
@@ -1159,8 +1179,8 @@ class TestIncludeScores:
         prompts = []
         stub_backend = synth.stub_backend
 
-        def recording_stub(scenario):
-            backend = stub_backend(scenario)
+        def recording_stub(load_script):
+            backend = stub_backend(load_script)
             select = backend._select
 
             def _select(prompt):

@@ -113,7 +113,7 @@ GOALSTEP_STUB = {
     "report.txt": "e47b8a8b9ec6e80579e52d39d35d49b9416f7ffef7be6bd00785257848c30361",
     "rerank_log.jsonl": "9912a062acdc66513fcd2fb4b7108593a6868c6dbdabae0ef0ed36c20b5128df",
     "reranked_candidates.json": "e37b66f0c57bd43f51497f4a0a197b74c169e900fff2bf03104d299e0a662cd4",
-    "scenario.json": "08bf8630d5cfeed8853bfe0c6aa24a72a5260f7f250714a0f84fdd0f1bc65169",
+    "scenario.json": "80b19c2804bb66383874a864391dd75382585c3dd8d106e5961bd42654111ea7",
 }
 # The oracle makes the stub's picks; only its logged answers differ.
 GOALSTEP_ORACLE = {
@@ -147,7 +147,7 @@ NLQ_STUB = {
     "report.txt": "6517b429d10ef1a9b5005c69344063216ed9a3fcba820d80c7505d5acea6a386",
     "rerank_log.jsonl": "9912a062acdc66513fcd2fb4b7108593a6868c6dbdabae0ef0ed36c20b5128df",
     "reranked_candidates.json": "e37b66f0c57bd43f51497f4a0a197b74c169e900fff2bf03104d299e0a662cd4",
-    "scenario.json": "362c93fed00ed398b19b09b70dd4ad43e0f434e87d49825d267ad36f0c9108fc",
+    "scenario.json": "7b6082019ae2fa8706702d4803a902f327dfabd6625e2ee20aa40510879fe59c",
 }
 
 

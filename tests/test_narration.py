@@ -122,17 +122,17 @@ class TestNarrateClip:
         # Clip [55, 75) overlaps scripted e1 [50, 62) and e2 [70, 95);
         # overlap computed here by direct interval intersection.
         scenario = tiny_scenario()
-        script = scenario.script_by_video()["v0"]
+        script = scenario.event_script["v0"]
         clip = interval(55, 75)
         expected = [e.label for e in script if e.interval.overlaps(clip)]
         assert expected == ["e1", "e2"]
-        engine = NarrationEngine(stub_backend(scenario))
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
         text = engine.narrate_clip("v0", clip, 1.0, 20.0)
         assert text == "events: e1; e2"
 
     def test_clip_overlapping_nothing(self):
         scenario = tiny_scenario()
-        engine = NarrationEngine(stub_backend(scenario))
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
         assert engine.narrate_clip("v0", interval(42, 48), 1.0, 20.0) == "events: none"
 
     def test_cache_hit_skips_backend(self):
@@ -417,9 +417,9 @@ class TestConcurrency:
     def test_memory_invariant_to_completion_order(self):
         scenario = tiny_scenario()
         plan = plan_for(10.0, 95.0)
-        with NarrationEngine(stub_backend(scenario), c_max=4) as engine:
+        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4) as engine:
             concurrent = engine.narrate_plans([plan])
-        with NarrationEngine(stub_backend(scenario), c_max=1) as engine:
+        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1) as engine:
             sequential = engine.narrate_plans([plan])
         assert concurrent == sequential
 
@@ -555,9 +555,9 @@ class TestNarratePlans:
         scenario = generate_scenario(knobs, seed=11)
         plans = [plan for clist in scenario.candidates for plan in plan_list(clist)]
         assert len({plan.candidate_key.video_id for plan in plans}) == 3
-        with NarrationEngine(stub_backend(scenario), c_max=4) as engine:
+        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4) as engine:
             concurrent = engine.narrate_plans(plans)
-        with NarrationEngine(stub_backend(scenario), c_max=1) as engine:
+        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1) as engine:
             sequential = engine.narrate_plans(plans)
         assert concurrent == sequential
         assert [m.candidate_key for m in concurrent] == [p.candidate_key for p in plans]

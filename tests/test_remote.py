@@ -16,7 +16,7 @@ from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
 from memrerank.rerank import rerank
 from memrerank.synth import stub_backend
 
-from helpers import interval, plan_list, tiny_scenario
+from helpers import candidates_by_query, interval, plan_list, tiny_scenario
 
 
 def assert_permanent(error):
@@ -209,9 +209,9 @@ class TestRemoteBackend:
             assert_permanent(info.value)
         else:  # the selection falls back with an empty answer
             scenario = tiny_scenario()
-            clist = scenario.candidates_by_query()["v0-q000"]
+            clist = candidates_by_query(scenario)["v0-q000"]
             query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
-            memories = NarrationEngine(stub_backend(scenario)).narrate_plans(plan_list(clist))
+            memories = NarrationEngine(stub_backend(lambda: scenario.event_script)).narrate_plans(plan_list(clist))
             outcome = rerank(query, clist, memories, backend)
             assert (outcome.fallback_used, outcome.raw_answer) == (True, "")
         assert len(session.requests) == 1  # not retried

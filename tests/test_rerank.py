@@ -15,15 +15,15 @@ from memrerank.rerank import (
     rerank,
     rerank_many,
 )
-from memrerank.synth import oracle_selector, stub_backend
+from memrerank.synth import OracleSelectorBackend, stub_backend
 
-from helpers import clist, interval, plan_list, tiny_scenario
+from helpers import candidates_by_query, clist, interval, plan_list, selector, tiny_scenario
 
 
 def memories_for(scenario, query_id):
     """Stub-narrated memory per candidate, ordered by rank."""
-    clist_ = scenario.candidates_by_query()[query_id]
-    engine = NarrationEngine(stub_backend(scenario))
+    clist_ = candidates_by_query(scenario)[query_id]
+    engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
     return clist_, engine.narrate_plans(plan_list(clist_))
 
 
@@ -101,7 +101,7 @@ class TestRerank:
         best = max(range(len(ious)), key=lambda i: ious[i])
         assert best == 2  # candidate [102, 131) vs gt [100, 130)
 
-        outcome = rerank(query, clist_, memories, oracle_selector(scenario))
+        outcome = rerank(query, clist_, memories, selector(OracleSelectorBackend, scenario))
         assert outcome.selected_rank == best + 1
         assert outcome.reranked.candidates[0].interval == clist_.candidates[best].interval
         kept = [c.interval for c in outcome.reranked.candidates[1:]]
@@ -170,7 +170,7 @@ class TestRerank:
         with pytest.raises(
             ValidationError, match="^4 memories for 5 candidates of query 'v0-q000'$"
         ):
-            rerank(query, clist_, memories[:4], stub_backend(scenario))
+            rerank(query, clist_, memories[:4], stub_backend(lambda: scenario.event_script))
 
     def test_memory_of_another_candidate_rejected(self):
         scenario = tiny_scenario()
@@ -182,7 +182,7 @@ class TestRerank:
             match=r"^the memory of rank 1 of query 'v0-q000' spans \[48\.0, 60\.0\) but the "
             r"candidate spans \[10\.0, 40\.0\); re-run plan and narrate$",
         ):
-            rerank(query, clist_, swapped, stub_backend(scenario))
+            rerank(query, clist_, swapped, stub_backend(lambda: scenario.event_script))
 
     def test_permutation_invariant_for_any_answer(self):
         class ArbitraryBackend(Backend):
@@ -222,7 +222,7 @@ class TestRerank:
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
         # Only candidate 2 ([48, 60)) overlaps the target event e1 [50, 62).
-        outcome = rerank(query, clist_, memories, stub_backend(scenario))
+        outcome = rerank(query, clist_, memories, stub_backend(lambda: scenario.event_script))
         assert outcome.selected_rank == 2
         assert outcome.reranked.candidates[0].interval == interval(48, 60)
 
@@ -234,9 +234,9 @@ class TestRerankMany:
         for query_id in ("v0-q000", "v0-q001"):
             clist_, memories = memories_for(scenario, query_id)
             items.append((query_for(scenario, query_id), clist_, memories))
-        outcomes = rerank_many(items, oracle_selector(scenario), c_max=4)
+        outcomes = rerank_many(items, selector(OracleSelectorBackend, scenario), c_max=4)
         assert [o.original.query_id for o in outcomes] == ["v0-q000", "v0-q001"]
-        sequential = rerank_many(items, oracle_selector(scenario), c_max=1)
+        sequential = rerank_many(items, selector(OracleSelectorBackend, scenario), c_max=1)
         assert outcomes == sequential
 
     def test_c_max_below_one_rejected(self):
@@ -244,7 +244,7 @@ class TestRerankMany:
         clist_, memories = memories_for(scenario, "v0-q000")
         items = [(query_for(scenario, "v0-q000"), clist_, memories)]
         with pytest.raises(SchemaViolation, match="c_max"):
-            rerank_many(items, oracle_selector(scenario), c_max=0)
+            rerank_many(items, selector(OracleSelectorBackend, scenario), c_max=0)
 
     def test_failed_selection_falls_back_without_retry(self):
         class DownSelector(Backend):

@@ -10,17 +10,24 @@ from memrerank.metrics import temporal_iou
 from memrerank.narration import BackendRequest, FrameRef, NarrationEngine, PromptTemplate
 from memrerank.rerank import build_rerank_prompt
 from memrerank.synth import (
+    OracleSelectorBackend,
     ScenarioKnobs,
+    WorstSelectorBackend,
     generate_scenario,
     load_scenario,
-    oracle_selector,
     query_text,
     stub_backend,
-    worst_selector,
     write_scenario,
 )
 
-from helpers import interval, plan_list, tiny_scenario
+from helpers import (
+    candidates_by_query,
+    ground_truth_by_query,
+    interval,
+    plan_list,
+    selector,
+    tiny_scenario,
+)
 
 
 class TestKnobs:
@@ -58,7 +65,7 @@ class TestGenerateScenario:
             latent_positive_rate=0.0,
         )
         scenario = generate_scenario(knobs, 3)
-        lists = scenario.candidates_by_query()
+        lists = candidates_by_query(scenario)
         for query in scenario.dataset.iter_queries():
             top = lists[query.query_id].candidates[0]
             assert top.interval == query.ground_truth
@@ -74,9 +81,9 @@ class TestGenerateScenario:
             num_videos=100, queries_per_video=5, recall_rho=0.6, jitter_s=2.0
         )
         scenario = generate_scenario(knobs, 29)
-        gt = scenario.ground_truth_by_query()
+        gt = ground_truth_by_query(scenario)
         hits = 0
-        for query_id, clist in scenario.candidates_by_query().items():
+        for query_id, clist in candidates_by_query(scenario).items():
             best = max(temporal_iou(c.interval, gt[query_id]) for c in clist.candidates)
             hits += best >= 0.5
         fraction = hits / len(gt)
@@ -84,7 +91,7 @@ class TestGenerateScenario:
 
     def test_every_gt_in_event_script(self):
         scenario = generate_scenario(ScenarioKnobs(num_videos=3, queries_per_video=4), 17)
-        script = scenario.script_by_video()
+        script = scenario.event_script
         for query in scenario.dataset.iter_queries():
             assert any(
                 e.interval == query.ground_truth for e in script[query.video_id]
@@ -110,19 +117,27 @@ class TestStubBackend:
 
     def test_narration_lists_overlapping_events_in_order(self):
         scenario = tiny_scenario()
-        backend = stub_backend(scenario)
+        backend = stub_backend(lambda: scenario.event_script)
         reply = backend.narrate(self._request(scenario, "v0", interval(55, 105)))
         assert reply == "events: e1; e2; e3"
 
     def test_narration_none(self):
         scenario = tiny_scenario()
-        backend = stub_backend(scenario)
+        backend = stub_backend(lambda: scenario.event_script)
         reply = backend.narrate(self._request(scenario, "v0", interval(63, 69)))
         assert reply == "events: none"
 
+    def test_selectors_without_a_dataset_narrate_as_the_stub(self):
+        # As ``narrate --backend oracle`` builds them: script only.
+        scenario = tiny_scenario()
+        request = self._request(scenario, "v0", interval(55, 105))
+        for backend_class in (OracleSelectorBackend, WorstSelectorBackend):
+            backend = backend_class(lambda: scenario.event_script)
+            assert backend.narrate(request) == "events: e1; e2; e3"
+
     def test_identical_request_identical_reply(self):
         scenario = tiny_scenario()
-        backend = stub_backend(scenario)
+        backend = stub_backend(lambda: scenario.event_script)
         request = self._request(scenario, "v0", interval(10, 30))
         assert backend.narrate(request) == backend.narrate(request)
 
@@ -132,8 +147,8 @@ class TestStubBackend:
         scenario = tiny_scenario()
         template = PromptTemplate("Describe.\nVideo: example\nClip: 0.0 to 1.0 seconds")
         clip = interval(55, 105)  # sampled at 55, 75 and 95 s
-        custom = NarrationEngine(stub_backend(scenario), prompt=template)
-        default = NarrationEngine(stub_backend(scenario))
+        custom = NarrationEngine(stub_backend(lambda: scenario.event_script), prompt=template)
+        default = NarrationEngine(stub_backend(lambda: scenario.event_script))
         assert custom.narrate_clip("v0", clip, 0.05, 50.0) == "events: e1; e2; e3"
         assert default.narrate_clip("v0", clip, 0.05, 50.0) == "events: e1; e2; e3"
 
@@ -146,11 +161,11 @@ class TestScenarioOnFirstRequest:
         def slow_load():  # long enough for every worker to arrive during it
             loads.append(1)
             time.sleep(0.05)
-            return scenario
+            return scenario.event_script
 
         backend = stub_backend(slow_load)
         assert loads == []
-        clist = scenario.candidates_by_query()["v0-q001"]
+        clist = candidates_by_query(scenario)["v0-q001"]
         plans = plan_list(clist, clip_len_s=5.0)
         interval_s = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers switch often, racing for the load
@@ -161,28 +176,34 @@ class TestScenarioOnFirstRequest:
             sys.setswitchinterval(interval_s)
         assert loads == [1]
         assert backend.narrate_calls > 8
-        with NarrationEngine(stub_backend(scenario)) as engine:
+        with NarrationEngine(stub_backend(lambda: scenario.event_script)) as engine:
             assert lazy == engine.narrate_plans(plans)
 
-    def test_selectors_load_at_their_first_selection(self):
+    def test_selection_never_loads_the_script(self):
         scenario = tiny_scenario()
-        query, clist, prompt = _selection_prompt(scenario, "v0-q001")
+        _, _, prompt = _selection_prompt(scenario, "v0-q001")
         loads = []
-        oracle = oracle_selector(lambda: loads.append(1) or scenario)
-        worst = worst_selector(lambda: loads.append(1) or scenario)
+
+        def load():
+            loads.append(1)
+            return scenario.event_script
+
+        backends = [
+            stub_backend(load),
+            OracleSelectorBackend(load, scenario.dataset, scenario.candidates),
+            WorstSelectorBackend(load, scenario.dataset, scenario.candidates),
+        ]
+        assert [backend.select(prompt) for backend in backends] == ["3", "3", "1"]
         assert loads == []
-        assert oracle.select(prompt) == oracle_selector(scenario).select(prompt)
-        assert worst.select(prompt) == worst_selector(scenario).select(prompt)
-        assert loads == [1, 1]
 
 
 def _selection_prompt(scenario, query_id):
     """Build a real selection prompt through the narration and rerank paths."""
-    clist = scenario.candidates_by_query()[query_id]
+    clist = candidates_by_query(scenario)[query_id]
     query = next(
         q for q in scenario.dataset.iter_queries() if q.query_id == query_id
     )
-    engine = NarrationEngine(stub_backend(scenario))
+    engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
     memories = engine.narrate_plans(plan_list(clist))
     return query, clist, build_rerank_prompt(query, memories)
 
@@ -193,7 +214,7 @@ class TestSelectors:
         query, clist, prompt = _selection_prompt(scenario, "v0-q001")
         ious = [temporal_iou(c.interval, query.ground_truth) for c in clist.candidates]
         expected = max(range(len(ious)), key=lambda i: (ious[i], -i)) + 1
-        reply = oracle_selector(scenario).select(prompt)
+        reply = selector(OracleSelectorBackend, scenario).select(prompt)
         assert reply == str(expected) == "3"
 
     def test_oracle_all_zero_ious_picks_first(self):
@@ -201,7 +222,7 @@ class TestSelectors:
         # q0 candidates all miss gt [50, 62) except candidate 2; shrink the
         # check to the all-zero case by moving gt far away via a fresh prompt.
         query, clist, prompt = _selection_prompt(scenario, "v0-q000")
-        backend = oracle_selector(scenario)
+        backend = selector(OracleSelectorBackend, scenario)
         backend._gt[query.query_id] = interval(500.0, 510.0)
         assert backend.select(prompt) == "1"
 
@@ -210,12 +231,12 @@ class TestSelectors:
 
         scenario = tiny_scenario()
         single = make_clist("v0", "v0-q000", [(48, 60, 0.8)])
-        backend = oracle_selector(scenario)
+        backend = selector(OracleSelectorBackend, scenario)
         backend._lists["v0-q000"] = single
         query = next(
             q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000"
         )
-        engine = NarrationEngine(stub_backend(scenario))
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
         memories = engine.narrate_plans(plan_list(single))
         prompt = build_rerank_prompt(query, memories)
         assert backend.select(prompt) == "1"
@@ -225,7 +246,7 @@ class TestSelectors:
         query, clist, prompt = _selection_prompt(scenario, "v0-q001")
         ious = [temporal_iou(c.interval, query.ground_truth) for c in clist.candidates]
         expected = min(range(len(ious)), key=lambda i: (ious[i], i)) + 1
-        assert worst_selector(scenario).select(prompt) == str(expected)
+        assert selector(WorstSelectorBackend, scenario).select(prompt) == str(expected)
 
 
 class TestScenarioFile:
@@ -235,14 +256,14 @@ class TestScenarioFile:
         )
         path = tmp_path / "scenario.json"
         write_scenario(scenario, path)
-        assert load_scenario(path, scenario.dataset, scenario.candidates) == scenario
+        assert load_scenario(path, scenario.dataset) == scenario.event_script
 
     def test_file_holds_only_what_the_other_inputs_do_not(self, tmp_path):
         scenario = generate_scenario(ScenarioKnobs(num_videos=2, queries_per_video=3), 19)
         path = tmp_path / "scenario.json"
         write_scenario(scenario, path)
         assert set(json.loads(path.read_text())) == {
-            "version", "seed", "track", "knobs", "event_script", "latent_positives",
+            "version", "seed", "track", "knobs", "event_script",
         }
 
     def test_annotations_of_another_seed_rejected(self, tmp_path):
@@ -251,7 +272,7 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         write_scenario(other, path)
         with pytest.raises(SchemaViolation, match="missing from script"):
-            load_scenario(path, mine.dataset, mine.candidates)
+            load_scenario(path, mine.dataset)
 
     def test_other_track_and_old_version_rejected(self, tmp_path):
         knobs = ScenarioKnobs(num_videos=2, queries_per_video=3)
@@ -260,11 +281,12 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         write_scenario(nlq, path)
         with pytest.raises(SchemaViolation, match="track"):
-            load_scenario(path, goalstep.dataset, goalstep.candidates)
+            load_scenario(path, goalstep.dataset)
         payload = json.loads(path.read_text())
-        path.write_text(json.dumps({**payload, "version": "scenario-1"}))
-        with pytest.raises(SchemaViolation, match="re-run simulate"):
-            load_scenario(path, nlq.dataset, nlq.candidates)
+        for version in ("scenario-1", "scenario-2"):
+            path.write_text(json.dumps({**payload, "version": version}))
+            with pytest.raises(SchemaViolation, match="re-run simulate"):
+                load_scenario(path, nlq.dataset)
 
     def test_write_is_deterministic(self, tmp_path):
         scenario = generate_scenario(ScenarioKnobs(num_videos=2, queries_per_video=3), 19)
@@ -276,18 +298,16 @@ class TestScenarioFile:
 
 class TestLatentPositives:
     def test_tracked_and_share_labels(self):
-        knobs = ScenarioKnobs(
-            num_videos=30, queries_per_video=3, latent_positive_rate=1.0
-        )
+        # A twin is a non-target event that carries the target's label.
+        # Each video has 3 queries over 7 events, so 4 spare events give
+        # every query a twin at rate 1.0, and no event twins two queries.
+        knobs = ScenarioKnobs(num_videos=30, queries_per_video=3, latent_positive_rate=1.0)
         scenario = generate_scenario(knobs, 31)
-        latents = dict(scenario.latent_positives)
-        assert latents, "latent positives should be recorded at rate 1.0"
-        script = scenario.script_by_video()
         for query in scenario.dataset.iter_queries():
-            events = script[query.video_id]
-            (target,) = [e.label for e in events if e.interval == query.ground_truth]
-            for twin in latents.get(query.query_id, ()):
-                assert target in [e.label for e in events if e.interval == twin]
+            events = scenario.event_script[query.video_id]
+            (target,) = [e for e in events if e.interval == query.ground_truth]
+            twins = [e for e in events if e != target and e.label == target.label]
+            assert len(twins) == 1, query.query_id
 
 
 class TestQueryText:
