@@ -42,6 +42,7 @@ from .errors import ParseError, SchemaViolation, ValidationError
 
 PREDICTIONS_VERSION = "emc-1"
 DEFAULT_TOP_K = 5
+encode_record = json.JSONEncoder(sort_keys=True).encode  # json.dumps(record, sort_keys=True)
 
 
 class Track(str, enum.Enum):
@@ -217,9 +218,9 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
     """``parse`` applied to the JSON value of ``path``, a file of ``what``.
 
     A file that is not UTF-8 JSON raises ``ParseError`` at its line and
-    column. A ``KeyError``, ``TypeError`` or ``ValueError`` from ``parse``
-    raises ``SchemaViolation(what)`` naming ``path``; a ``ValidationError``
-    (a domain type refusing a value) passes through with its own message.
+    column. A ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``ValidationError`` (a domain type refusing a value) from ``parse``
+    raises ``SchemaViolation(what)`` naming ``path``.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -235,7 +236,7 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
         return parse(value)
     except KeyError as exc:
         raise SchemaViolation(what, f"{path}: malformed {what}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaViolation(what, f"{path}: malformed {what}: {exc}") from exc
 
 
@@ -248,10 +249,9 @@ def write_report_file(value, path: str | Path) -> None:
 
 def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
     """One compact JSON record per line, keys sorted."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(record, sort_keys=True)
     with atomic_writer(path) as handle:
         for record in records:
-            handle.write(encode(record) + "\n")
+            handle.write(encode_record(record) + "\n")
 
 
 def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:

@@ -2,9 +2,9 @@
 
 The backend is pluggable: deterministic stubs and oracles live in
 :mod:`memrerank.synth`; the HTTP client lives in :mod:`memrerank.remote`.
-A narration request is structured (video id, clip bounds, frame refs and
-prompt template): the scripted backends read its fields, and only the
-HTTP client renders them into instruction text.
+A narration request is structured (video id, clip bounds, the clip's
+sampling and prompt template): the scripted backends read its fields, and
+only the HTTP client derives its frames and renders the instruction text.
 Narrations are cached on disk keyed by (video, clip, sampling, prompt
 version, backend), so re-running a dataset with a warm cache issues zero
 backend calls. One narrate run schedules every distinct clip of every plan
@@ -39,7 +39,7 @@ from .errors import (
     SchemaViolation,
     ValidationError,
 )
-from .ingest import atomic_writer, read_jsonl, write_jsonl
+from .ingest import atomic_writer, encode_record, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -82,22 +82,20 @@ DEFAULT_PROMPT = PromptTemplate(DEFAULT_NARRATION_TEMPLATE)
 
 @dataclass(frozen=True, slots=True)
 class BackendRequest:
-    """One narration request: a clip of a video, its ordered frame refs
-    and the prompt template the instruction is rendered from."""
+    """One narration request: a clip of a video, the clip's sampling and
+    the prompt template the instruction is rendered from."""
 
     video_id: str
     clip: TimeInterval
-    images: tuple[FrameRef, ...]
+    fps: float
+    clip_len_s: float
     prompt: PromptTemplate = DEFAULT_PROMPT
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "images", tuple(FrameRef(*ref) for ref in self.images)
-        )
-        if not 1 <= len(self.images) <= MAX_IMAGES_PER_REQUEST:
-            raise ValidationError(
-                f"{len(self.images)} images; allowed 1..{MAX_IMAGES_PER_REQUEST}"
-            )
+    @property
+    def images(self) -> tuple[FrameRef, ...]:
+        """The clip's frames in order (:func:`clips.clip_frames`), derived on each read."""
+        frames = clips.clip_frames(self.clip, self.fps, self.clip_len_s)
+        return tuple(FrameRef(self.video_id, t) for t in frames)
 
 
 class Backend(abc.ABC):
@@ -213,7 +211,9 @@ class NarrationCache:
         return self._entries.get(key)
 
     def put(self, key: NarrationCacheKey, text: str) -> None:
-        with self._lock:
+        created_at = datetime.now(timezone.utc).isoformat()
+        line = encode_record({"key": key._asdict(), "text": text, "created_at": created_at})
+        with self._lock:  # encoded outside it; written and flushed under it
             if key in self._entries:
                 return
             self._entries[key] = text
@@ -221,12 +221,7 @@ class NarrationCache:
                 return
             if self._handle is None:
                 self._handle = open(self._path, "a", encoding="utf-8")
-            record = {
-                "key": key._asdict(),
-                "text": text,
-                "created_at": datetime.now(timezone.utc).isoformat(),
-            }
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.write(line + "\n")
             self._handle.flush()
 
     def close(self) -> None:
@@ -371,15 +366,21 @@ class NarrationEngine:
         return self.cache.get(key)
 
     def _narrate_jobs(self, keys: Collection[NarrationCacheKey]) -> None:
-        """Serve hits from the cache and narrate the misses in one dispatch;
-        a miss's clip and frames are derived from its key."""
+        """Check every key's sampling against the frame cap, then serve hits
+        from the cache and narrate the misses in one dispatch."""
+        for fps, clip_len_s in {(key.fps, key.clip_len_s) for key in keys}:
+            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
+            if clip_len_s * fps > MAX_IMAGES_PER_REQUEST:
+                raise ValidationError(
+                    f"{clip_len_s} s clips at {fps} fps exceed the per-request cap "
+                    f"of {MAX_IMAGES_PER_REQUEST} frames"
+                )
         misses = [key for key in keys if self.cache.get(key) is None]
 
         def call(key: NarrationCacheKey) -> None:
             clip = TimeInterval(key.clip_start_s, key.clip_end_s)
-            frames = clips.clip_frames(clip, key.fps, key.clip_len_s)
-            refs = tuple(FrameRef(key.video_id, t) for t in frames)
-            text = self.backend.narrate(BackendRequest(key.video_id, clip, refs, self.prompt))
+            request = BackendRequest(key.video_id, clip, key.fps, key.clip_len_s, self.prompt)
+            text = self.backend.narrate(request)
             if not text.strip():
                 raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
             self.cache.put(key, text.strip())
@@ -391,18 +392,12 @@ class NarrationEngine:
         """Narrate every clip of every plan; one memory per plan, in order.
 
         Frame caps are checked before any backend call. Each distinct
-        cache key is narrated at most once: hits are served inline, misses
-        by one :func:`dispatch`, and only misses have their frames derived.
-        Narrations finished before a failure stay cached.
+        cache key is narrated at most once: hits are served inline and
+        misses by one :func:`dispatch`. Narrations finished before a
+        failure stay cached.
         """
         plan_keys = []
         for plan in plans:
-            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
-            if plan.clip_len_s * plan.fps > MAX_IMAGES_PER_REQUEST:
-                raise ValidationError(
-                    f"{plan.candidate_key}: {plan.clip_len_s} s clips at {plan.fps} fps "
-                    f"exceed the per-request cap of {MAX_IMAGES_PER_REQUEST} frames"
-                )
             video_id = plan.candidate_key.video_id
             plan_keys.append(
                 [self._key(video_id, clip, plan.fps, plan.clip_len_s) for clip in plan.clips]

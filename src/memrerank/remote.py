@@ -28,13 +28,13 @@ DEFAULT_TIMEOUT_S = 120.0
 NARRATION_MAX_OUTPUT_CHARS = 2000
 
 
-def narration_instruction(request: BackendRequest) -> str:
+def narration_instruction(request: BackendRequest, frame_count: int) -> str:
     """Instruction text for one clip; embeds exact clip bounds as context."""
     return (
         f"{request.prompt.text}\n"
         f"Video: {request.video_id}\n"
         f"Clip: {request.clip.start_s!r} to {request.clip.end_s!r} seconds\n"
-        f"Frames: {len(request.images)} sampled in order"
+        f"Frames: {frame_count} sampled in order"
     )
 
 
@@ -82,8 +82,9 @@ class RemoteBackend(Backend):
     Its ``backend_id`` is derived from the base URL, which must be an
     http or https URL with a host. Both narration and selection requests
     POST to ``<base>/generate`` with an instruction, an ordered (possibly
-    empty) image list, and an output-length cap. A reply must be a JSON object whose ``text`` is a
-    string; any other reply is a permanent ``BackendError``.
+    empty) image list, and an output-length cap. A 5xx or 429 reply is
+    transient; any other 4xx, or a reply that is not a JSON object whose
+    ``text`` is a string, is a permanent ``BackendError``.
     """
 
     def __init__(
@@ -132,8 +133,8 @@ class RemoteBackend(Backend):
             )
         except requests.RequestException as exc:
             raise BackendUnavailableError(f"request failed: {exc}") from exc
-        if response.status_code >= 500:
-            raise BackendUnavailableError(f"server error {response.status_code}")
+        if response.status_code >= 500 or response.status_code == 429:  # 429: rate limited
+            raise BackendUnavailableError(f"transient status {response.status_code}")
         if response.status_code >= 400:
             raise BackendError(
                 f"request rejected with status {response.status_code}: "
@@ -154,10 +155,11 @@ class RemoteBackend(Backend):
         return payload
 
     def _narrate(self, request: BackendRequest) -> str:
+        images = request.images
         return self._post(
             {
-                "instruction": narration_instruction(request),
-                "images": [self._encode_image(ref) for ref in request.images],
+                "instruction": narration_instruction(request, len(images)),
+                "images": [self._encode_image(ref) for ref in images],
                 "max_output_chars": NARRATION_MAX_OUTPUT_CHARS,
             }
         )

@@ -36,6 +36,13 @@ def write_file(tmp_path, name, payload):
     return path
 
 
+def refused(path, what, detail):
+    """The anchored message of a whole-file input ``path`` of ``what``
+    whose value a domain type refuses with ``detail``."""
+    message = f"schema violation in field '{what}': {path}: malformed {what}: {detail}"
+    return f"^{re.escape(message)}$"
+
+
 def annotations_payload():
     return {
         "track": "goalstep",
@@ -74,8 +81,10 @@ class TestLoadAnnotations:
     def test_inverted_gt_rejected(self, tmp_path):
         payload = annotations_payload()
         payload["videos"][0]["queries"][0]["gt"] = {"start_s": 25.0, "end_s": 10.0}
-        with pytest.raises(ValidationError, match="^end_s 10.0 precedes start_s 25.0$"):
-            load_annotations(write_file(tmp_path, "a.json", payload))
+        path = write_file(tmp_path, "a.json", payload)
+        message = refused(path, "annotations file", "end_s 10.0 precedes start_s 25.0")
+        with pytest.raises(ValidationError, match=message):
+            load_annotations(path)
 
     def test_mixed_order_index_rejected(self, tmp_path):
         payload = annotations_payload()
@@ -177,19 +186,25 @@ class TestLoadCandidates:
         path.write_text(
             json.dumps(payload).replace("0.1", "NaN", 1), encoding="utf-8"
         )
-        with pytest.raises(ValidationError, match="^score must be finite, got nan$"):
+        with pytest.raises(
+            ValidationError, match=refused(path, "candidates file", "score must be finite, got nan")
+        ):
             load_candidates(path)
 
     def test_empty_candidate_array_rejected(self, tmp_path):
         payload = {"predictions": [{"video_id": "v0", "query_id": "q", "candidates": []}]}
-        with pytest.raises(ValidationError, match="^query 'q' has no candidates$"):
-            load_candidates(write_file(tmp_path, "c.json", payload))
+        path = write_file(tmp_path, "c.json", payload)
+        message = refused(path, "candidates file", "query 'q' has no candidates")
+        with pytest.raises(ValidationError, match=message):
+            load_candidates(path)
 
     def test_negative_time_rejected(self, tmp_path):
         payload = candidates_payload(2)
         payload["predictions"][0]["candidates"][0]["start_s"] = -3.0
-        with pytest.raises(ValidationError, match="^start_s must be >= 0, got -3.0$"):
-            load_candidates(write_file(tmp_path, "c.json", payload))
+        path = write_file(tmp_path, "c.json", payload)
+        message = refused(path, "candidates file", "start_s must be >= 0, got -3.0")
+        with pytest.raises(ValidationError, match=message):
+            load_candidates(path)
 
     def test_canonical_round_trip(self, tmp_path):
         lists = load_candidates(write_file(tmp_path, "c.json", candidates_payload(5)))
@@ -201,10 +216,10 @@ class TestLoadCandidates:
         dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))
         payload = candidates_payload(3)
         payload["predictions"][0]["query_id"] = "nonexistent"
-        with pytest.raises(
-            ValidationError, match="^candidates for unknown query 'nonexistent'$"
-        ):
-            load_candidates(write_file(tmp_path, "c.json", payload), dataset=dataset)
+        path = write_file(tmp_path, "c.json", payload)
+        message = refused(path, "candidates file", "candidates for unknown query 'nonexistent'")
+        with pytest.raises(ValidationError, match=message):
+            load_candidates(path, dataset=dataset)
 
     def test_list_under_another_video_rejected(self, tmp_path):
         dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))

@@ -108,13 +108,13 @@ def plan_for(start, end, rank=1, video_id="v0", query_id="v0-q000"):
 
 class TestBackendRequest:
     def test_image_cap_enforced(self):
-        frames = tuple(FrameRef("v0", float(t)) for t in range(21))
-        with pytest.raises(ValidationError, match=r"^21 images; allowed 1\.\.20$"):
-            BackendRequest("v0", interval(0, 21), frames)
+        # A 21 s clip sampled as 20 s clips at 1 fps holds ceil(20 * 1) frames.
+        request = BackendRequest("v0", interval(0, 21), 1.0, 20.0)
+        assert request.images == tuple(FrameRef("v0", float(t)) for t in range(20))
 
     def test_at_least_one_image(self):
-        with pytest.raises(ValidationError, match=r"^0 images; allowed 1\.\.20$"):
-            BackendRequest("v0", interval(0, 21), ())
+        request = BackendRequest("v0", interval(3, 3.25), 1.0, 20.0)
+        assert request.images == (FrameRef("v0", 3.0),)
 
 
 class TestNarrateClip:
@@ -146,9 +146,12 @@ class TestNarrateClip:
         assert engine.stats()["cache_hits"] == 1
 
     def test_frame_cap(self):
-        engine = NarrationEngine(FixedBackend())
-        with pytest.raises(ValidationError, match=r"^21 images; allowed 1\.\.20$"):
+        backend = FixedBackend()
+        engine = NarrationEngine(backend)
+        message = r"^21\.0 s clips at 1\.0 fps exceed the per-request cap of 20 frames$"
+        with pytest.raises(ValidationError, match=message):
             engine.narrate_clip("v0", interval(0, 21), 1.0, 21.0)
+        assert backend.narrate_calls == 0
 
     def test_retries_then_succeeds(self):
         clock = FakeClock()
@@ -196,6 +199,16 @@ class TestNarrateClip:
 class TestNarrationCache:
     def _key(self, start=0.0, end=10.0):
         return NarrationCacheKey("v0", start, end, 1.0, 20.0, "narr-x", "fixed")
+
+    def test_record_bytes_are_the_sorted_json_dump(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = NarrationCache(path)
+        cache.put(self._key(), "a caf\u00e9 \u2014 \u65e5\u672c\u306e\u53f0\u6240")
+        cache.put(self._key(5.0, 15.0), "plain")
+        cache.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        assert [json.dumps(json.loads(line), sort_keys=True) for line in lines] == lines
 
     def test_persistent_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -425,6 +438,34 @@ class TestConcurrency:
 
 
 class TestNarratePlans:
+    def test_request_frames_are_the_plan_frames(self):
+        # The second clip of [5.511, 81.704), [25.511, 45.511), is a few
+        # ulps longer than 20 s; it still gets 20 frames.
+        class RecordingBackend(FixedBackend):
+            def _narrate(self, request):
+                sent[request.clip] = request.images
+                return super()._narrate(request)
+
+        sent = {}
+        plan = plan_for(5.511, 81.704)
+        assert plan.clips[1] == interval(25.511, 45.511)
+        NarrationEngine(RecordingBackend()).narrate_plans([plan])
+        assert [sent[clip] for clip in plan.clips] == [
+            tuple(FrameRef("v0", t) for t in frames) for frames in plan.frames
+        ]
+        assert len(sent[interval(25.511, 45.511)]) == 20
+
+    def test_frame_cap_checked_on_cache_hits_too(self):
+        backend = FixedBackend()
+        engine = NarrationEngine(backend)
+        plan = plan_candidate(CandidateKey("v0", "v0-q000", 1), interval(0, 30), 20.0, 2.0)
+        for clip in plan.clips:
+            engine.cache.put(engine._key("v0", clip, plan.fps, plan.clip_len_s), "cached")
+        message = r"^20\.0 s clips at 2\.0 fps exceed the per-request cap of 20 frames$"
+        with pytest.raises(ValidationError, match=message):
+            engine.narrate_plans([plan])
+        assert backend.narrate_calls == 0
+
     def test_fan_out_spans_candidates(self):
         # Eight single-clip candidates: a per-candidate pool never has more
         # than one request in flight.

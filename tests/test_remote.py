@@ -101,11 +101,7 @@ class TestFrameProvider:
 
 class TestRemoteBackend:
     def _request(self):
-        return BackendRequest(
-            "v0",
-            TimeInterval(1.0, 3.0),
-            (FrameRef("v0", 1.0), FrameRef("v0", 2.0)),
-        )
+        return BackendRequest("v0", TimeInterval(1.0, 3.0), 1.0, 20.0)
 
     def test_narrate_payload_and_auth(self, tmp_path):
         frame_dir = tmp_path / "v0"
@@ -167,6 +163,12 @@ class TestRemoteBackend:
         session = FakeSession(response=FakeResponse(status_code=503))
         backend = RemoteBackend("https://api.example.test", "k", session=session)
         with pytest.raises(BackendUnavailableError):
+            backend.select("x")
+
+    def test_rate_limit_is_transient(self):
+        session = FakeSession(response=FakeResponse(status_code=429, text="slow down"))
+        backend = RemoteBackend("https://api.example.test", "k", session=session)
+        with pytest.raises(BackendUnavailableError, match="^transient status 429$"):
             backend.select("x")
 
     def test_client_error_is_permanent(self):

@@ -7,7 +7,7 @@ import pytest
 from memrerank.errors import InvalidKnobsError, SchemaViolation
 from memrerank.ingest import Track
 from memrerank.metrics import temporal_iou
-from memrerank.narration import BackendRequest, FrameRef, NarrationEngine, PromptTemplate
+from memrerank.narration import BackendRequest, NarrationEngine, PromptTemplate
 from memrerank.rerank import build_rerank_prompt
 from memrerank.synth import (
     OracleSelectorBackend,
@@ -113,7 +113,7 @@ class TestGenerateScenario:
 
 class TestStubBackend:
     def _request(self, scenario, video_id, clip):
-        return BackendRequest(video_id, clip, (FrameRef(video_id, clip.start_s),))
+        return BackendRequest(video_id, clip, 1.0, 20.0)
 
     def test_narration_lists_overlapping_events_in_order(self):
         scenario = tiny_scenario()
