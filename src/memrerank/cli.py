@@ -462,7 +462,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     before_predictions = {clist.query_id: clist.intervals() for clist in lists}
     final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
     after_path = final_path if final_path.exists() else cfg.input(PREDICTIONS_RERANK_FILE)
-    after_predictions = ingest.load_predictions(after_path)
+    after_predictions = ingest.load_predictions(after_path, dataset)
     before = metrics.evaluate_run(before_predictions, dataset, "base candidates")
     after = metrics.evaluate_run(after_predictions, dataset, after_path.name)
     metrics.write_metrics_report(before, cfg.output(METRICS_BEFORE_FILE))
@@ -529,6 +529,20 @@ STAGES = (
 )
 
 
+def _drop_stale(cfg: RunConfig, command: str) -> None:
+    """Delete the files of every stage that reads a file stage ``command``
+    writes, directly or through another such stage: they were derived
+    from the files it is about to replace."""
+    replaced: set[str] = set()
+    for stage in STAGES:
+        if stage.name == command:
+            replaced.update(stage.writes)
+        elif replaced.intersection(stage.reads):
+            replaced.update(stage.writes)
+            for name in stage.writes:
+                cfg._path(name).unlink(missing_ok=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memrerank",
@@ -558,7 +572,9 @@ def main(argv=None) -> int:
             level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
         )
         args = build_parser().parse_args(argv)
-        return args.func(RunConfig.from_args(args), args)
+        cfg = RunConfig.from_args(args)
+        _drop_stale(cfg, args.command)
+        return args.func(cfg, args)
     except MemrerankError as exc:
         logger.error("%s", exc)
         for cls, code in EXIT_CODES.items():

@@ -49,14 +49,14 @@ class ParseError(ValidationError):
 
 
 class SchemaViolation(ValidationError):
-    """A parsed record breaks the declared schema; names the field."""
+    """A parsed record breaks the declared schema; names the field.
+    ``reason`` is the message without its "schema violation in " prefix,
+    for a violation that wraps this one and says the prefix itself."""
 
     def __init__(self, field: str, detail: str = ""):
         self.field = field
-        message = f"schema violation in field '{field}'"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
+        self.reason = f"field '{field}'" + (f": {detail}" if detail else "")
+        super().__init__(f"schema violation in {self.reason}")
 
 
 class InvalidKnobsError(ValidationError):

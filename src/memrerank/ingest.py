@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
     NUMBER,
@@ -220,7 +220,8 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
     A file that is not UTF-8 JSON raises ``ParseError`` at its line and
     column. A ``KeyError``, ``TypeError``, ``ValueError`` or
     ``ValidationError`` (a domain type refusing a value) from ``parse``
-    raises ``SchemaViolation(what)`` naming ``path``.
+    raises ``SchemaViolation(what)`` naming ``path`` (and, for a wrapped
+    schema violation, its field).
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -237,7 +238,8 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
     except KeyError as exc:
         raise SchemaViolation(what, f"{path}: malformed {what}: missing key {exc}") from exc
     except (TypeError, ValueError, ValidationError) as exc:
-        raise SchemaViolation(what, f"{path}: malformed {what}: {exc}") from exc
+        reason = exc.reason if isinstance(exc, SchemaViolation) else exc
+        raise SchemaViolation(what, f"{path}: malformed {what}: {reason}") from exc
 
 
 def write_report_file(value, path: str | Path) -> None:
@@ -260,7 +262,7 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
     A line that is not UTF-8 JSON, or that ``parse`` rejects with
     ``KeyError``, ``TypeError``, ``ValueError`` or a ``ValidationError``
     (a domain type refusing the record), raises ``SchemaViolation(field)``
-    naming ``path:line``.
+    naming ``path:line`` (and, for a wrapped schema violation, its field).
     """
     records = []
     with open(path, "rb") as handle:
@@ -270,8 +272,9 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
             try:
                 records.append(parse(json.loads(line.decode("utf-8"))))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                reason = exc.reason if isinstance(exc, SchemaViolation) else exc
                 raise SchemaViolation(
-                    field, f"{path}:{line_no}: malformed record ({exc})"
+                    field, f"{path}:{line_no}: malformed record ({reason})"
                 ) from exc
     return records
 
@@ -443,7 +446,7 @@ def write_predictions(
     write_json_file({"version": PREDICTIONS_VERSION, "results": records}, path)
 
 
-def _parse_predictions(root) -> dict[str, tuple[TimeInterval, ...]]:
+def _parse_predictions(root, known: Collection[str] | None) -> dict[str, tuple[TimeInterval, ...]]:
     checked(root, (dict,), "predictions")
     version = root.get("version")
     if version != PREDICTIONS_VERSION:
@@ -454,6 +457,8 @@ def _parse_predictions(root) -> dict[str, tuple[TimeInterval, ...]]:
         query_id = checked(raw["query_id"], (str,), "query_id")
         if query_id in results:
             raise ValueError(f"duplicate result for '{query_id}'")
+        if known is not None and query_id not in known:
+            raise ValidationError(f"predictions for unknown query '{query_id}'")
         intervals = []
         for pair in checked(raw["intervals"], (list,), "intervals"):
             if len(checked(pair, (list,), "interval")) != 2:
@@ -466,5 +471,10 @@ def _parse_predictions(root) -> dict[str, tuple[TimeInterval, ...]]:
     return results
 
 
-def load_predictions(path: str | Path) -> dict[str, tuple[TimeInterval, ...]]:
-    return read_json_file(path, "predictions file", _parse_predictions)
+def load_predictions(
+    path: str | Path, dataset: Dataset | None = None
+) -> dict[str, tuple[TimeInterval, ...]]:
+    """The predictions file ``path``; with a ``dataset`` every result must
+    name one of its queries."""
+    known = None if dataset is None else {query.query_id for query in dataset.iter_queries()}
+    return read_json_file(path, "predictions file", lambda root: _parse_predictions(root, known))

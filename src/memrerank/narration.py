@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import clips
 from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
@@ -348,45 +348,13 @@ class NarrationEngine:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _key(
-        self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float
-    ) -> NarrationCacheKey:
-        version, backend = self.prompt.version, self.backend.backend_id
-        return NarrationCacheKey(
-            video_id, clip.start_s, clip.end_s, fps, clip_len_s, version, backend
-        )
-
     def narrate_clip(
         self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float
     ) -> str:
         """Cached narration for one clip, sampled as a plan of ``fps`` and
-        ``clip_len_s`` samples it; a miss is a one-job dispatch."""
-        key = self._key(video_id, clip, fps, clip_len_s)
-        self._narrate_jobs((key,))
-        return self.cache.get(key)
-
-    def _narrate_jobs(self, keys: Collection[NarrationCacheKey]) -> None:
-        """Check every key's sampling against the frame cap, then serve hits
-        from the cache and narrate the misses in one dispatch."""
-        for fps, clip_len_s in {(key.fps, key.clip_len_s) for key in keys}:
-            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
-            if clip_len_s * fps > MAX_IMAGES_PER_REQUEST:
-                raise ValidationError(
-                    f"{clip_len_s} s clips at {fps} fps exceed the per-request cap "
-                    f"of {MAX_IMAGES_PER_REQUEST} frames"
-                )
-        misses = [key for key in keys if self.cache.get(key) is None]
-
-        def call(key: NarrationCacheKey) -> None:
-            clip = TimeInterval(key.clip_start_s, key.clip_end_s)
-            request = BackendRequest(key.video_id, clip, key.fps, key.clip_len_s, self.prompt)
-            text = self.backend.narrate(request)
-            if not text.strip():
-                raise EmptyNarrationError(f"backend '{self.backend.backend_id}' returned empty text")
-            self.cache.put(key, text.strip())
-
-        self._count(cache_hits=len(keys) - len(misses), cache_misses=len(misses))
-        dispatch(call, misses, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
+        ``clip_len_s`` samples it: a one-clip :meth:`narrate_plans`."""
+        plan = clips.ClipPlan(CandidateKey(video_id, "", 1), (clip,), fps, clip_len_s)
+        return self.narrate_plans([plan])[0].entries[0].narration
 
     def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:
         """Narrate every clip of every plan; one memory per plan, in order.
@@ -396,22 +364,40 @@ class NarrationEngine:
         misses by one :func:`dispatch`. Narrations finished before a
         failure stay cached.
         """
-        plan_keys = []
-        for plan in plans:
-            video_id = plan.candidate_key.video_id
-            plan_keys.append(
-                [self._key(video_id, clip, plan.fps, plan.clip_len_s) for clip in plan.clips]
-            )
+        version, backend_id = self.prompt.version, self.backend.backend_id
+        for fps, clip_len_s in {(plan.fps, plan.clip_len_s) for plan in plans}:
+            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
+            if clip_len_s * fps > MAX_IMAGES_PER_REQUEST:
+                raise ValidationError(
+                    f"{clip_len_s} s clips at {fps} fps exceed the per-request cap "
+                    f"of {MAX_IMAGES_PER_REQUEST} frames"
+                )
+        plan_keys = [
+            [NarrationCacheKey(plan.candidate_key.video_id, clip.start_s, clip.end_s, plan.fps,
+                               plan.clip_len_s, version, backend_id) for clip in plan.clips]
+            for plan in plans
+        ]
         unique = dict.fromkeys(key for keys in plan_keys for key in keys)
+        misses = [key for key in unique if self.cache.get(key) is None]
+
+        def call(key: NarrationCacheKey) -> None:
+            clip = TimeInterval(key.clip_start_s, key.clip_end_s)
+            request = BackendRequest(key.video_id, clip, key.fps, key.clip_len_s, self.prompt)
+            text = self.backend.narrate(request)
+            if not text.strip():
+                raise EmptyNarrationError(f"backend '{backend_id}' returned empty text")
+            self.cache.put(key, text.strip())
+
         self._count(clips_requested=sum(map(len, plan_keys)), clips_unique=len(unique))
-        self._narrate_jobs(unique)
-        get, version, backend = self.cache.get, self.prompt.version, self.backend.backend_id
+        self._count(cache_hits=len(unique) - len(misses), cache_misses=len(misses))
+        dispatch(call, misses, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
+        get = self.cache.get
         return [
             EpisodicMemory(
                 plan.candidate_key,
                 tuple(MemoryEntry(clip, get(key)) for clip, key in zip(plan.clips, keys)),
                 version,
-                backend,
+                backend_id,
             )
             for plan, keys in zip(plans, plan_keys)
         ]

@@ -5,14 +5,14 @@ a subset of those events in start order, candidates are jittered copies
 of the target plus distractors drawn from other events. The scripted
 backends answer narration requests from the event script (reading the
 request's video id and clip bounds) and selection requests by label
-matching (stub), by ground-truth IoU argmax (oracle), or by IoU argmin
-(adversarial), so full pipelines run without videos or a remote model.
+matching (stub) or by ground-truth IoU argmax (oracle), so full
+pipelines run without videos or a remote model.
 
 The scenario file holds only what the annotations and candidates files do
 not: the knobs and the event script. The stub narrates from the script,
-loaded and checked against the annotations; the oracle and adversarial
-selectors score the dataset and top-k candidate lists their stage already
-parsed, the very lists the selection prompts are built from.
+loaded and checked against the annotations; the oracle selector scores
+the dataset and top-k candidate lists its stage already parsed, the
+very lists the selection prompts are built from.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ from .errors import InvalidKnobsError, SchemaViolation
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
-from .rerank import QUERY_LINE_PREFIX
+from .rerank import CANDIDATE_HEADING, QUERY_LINE_PREFIX
 
 SCENARIO_VERSION = "scenario-3"
 
 _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
 _QUERY_TAG = re.compile(r"\[([^\]]+)\]")
-_CANDIDATE_HEADING_RE = re.compile(r"^Candidate (\d+)$")
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,8 +246,7 @@ class ScriptedStubBackend(Backend):
             if line.startswith(QUERY_LINE_PREFIX):
                 query_text_line = line[len(QUERY_LINE_PREFIX):]
                 continue
-            heading = _CANDIDATE_HEADING_RE.match(line)
-            if heading is not None:
+            if line == CANDIDATE_HEADING.format(index=len(sections) + 1):
                 sections.append([])
             elif sections:
                 sections[-1].append(line)
@@ -268,12 +266,14 @@ class ScriptedStubBackend(Backend):
         return "none of the candidates match the query events"
 
 
-class _GroundTruthSelector(ScriptedStubBackend):
-    """Shared machinery for selectors that score a query's candidate list
-    against its ground truth: the dataset and lists of the stage that
-    selects, the lists its selection prompts are built from. They narrate
-    as the stub does; built without a dataset, as in ``narrate``, they
-    only narrate."""
+class OracleSelectorBackend(ScriptedStubBackend):
+    """Selects the candidate with the highest IoU against ground truth
+    (ties go to the lowest index). It scores the dataset and lists of the
+    stage that selects, the lists its selection prompts are built from,
+    and narrates as the stub does; built without a dataset, as in
+    ``narrate``, it only narrates."""
+
+    backend_id = "oracle"
 
     def __init__(
         self,
@@ -286,42 +286,18 @@ class _GroundTruthSelector(ScriptedStubBackend):
         self._gt = {q.query_id: q.ground_truth for q in queries if q.ground_truth is not None}
         self._lists = {clist.query_id: clist for clist in lists}
 
-    def _query_id(self, prompt: str) -> str:
-        query_line, _ = self._split_prompt(prompt)
-        tag = _QUERY_TAG.search(query_line)
+    def _ious(self, prompt: str) -> list[float]:
+        """The IoU of each candidate of the prompt's query with its ground truth."""
+        tag = _QUERY_TAG.search(self._split_prompt(prompt)[0])
         if tag is None or tag.group(1) not in self._gt:
             raise SchemaViolation("prompt", "query id tag missing from selection prompt")
-        return tag.group(1)
-
-    def _ious(self, query_id: str) -> list[float]:
-        gt = self._gt[query_id]
-        return [
-            temporal_iou(c.interval, gt)
-            for c in self._lists[query_id].candidates
-        ]
-
-
-class OracleSelectorBackend(_GroundTruthSelector):
-    """Selects the candidate with the highest IoU against ground truth
-    (ties go to the lowest index)."""
-
-    backend_id = "oracle"
+        gt = self._gt[tag.group(1)]
+        return [temporal_iou(c.interval, gt) for c in self._lists[tag.group(1)].candidates]
 
     def _select(self, prompt: str) -> str:
-        ious = self._ious(self._query_id(prompt))
+        ious = self._ious(prompt)
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
         return str(best + 1)
-
-
-class WorstSelectorBackend(_GroundTruthSelector):
-    """Adversarial selector: always picks the lowest-IoU candidate."""
-
-    backend_id = "adversarial"
-
-    def _select(self, prompt: str) -> str:
-        ious = self._ious(self._query_id(prompt))
-        worst = min(range(len(ious)), key=lambda i: (ious[i], i))
-        return str(worst + 1)
 
 
 def stub_backend(load_script: Callable[[], EventScript]) -> ScriptedStubBackend:

@@ -18,7 +18,13 @@ from memrerank.core import (
 from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
 from memrerank.sequencing import DEFAULT_LAMBDA_PENALTY
-from memrerank.synth import Scenario, ScenarioKnobs, ScriptedEvent, query_text
+from memrerank.synth import (
+    OracleSelectorBackend,
+    Scenario,
+    ScenarioKnobs,
+    ScriptedEvent,
+    query_text,
+)
 
 
 def interval(start, end) -> TimeInterval:
@@ -119,6 +125,17 @@ def brute_force_optimize(
     lam = Fraction(lambda_penalty)
     choices = product(*(range(len(clist_)) for clist_ in lists))
     return min(choices, key=lambda c: (_exact_cost(lists, c, lam), c))
+
+
+class WorstSelectorBackend(OracleSelectorBackend):
+    """Adversarial selector: always picks the lowest-IoU candidate."""
+
+    backend_id = "adversarial"
+
+    def _select(self, prompt: str) -> str:
+        ious = self._ious(prompt)
+        worst = min(range(len(ious)), key=lambda i: (ious[i], i))
+        return str(worst + 1)
 
 
 def tiny_scenario() -> Scenario:

@@ -22,12 +22,12 @@ from memrerank.sequencing import optimize_sequence, selection_cost
 from memrerank.synth import (
     OracleSelectorBackend,
     ScenarioKnobs,
-    WorstSelectorBackend,
     generate_scenario,
     stub_backend,
 )
 
 from helpers import (
+    WorstSelectorBackend,
     brute_force_optimize,
     frame_count_oracle,
     ground_truth_by_query,

@@ -15,6 +15,7 @@ import memrerank
 import memrerank.cli as cli
 import memrerank.clips as clips
 import memrerank.ingest as ingest
+import memrerank.metrics as metrics
 import memrerank.narration as narration
 import memrerank.synth as synth
 from memrerank.cli import RunConfig, build_parser, main
@@ -85,6 +86,13 @@ def gt_past_duration(out):
     video = payload["videos"][0]
     video["duration_s"] = 1.5
     video["queries"][0]["gt"] = {"start_s": 1.0, "end_s": 2.0}
+    path.write_text(json.dumps(payload))
+
+
+def negative_duration(out):
+    path = out / "annotations.json"
+    payload = json.loads(path.read_text())
+    payload["videos"][0]["duration_s"] = -3.0
     path.write_text(json.dumps(payload))
 
 
@@ -304,9 +312,19 @@ class TestPipeline:
             "malformed annotations file: "
             "ground truth out of bounds for query 'v000-q000': [1.0, 2.0] exceeds duration 1.5",
         ),
+        (
+            "plan",
+            negative_duration,
+            "schema violation in field 'annotations file': {out}/annotations.json: "
+            "malformed annotations file: field 'duration_s': must be a positive number, got -3.0",
+        ),
         ("plan", unknown_candidate_query, in_candidates("candidates for unknown query 'nope'")),
-        # Raised by scoring, after the predictions file was read whole.
-        ("eval", unknown_prediction_query, "predictions reference unknown query ids: nope"),
+        (
+            "eval",
+            unknown_prediction_query,
+            "schema violation in field 'predictions file': {out}/predictions_rerank.json: "
+            "malformed predictions file: predictions for unknown query 'nope'",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -314,7 +332,7 @@ class TestPipeline:
         MALFORMED_INPUTS,
         ids=[
             "inverted-candidate", "negative-start", "zero-length-candidate", "nan-score",
-            "gt-past-duration", "candidates-for-unknown-query",
+            "gt-past-duration", "negative-duration", "candidates-for-unknown-query",
             "predictions-for-unknown-query",
         ],
     )
@@ -693,7 +711,9 @@ class TestPipeline:
         simulate(out, seed=7, videos=3, queries=4)
         assert run(["plan", "--out", out]) == 0
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
-        simulate(out, seed=8, videos=3, queries=4)
+        memories = (out / "memories.jsonl").read_bytes()
+        simulate(out, seed=8, videos=3, queries=4)  # deletes the memories it makes stale
+        (out / "memories.jsonl").write_bytes(memories)
         with caplog.at_level("ERROR"):
             code = run(["rerank", "--out", out, "--backend", "stub"])
         assert code == 4
@@ -806,6 +826,62 @@ class TestStageTable:
         assert readme_stage_rows() == {
             stage.name: (stage.reads, stage.writes) for stage in cli.STAGES
         }
+
+
+# The stages whose outputs a stage's run makes stale: those that read what
+# it writes, directly or through another such stage.
+STALE_AFTER = {
+    "simulate": ("plan", "narrate", "rerank", "optimize", "eval", "report"),
+    "plan": ("narrate", "rerank", "optimize", "eval", "report"),
+    "narrate": ("rerank", "optimize", "eval", "report"),
+    "rerank": ("optimize", "eval", "report"),
+    "optimize": ("eval", "report"),
+    "eval": ("report",),
+    "report": (),
+}
+
+
+class TestStaleOutputs:
+    @pytest.mark.parametrize("stage", list(STALE_AFTER))
+    def test_rerun_removes_exactly_the_downstream_outputs(self, tmp_path, stage):
+        out = tmp_path / "run"
+        pipeline(out)
+        assert run(["report", "--out", out]) == 0
+        backend = {"narrate": "stub", "rerank": "oracle"}.get(stage, "stub")
+        assert run([stage, "--out", out, "--backend", backend]) == 0
+        stale = {name for s in cli.STAGES if s.name in STALE_AFTER[stage] for name in s.writes}
+        written = {name for s in cli.STAGES for name in s.writes}
+        assert {path.name for path in out.iterdir() if path.is_file()} == written - stale
+        assert sorted(path.name for path in (out / "cache").iterdir()) == [
+            "narrate_stats.json", "narrations.jsonl",
+        ]
+
+    def test_eval_after_a_new_rerank_scores_its_predictions(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        pipeline(out, rerank_backend="stub")
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        assert not (out / cli.PREDICTIONS_FINAL_FILE).exists()
+        with caplog.at_level("INFO"):
+            assert run(["eval", "--out", out]) == 0
+        assert caplog.messages[-1].endswith("(after: predictions_rerank.json)")
+        dataset = ingest.load_annotations(out / "annotations.json")
+        rerank_predictions = ingest.load_predictions(out / cli.PREDICTIONS_RERANK_FILE)
+        compare = json.loads((out / "metrics_compare.json").read_text())
+        expected = metrics.evaluate_run(rerank_predictions, dataset)
+        assert compare["after"]["mean_r1"] == pytest.approx(expected.mean_r1)
+
+    def test_narrate_after_a_new_simulate_needs_a_new_plan(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out, seed=7)
+        assert run(["plan", "--out", out]) == 0
+        simulate(out, seed=8)
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 3
+        assert caplog.messages == [
+            f"missing input produced by stage 'plan': {out / cli.MANIFESTS_FILE} not found"
+        ]
+        assert not (out / "cache" / cli.CACHE_FILE).exists()
 
 
 class TestScenarioLoads:

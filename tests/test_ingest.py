@@ -89,8 +89,18 @@ class TestLoadAnnotations:
     def test_mixed_order_index_rejected(self, tmp_path):
         payload = annotations_payload()
         del payload["videos"][0]["queries"][1]["order_index"]
-        with pytest.raises(SchemaViolation):
-            load_annotations(write_file(tmp_path, "a.json", payload))
+        path = write_file(tmp_path, "a.json", payload)
+        detail = "field 'order_index': goalstep query 'v0-q1' has no order index"
+        with pytest.raises(SchemaViolation, match=refused(path, "annotations file", detail)):
+            load_annotations(path)
+
+    def test_wrapped_schema_violation_says_so_once(self, tmp_path):
+        payload = annotations_payload()
+        payload["videos"][0]["duration_s"] = -3.0
+        path = write_file(tmp_path, "a.json", payload)
+        detail = "field 'duration_s': must be a positive number, got -3.0"
+        with pytest.raises(SchemaViolation, match=refused(path, "annotations file", detail)):
+            load_annotations(path)
 
     def test_duplicate_order_index_rejected(self, tmp_path):
         payload = annotations_payload()
@@ -362,6 +372,15 @@ class TestPredictions:
         ):
             load_predictions(path)
 
+    def test_unknown_query_refused_with_a_dataset(self, tmp_path):
+        dataset = load_annotations(write_file(tmp_path, "a.json", annotations_payload()))
+        path = tmp_path / "p.json"
+        write_predictions({"v0-q0": (interval(1, 2),), "nope": (interval(1, 2),)}, path)
+        assert set(load_predictions(path)) == {"v0-q0", "nope"}
+        message = refused(path, "predictions file", "predictions for unknown query 'nope'")
+        with pytest.raises(ValidationError, match=message):
+            load_predictions(path, dataset)
+
     def test_version_checked(self, tmp_path):
         path = write_file(tmp_path, "p.json", {"version": "other", "results": []})
         with pytest.raises(SchemaViolation):
@@ -516,6 +535,20 @@ class TestJsonLines:
         with pytest.raises(SchemaViolation, match=r"records\.jsonl:3: malformed record") as info:
             read_jsonl(path, "records", lambda r: float(r["a"]))
         assert info.value.field == "records"
+
+    def test_wrapped_schema_violation_says_so_once(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": -1}\n')
+
+        def parse(record):
+            raise SchemaViolation("a", f"must be >= 0, got {record['a']}")
+
+        message = (
+            f"schema violation in field 'records': {path}:1: "
+            "malformed record (field 'a': must be >= 0, got -1)"
+        )
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+            read_jsonl(path, "records", parse)
 
 
 def test_only_ingest_encodes_stage_files():

@@ -129,6 +129,7 @@ class TestNarrateClip:
         engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
         text = engine.narrate_clip("v0", clip, 1.0, 20.0)
         assert text == "events: e1; e2"
+        assert engine.stats()["clips_requested"] == engine.stats()["clips_unique"] == 1
 
     def test_clip_overlapping_nothing(self):
         scenario = tiny_scenario()
@@ -368,7 +369,11 @@ class TestBuildEpisodicMemory:
         plan = plan_for(0.0, 60.0)
         cache = NarrationCache()
         engine = NarrationEngine(FixedBackend(), cache)
-        keys = [engine._key("v0", clip, plan.fps, plan.clip_len_s) for clip in plan.clips]
+        keys = [
+            NarrationCacheKey("v0", clip.start_s, clip.end_s, plan.fps, plan.clip_len_s,
+                              engine.prompt.version, "fixed")
+            for clip in plan.clips
+        ]
         for key, text in reversed(list(zip(keys, ["first", "second", "third"]))):
             cache.put(key, text)
         [memory] = engine.narrate_plans([plan])
@@ -460,7 +465,9 @@ class TestNarratePlans:
         engine = NarrationEngine(backend)
         plan = plan_candidate(CandidateKey("v0", "v0-q000", 1), interval(0, 30), 20.0, 2.0)
         for clip in plan.clips:
-            engine.cache.put(engine._key("v0", clip, plan.fps, plan.clip_len_s), "cached")
+            key = NarrationCacheKey("v0", clip.start_s, clip.end_s, plan.fps, plan.clip_len_s,
+                                    engine.prompt.version, "fixed")
+            engine.cache.put(key, "cached")
         message = r"^20\.0 s clips at 2\.0 fps exceed the per-request cap of 20 frames$"
         with pytest.raises(ValidationError, match=message):
             engine.narrate_plans([plan])

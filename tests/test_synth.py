@@ -12,7 +12,6 @@ from memrerank.rerank import build_rerank_prompt
 from memrerank.synth import (
     OracleSelectorBackend,
     ScenarioKnobs,
-    WorstSelectorBackend,
     generate_scenario,
     load_scenario,
     query_text,
@@ -21,6 +20,7 @@ from memrerank.synth import (
 )
 
 from helpers import (
+    WorstSelectorBackend,
     candidates_by_query,
     ground_truth_by_query,
     interval,
