@@ -509,7 +509,7 @@ STAGES = (
     Stage("simulate", cmd_simulate, "generate a synthetic scenario",
           reads=(), writes=(SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
           add_flags=_add_simulate_flags),
-    Stage("plan", cmd_plan, "emit per-clip frame manifests",
+    Stage("plan", cmd_plan, "write each candidate's span and sampling to a manifest",
           reads=(ANNOTATIONS_FILE, CANDIDATES_FILE), writes=(MANIFESTS_FILE,)),
     Stage("narrate", cmd_narrate, "narrate clips into episodic memories",
           reads=(MANIFESTS_FILE, SCENARIO_FILE, ANNOTATIONS_FILE),

@@ -4,19 +4,20 @@ A candidate interval is cut into contiguous clips of ``clip_len_s``
 seconds (a shorter tail is kept in full), and each clip is sampled at
 ``fps`` from its own start time (:func:`clip_frames`). Intervals are
 half-open, so clip boundaries are never double-counted. A manifest holds
-one JSON-Lines record per clip, written and read through
-:mod:`memrerank.ingest`: its bounds and the run's ``fps`` and
-``clip_len_s``, from which the frames are derived, not stored.
+one JSON-Lines record per candidate, written and read through
+:mod:`memrerank.ingest`: its span and the run's ``fps`` and
+``clip_len_s``, from which its clips and their frames are derived, not
+stored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .core import NUMBER, CandidateKey, TimeInterval, checked, clip_bounds
+from .core import NUMBER, CandidateKey, TimeInterval, checked
 from .errors import SchemaViolation, ValidationError
 from .ingest import read_jsonl, write_jsonl
 
@@ -30,30 +31,22 @@ COVER_TOLERANCE_S = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class ClipPlan:
-    """Clips covering one candidate, sampled as :func:`clip_frames` says."""
+    """One candidate's span and sampling. Its clips (:func:`plan_clips`)
+    are derived once, when it is built; their frames (:func:`clip_frames`)
+    on each read."""
 
     candidate_key: CandidateKey
-    clips: tuple[TimeInterval, ...]
+    span: TimeInterval
     fps: float
     clip_len_s: float
+    clips: tuple[TimeInterval, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "clips", tuple(self.clips))
         for name in ("fps", "clip_len_s"):
             value = getattr(self, name)
             if type(value) not in NUMBER or not 0 < value < math.inf:
                 raise SchemaViolation(name, f"must be a positive number, got {value!r}")
-        if not self.clips:
-            raise SchemaViolation("clips", "plan has no clips")
-        previous = None
-        for clip in self.clips:
-            if clip.duration_s <= 0:
-                raise SchemaViolation("clips", f"clip [{clip.start_s}, {clip.end_s}) is empty")
-            if previous is not None and abs(clip.start_s - previous.end_s) > 1e-6:
-                raise SchemaViolation(
-                    "clips", f"gap between clips at {previous.end_s} -> {clip.start_s}"
-                )
-            previous = clip
+        object.__setattr__(self, "clips", plan_clips(self.span, self.clip_len_s))
 
     @property
     def frames(self) -> tuple[tuple[float, ...], ...]:
@@ -116,55 +109,45 @@ def plan_candidate(
 ) -> ClipPlan:
     """Cut candidate ``key``, which spans ``interval``, into clips, to be
     sampled at ``fps``."""
-    return ClipPlan(key, plan_clips(interval, clip_len_s), fps, clip_len_s)
+    return ClipPlan(key, interval, fps, clip_len_s)
 
 
 def write_frame_manifests(plans: Iterable[ClipPlan], path: str | Path) -> int:
-    """Write one JSON-Lines record per clip; returns the record count."""
-    records = []
-    for plan in plans:
-        for clip in plan.clips:
-            records.append(
-                {
-                    "video_id": plan.candidate_key.video_id,
-                    "query_id": plan.candidate_key.query_id,
-                    "rank": plan.candidate_key.rank,
-                    "clip_start_s": clip.start_s,
-                    "clip_end_s": clip.end_s,
-                    "fps": plan.fps,
-                    "clip_len_s": plan.clip_len_s,
-                }
-            )
-    records.sort(
-        key=lambda r: (r["video_id"], r["query_id"], r["rank"], r["clip_start_s"])
+    """Write one JSON-Lines record per candidate, in key order; returns
+    the number of clips they are cut into."""
+    plans = sorted(plans, key=lambda plan: plan.candidate_key)
+    write_jsonl(
+        (
+            {
+                **plan.candidate_key._asdict(),
+                "start_s": plan.span.start_s,
+                "end_s": plan.span.end_s,
+                "fps": plan.fps,
+                "clip_len_s": plan.clip_len_s,
+            }
+            for plan in plans
+        ),
+        path,
     )
-    write_jsonl(records, path)
-    return len(records)
-
-
-def _manifest_entry(record) -> tuple[CandidateKey, TimeInterval, tuple[float, float]]:
-    if "frame_timestamps" in record:
-        raise ValueError("frame_timestamps is the old manifest format; re-run plan")
-    sampling = (
-        checked(record["fps"], NUMBER, "fps"),
-        checked(record["clip_len_s"], NUMBER, "clip_len_s"),
-    )
-    return CandidateKey.from_record(record), TimeInterval(*clip_bounds(record)), sampling
+    return sum(len(plan.clips) for plan in plans)
 
 
 def read_frame_manifests(path: str | Path) -> list[ClipPlan]:
-    """Rebuild per-candidate clip plans from a manifest file.
+    """The plans of a manifest file, in file order. A candidate listed
+    twice, or a record of one clip (the format before this one), names
+    its ``path:line``."""
+    seen: set[CandidateKey] = set()
 
-    The clips of one candidate must share their ``fps`` and ``clip_len_s``.
-    """
-    groups: dict[CandidateKey, list[tuple[TimeInterval, tuple[float, float]]]] = {}
-    for key, clip, sampling in read_jsonl(path, "manifest", _manifest_entry):
-        groups.setdefault(key, []).append((clip, sampling))
-    plans = []
-    for key in sorted(groups):
-        entries = sorted(groups[key], key=lambda item: item[0].start_s)
-        samplings = {sampling for _, sampling in entries}
-        if len(samplings) > 1:
-            raise SchemaViolation("fps", f"clips of {key} differ in (fps, clip_len_s)")
-        plans.append(ClipPlan(key, tuple(clip for clip, _ in entries), *samplings.pop()))
-    return plans
+    def parse(record) -> ClipPlan:
+        if "clip_start_s" in record:
+            raise ValueError("a record per clip is the old manifest format; re-run plan")
+        span = TimeInterval(
+            checked(record["start_s"], NUMBER, "start_s"), checked(record["end_s"], NUMBER, "end_s")
+        )
+        plan = ClipPlan(CandidateKey.from_record(record), span, record["fps"], record["clip_len_s"])
+        if plan.candidate_key in seen:
+            raise ValueError(f"{plan.candidate_key} is listed twice")
+        seen.add(plan.candidate_key)
+        return plan
+
+    return read_jsonl(path, "manifest", parse)

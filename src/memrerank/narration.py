@@ -174,10 +174,10 @@ class NarrationCache:
 
     def _load(self) -> None:
         """Read the records. When one is corrupt (it is warned about), or the
-        last line lacks its newline, the file is rewritten from the valid
-        records, byte for byte, so no warning repeats and the next put starts
-        a line of its own; a clean file is left as it is."""
-        kept, dirty, raw = [], False, b"\n"
+        last line lacks its newline, the file is read again and rewritten
+        from the valid records, byte for byte, so no warning repeats and the
+        next put starts a line of its own; a clean file is left as it is."""
+        bad, raw = set(), b"\n"  # the line numbers of corrupt records
         with open(self._path, "rb") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -196,13 +196,16 @@ class NarrationCache:
                         line_no,
                         exc,
                     )
-                    dirty = True
+                    bad.add(line_no)
                     continue
                 self._entries[key] = text
-                kept.append(raw)
-        if dirty or not raw.endswith(b"\n"):
-            with atomic_writer(self._path) as handle:
-                handle.writelines(line.decode("utf-8").removesuffix("\n") + "\n" for line in kept)
+        if bad or not raw.endswith(b"\n"):
+            with open(self._path, "rb") as source, atomic_writer(self._path) as handle:
+                handle.writelines(
+                    line.decode("utf-8").removesuffix("\n") + "\n"
+                    for line_no, line in enumerate(source, start=1)
+                    if line.strip() and line_no not in bad
+                )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -352,8 +355,10 @@ class NarrationEngine:
         self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float
     ) -> str:
         """Cached narration for one clip, sampled as a plan of ``fps`` and
-        ``clip_len_s`` samples it: a one-clip :meth:`narrate_plans`."""
-        plan = clips.ClipPlan(CandidateKey(video_id, "", 1), (clip,), fps, clip_len_s)
+        ``clip_len_s`` samples it: a one-candidate :meth:`narrate_plans`.
+        A clip longer than ``clip_len_s`` is cut as a candidate is, each
+        piece narrated and cached, and the first piece's narration returned."""
+        plan = clips.ClipPlan(CandidateKey(video_id, "", 1), clip, fps, clip_len_s)
         return self.narrate_plans([plan])[0].entries[0].narration
 
     def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:

@@ -131,10 +131,10 @@ class TestPipeline:
         "bad_line",
         [
             '{"video_id": "v000", "query_id": "v000-q000", "rank": 1, '
-            '"clip_start_s": 1.0, "clip_end_s": 2.0, "fps": "x", "clip_len_s": 20.0}',
+            '"start_s": 1.0, "end_s": 2.0, "fps": "x", "clip_len_s": 20.0}',
             "[1, 2]",
             '{"video_id": "v000", "query_id": "v000-q000", "rank": "1", '
-            '"clip_start_s": 1.0, "clip_end_s": 2.0, "fps": 1.0, "clip_len_s": 20.0}',
+            '"start_s": 1.0, "end_s": 2.0, "fps": 1.0, "clip_len_s": 20.0}',
         ],
         ids=["non-numeric-frame", "array-record", "string-rank"],
     )
@@ -150,12 +150,23 @@ class TestPipeline:
         assert code == 4
         assert any(f"manifests.jsonl:{lines}:" in m for m in caplog.messages)
 
+    @staticmethod
+    def per_clip_records(manifest):
+        """The records of ``manifest`` in the format before one record per
+        candidate: one per clip, with its bounds and its plan's sampling."""
+        return [
+            {**plan.candidate_key._asdict(), "clip_start_s": clip.start_s,
+             "clip_end_s": clip.end_s, "fps": plan.fps, "clip_len_s": plan.clip_len_s}
+            for plan in read_frame_manifests(manifest)
+            for clip in plan.clips
+        ]
+
     def test_old_format_manifest_asks_for_a_new_plan(self, tmp_path, caplog):
         out = tmp_path / "run"
         simulate(out)
         assert run(["plan", "--out", out]) == 0
         manifest = out / "manifests.jsonl"
-        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        records = self.per_clip_records(manifest)
         for record in records:
             fps, clip_len_s = record.pop("fps"), record.pop("clip_len_s")
             clip = interval(record["clip_start_s"], record["clip_end_s"])
@@ -166,6 +177,52 @@ class TestPipeline:
         assert code == 4
         assert any("manifests.jsonl:1:" in m and "re-run plan" in m for m in caplog.messages)
         assert not (out / "memories.jsonl").exists()
+
+    def test_per_clip_manifest_asks_for_a_new_plan(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        records = self.per_clip_records(manifest)
+        manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any("manifests.jsonl:1:" in m and "re-run plan" in m for m in caplog.messages)
+        assert not (out / "memories.jsonl").exists()
+
+    def test_candidate_listed_twice_exits_4(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines, lines[0]]) + "\n")
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub"])
+        assert code == 4
+        assert any(
+            f"manifests.jsonl:{len(lines) + 1}:" in m and "listed twice" in m
+            for m in caplog.messages
+        )
+        assert not (out / "memories.jsonl").exists()
+
+    def test_candidate_longer_than_a_clip_is_narrated_whole(self, tmp_path):
+        # A 21.29 s span at 20 s clips: a full clip and a 1.29 s tail, each narrated.
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        manifest = out / "manifests.jsonl"
+        record = json.loads(manifest.read_text().splitlines()[0])
+        record.update(start_s=36.57, end_s=57.86, fps=1.0, clip_len_s=20.0)
+        manifest.write_text(json.dumps(record) + "\n")
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        (memory,) = narration.read_memories(out / "memories.jsonl")
+        assert [entry.clip for entry in memory.entries] == [
+            interval(36.57, 36.57 + 20.0), interval(36.57 + 20.0, 57.86)
+        ]
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert stats["backend_calls"] == 2
 
     @pytest.mark.parametrize("field, value", [("fps", 2.0), ("clip_len_s", 40.0)])
     def test_hand_edited_sampling_over_the_request_cap_exits_4(
@@ -257,7 +314,7 @@ class TestPipeline:
         manifest = out / "manifests.jsonl"
         first, *rest = manifest.read_text().splitlines()
         record = json.loads(first)
-        record["clip_start_s"] = bound(record["clip_start_s"])
+        record["start_s"] = bound(record["start_s"])
         manifest.write_text("\n".join([json.dumps(record), *rest]) + "\n")
         with caplog.at_level("ERROR"):
             code = run(["narrate", "--out", out, "--backend", "stub"])

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memrerank.clips import (
@@ -141,31 +141,13 @@ class TestClipPlanInvariants:
             assert all(clip.start_s <= t < clip.end_s for t in frames)
             assert frames == clip_frames(clip, fps, clip_len_s)
 
-    def test_clips_must_be_contiguous(self):
-        with pytest.raises(SchemaViolation):
-            ClipPlan(
-                CandidateKey("v0", "q0", 1),
-                (interval(0, 10), interval(11, 20)),
-                1.0,
-                20.0,
-            )
-
-    def test_zero_length_clip_rejected(self):
-        with pytest.raises(SchemaViolation):
-            ClipPlan(
-                CandidateKey("v0", "q0", 1),
-                (interval(0, 10), interval(10, 10)),
-                1.0,
-                20.0,
-            )
-
     @pytest.mark.parametrize(
         "fps, clip_len_s",
         [(0.0, 20.0), (1.0, -20.0), (math.nan, 20.0), (1.0, math.inf), (True, 20.0), ("1", 20.0)],
     )
     def test_sampling_must_be_positive_numbers(self, fps, clip_len_s):
         with pytest.raises(SchemaViolation):
-            ClipPlan(CandidateKey("v0", "q0", 1), (interval(0, 10),), fps, clip_len_s)
+            ClipPlan(CandidateKey("v0", "q0", 1), interval(0, 10), fps, clip_len_s)
 
 
 class TestManifestRoundTrip:
@@ -181,6 +163,32 @@ class TestManifestRoundTrip:
         assert sorted(loaded, key=lambda p: p.candidate_key) == sorted(
             plans, key=lambda p: p.candidate_key
         )
+
+    @settings(max_examples=100)
+    @given(
+        spans=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=500_000),
+                st.integers(min_value=1, max_value=90_000),
+            ).map(lambda ms: (ms[0] / 1000, (ms[0] + ms[1]) / 1000)),
+            min_size=1,
+            max_size=5,
+        ),
+        clip_len_s=st.sampled_from([20.0, 10.0, 7.5]),
+        fps=st.sampled_from([1.0, 0.5, 2 / 3]),
+    )
+    # Full clips a few ulps over clip_len_s: the cuts and the end are separate sums.
+    @example(spans=[(25.511, 45.511), (5.511, 81.704)], clip_len_s=20.0, fps=1.0)
+    def test_read_after_write_gives_the_planned_plans(
+        self, tmp_path_factory, spans, clip_len_s, fps
+    ):
+        plans = [
+            plan_candidate(CandidateKey("v0", "q0", rank), interval(*span), clip_len_s, fps)
+            for rank, span in enumerate(spans, start=1)
+        ]
+        path = tmp_path_factory.mktemp("manifest") / "manifests.jsonl"
+        assert write_frame_manifests(reversed(plans), path) == sum(len(p.clips) for p in plans)
+        assert read_frame_manifests(path) == plans
 
     def test_write_is_deterministic(self, tmp_path):
         plans = [
@@ -199,9 +207,8 @@ class TestManifestRoundTrip:
         path = tmp_path / "manifests.jsonl"
         write_frame_manifests(plans, path)
         assert [json.loads(line) for line in path.read_text().splitlines()] == [
-            {"video_id": "v0", "query_id": "q0", "rank": 1, "clip_start_s": start,
-             "clip_end_s": end, "fps": 0.5, "clip_len_s": 20.0}
-            for start, end in [(5.0, 25.0), (25.0, 30.0)]
+            {"video_id": "v0", "query_id": "q0", "rank": 1, "start_s": 5.0, "end_s": 30.0,
+             "fps": 0.5, "clip_len_s": 20.0}
         ]
         (loaded,) = read_frame_manifests(path)
         assert loaded.frames == ((5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 21.0, 23.0), (25.0, 27.0, 29.0))
@@ -213,16 +220,4 @@ class TestManifestRoundTrip:
             '"clip_end_s": 2.0, "frame_timestamps": [0.0, 1.0]}\n'
         )
         with pytest.raises(SchemaViolation, match=r"manifests\.jsonl:1: .*re-run plan"):
-            read_frame_manifests(path)
-
-    def test_clips_of_one_candidate_share_their_sampling(self, tmp_path):
-        plans = [
-            plan_candidate(CandidateKey("v0", "q0", 1), interval(0.0, 45.0), 20.0, 1.0)
-        ]
-        path = tmp_path / "manifests.jsonl"
-        write_frame_manifests(plans, path)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"fps": 1.0', '"fps": 0.5')
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SchemaViolation, match="differ in"):
             read_frame_manifests(path)

@@ -102,7 +102,7 @@ GOALSTEP_STUB = {
     "annotations.json": "eb0e0eaa174329ada1500dec4c508e76bcb6d0069ee9376dc56661a9193c307d",
     "cache/narrate_stats.json": "bf2a0101891cc2d08a03a7aabd8ec1be9f2cdcf116a8c14f6e631ab8e1bfa3c1",
     "candidates.json": "62c0aef5d8ede743072200bee714ad6d642278bd358f54776d218fa89e558621",
-    "manifests.jsonl": "2e08ee2a73b228b8888f84a2082c59e5a24de6f93abfc6fc375a4cc86c19a330",
+    "manifests.jsonl": "b5c08f9c17ef1215dfe105de13f5386e76bd086b57bd57c6e34264ec9b0ab471",
     "memories.jsonl": "23c7baecb6fe1ece718df5b6880b432d3c5401a4e5a8b740afdff9b77cb6ce74",
     "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
     "metrics_before.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
@@ -138,7 +138,7 @@ NLQ_STUB = {
     "annotations.json": "63fa50c188528eb3bcd0ab0d7accd655c062ee4078dfeb9f412c1abcaa15d23b",
     "cache/narrate_stats.json": "bf2a0101891cc2d08a03a7aabd8ec1be9f2cdcf116a8c14f6e631ab8e1bfa3c1",
     "candidates.json": "62c0aef5d8ede743072200bee714ad6d642278bd358f54776d218fa89e558621",
-    "manifests.jsonl": "2e08ee2a73b228b8888f84a2082c59e5a24de6f93abfc6fc375a4cc86c19a330",
+    "manifests.jsonl": "b5c08f9c17ef1215dfe105de13f5386e76bd086b57bd57c6e34264ec9b0ab471",
     "memories.jsonl": "23c7baecb6fe1ece718df5b6880b432d3c5401a4e5a8b740afdff9b77cb6ce74",
     "metrics_after.json": "aeee19039961c1a521ad2b5711b22cab38f7651bcade6195a18f5cbb9027104a",
     "metrics_before.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",

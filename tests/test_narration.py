@@ -191,7 +191,7 @@ class TestNarrateClip:
         engine = NarrationEngine(backend)
         one = engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         half = engine.narrate_clip("v0", interval(0, 5), 0.5, 20.0)
-        engine.narrate_clip("v0", interval(0, 5), 1.0, 2.0)
+        engine.narrate_clip("v0", interval(0, 5), 1.0, 10.0)
         assert (one, half) == ("a steady narration of 5 frames", "a steady narration of 3 frames")
         assert backend.narrate_calls == 3
         assert engine.stats()["cache_hits"] == 0

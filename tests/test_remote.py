@@ -129,10 +129,8 @@ class TestRemoteBackend:
         # here, on the way out; its text is part of the wire format.
         session = FakeSession()
         backend = RemoteBackend("https://api.example.test", "k", session=session)
-        engine = NarrationEngine(backend)
-        assert engine.narrate_clip("v0", TimeInterval(25.511, 45.511), 1.0, 2.0) == (
-            "a narration"
-        )
+        request = BackendRequest("v0", TimeInterval(25.511, 45.511), 1.0, 2.0)
+        assert backend.narrate(request) == "a narration"
         (sent,) = session.requests
         assert sent["json"] == {
             "instruction": (
