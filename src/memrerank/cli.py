@@ -1,9 +1,11 @@
 """Command-line pipeline: one subcommand per stage of ``STAGES``.
 
 Every stage reads and writes files under a shared output directory, so
-the expensive narration stage is resumable and each stage can be re-run
-idempotently. Configuration precedence is command-line flag, then config
-file, then built-in default.
+each stage can be re-run idempotently. The two stages that call the
+backend, narrate and rerank, are resumable: each reply is cached under
+the cache directory as it arrives, so a re-run after an interruption asks
+only for what is missing. Configuration precedence is command-line flag,
+then config file, then built-in default.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateKey, CandidateList
-from .rerank import RerankOutcome, promote, rerank_many
+from .rerank import RerankOutcome, SelectionCache, promote, rerank_many
 from .errors import (
     BackendError,
     ConfigError,
@@ -47,6 +49,7 @@ METRICS_AFTER_FILE = "metrics_after.json"
 METRICS_COMPARE_FILE = "metrics_compare.json"
 REPORT_FILE = "report.txt"
 CACHE_FILE = "narrations.jsonl"
+SELECTIONS_FILE = "selections.jsonl"
 NARRATE_STATS_FILE = "narrate_stats.json"
 
 EXIT_CODES = {
@@ -196,7 +199,7 @@ class RunConfig:
         setting = next((s for s, file in _UNDER_OUTPUT_DIR.items() if file == name), None)
         if setting:
             return getattr(self, setting)
-        cached = name in (CACHE_FILE, NARRATE_STATS_FILE)
+        cached = name in (CACHE_FILE, SELECTIONS_FILE, NARRATE_STATS_FILE)
         return (self.cache_dir if cached else self.output_dir) / name
 
     def input(self, name: str) -> Path:
@@ -221,7 +224,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--candidates", help="base candidates file")
     parser.add_argument("--scenario", help="scenario file (stub/oracle backends)")
     parser.add_argument("--frames-root", dest="frames_root", help="frame image root")
-    parser.add_argument("--cache-dir", dest="cache_dir", help="narration cache directory")
+    parser.add_argument(
+        "--cache-dir", dest="cache_dir", help="narration and selection cache directory"
+    )
     parser.add_argument("--backend", choices=CHOICES["backend"], help="backend mode")
     parser.add_argument("--clip-len", dest="clip_len_s", type=float, help="clip length, s")
     parser.add_argument("--fps", type=float, help="frame sampling rate")
@@ -399,9 +404,14 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
             log_records.append(len(jobs))
             jobs.append((query, clist, memories_by_query.get(query.query_id, [])))
     # The first ``rerank_limit`` jobs go to the backend; the rest keep their order.
-    reranked = rerank_many(
-        jobs[: cfg.rerank_limit], backend, c_max=cfg.c_max, include_scores=cfg.include_scores
-    )
+    with SelectionCache(cfg.output(SELECTIONS_FILE)) as cache:
+        reranked = rerank_many(
+            jobs[: cfg.rerank_limit],
+            backend,
+            c_max=cfg.c_max,
+            include_scores=cfg.include_scores,
+            cache=cache,
+        )
     outcomes = reranked + [RerankOutcome(clist) for _, clist, _ in jobs[len(reranked) :]]
     for i, record in enumerate(log_records):
         if isinstance(record, int):
@@ -414,9 +424,11 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     ingest.write_predictions(predictions, cfg.output(PREDICTIONS_RERANK_FILE))
     ingest.write_jsonl(log_records, cfg.output(RERANK_LOG_FILE))
     logger.info(
-        "reranked %d queries (%d skipped) with backend '%s'",
+        "reranked %d queries (%d skipped; %d cached, %d backend calls) with backend '%s'",
         len(reranked),
         len(log_records) - len(reranked),
+        sum(outcome.cached for outcome in reranked),
+        backend.select_calls,
         backend.backend_id,
     )
     return 0
@@ -490,7 +502,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 class Stage(NamedTuple):
     """One pipeline stage: its subcommand, the stage files it reads and
-    writes (the narration cache aside), and what adds its flags."""
+    writes (the caches aside), and what adds its flags."""
 
     name: str
     command: Callable[[RunConfig, argparse.Namespace], int]

@@ -12,9 +12,10 @@ at once: each cache key reaches the backend at most once, and at most
 ``c_max`` requests are in flight across the whole run; a clip waiting out
 a retry backoff holds none of them (:func:`dispatch`, which the rerank
 stage's selections go through too). Memories files are
-JSON Lines written and read through :mod:`memrerank.ingest`; the cache
-keeps its own append-only log, whose torn or corrupt records are skipped
-and then removed from it.
+JSON Lines written and read through :mod:`memrerank.ingest`. The cache is
+a :class:`ReplyCache`, the append-only log the rerank stage keeps its
+selection replies in too; torn or corrupt records are skipped and then
+removed from it.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ class Backend(abc.ABC):
     """
 
     backend_id: str = "backend"
+    # False for a selector that reads what its prompt does not hold (the
+    # oracle's ground truths): its replies are never cached.
+    selects_from_prompt: bool = True
 
     def __init__(self):
         self._call_lock = threading.Lock()
@@ -154,16 +158,19 @@ class NarrationCacheKey(NamedTuple):
         )
 
 
-class NarrationCache:
-    """Append-only keyed narration store, optionally persisted as JSONL.
+class ReplyCache:
+    """Append-only store of backend replies keyed by ``key_type``, optionally
+    persisted as JSONL. Blank replies are never stored.
 
     Corrupt records are skipped with a warning. Writes are serialized and
     flushed per record; reads are lock-free after load.
     """
 
+    key_type: type  # a NamedTuple class with a ``from_dict`` constructor
+
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._entries: dict[NarrationCacheKey, str] = {}
+        self._entries: dict = {}
         self._lock = threading.Lock()
         self._handle = None
         if self._path is not None:
@@ -185,10 +192,10 @@ class NarrationCache:
                     continue
                 try:
                     record = json.loads(line.decode("utf-8"))
-                    key = NarrationCacheKey.from_dict(record["key"])
+                    key = self.key_type.from_dict(record["key"])
                     text = record["text"]
                     if not isinstance(text, str) or not text.strip():
-                        raise ValueError("empty narration text")
+                        raise ValueError("empty reply text")
                 except (ValueError, KeyError, TypeError) as exc:
                     logger.warning(
                         "skipping corrupt cache record %s:%d (%s)",
@@ -210,10 +217,14 @@ class NarrationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: NarrationCacheKey) -> str | None:
+    def get(self, key: NamedTuple) -> str | None:
         return self._entries.get(key)
 
-    def put(self, key: NarrationCacheKey, text: str) -> None:
+    def put(self, key: NamedTuple, text: str) -> None:
+        """Store ``text`` under ``key`` unless it is blank (the loader would
+        reject it) or the key holds a reply already."""
+        if not text.strip():
+            return
         created_at = datetime.now(timezone.utc).isoformat()
         line = encode_record({"key": key._asdict(), "text": text, "created_at": created_at})
         with self._lock:  # encoded outside it; written and flushed under it
@@ -233,6 +244,18 @@ class NarrationCache:
                 self._handle.close()
                 self._handle = None
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+class NarrationCache(ReplyCache):
+    """Narrations, keyed by everything their request is built from."""
+
+    key_type = NarrationCacheKey
+
 
 class Clock:
     """Backoff time; tests substitute a clock whose ``wait`` advances ``now``."""
@@ -251,7 +274,7 @@ def dispatch(
     (``BackendUnavailableError``, ``EmptyNarrationError``) is queued again,
     due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and reported to
     ``on_retry``, while its worker takes the next ready call (a due retry
-    first). Any other error, or a last
+    first). Any other error (an interrupt raised in a call too), or a last
     failure, stops the hand-out and is re-raised here once the calls in
     flight finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
@@ -280,7 +303,7 @@ def dispatch(
             index, failures = job
             try:
                 results[index] = call(items[index])
-            except Exception as exc:  # re-raised on the calling thread
+            except BaseException as exc:  # re-raised on the calling thread
                 transient = isinstance(exc, (BackendUnavailableError, EmptyNarrationError))
                 if transient and failures < len(RETRY_BACKOFF_S):
                     with ready:

@@ -106,7 +106,7 @@ class RemoteBackend(Backend):
             raise ConfigError(
                 f"{ENV_API_BASE} must be an http or https URL with a host, got {base_url!r}"
             )
-        # The id keys the narration cache, so each endpoint has its own entries.
+        # The id keys both caches, so each endpoint has its own entries.
         self.backend_id = f"remote-{hashlib.sha256(base_url.encode('utf-8')).hexdigest()[:12]}"
         self._url = base_url + "/generate"
         self._headers = {"Authorization": f"Bearer {api_key}"}

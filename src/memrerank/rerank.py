@@ -7,17 +7,24 @@ anywhere in the reply); anything else, a failed call included, falls
 back to the original order, so reranking can never lose candidates or
 fail a run. An outcome holds the pick as a rank; :func:`promote` is the
 one place a list is reordered.
+
+Replies are cached in a :class:`SelectionCache` keyed by the sha256 of the
+exact prompt and the backend id, so a warm or resumed run asks the backend
+only for the picks it lacks. A failed call is never cached, nor is a blank
+reply; an unparseable one is, since it is the model's answer. A selector
+that reads what its prompt does not hold (the oracle) is never cached.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-from .core import CandidateList, EpisodicMemory, Query
+from .core import CandidateList, EpisodicMemory, Query, checked
 from .errors import BackendError, ValidationError
-from .narration import Backend, dispatch, render_memory
+from .narration import Backend, ReplyCache, dispatch, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
 CANDIDATE_HEADING = "Candidate {index}"
@@ -76,15 +83,38 @@ def promote(clist: CandidateList, selected_rank: int) -> CandidateList:
     return CandidateList(clist.video_id, clist.query_id, reordered)
 
 
+class SelectionCacheKey(NamedTuple):
+    """A selection prompt, by the sha256 of its UTF-8 text, and the backend
+    that answers it."""
+
+    prompt_sha256: str
+    backend_id: str
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "SelectionCacheKey":
+        return cls(
+            checked(payload["prompt_sha256"], (str,), "prompt_sha256"),
+            checked(payload["backend_id"], (str,), "backend_id"),
+        )
+
+
+class SelectionCache(ReplyCache):
+    """Selection replies, keyed by their prompt and backend."""
+
+    key_type = SelectionCacheKey
+
+
 @dataclass(frozen=True, slots=True)
 class RerankOutcome:
     """Result of reranking one query's candidate list: the backend's pick,
-    or rank 1 when there was none to make or it fell back."""
+    or rank 1 when there was none to make or it fell back. ``cached`` says
+    the reply came from the selection cache; outcomes compare without it."""
 
     original: CandidateList
     selected_rank: int = 1
     fallback_used: bool = False
     raw_answer: str = ""
+    cached: bool = field(default=False, compare=False)
 
     @property
     def reranked(self) -> CandidateList:
@@ -107,16 +137,11 @@ class RerankOutcome:
         return record
 
 
-def rerank(
-    query: Query,
-    clist: CandidateList,
-    memories: Sequence[EpisodicMemory],
-    backend: Backend,
-    *,
-    include_scores: bool = False,
-) -> RerankOutcome:
-    """Promote the backend's pick; fall back to the original order on any
-    parse or backend failure."""
+def _selection_prompt(
+    query: Query, clist: CandidateList, memories: Sequence[EpisodicMemory], include_scores: bool
+) -> str | None:
+    """The prompt of one query's pick, None when it has one candidate; its
+    memories must be its candidates', in rank order."""
     num_candidates = len(clist.candidates)
     if len(memories) != num_candidates:
         raise ValidationError(
@@ -132,18 +157,23 @@ def rerank(
                 f"[{interval.start_s}, {interval.end_s}); re-run plan and narrate"
             )
     if num_candidates == 1:
-        return RerankOutcome(clist)
-    prompt = build_rerank_prompt(
-        query, memories, scores=[c.score for c in clist.candidates] if include_scores else None
-    )
-    try:
-        answer = backend.select(prompt)
-    except BackendError:
-        answer = ""  # no pick: the fallback below, logged with an empty answer
-    selected = parse_selection(answer, num_candidates)
-    if selected is None:
-        return RerankOutcome(clist, fallback_used=True, raw_answer=answer)
-    return RerankOutcome(clist, selected, raw_answer=answer)
+        return None
+    scores = [c.score for c in clist.candidates] if include_scores else None
+    return build_rerank_prompt(query, memories, scores=scores)
+
+
+def rerank(
+    query: Query,
+    clist: CandidateList,
+    memories: Sequence[EpisodicMemory],
+    backend: Backend,
+    *,
+    include_scores: bool = False,
+) -> RerankOutcome:
+    """Promote the backend's pick for one query, uncached: a one-query
+    :func:`rerank_many`."""
+    items = [(query, clist, memories)]
+    return rerank_many(items, backend, c_max=1, include_scores=include_scores)[0]
 
 
 def rerank_many(
@@ -152,9 +182,44 @@ def rerank_many(
     *,
     c_max: int,
     include_scores: bool = False,
+    cache: SelectionCache | None = None,
 ) -> list[RerankOutcome]:
-    """Rerank several queries, up to ``c_max`` selection calls in flight.
-    ``rerank`` falls back on a backend error, so no selection is retried."""
-    return dispatch(
-        lambda item: rerank(*item, backend, include_scores=include_scores), items, c_max
-    )
+    """Rerank several queries, up to ``c_max`` selection calls in flight;
+    fall back to the original order on any parse or backend failure.
+
+    Every prompt is built, and its memories checked, before any backend
+    call. Each distinct prompt reaches the backend at most once: replies in
+    ``cache`` are served inline and the misses go to one :func:`dispatch`,
+    each reply cached as it arrives. A failed call is not retried."""
+    if cache is None or not backend.selects_from_prompt:
+        cache = SelectionCache()  # this call's replies only
+    prompts = [_selection_prompt(*item, include_scores) for item in items]
+    keys = [
+        None if prompt is None else SelectionCacheKey(
+            hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest(),
+            backend.backend_id,
+        )
+        for prompt in prompts
+    ]
+    prompt_of = {key: prompt for key, prompt in zip(keys, prompts) if key is not None}
+    hits = {key: cache.get(key) for key in prompt_of}  # None: a miss
+    misses = [key for key, answer in hits.items() if answer is None]
+
+    def call(key: SelectionCacheKey) -> str:
+        try:
+            answer = backend.select(prompt_of[key])
+        except BackendError:
+            return ""  # no pick, and nothing cached: the next run asks again
+        cache.put(key, answer)
+        return answer
+
+    answers = {**hits, **dict(zip(misses, dispatch(call, misses, c_max)))}
+    outcomes = []
+    for (_, clist, _), key in zip(items, keys):
+        if key is None:
+            outcomes.append(RerankOutcome(clist))
+            continue
+        selected = parse_selection(answers[key], len(clist.candidates))
+        cached = hits[key] is not None
+        outcomes.append(RerankOutcome(clist, selected or 1, selected is None, answers[key], cached))
+    return outcomes

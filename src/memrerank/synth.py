@@ -271,9 +271,11 @@ class OracleSelectorBackend(ScriptedStubBackend):
     (ties go to the lowest index). It scores the dataset and lists of the
     stage that selects, the lists its selection prompts are built from,
     and narrates as the stub does; built without a dataset, as in
-    ``narrate``, it only narrates."""
+    ``narrate``, it only narrates. Its picks read ground truths that no
+    prompt holds, so they are never cached."""
 
     backend_id = "oracle"
+    selects_from_prompt = False
 
     def __init__(
         self,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -20,12 +21,12 @@ import memrerank.narration as narration
 import memrerank.synth as synth
 from memrerank.cli import RunConfig, build_parser, main
 from memrerank.clips import clip_frames, read_frame_manifests
-from memrerank.errors import BackendUnavailableError
+from memrerank.errors import BackendError, BackendUnavailableError
 from memrerank.narration import Backend
 from memrerank.rerank import QUERY_LINE_PREFIX
 from memrerank.synth import ScenarioKnobs
 
-from helpers import interval
+from helpers import WorstSelectorBackend, interval
 
 
 def run(args):
@@ -939,6 +940,158 @@ class TestStaleOutputs:
             f"missing input produced by stage 'plan': {out / cli.MANIFESTS_FILE} not found"
         ]
         assert not (out / "cache" / cli.CACHE_FILE).exists()
+
+
+def narrated(out):
+    """A simulated run (2 videos x 3 queries) planned and narrated by the stub."""
+    simulate(out)
+    assert run(["plan", "--out", out]) == 0
+    assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+
+
+RERANK_OUTPUTS = (cli.RERANKED_FILE, cli.RERANK_LOG_FILE, cli.PREDICTIONS_RERANK_FILE)
+
+
+def rerank_outputs(out):
+    return {name: (out / name).read_bytes() for name in RERANK_OUTPUTS}
+
+
+def rerank_log(out):
+    lines = (out / cli.RERANK_LOG_FILE).read_text().splitlines()
+    return {record["query_id"]: record for record in map(json.loads, lines)}
+
+
+class TestSelectionCache:
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        """The stub's selection calls, by query id in call order. A query id
+        in ``replies`` gets that reply instead of the stub's, or raises it
+        when it is an exception; past ``interrupt_after`` calls a call
+        raises ``KeyboardInterrupt``."""
+        state = SimpleNamespace(calls=[], replies={}, interrupt_after=None)
+        stub_backend = synth.stub_backend
+
+        def recording_stub(load_script):
+            backend = stub_backend(load_script)
+            select = backend._select
+
+            def _select(prompt):
+                query_id = re.search(r"\[([^\]]+)\]", prompt).group(1)
+                state.calls.append(query_id)
+                if state.interrupt_after is not None and len(state.calls) > state.interrupt_after:
+                    raise KeyboardInterrupt
+                reply = state.replies.get(query_id)
+                if isinstance(reply, Exception):
+                    raise reply
+                return select(prompt) if reply is None else reply
+
+            backend._select = _select
+            return backend
+
+        monkeypatch.setattr(synth, "stub_backend", recording_stub)
+        return state
+
+    def test_warm_rerank_asks_for_no_pick(self, tmp_path, selections, caplog):
+        out = tmp_path / "run"
+        narrated(out)
+        with caplog.at_level("INFO"):
+            assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert caplog.messages[-1] == (
+            "reranked 6 queries (0 skipped; 0 cached, 6 backend calls) with backend 'stub'"
+        )
+        assert len(selections.calls) == 6
+        cold = rerank_outputs(out)
+        selections.calls.clear()
+        with caplog.at_level("INFO"):
+            assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert caplog.messages[-1] == (
+            "reranked 6 queries (0 skipped; 6 cached, 0 backend calls) with backend 'stub'"
+        )
+        assert selections.calls == []
+        assert rerank_outputs(out) == cold
+
+    @pytest.mark.parametrize(
+        "reply",
+        [BackendUnavailableError("status 429"), BackendError("status 400"), "  \n"],
+        ids=["transient", "permanent", "blank"],
+    )
+    def test_failed_or_blank_selection_is_asked_again(self, tmp_path, selections, reply):
+        out = tmp_path / "run"
+        narrated(out)
+        shutil.copytree(out, tmp_path / "cold")
+        selections.replies["v000-q001"] = reply
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert rerank_log(out)["v000-q001"]["fallback_used"]
+        selections.calls.clear()
+        selections.replies.clear()
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert selections.calls == ["v000-q001"]
+        assert run(["rerank", "--out", tmp_path / "cold", "--backend", "stub"]) == 0
+        assert rerank_outputs(out) == rerank_outputs(tmp_path / "cold")
+
+    def test_unparseable_selection_is_cached(self, tmp_path, selections):
+        out = tmp_path / "run"
+        narrated(out)
+        selections.replies["v000-q001"] = "none of these"
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        first = rerank_outputs(out)
+        selections.calls.clear()
+        selections.replies.clear()
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert selections.calls == []
+        assert rerank_outputs(out) == first
+        record = rerank_log(out)["v000-q001"]
+        assert (record["fallback_used"], record["raw_answer"]) == (True, "none of these")
+
+    def test_interrupted_rerank_resumes_with_the_picks_it_lacks(self, tmp_path, selections):
+        out = tmp_path / "run"
+        narrated(out)
+        shutil.copytree(out, tmp_path / "cold")
+        assert run(["rerank", "--out", tmp_path / "cold", "--backend", "stub"]) == 0
+        picks = len(selections.calls)
+        selections.calls.clear()
+        selections.interrupt_after = 2
+        with pytest.raises(KeyboardInterrupt):
+            run(["rerank", "--out", out, "--backend", "stub", "--c-max", 1])
+        assert not (out / cli.RERANK_LOG_FILE).exists()
+        selections.calls.clear()
+        selections.interrupt_after = None
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        assert len(selections.calls) == picks - 2
+        assert rerank_outputs(out) == rerank_outputs(tmp_path / "cold")
+
+    def test_oracle_follows_an_edited_ground_truth(self, tmp_path):
+        out = tmp_path / "run"
+        narrated(out)
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        picked = rerank_log(out)["v000-q000"]["selected_rank"]
+        dataset = ingest.load_annotations(out / "annotations.json")
+        lists = ingest.load_candidates(out / "candidates.json", dataset=dataset)
+        [clist] = [clist for clist in lists if clist.query_id == "v000-q000"]
+        target = 2 if picked == 1 else 1
+        gt = clist.candidates[target - 1].interval
+        payload = json.loads((out / "annotations.json").read_text())
+        query = payload["videos"][0]["queries"][0]
+        assert query["query_id"] == "v000-q000"
+        query["gt"] = {"start_s": gt.start_s, "end_s": gt.end_s}
+        (out / "annotations.json").write_text(json.dumps(payload))
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        assert rerank_log(out)["v000-q000"]["selected_rank"] == target
+        assert not (out / "cache" / cli.SELECTIONS_FILE).exists()
+
+    def test_worst_selector_after_the_oracle_makes_its_own_picks(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        narrated(out)
+        shutil.copytree(out, tmp_path / "cold")
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        oracle = rerank_log(out)
+        monkeypatch.setattr(synth, "OracleSelectorBackend", WorstSelectorBackend)
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        assert run(["rerank", "--out", tmp_path / "cold", "--backend", "oracle"]) == 0
+        assert rerank_outputs(out) == rerank_outputs(tmp_path / "cold")
+        worst = rerank_log(out)
+        assert any(worst[q]["selected_rank"] != oracle[q]["selected_rank"] for q in oracle)
+        assert not (out / "cache" / cli.SELECTIONS_FILE).exists()
 
 
 class TestScenarioLoads:

@@ -13,9 +13,10 @@ import hashlib
 
 from memrerank.cli import main
 
-# The cache's line order follows the completion order of concurrent
-# narration calls, so only its stats file is pinned.
-UNPINNED = {"cache/narrations.jsonl"}
+# The caches' line order follows the completion order of concurrent
+# backend calls, and their records carry ``created_at``, so only the
+# narration stats file is pinned.
+UNPINNED = {"cache/narrations.jsonl", "cache/selections.jsonl"}
 
 
 def digests(out):
@@ -58,6 +59,9 @@ def goalstep_stub_then_oracle(out):
     yield "GOALSTEP_STUB"
     rerank_onward(out, "oracle")
     yield "GOALSTEP_ORACLE"
+    # The second stub rerank is served by the first one's cached picks.
+    rerank_onward(out, "stub")
+    yield "GOALSTEP_STUB"
 
 
 def goalstep_optimizer_settings(out):
@@ -86,8 +90,15 @@ def check(run_, out):
         assert digests(out) == globals()[name], name
 
 
-def test_goalstep_stub_then_oracle(tmp_path):
-    check(goalstep_stub_then_oracle, tmp_path)
+def test_goalstep_stub_then_oracle(tmp_path, caplog):
+    with caplog.at_level("INFO", logger="memrerank"):
+        check(goalstep_stub_then_oracle, tmp_path)
+    calls = [m.split("; ")[1] for m in caplog.messages if m.startswith("reranked ")]
+    assert calls == [
+        "0 cached, 30 backend calls) with backend 'stub'",
+        "0 cached, 30 backend calls) with backend 'oracle'",
+        "30 cached, 0 backend calls) with backend 'stub'",
+    ]
 
 
 def test_goalstep_optimizer_settings(tmp_path):

@@ -349,6 +349,13 @@ class TestNarrationCache:
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
+    def test_blank_text_is_not_stored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with NarrationCache(path) as cache:
+            cache.put(self._key(), " \n")
+            assert cache.get(self._key()) is None
+        assert not path.exists()
+
     def test_warm_cache_issues_zero_backend_calls(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         plan = plan_for(0.0, 45.0)
@@ -702,6 +709,19 @@ class TestDispatch:
             assert not worker.is_alive()
         assert time.monotonic() - interrupted < 0.5
         assert backend.narrate_calls == 2  # the retry never ran
+
+    def test_interrupt_raised_in_a_call_stops_the_run(self):
+        called = []
+
+        def call(item):
+            called.append(item)
+            if item == 2:
+                raise KeyboardInterrupt
+            return item
+
+        with pytest.raises(KeyboardInterrupt):
+            narration.dispatch(call, [1, 2, 3, 4], c_max=1)
+        assert called == [1, 2]
 
 
 class TestPromptTemplate:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -9,6 +10,8 @@ from memrerank.metrics import temporal_iou
 from memrerank.narration import Backend, NarrationEngine
 from memrerank.rerank import (
     RerankOutcome,
+    SelectionCache,
+    SelectionCacheKey,
     build_rerank_prompt,
     parse_selection,
     promote,
@@ -265,6 +268,54 @@ class TestRerankMany:
         outcomes = rerank_many(items, backend, c_max=2)
         assert backend.select_calls == 2
         assert [(o.fallback_used, o.raw_answer) for o in outcomes] == [(True, "")] * 2
+
+
+class TestSelectionCache:
+    def items(self, scenario):
+        return [
+            (query_for(scenario, query_id), *memories_for(scenario, query_id))
+            for query_id in ("v0-q000", "v0-q001")
+        ]
+
+    def test_cached_replies_are_served_without_a_call(self, tmp_path):
+        scenario = tiny_scenario()
+        items = self.items(scenario)
+        path = tmp_path / "selections.jsonl"
+        first = stub_backend(lambda: scenario.event_script)
+        with SelectionCache(path) as cache:
+            cold = rerank_many(items, first, c_max=2, cache=cache)
+        assert first.select_calls == 2
+        second = stub_backend(lambda: scenario.event_script)
+        with SelectionCache(path) as cache:
+            warm = rerank_many(items, second, c_max=2, cache=cache)
+        assert second.select_calls == 0
+        assert warm == cold
+        assert [o.raw_answer for o in warm] == [o.raw_answer for o in cold]
+        assert [(o.cached, w.cached) for o, w in zip(cold, warm)] == [(False, True)] * 2
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [sorted(r["key"]) for r in records] == [["backend_id", "prompt_sha256"]] * 2
+
+    def test_a_prompt_asked_twice_reaches_the_backend_once(self):
+        scenario = tiny_scenario()
+        item = self.items(scenario)[0]
+        backend = stub_backend(lambda: scenario.event_script)
+        outcomes = rerank_many([item, item], backend, c_max=2, cache=SelectionCache())
+        assert backend.select_calls == 1
+        assert outcomes[0] == outcomes[1]
+
+    def test_the_oracle_is_never_served_or_stored(self):
+        scenario = tiny_scenario()
+        query, clist_, memories = self.items(scenario)[1]
+        prompt = build_rerank_prompt(query, memories)
+        cache = SelectionCache()
+        key = SelectionCacheKey(hashlib.sha256(prompt.encode("utf-8")).hexdigest(), "oracle")
+        cache.put(key, "5")
+        [outcome] = rerank_many(
+            [(query, clist_, memories)], selector(OracleSelectorBackend, scenario), c_max=1,
+            cache=cache,
+        )
+        assert (outcome.selected_rank, outcome.cached) == (3, False)
+        assert len(cache) == 1
 
 
 class TestPromote:
