@@ -241,7 +241,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="candidate ranks consumed by the optimizer",
     )
     parser.add_argument(
-        "--limit", dest="rerank_limit", type=int, help="max queries to rerank"
+        "--limit", dest="rerank_limit", type=int, help="plan and rerank the first N queries only"
     )
     parser.add_argument("--c-max", dest="c_max", type=int, help="max in-flight requests")
     parser.add_argument("--seed", type=int, help="seed for scenario generation")
@@ -344,7 +344,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _, lists = _load_inputs(cfg)
+    dataset, lists = _load_inputs(cfg)
+    if cfg.rerank_limit is not None:  # the lists rerank sends: the first N in dataset order
+        position = {query.query_id: i for i, query in enumerate(dataset.iter_queries())}
+        lists = sorted(lists, key=lambda clist: position[clist.query_id])[: cfg.rerank_limit]
     plans = [
         clips.plan_candidate(
             CandidateKey(clist.video_id, clist.query_id, rank),
@@ -363,10 +366,10 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_narrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     plans = clips.read_frame_manifests(cfg.input(MANIFESTS_FILE))
     backend = _build_backend(cfg)
-    cache = narration.NarrationCache(cfg.output(CACHE_FILE))
-    with narration.NarrationEngine(
-        backend, cache, prompt=_prompt_template(cfg.narration_prompt), c_max=cfg.c_max
-    ) as engine:
+    with narration.NarrationCache(cfg.output(CACHE_FILE)) as cache:
+        engine = narration.NarrationEngine(
+            backend, cache, prompt=_prompt_template(cfg.narration_prompt), c_max=cfg.c_max
+        )
         try:
             memories = engine.narrate_plans(plans)
         finally:  # the stats of this run, failed or not

@@ -429,20 +429,11 @@ def write_candidates(lists: Iterable[CandidateList], path: str | Path) -> None:
 def write_predictions(
     results: Mapping[str, Sequence[TimeInterval]], path: str | Path
 ) -> None:
-    """Write a predictions file; every query must have >= 1 interval."""
-    records = []
-    for query_id in sorted(results):
-        intervals = list(results[query_id])
-        if not intervals:
-            raise SchemaViolation(
-                "intervals", f"query '{query_id}' has no predicted intervals"
-            )
-        records.append(
-            {
-                "query_id": query_id,
-                "intervals": [[iv.start_s, iv.end_s] for iv in intervals],
-            }
-        )
+    """Write a predictions file, its results sorted by query id."""
+    records = [
+        {"query_id": query_id, "intervals": [[iv.start_s, iv.end_s] for iv in results[query_id]]}
+        for query_id in sorted(results)
+    ]
     write_json_file({"version": PREDICTIONS_VERSION, "results": records}, path)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import NUMBER, MetricCell, MetricsReport, TimeInterval, checked
-from .errors import SchemaViolation, ValidationError
+from .errors import ValidationError
 from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
@@ -57,11 +57,9 @@ def recall_at_k(
 
 
 def mean_r1(r1_first: float, *r1_rest: float) -> float:
-    """Arithmetic mean of R@1 values across IoU thresholds."""
+    """Arithmetic mean of R@1 values across IoU thresholds; their range is
+    checked by the :class:`MetricsReport` they go into."""
     values = (r1_first,) + r1_rest
-    for value in values:
-        if not 0.0 <= value <= 100.0:
-            raise SchemaViolation("mean_r1", f"percentage out of [0, 100]: {value}")
     return sum(values) / len(values)
 
 

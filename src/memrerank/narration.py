@@ -332,7 +332,7 @@ def dispatch(
 class NarrationEngine:
     """Narrates the clips of many plans through one backend, with a cache,
     retries, one request per distinct clip and at most ``c_max`` requests
-    in flight across all plans."""
+    in flight across all plans. A file cache is the caller's to close."""
 
     def __init__(
         self,
@@ -364,15 +364,6 @@ class NarrationEngine:
         with self._stats_lock:
             for name, amount in amounts.items():
                 self._counts[name] += amount
-
-    def close(self) -> None:
-        self.cache.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def narrate_clip(
         self, video_id: str, clip: TimeInterval, fps: float, clip_len_s: float

@@ -162,20 +162,6 @@ def _selection_prompt(
     return build_rerank_prompt(query, memories, scores=scores)
 
 
-def rerank(
-    query: Query,
-    clist: CandidateList,
-    memories: Sequence[EpisodicMemory],
-    backend: Backend,
-    *,
-    include_scores: bool = False,
-) -> RerankOutcome:
-    """Promote the backend's pick for one query, uncached: a one-query
-    :func:`rerank_many`."""
-    items = [(query, clist, memories)]
-    return rerank_many(items, backend, c_max=1, include_scores=include_scores)[0]
-
-
 def rerank_many(
     items: Sequence[tuple[Query, CandidateList, Sequence[EpisodicMemory]]],
     backend: Backend,

@@ -17,7 +17,7 @@ from memrerank.cli import main as cli_main
 from memrerank.clips import plan_clips, sample_frames
 from memrerank.metrics import mean_r1, recall_at_k, temporal_iou
 from memrerank.narration import NarrationEngine
-from memrerank.rerank import rerank
+from memrerank.rerank import rerank_many
 from memrerank.sequencing import optimize_sequence, selection_cost
 from memrerank.synth import (
     OracleSelectorBackend,
@@ -79,10 +79,7 @@ def big_memories(big_scenario):
 
 
 def rerank_all(items, backend):
-    return {
-        query_id: rerank(query, clist, memories, backend)
-        for query_id, (query, clist, memories) in items.items()
-    }
+    return dict(zip(items, rerank_many(list(items.values()), backend, c_max=1)))
 
 
 # --- criteria ----------------------------------------------------------------

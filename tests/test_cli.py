@@ -26,7 +26,7 @@ from memrerank.narration import Backend
 from memrerank.rerank import QUERY_LINE_PREFIX
 from memrerank.synth import ScenarioKnobs
 
-from helpers import WorstSelectorBackend, interval
+from helpers import WorstSelectorBackend, interval, plan_list
 
 
 def run(args):
@@ -90,20 +90,6 @@ def gt_past_duration(out):
     path.write_text(json.dumps(payload))
 
 
-def negative_duration(out):
-    path = out / "annotations.json"
-    payload = json.loads(path.read_text())
-    payload["videos"][0]["duration_s"] = -3.0
-    path.write_text(json.dumps(payload))
-
-
-def unknown_candidate_query(out):
-    path = out / "candidates.json"
-    payload = json.loads(path.read_text())
-    payload["predictions"][0]["query_id"] = "nope"
-    path.write_text(json.dumps(payload))
-
-
 def in_candidates(detail):
     """The message of a domain error in ``{out}/candidates.json``."""
     return (
@@ -112,8 +98,69 @@ def in_candidates(detail):
     )
 
 
-def unknown_prediction_query(out):
-    ingest.write_predictions({"nope": [interval(1, 2)]}, out / "predictions_rerank.json")
+def edit(name, change):
+    """The corruption that applies ``change`` to the payload of stage file ``name``."""
+
+    def corrupt(out):
+        path = out / name
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
+
+    return corrupt
+
+
+def first_query(**values):
+    return edit("annotations.json", lambda p: p["videos"][0]["queries"][0].update(values))
+
+
+def in_annotations(detail):
+    """The message of a domain error in ``{out}/annotations.json``."""
+    return (
+        "schema violation in field 'annotations file': {out}/annotations.json: "
+        f"malformed annotations file: {detail}"
+    )
+
+
+def predictions_file(*results):
+    """The corruption that writes ``results`` as the rerank predictions."""
+
+    def corrupt(out):
+        payload = {"version": ingest.PREDICTIONS_VERSION, "results": list(results)}
+        (out / "predictions_rerank.json").write_text(json.dumps(payload))
+
+    return corrupt
+
+
+def in_predictions(detail):
+    return (
+        "schema violation in field 'predictions file': {out}/predictions_rerank.json: "
+        f"malformed predictions file: {detail}"
+    )
+
+
+def evaluated_with_mean_r1(value):
+    """Evaluate the base candidates as the rerank predictions, then set the
+    after side's ``mean_r1`` of ``metrics_compare.json`` to ``value``."""
+
+    def corrupt(out):
+        lists = ingest.load_candidates(out / "candidates.json")
+        predictions = {clist.query_id: clist.intervals() for clist in lists}
+        ingest.write_predictions(predictions, out / "predictions_rerank.json")
+        assert run(["eval", "--out", out]) == 0
+        edit("metrics_compare.json", lambda p: p["after"].update(mean_r1=value))(out)
+
+    return corrupt
+
+
+def planned_with_knob(**knobs):
+    """Plan, then add ``knobs`` to the scenario file's knobs."""
+
+    def corrupt(out):
+        assert run(["plan", "--out", out]) == 0
+        edit("scenario.json", lambda p: p["knobs"].update(knobs))(out)
+
+    return corrupt
 
 
 class TestPipeline:
@@ -372,16 +419,66 @@ class TestPipeline:
         ),
         (
             "plan",
-            negative_duration,
+            edit("annotations.json", lambda p: p["videos"][0].update(duration_s=-3.0)),
             "schema violation in field 'annotations file': {out}/annotations.json: "
             "malformed annotations file: field 'duration_s': must be a positive number, got -3.0",
         ),
-        ("plan", unknown_candidate_query, in_candidates("candidates for unknown query 'nope'")),
+        (
+            "plan",
+            edit("candidates.json", lambda p: p["predictions"][0].update(query_id="nope")),
+            in_candidates("candidates for unknown query 'nope'"),
+        ),
         (
             "eval",
-            unknown_prediction_query,
-            "schema violation in field 'predictions file': {out}/predictions_rerank.json: "
-            "malformed predictions file: predictions for unknown query 'nope'",
+            predictions_file({"query_id": "nope", "intervals": [[1.0, 2.0]]}),
+            in_predictions("predictions for unknown query 'nope'"),
+        ),
+        (
+            "plan",
+            first_query(query_id=""),
+            in_annotations("field 'query_id': must be a non-empty string, got ''"),
+        ),
+        (
+            "plan",
+            edit("annotations.json", lambda p: p["videos"][1].update(video_id="v000")),
+            in_annotations("field 'video_id': duplicate 'v000'"),
+        ),
+        (
+            "plan",
+            first_query(order_index=-1),
+            in_annotations("field 'order_index': must be >= 0, got -1"),
+        ),
+        (
+            "plan",
+            first_query(order_index=True),
+            in_annotations("field 'order_index': must be an integer, got True"),
+        ),
+        (
+            "plan",
+            first_query(order_index=1.5),
+            in_annotations("field 'order_index': must be an integer, got 1.5"),
+        ),
+        (
+            "eval",
+            predictions_file(*[{"query_id": "v000-q000", "intervals": [[1.0, 2.0]]}] * 2),
+            in_predictions("duplicate result for 'v000-q000'"),
+        ),
+        (
+            "eval",
+            predictions_file({"query_id": "v000-q000", "intervals": [[1.0, 2.0, 3.0]]}),
+            in_predictions("interval: expected [start_s, end_s], got [1.0, 2.0, 3.0]"),
+        ),
+        (
+            "report",
+            evaluated_with_mean_r1(150),
+            "schema violation in field 'report payload': {out}/metrics_compare.json: "
+            "malformed report payload: field 'mean_r1': percentage out of [0, 100]: 150.0",
+        ),
+        (
+            "narrate",
+            planned_with_knob(speed=2),
+            "schema violation in field 'scenario file': {out}/scenario.json: "
+            "malformed scenario file: unknown knobs ['speed']",
         ),
     ]
 
@@ -391,7 +488,10 @@ class TestPipeline:
         ids=[
             "inverted-candidate", "negative-start", "zero-length-candidate", "nan-score",
             "gt-past-duration", "negative-duration", "candidates-for-unknown-query",
-            "predictions-for-unknown-query",
+            "predictions-for-unknown-query", "empty-query-id", "duplicate-video-id",
+            "negative-order-index", "bool-order-index", "fractional-order-index",
+            "duplicate-prediction", "three-element-interval", "mean-r1-over-100",
+            "unknown-scenario-knob",
         ],
     )
     def test_malformed_input_exit_code_and_message(
@@ -631,6 +731,55 @@ class TestPipeline:
         # Skipped queries still appear in the reranked output unchanged.
         reranked = json.loads((out / "reranked_candidates.json").read_text())
         assert len(reranked["predictions"]) == 6
+
+    def test_plan_limit_narrates_only_the_queries_rerank_sends(self, tmp_path, caplog):
+        # The candidates file lists the queries in reverse, and v000-q001 has
+        # none: the first two queries with a list, in dataset order, are
+        # v000-q000 and v000-q002, and the third is v001-q000.
+        out = tmp_path / "run"
+        simulate(out, videos=2, queries=3)
+        edit("candidates.json", lambda p: p.update(predictions=[
+            record for record in reversed(p["predictions"]) if record["query_id"] != "v000-q001"
+        ]))(out)
+        lists = {clist.query_id: clist for clist in ingest.load_candidates(out / "candidates.json")}
+        assert run(["plan", "--out", out, "--limit", 2]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        kept = [plan for query_id in ("v000-q000", "v000-q002") for plan in plan_list(lists[query_id])]
+        assert stats["clips_requested"] == sum(len(plan.clips) for plan in kept)
+        assert run(["rerank", "--out", out, "--backend", "stub", "--limit", 2]) == 0
+        with caplog.at_level("ERROR"):
+            code = run(["rerank", "--out", out, "--backend", "stub", "--limit", 3])
+        assert (code, caplog.messages) == (4, ["0 memories for 5 candidates of query 'v001-q000'"])
+
+    def test_prompt_file_versions_the_memories_and_the_cache(self, tmp_path):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_text("Say what the hands do.\n")
+        version = narration.PromptTemplate("Say what the hands do.").version
+        assert run(["narrate", "--out", out, "--backend", "stub", "--prompt-file", prompt]) == 0
+        assert {m.prompt_version for m in narration.read_memories(out / "memories.jsonl")} == {
+            version
+        }
+        cache = out / "cache" / "narrations.jsonl"
+        first = cache.read_text().splitlines()
+        assert {json.loads(line)["key"]["prompt_version"] for line in first} == {version}
+        # Without the flag every clip is narrated again, under the default
+        # prompt; the first template's records stay.
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert (stats["backend_calls"], stats["cache_hits"]) == (len(first), 0)
+        both = cache.read_text().splitlines()
+        assert both[: len(first)] == first
+        default = narration.DEFAULT_PROMPT.version
+        assert {json.loads(line)["key"]["prompt_version"] for line in both[len(first) :]} == {
+            default
+        }
+        assert {m.prompt_version for m in narration.read_memories(out / "memories.jsonl")} == {
+            default
+        }
 
     def test_rerank_log_records_in_dataset_order(self, tmp_path):
         # v001-q001 loses its candidate list; the limit covers video v000.
@@ -1407,6 +1556,32 @@ class TestConfigPrecedence:
         with_nulls = RunConfig.from_args(parser.parse_args(["plan", "--config", str(config)]))
         assert with_nulls == RunConfig.from_args(parser.parse_args(["plan"]))
 
+    PATHS_OBJECT = (
+        "config 'paths' must be an object with keys from ['annotations', 'cache_dir', "
+        "'candidates', 'frames_root', 'output_dir', 'scenario']"
+    )
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            ([], {"paths": ["run"]}, PATHS_OBJECT),
+            ([], {"paths": {"output": "run"}}, PATHS_OBJECT),
+            (["--top-k", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
+            (["--c-max", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
+            (["--limit", -1], {}, "rerank_limit must be >= 0, got -1"),
+        ],
+        ids=["paths-array", "paths-unknown-key", "top-k-zero", "c-max-zero", "limit-negative"],
+    )
+    def test_invalid_setting_rejected(self, tmp_path, caplog, flags, config, message):
+        out = tmp_path / "run"
+        simulate(out)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with caplog.at_level("ERROR"):
+            code = run(["plan", "--out", out, "--config", path, *flags])
+        assert (code, caplog.messages) == (2, [message])
+        assert not (out / "manifests.jsonl").exists()
+
     def test_negative_lambda_rejected(self, tmp_path, caplog):
         out = tmp_path / "run"
         simulate(out)
@@ -1437,16 +1612,20 @@ class TestSimulate:
         assert scenario["knobs"] == asdict(ScenarioKnobs())
 
     @pytest.mark.parametrize(
-        "flags, knob",
-        [(["--videos", 0], "num_videos"), (["--recall-rho", 1.5], "recall_rho")],
-        ids=["videos", "recall-rho"],
+        "flags, message",
+        [
+            (["--videos", 0], "num_videos must be >= 1, got 0"),
+            (["--recall-rho", 1.5], "recall_rho must lie in [0, 1], got 1.5"),
+            (["--queries-per-video", 0], "queries_per_video must be >= 1, got 0"),
+            (["--candidates-per-query", 0], "candidates_per_query must be >= 1, got 0"),
+        ],
+        ids=["videos", "recall-rho", "queries-per-video", "candidates-per-query"],
     )
-    def test_out_of_range_knob_exits_2(self, tmp_path, caplog, flags, knob):
+    def test_out_of_range_knob_exits_2(self, tmp_path, caplog, flags, message):
         out = tmp_path / "run"
         with caplog.at_level("ERROR"):
             code = run(["simulate", "--out", out, *flags])
-        assert code == 2
-        assert knob in caplog.text
+        assert (code, caplog.messages) == (2, [message])
         assert not (out / "scenario.json").exists()
 
     def test_writes_where_the_path_settings_point(self, tmp_path):

@@ -359,10 +359,6 @@ class TestPredictions:
         with pytest.raises(OSError):
             write_predictions({}, tmp_path / "missing_dir" / "p.json")
 
-    def test_empty_interval_list_rejected(self, tmp_path):
-        with pytest.raises(SchemaViolation):
-            write_predictions({"q0": ()}, tmp_path / "p.json")
-
     def test_empty_interval_list_refused_when_read(self, tmp_path):
         payload = {"version": PREDICTIONS_VERSION, "results": [{"query_id": "q0", "intervals": []}]}
         path = write_file(tmp_path, "p.json", payload)

@@ -279,6 +279,33 @@ class TestNarrationCache:
         assert any(f"corrupt cache record {path}:2 ('fps')" in m for m in caplog.messages)
         assert path.read_bytes() == valid
 
+    def test_blank_text_record_skipped_with_warning_and_dropped(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        with NarrationCache(path) as cache:
+            cache.put(self._key(), "hello")
+        valid = path.read_bytes()
+        record = {"key": self._key(5.0, 15.0)._asdict(), "text": " \n"}
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert len(reloaded) == 1
+        assert caplog.messages == [f"skipping corrupt cache record {path}:2 (empty reply text)"]
+        assert path.read_bytes() == valid
+
+    def test_blank_line_skipped_silently(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        with NarrationCache(path) as cache:
+            cache.put(self._key(), "hello")
+            cache.put(self._key(5.0, 15.0), "world")
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + b"\n \t\n" + second)
+        with caplog.at_level("WARNING"):
+            reloaded = NarrationCache(path)
+        assert caplog.messages == []
+        assert [reloaded.get(self._key()), reloaded.get(self._key(5.0, 15.0))] == ["hello", "world"]
+        assert path.read_bytes() == first + b"\n \t\n" + second
+
     def test_record_torn_inside_a_character_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
         cache = NarrationCache(path)
@@ -360,11 +387,13 @@ class TestNarrationCache:
         path = tmp_path / "cache.jsonl"
         plan = plan_for(0.0, 45.0)
         first_backend = FixedBackend()
-        with NarrationEngine(first_backend, NarrationCache(path)) as engine:
+        with NarrationCache(path) as cache:
+            engine = NarrationEngine(first_backend, cache)
             [memory_first] = engine.narrate_plans([plan])
         assert first_backend.narrate_calls == 3
         second_backend = FixedBackend()
-        with NarrationEngine(second_backend, NarrationCache(path)) as engine:
+        with NarrationCache(path) as cache:
+            engine = NarrationEngine(second_backend, cache)
             [memory_second] = engine.narrate_plans([plan])
         assert second_backend.narrate_calls == 0
         assert memory_first == memory_second
@@ -434,18 +463,17 @@ class TestConcurrency:
         backend = GaugeBackend()
         plan = plan_for(0.0, 400.0)
         assert len(plan.clips) == 20
-        with NarrationEngine(backend, c_max=c_max) as engine:
-            engine.narrate_plans([plan])
+        NarrationEngine(backend, c_max=c_max).narrate_plans([plan])
         assert backend.narrate_calls == 20
         assert 1 <= backend.max_in_flight <= c_max
 
     def test_memory_invariant_to_completion_order(self):
         scenario = tiny_scenario()
         plan = plan_for(10.0, 95.0)
-        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4) as engine:
-            concurrent = engine.narrate_plans([plan])
-        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1) as engine:
-            sequential = engine.narrate_plans([plan])
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4)
+        concurrent = engine.narrate_plans([plan])
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1)
+        sequential = engine.narrate_plans([plan])
         assert concurrent == sequential
 
 
@@ -485,8 +513,7 @@ class TestNarratePlans:
         # than one request in flight.
         backend = GaugeBackend(delay_s=0.05)
         plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(8)]
-        with NarrationEngine(backend, c_max=4) as engine:
-            engine.narrate_plans(plans)
+        NarrationEngine(backend, c_max=4).narrate_plans(plans)
         assert backend.narrate_calls == 8
         assert backend.max_in_flight == 4
 
@@ -496,9 +523,9 @@ class TestNarratePlans:
             plan_for(30.0, 45.0, rank=1, query_id="v0-q000"),
             plan_for(30.0, 45.0, rank=3, query_id="v0-q001"),
         ]
-        with NarrationEngine(backend, c_max=4) as engine:
-            first, second = engine.narrate_plans(plans)
-            stats = engine.stats()
+        engine = NarrationEngine(backend, c_max=4)
+        first, second = engine.narrate_plans(plans)
+        stats = engine.stats()
         assert backend.narrate_calls == 1
         assert [e.narration for e in first.entries] == ["ok"]
         assert [e.narration for e in second.entries] == ["ok"]
@@ -517,8 +544,8 @@ class TestNarratePlans:
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with NarrationEngine(backend, c_max=8) as engine:
-                memories = engine.narrate_plans(plans)
+            engine = NarrationEngine(backend, c_max=8)
+            memories = engine.narrate_plans(plans)
         finally:
             sys.setswitchinterval(switch_interval)
         assert backend.narrate_calls == 50
@@ -528,15 +555,16 @@ class TestNarratePlans:
     def test_warm_cache_starts_no_thread(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         plans = [plan_for(0.0, 45.0, rank=1), plan_for(50.0, 70.0, rank=2)]
-        with NarrationEngine(FixedBackend(), NarrationCache(path), c_max=4) as engine:
-            cold = engine.narrate_plans(plans)
+        with NarrationCache(path) as cache:
+            cold = NarrationEngine(FixedBackend(), cache, c_max=4).narrate_plans(plans)
 
         def no_threads(*args, **kwargs):
             raise AssertionError("a warm cache must not start a worker thread")
 
         monkeypatch.setattr(narration.threading, "Thread", no_threads)
         backend = FixedBackend()
-        with NarrationEngine(backend, NarrationCache(path), c_max=4) as engine:
+        with NarrationCache(path) as cache:
+            engine = NarrationEngine(backend, cache, c_max=4)
             warm = engine.narrate_plans(plans)
             stats = engine.stats()
         assert backend.narrate_calls == 0
@@ -568,10 +596,10 @@ class TestNarratePlans:
         path = tmp_path / "cache.jsonl"
         plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(40)]
         backend = BrokenClipBackend(delay_s=0.02)
-        engine = NarrationEngine(backend, NarrationCache(path), c_max=2, clock=FastClock())
-        with pytest.raises(BackendUnavailableError, match="failed after 4 attempts"):
-            engine.narrate_plans(plans)
-        engine.close()
+        with NarrationCache(path) as cache:
+            engine = NarrationEngine(backend, cache, c_max=2, clock=FastClock())
+            with pytest.raises(BackendUnavailableError, match="failed after 4 attempts"):
+                engine.narrate_plans(plans)
         # The retries freed their slot, so other clips finished meanwhile;
         # after the last failure no further clip was handed out.
         finished = backend.narrate_calls - 4
@@ -579,8 +607,8 @@ class TestNarratePlans:
         assert 3 <= finished < 39
         assert len(NarrationCache(path)) == finished
         resumed = GaugeBackend(delay_s=0.0)
-        with NarrationEngine(resumed, NarrationCache(path)) as engine:
-            engine.narrate_plans(plans)
+        with NarrationCache(path) as cache:
+            NarrationEngine(resumed, cache).narrate_plans(plans)
         assert resumed.narrate_calls == 40 - finished
 
     def test_interrupt_stops_the_hand_out(self, monkeypatch):
@@ -610,10 +638,10 @@ class TestNarratePlans:
         scenario = generate_scenario(knobs, seed=11)
         plans = [plan for clist in scenario.candidates for plan in plan_list(clist)]
         assert len({plan.candidate_key.video_id for plan in plans}) == 3
-        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4) as engine:
-            concurrent = engine.narrate_plans(plans)
-        with NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1) as engine:
-            sequential = engine.narrate_plans(plans)
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=4)
+        concurrent = engine.narrate_plans(plans)
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script), c_max=1)
+        sequential = engine.narrate_plans(plans)
         assert concurrent == sequential
         assert [m.candidate_key for m in concurrent] == [p.candidate_key for p in plans]
 
@@ -647,9 +675,9 @@ class TestDispatch:
         # clips still run two at a time and finish before its retry.
         backend = OnceBrokenBackend(delay_s=0.02)
         plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(7)]
-        with NarrationEngine(backend, c_max=2) as engine:
-            engine.narrate_plans(plans)
-            assert engine.stats()["retries"] == 1
+        engine = NarrationEngine(backend, c_max=2)
+        engine.narrate_plans(plans)
+        assert engine.stats()["retries"] == 1
         assert backend.max_in_flight == 2
         assert backend.narrate_calls == 8
         assert backend.last_end < backend.retried_at
@@ -676,8 +704,8 @@ class TestDispatch:
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with NarrationEngine(backend, c_max=8, clock=FastClock()) as engine:
-                memories = engine.narrate_plans(plans)
+            engine = NarrationEngine(backend, c_max=8, clock=FastClock())
+            memories = engine.narrate_plans(plans)
         finally:
             sys.setswitchinterval(switch_interval)
         assert backend.narrate_calls == 100

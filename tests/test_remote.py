@@ -13,7 +13,7 @@ from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
-from memrerank.rerank import rerank
+from memrerank.rerank import rerank_many
 from memrerank.synth import stub_backend
 
 from helpers import candidates_by_query, interval, plan_list, tiny_scenario
@@ -212,7 +212,7 @@ class TestRemoteBackend:
             clist = candidates_by_query(scenario)["v0-q000"]
             query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
             memories = NarrationEngine(stub_backend(lambda: scenario.event_script)).narrate_plans(plan_list(clist))
-            outcome = rerank(query, clist, memories, backend)
+            [outcome] = rerank_many([(query, clist, memories)], backend, c_max=1)
             assert (outcome.fallback_used, outcome.raw_answer) == (True, "")
         assert len(session.requests) == 1  # not retried
 

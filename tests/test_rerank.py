@@ -15,7 +15,6 @@ from memrerank.rerank import (
     build_rerank_prompt,
     parse_selection,
     promote,
-    rerank,
     rerank_many,
 )
 from memrerank.synth import OracleSelectorBackend, stub_backend
@@ -104,7 +103,8 @@ class TestRerank:
         best = max(range(len(ious)), key=lambda i: ious[i])
         assert best == 2  # candidate [102, 131) vs gt [100, 130)
 
-        outcome = rerank(query, clist_, memories, selector(OracleSelectorBackend, scenario))
+        backend = selector(OracleSelectorBackend, scenario)
+        [outcome] = rerank_many([(query, clist_, memories)], backend, c_max=1)
         assert outcome.selected_rank == best + 1
         assert outcome.reranked.candidates[0].interval == clist_.candidates[best].interval
         kept = [c.interval for c in outcome.reranked.candidates[1:]]
@@ -125,7 +125,7 @@ class TestRerank:
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        outcome = rerank(query, clist_, memories, SevenBackend())
+        [outcome] = rerank_many([(query, clist_, memories)], SevenBackend(), c_max=1)
         assert outcome.fallback_used
         assert outcome.reranked == clist_
         assert outcome.raw_answer == "7"
@@ -143,7 +143,7 @@ class TestRerank:
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
-        outcome = rerank(query, clist_, memories, DownBackend())
+        [outcome] = rerank_many([(query, clist_, memories)], DownBackend(), c_max=1)
         assert outcome.fallback_used
         assert outcome.reranked == clist_
 
@@ -162,7 +162,8 @@ class TestRerank:
         query = query_for(scenario, "v0-q000")
         single = clist("v0", "v0-q000", [(48, 60, 0.8)])
         backend = CountingBackend()
-        outcome = rerank(query, single, memories[1:2], backend)  # the [48, 60) memory
+        items = [(query, single, memories[1:2])]  # the [48, 60) memory
+        [outcome] = rerank_many(items, backend, c_max=1)
         assert backend.select_calls == 0
         assert outcome.reranked == single
 
@@ -170,22 +171,24 @@ class TestRerank:
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
+        backend = stub_backend(lambda: scenario.event_script)
         with pytest.raises(
             ValidationError, match="^4 memories for 5 candidates of query 'v0-q000'$"
         ):
-            rerank(query, clist_, memories[:4], stub_backend(lambda: scenario.event_script))
+            rerank_many([(query, clist_, memories[:4])], backend, c_max=1)
 
     def test_memory_of_another_candidate_rejected(self):
         scenario = tiny_scenario()
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
+        backend = stub_backend(lambda: scenario.event_script)
         swapped = [memories[1], memories[0], *memories[2:]]
         with pytest.raises(
             ValidationError,
             match=r"^the memory of rank 1 of query 'v0-q000' spans \[48\.0, 60\.0\) but the "
             r"candidate spans \[10\.0, 40\.0\); re-run plan and narrate$",
         ):
-            rerank(query, clist_, swapped, stub_backend(lambda: scenario.event_script))
+            rerank_many([(query, clist_, swapped)], backend, c_max=1)
 
     def test_permutation_invariant_for_any_answer(self):
         class ArbitraryBackend(Backend):
@@ -208,7 +211,7 @@ class TestRerank:
         rng = random.Random(8)
         backend = ArbitraryBackend(rng)
         for _ in range(50):
-            outcome = rerank(query, clist_, memories, backend)
+            [outcome] = rerank_many([(query, clist_, memories)], backend, c_max=1)
             original = sorted(
                 (c.interval.start_s, c.interval.end_s, c.score)
                 for c in clist_.candidates
@@ -225,7 +228,8 @@ class TestRerank:
         clist_, memories = memories_for(scenario, "v0-q000")
         query = query_for(scenario, "v0-q000")
         # Only candidate 2 ([48, 60)) overlaps the target event e1 [50, 62).
-        outcome = rerank(query, clist_, memories, stub_backend(lambda: scenario.event_script))
+        backend = stub_backend(lambda: scenario.event_script)
+        [outcome] = rerank_many([(query, clist_, memories)], backend, c_max=1)
         assert outcome.selected_rank == 2
         assert outcome.reranked.candidates[0].interval == interval(48, 60)
 

@@ -170,14 +170,14 @@ class TestScenarioOnFirstRequest:
         interval_s = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers switch often, racing for the load
         try:
-            with NarrationEngine(backend, c_max=8) as engine:
-                lazy = engine.narrate_plans(plans)
+            engine = NarrationEngine(backend, c_max=8)
+            lazy = engine.narrate_plans(plans)
         finally:
             sys.setswitchinterval(interval_s)
         assert loads == [1]
         assert backend.narrate_calls > 8
-        with NarrationEngine(stub_backend(lambda: scenario.event_script)) as engine:
-            assert lazy == engine.narrate_plans(plans)
+        engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
+        assert lazy == engine.narrate_plans(plans)
 
     def test_selection_never_loads_the_script(self):
         scenario = tiny_scenario()
