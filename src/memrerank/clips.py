@@ -61,8 +61,6 @@ def plan_clips(segment: TimeInterval, clip_len_s: float = DEFAULT_CLIP_LEN_S) ->
     which is kept whatever its length. The union of the clips is exactly
     the input segment.
     """
-    if clip_len_s <= 0 or not math.isfinite(clip_len_s):
-        raise SchemaViolation("clip_len_s", f"must be a positive number, got {clip_len_s}")
     if segment.duration_s <= 0:
         raise ValidationError(f"segment [{segment.start_s}, {segment.end_s}) has no duration")
     count = max(1, math.ceil(segment.duration_s / clip_len_s))

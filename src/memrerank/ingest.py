@@ -367,8 +367,6 @@ def load_candidates(
     ranking and is preserved. A query has at most one list, and with a
     ``dataset`` each list must name a known query and that query's video.
     """
-    if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
-        raise SchemaViolation("top_k", f"must be a positive integer, got {top_k!r}")
     video_of = None
     if dataset is not None:
         video_of = {query.query_id: query.video_id for query in dataset.iter_queries()}

@@ -40,11 +40,9 @@ def build_rerank_prompt(
     """One reasoning document over the candidates' memories, one memory per
     candidate in rank order.
 
-    ``scores`` optionally annotates each candidate with its model
-    confidence; by default the backend sees only positional labels.
+    ``scores``, one per memory, optionally annotates each candidate with
+    its model confidence; by default the backend sees only positional labels.
     """
-    if scores is not None and len(scores) != len(memories):
-        raise ValidationError(f"{len(scores)} scores for {len(memories)} candidates")
     lines = [
         "Below are frame-by-frame narrations of candidate video segments.",
         f"{QUERY_LINE_PREFIX}{query.text}",

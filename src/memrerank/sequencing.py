@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .core import CandidateList
-from .errors import SchemaViolation, ValidationError
 from .ingest import Dataset, write_report_file
 
 DEFAULT_LAMBDA_PENALTY = 1.0
@@ -35,17 +34,6 @@ DEFAULT_LAMBDA_PENALTY = 1.0
 def start_penalty(start_i: float, start_next: float) -> float:
     """Violation of the non-decreasing start-time prior for one pair."""
     return max(0.0, start_i - start_next)
-
-
-def _check_selection(lists: Sequence[CandidateList], choices: Sequence[int]) -> None:
-    if len(choices) != len(lists):
-        raise ValidationError(f"{len(choices)} choices for {len(lists)} queries")
-    for clist, choice in zip(lists, choices):
-        if not 0 <= choice < len(clist):
-            raise ValidationError(
-                f"choice {choice} out of range for query "
-                f"'{clist.query_id}' ({len(clist)} candidates)"
-            )
 
 
 def selection_cost(
@@ -58,7 +46,6 @@ def selection_cost(
 
 def pair_penalties(lists: Sequence[CandidateList], choices: Sequence[int]) -> list[float]:
     """Per-adjacent-pair start penalties, in step order."""
-    _check_selection(lists, choices)
     starts = [clist.candidates[choice].interval.start_s for clist, choice in zip(lists, choices)]
     return [start_penalty(a, b) for a, b in zip(starts, starts[1:])]
 
@@ -112,20 +99,15 @@ def optimize_sequence(
 def build_tasks(
     dataset: Dataset, lists: Sequence[CandidateList]
 ) -> list[tuple[CandidateList, ...]]:
-    """The candidate lists of each video's step queries, in step order. A
+    """The candidate lists of each video's step queries, in step order, for
+    a goalstep ``dataset``, whose every query has an order index. A
     query without a list is left out, so its neighbours become adjacent
     steps; a video left with no lists has nothing to order and is skipped."""
     by_query = {(clist.video_id, clist.query_id): clist for clist in lists}
     tasks = []
     for video in dataset.videos:
         aligned = []
-        for query in sorted(video.queries, key=lambda q: (q.order_index,)):
-            if query.order_index is None:
-                raise SchemaViolation(
-                    "order_index",
-                    f"query '{query.query_id}' is unordered; sequence "
-                    "optimization needs an ordered track",
-                )
+        for query in sorted(video.queries, key=lambda q: q.order_index):
             clist = by_query.get((video.video_id, query.query_id))
             if clist is not None:
                 aligned.append(clist)

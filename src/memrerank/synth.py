@@ -34,7 +34,7 @@ from .core import (
     canonical_order,
     checked,
 )
-from .errors import InvalidKnobsError, SchemaViolation
+from .errors import InvalidKnobsError, SchemaViolation, ValidationError
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
@@ -240,7 +240,7 @@ class ScriptedStubBackend(Backend):
 
     @staticmethod
     def _split_prompt(prompt: str) -> tuple[str, list[str]]:
-        query_text_line = None
+        query_text_line = ""
         sections: list[list[str]] = []
         for line in prompt.splitlines():
             if line.startswith(QUERY_LINE_PREFIX):
@@ -250,8 +250,6 @@ class ScriptedStubBackend(Backend):
                 sections.append([])
             elif sections:
                 sections[-1].append(line)
-        if query_text_line is None:
-            raise SchemaViolation("prompt", "selection prompt lacks a query line")
         return query_text_line, ["\n".join(s) for s in sections]
 
     def _select(self, prompt: str) -> str:
@@ -291,10 +289,18 @@ class OracleSelectorBackend(ScriptedStubBackend):
     def _ious(self, prompt: str) -> list[float]:
         """The IoU of each candidate of the prompt's query with its ground truth."""
         tag = _QUERY_TAG.search(self._split_prompt(prompt)[0])
-        if tag is None or tag.group(1) not in self._gt:
-            raise SchemaViolation("prompt", "query id tag missing from selection prompt")
-        gt = self._gt[tag.group(1)]
-        return [temporal_iou(c.interval, gt) for c in self._lists[tag.group(1)].candidates]
+        if tag is None:
+            raise ValidationError(
+                "the oracle selects only for queries whose text carries their "
+                "'[query_id]', as simulate writes them"
+            )
+        query_id = tag.group(1)
+        if query_id not in self._gt:
+            raise ValidationError(
+                f"query '{query_id}' has no ground truth for the oracle to select by"
+            )
+        gt = self._gt[query_id]
+        return [temporal_iou(c.interval, gt) for c in self._lists[query_id].candidates]
 
     def _select(self, prompt: str) -> str:
         ious = self._ious(prompt)

@@ -871,7 +871,13 @@ class TestPipeline:
         assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
         with caplog.at_level("ERROR"):
             code = run(["optimize", "--out", out])
-        assert code == 2
+        assert (code, caplog.messages) == (
+            2,
+            [
+                "sequence optimization needs an ordered (goalstep) dataset; "
+                "evaluate the rerank predictions directly for unordered tracks"
+            ],
+        )
 
     def test_oracle_rerank_lifts_r1_to_base_r5(self, tmp_path):
         # Without the sequence stage, the oracle selector realizes the
@@ -1228,6 +1234,32 @@ class TestSelectionCache:
         assert rerank_log(out)["v000-q000"]["selected_rank"] == target
         assert not (out / "cache" / cli.SELECTIONS_FILE).exists()
 
+    def test_oracle_names_why_it_cannot_select(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        narrated(out)
+        annotations = out / "annotations.json"
+        text = annotations.read_text()
+        # Texts not written by simulate, then a tagged query without a ground truth.
+        untagged, no_gt = json.loads(text), json.loads(text)
+        for video in untagged["videos"]:
+            for query in video["queries"]:
+                query["text"] = query["text"].replace(f"[{query['query_id']}] ", "")
+        first = no_gt["videos"][0]["queries"][0]
+        assert first["query_id"] == "v000-q000"
+        del first["gt"]
+        messages = []
+        for payload in (untagged, no_gt):
+            annotations.write_text(json.dumps(payload))
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                assert run(["rerank", "--out", out, "--backend", "oracle"]) == 4
+            messages.extend(caplog.messages)
+        assert messages == [
+            "the oracle selects only for queries whose text carries their '[query_id]', "
+            "as simulate writes them",
+            "query 'v000-q000' has no ground truth for the oracle to select by",
+        ]
+
     def test_worst_selector_after_the_oracle_makes_its_own_picks(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         narrated(out)
@@ -1568,9 +1600,14 @@ class TestConfigPrecedence:
             ([], {"paths": {"output": "run"}}, PATHS_OBJECT),
             (["--top-k", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
             (["--c-max", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
+            (["--fps", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
+            (["--clip-len", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
             (["--limit", -1], {}, "rerank_limit must be >= 0, got -1"),
         ],
-        ids=["paths-array", "paths-unknown-key", "top-k-zero", "c-max-zero", "limit-negative"],
+        ids=[
+            "paths-array", "paths-unknown-key", "top-k-zero", "c-max-zero", "fps-zero",
+            "clip-len-zero", "limit-negative",
+        ],
     )
     def test_invalid_setting_rejected(self, tmp_path, caplog, flags, config, message):
         out = tmp_path / "run"

@@ -97,10 +97,6 @@ class TestRecallAtK:
     def test_missing_query_is_a_miss(self):
         assert recall_at_k({}, {"q0": interval(0, 10)}, 5, 0.3) == 0.0
 
-    def test_no_queries_rejected(self):
-        with pytest.raises(ValidationError, match="^recall over an empty query set$"):
-            recall_at_k({}, {}, 1, 0.3)
-
     def test_deeper_k_sees_later_predictions(self):
         predictions = {"q0": (interval(50, 60), interval(0, 10))}
         gt = {"q0": interval(0, 10)}
@@ -155,13 +151,6 @@ class TestEvaluateRun:
             report = evaluate_run({"q0": (interval(0, 10),)}, dataset)
         assert report.value_at(1, 0.5) == 50.0
         assert any("count as misses" in message for message in caplog.messages)
-
-    def test_unknown_prediction_key_rejected(self):
-        dataset = _dataset({"q0": interval(0, 10)})
-        with pytest.raises(
-            ValidationError, match="^predictions reference unknown query ids: zz$"
-        ):
-            evaluate_run({"q0": (interval(0, 10),), "zz": (interval(0, 10),)}, dataset)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**30))

@@ -64,13 +64,6 @@ class TestBuildRerankPrompt:
         )
         assert "model score: 0.9" in prompt
 
-    def test_score_count_mismatch(self):
-        scenario = tiny_scenario()
-        _, memories = memories_for(scenario, "v0-q000")
-        query = query_for(scenario, "v0-q000")
-        with pytest.raises(ValidationError, match="^4 scores for 5 candidates$"):
-            build_rerank_prompt(query, memories, scores=[0.9, 0.8, 0.7, 0.6])
-
 
 class TestParseSelection:
     @pytest.mark.parametrize(
