@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateKey, CandidateList
@@ -269,13 +269,10 @@ def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
     return dataset, ingest.load_candidates(candidates, top_k=cfg.top_k, dataset=dataset)
 
 
-def _build_backend(
-    cfg: RunConfig, dataset: ingest.Dataset | None = None, lists: Sequence[CandidateList] = ()
-) -> narration.Backend:
+def _build_backend(cfg: RunConfig) -> narration.Backend:
     """The configured backend. The scripted ones narrate from the event
     script, which they load (with the annotations it is checked against)
-    at their first narration request; the oracle selects by scoring
-    ``lists`` against the ground truths of ``dataset``, the stage's own."""
+    at their first narration request."""
     if cfg.backend == "remote":
         from .remote import FrameProvider, RemoteBackend
 
@@ -289,7 +286,7 @@ def _build_backend(
         return synth.load_scenario(cfg.input(SCENARIO_FILE), annotations)
 
     if cfg.backend == "oracle":
-        return synth.OracleSelectorBackend(load_script, dataset, lists)
+        return synth.OracleSelectorBackend(load_script)
     return synth.stub_backend(load_script)
 
 
@@ -392,7 +389,7 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     memories_by_query: dict[str, list] = {}
     for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
-    backend = _build_backend(cfg, dataset, lists)
+    backend = _build_backend(cfg)
 
     # One walk in dataset order: a query without candidates is logged as
     # skipped, and each other one is a job, logged by its index once done.

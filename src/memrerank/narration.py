@@ -108,8 +108,8 @@ class Backend(abc.ABC):
     """
 
     backend_id: str = "backend"
-    # False for a selector that reads what its prompt does not hold (the
-    # oracle's ground truths): its replies are never cached.
+    # False for a selector that reads what its prompt's text does not hold
+    # (the oracle's ground truth): its replies are never cached.
     selects_from_prompt: bool = True
 
     def __init__(self):

@@ -2,17 +2,18 @@
 
 The backend sees one document containing the query and every candidate's
 rendered memory, labeled "Candidate 1".."Candidate C", and must answer
-with a single integer. Parsing is forgiving (first in-range integer
-anywhere in the reply); anything else, a failed call included, falls
-back to the original order, so reranking can never lose candidates or
-fail a run. An outcome holds the pick as a rank; :func:`promote` is the
+with a single integer. The document is a :class:`SelectionPrompt`, whose
+fields the scripted selectors read. Parsing is forgiving (first in-range
+integer anywhere in the reply); anything else, a failed call included,
+falls back to the original order, so reranking can never lose candidates
+or fail a run. An outcome holds the pick as a rank; :func:`promote` is the
 one place a list is reordered.
 
 Replies are cached in a :class:`SelectionCache` keyed by the sha256 of the
 exact prompt and the backend id, so a warm or resumed run asks the backend
 only for the picks it lacks. A failed call is never cached, nor is a blank
 reply; an unparseable one is, since it is the model's answer. A selector
-that reads what its prompt does not hold (the oracle) is never cached.
+that reads what its prompt's text does not hold (the oracle) is never cached.
 """
 
 from __future__ import annotations
@@ -135,9 +136,24 @@ class RerankOutcome:
         return record
 
 
+class SelectionPrompt(str):
+    """A selection prompt's text, holding the query, candidate list and
+    memories it was rendered from. It compares and hashes as its text, and
+    every ``str`` method returns a plain ``str``."""
+
+    query: Query
+    clist: CandidateList
+    memories: tuple[EpisodicMemory, ...]
+
+    def __new__(cls, text: str, query: Query, clist: CandidateList, memories):
+        prompt = super().__new__(cls, text)
+        prompt.query, prompt.clist, prompt.memories = query, clist, tuple(memories)
+        return prompt
+
+
 def _selection_prompt(
     query: Query, clist: CandidateList, memories: Sequence[EpisodicMemory], include_scores: bool
-) -> str | None:
+) -> SelectionPrompt | None:
     """The prompt of one query's pick, None when it has one candidate; its
     memories must be its candidates', in rank order."""
     num_candidates = len(clist.candidates)
@@ -157,7 +173,8 @@ def _selection_prompt(
     if num_candidates == 1:
         return None
     scores = [c.score for c in clist.candidates] if include_scores else None
-    return build_rerank_prompt(query, memories, scores=scores)
+    text = build_rerank_prompt(query, memories, scores=scores)
+    return SelectionPrompt(text, query, clist, memories)
 
 
 def rerank_many(

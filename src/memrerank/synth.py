@@ -10,9 +10,10 @@ pipelines run without videos or a remote model.
 
 The scenario file holds only what the annotations and candidates files do
 not: the knobs and the event script. The stub narrates from the script,
-loaded and checked against the annotations; the oracle selector scores
-the dataset and top-k candidate lists its stage already parsed, the
-very lists the selection prompts are built from.
+loaded and checked against the annotations. Both selectors read the
+fields of the :class:`~memrerank.rerank.SelectionPrompt`, never its
+text: the stub its query's text and its memories, the oracle its
+candidate list and its query's ground truth.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import (
     NUMBER,
@@ -38,12 +39,11 @@ from .errors import InvalidKnobsError, SchemaViolation, ValidationError
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
-from .rerank import CANDIDATE_HEADING, QUERY_LINE_PREFIX
+from .rerank import SelectionPrompt
 
 SCENARIO_VERSION = "scenario-3"
 
 _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
-_QUERY_TAG = re.compile(r"\[([^\]]+)\]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,8 +209,9 @@ def generate_scenario(
 
 class ScriptedStubBackend(Backend):
     """Answers narration requests from the event script and selection
-    requests by matching the query's target event label against the
-    candidate memories. Never touches pixel data.
+    prompts by matching their query's target event label, as
+    :func:`query_text` writes it, against their candidates' memories.
+    Never touches pixel data.
 
     ``load_script`` is called once, when the first narration request
     arrives, so a stage whose clips are all cached, or that only selects,
@@ -238,71 +239,36 @@ class ScriptedStubBackend(Backend):
         ]
         return "events: " + ("; ".join(overlapping) if overlapping else "none")
 
-    @staticmethod
-    def _split_prompt(prompt: str) -> tuple[str, list[str]]:
-        query_text_line = ""
-        sections: list[list[str]] = []
-        for line in prompt.splitlines():
-            if line.startswith(QUERY_LINE_PREFIX):
-                query_text_line = line[len(QUERY_LINE_PREFIX):]
-                continue
-            if line == CANDIDATE_HEADING.format(index=len(sections) + 1):
-                sections.append([])
-            elif sections:
-                sections[-1].append(line)
-        return query_text_line, ["\n".join(s) for s in sections]
-
-    def _select(self, prompt: str) -> str:
-        query_line, sections = self._split_prompt(prompt)
-        label_match = _EVENT_IN_QUERY.search(query_line)
+    def _select(self, prompt: SelectionPrompt) -> str:
+        label_match = _EVENT_IN_QUERY.search(prompt.query.text)
         if label_match is None:
             return "cannot tell which event is requested"
         pattern = re.compile(rf"\b{re.escape(label_match.group(1))}\b")
-        for index, section in enumerate(sections, start=1):
-            if pattern.search(section):
+        for index, memory in enumerate(prompt.memories, start=1):
+            if any(pattern.search(entry.narration) for entry in memory.entries):
                 return str(index)
         return "none of the candidates match the query events"
 
 
 class OracleSelectorBackend(ScriptedStubBackend):
-    """Selects the candidate with the highest IoU against ground truth
-    (ties go to the lowest index). It scores the dataset and lists of the
-    stage that selects, the lists its selection prompts are built from,
-    and narrates as the stub does; built without a dataset, as in
-    ``narrate``, it only narrates. Its picks read ground truths that no
-    prompt holds, so they are never cached."""
+    """Selects the candidate of the prompt's list with the highest IoU
+    against its query's ground truth (ties go to the lowest index), and
+    narrates as the stub does. Its picks read a ground truth that the
+    prompt's text does not hold, so they are never cached."""
 
     backend_id = "oracle"
     selects_from_prompt = False
 
-    def __init__(
-        self,
-        load_script: Callable[[], EventScript],
-        dataset: Dataset | None = None,
-        lists: Iterable[CandidateList] = (),
-    ):
-        super().__init__(load_script)
-        queries = dataset.iter_queries() if dataset is not None else ()
-        self._gt = {q.query_id: q.ground_truth for q in queries if q.ground_truth is not None}
-        self._lists = {clist.query_id: clist for clist in lists}
-
-    def _ious(self, prompt: str) -> list[float]:
-        """The IoU of each candidate of the prompt's query with its ground truth."""
-        tag = _QUERY_TAG.search(self._split_prompt(prompt)[0])
-        if tag is None:
+    def _ious(self, prompt: SelectionPrompt) -> list[float]:
+        """The IoU of each candidate of the prompt's list with its query's ground truth."""
+        query = prompt.query
+        if query.ground_truth is None:
             raise ValidationError(
-                "the oracle selects only for queries whose text carries their "
-                "'[query_id]', as simulate writes them"
+                f"query '{query.query_id}' has no ground truth for the oracle to select by"
             )
-        query_id = tag.group(1)
-        if query_id not in self._gt:
-            raise ValidationError(
-                f"query '{query_id}' has no ground truth for the oracle to select by"
-            )
-        gt = self._gt[query_id]
-        return [temporal_iou(c.interval, gt) for c in self._lists[query_id].candidates]
+        return [temporal_iou(c.interval, query.ground_truth) for c in prompt.clist.candidates]
 
-    def _select(self, prompt: str) -> str:
+    def _select(self, prompt: SelectionPrompt) -> str:
         ious = self._ious(prompt)
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
         return str(best + 1)

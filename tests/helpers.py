@@ -206,6 +206,5 @@ def ground_truth_by_query(scenario: Scenario) -> dict[str, TimeInterval]:
 
 
 def selector(backend_class, scenario: Scenario):
-    """A ground-truth selector class over a generated scenario: its event
-    script, dataset and candidate lists."""
-    return backend_class(lambda: scenario.event_script, scenario.dataset, scenario.candidates)
+    """A ground-truth selector class narrating from a scenario's event script."""
+    return backend_class(lambda: scenario.event_script)

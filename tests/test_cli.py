@@ -1131,7 +1131,7 @@ class TestSelectionCache:
             select = backend._select
 
             def _select(prompt):
-                query_id = re.search(r"\[([^\]]+)\]", prompt).group(1)
+                query_id = prompt.query.query_id
                 state.calls.append(query_id)
                 if state.interrupt_after is not None and len(state.calls) > state.interrupt_after:
                     raise KeyboardInterrupt
@@ -1237,28 +1237,53 @@ class TestSelectionCache:
     def test_oracle_names_why_it_cannot_select(self, tmp_path, caplog):
         out = tmp_path / "run"
         narrated(out)
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        tagged = rerank_outputs(out)
         annotations = out / "annotations.json"
         text = annotations.read_text()
-        # Texts not written by simulate, then a tagged query without a ground truth.
+        # Texts not written by simulate pick as the tagged ones do.
         untagged, no_gt = json.loads(text), json.loads(text)
         for video in untagged["videos"]:
             for query in video["queries"]:
                 query["text"] = query["text"].replace(f"[{query['query_id']}] ", "")
+        annotations.write_text(json.dumps(untagged))
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        assert rerank_outputs(out) == tagged
         first = no_gt["videos"][0]["queries"][0]
         assert first["query_id"] == "v000-q000"
         del first["gt"]
-        messages = []
-        for payload in (untagged, no_gt):
-            annotations.write_text(json.dumps(payload))
-            caplog.clear()
-            with caplog.at_level("ERROR"):
-                assert run(["rerank", "--out", out, "--backend", "oracle"]) == 4
-            messages.extend(caplog.messages)
-        assert messages == [
-            "the oracle selects only for queries whose text carries their '[query_id]', "
-            "as simulate writes them",
-            "query 'v000-q000' has no ground truth for the oracle to select by",
+        annotations.write_text(json.dumps(no_gt))
+        caplog.clear()
+        with caplog.at_level("ERROR"):
+            assert run(["rerank", "--out", out, "--backend", "oracle"]) == 4
+        assert caplog.messages == [
+            "query 'v000-q000' has no ground truth for the oracle to select by"
         ]
+
+    def test_oracle_picks_by_the_query_not_a_tag_in_its_text(self, tmp_path):
+        # v000-q000's text names v000-q002, whose own argmax is another rank.
+        out = tmp_path / "run"
+        simulate(out, seed=42, videos=8, queries=5)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        annotations = out / "annotations.json"
+        payload = json.loads(annotations.read_text())
+        first = payload["videos"][0]["queries"][0]
+        assert first["query_id"] == "v000-q000"
+        first["text"] = first["text"].replace("[v000-q000]", "[v000-q002]")
+        annotations.write_text(json.dumps(payload))
+        assert run(["rerank", "--out", out, "--backend", "oracle"]) == 0
+        dataset = ingest.load_annotations(annotations)
+        gts = {query.query_id: query.ground_truth for query in dataset.iter_queries()}
+        lists = ingest.load_candidates(out / "candidates.json", dataset=dataset)
+
+        def argmax(query_id):
+            [clist] = [clist for clist in lists if clist.query_id == query_id]
+            ious = [metrics.temporal_iou(c.interval, gts[query_id]) for c in clist.candidates]
+            return max(range(len(ious)), key=lambda i: (ious[i], -i)) + 1
+
+        assert argmax("v000-q000") != argmax("v000-q002")
+        assert rerank_log(out)["v000-q000"]["selected_rank"] == argmax("v000-q000")
 
     def test_worst_selector_after_the_oracle_makes_its_own_picks(self, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import base64
+import json
 import re
 
 import pytest
@@ -13,7 +14,7 @@ from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
 from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
-from memrerank.rerank import rerank_many
+from memrerank.rerank import _selection_prompt, build_rerank_prompt, rerank_many
 from memrerank.synth import stub_backend
 
 from helpers import candidates_by_query, interval, plan_list, tiny_scenario
@@ -156,6 +157,23 @@ class TestRemoteBackend:
         (sent,) = session.requests
         assert sent["json"]["images"] == []
         assert sent["json"]["instruction"] == "pick one"
+
+    def test_selection_prompt_is_sent_as_its_text(self):
+        # The fields a scripted selector reads never reach the wire.
+        scenario = tiny_scenario()
+        clist = candidates_by_query(scenario)["v0-q000"]
+        query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
+        memories = NarrationEngine(stub_backend(lambda: scenario.event_script)).narrate_plans(
+            plan_list(clist)
+        )
+        prompt = _selection_prompt(query, clist, memories, include_scores=False)
+        session = FakeSession(response=FakeResponse(payload={"text": "2"}))
+        RemoteBackend("https://api.example.test", "k", session=session).select(prompt)
+        (sent,) = session.requests
+        text = build_rerank_prompt(query, memories)
+        assert json.dumps(sent["json"]) == json.dumps(
+            {"instruction": text, "images": [], "max_output_chars": 64}
+        )
 
     def test_server_error_is_transient(self):
         session = FakeSession(response=FakeResponse(status_code=503))

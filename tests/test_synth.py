@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import time
@@ -8,7 +9,7 @@ from memrerank.errors import InvalidKnobsError, SchemaViolation
 from memrerank.ingest import Track
 from memrerank.metrics import temporal_iou
 from memrerank.narration import BackendRequest, NarrationEngine, PromptTemplate
-from memrerank.rerank import build_rerank_prompt
+from memrerank import rerank
 from memrerank.synth import (
     OracleSelectorBackend,
     ScenarioKnobs,
@@ -22,6 +23,7 @@ from memrerank.synth import (
 from helpers import (
     WorstSelectorBackend,
     candidates_by_query,
+    clist as make_clist,
     ground_truth_by_query,
     interval,
     plan_list,
@@ -188,24 +190,19 @@ class TestScenarioOnFirstRequest:
             loads.append(1)
             return scenario.event_script
 
-        backends = [
-            stub_backend(load),
-            OracleSelectorBackend(load, scenario.dataset, scenario.candidates),
-            WorstSelectorBackend(load, scenario.dataset, scenario.candidates),
-        ]
+        backends = [stub_backend(load), OracleSelectorBackend(load), WorstSelectorBackend(load)]
         assert [backend.select(prompt) for backend in backends] == ["3", "3", "1"]
         assert loads == []
 
 
-def _selection_prompt(scenario, query_id):
-    """Build a real selection prompt through the narration and rerank paths."""
-    clist = candidates_by_query(scenario)[query_id]
-    query = next(
-        q for q in scenario.dataset.iter_queries() if q.query_id == query_id
-    )
+def _selection_prompt(scenario, query_id, query=None, clist=None):
+    """The engine's selection prompt for ``query_id``, built through the
+    narration and rerank paths; ``query`` or ``clist`` replace its own."""
+    clist = clist or candidates_by_query(scenario)[query_id]
+    query = query or next(q for q in scenario.dataset.iter_queries() if q.query_id == query_id)
     engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
     memories = engine.narrate_plans(plan_list(clist))
-    return query, clist, build_rerank_prompt(query, memories)
+    return query, clist, rerank._selection_prompt(query, clist, memories, include_scores=False)
 
 
 class TestSelectors:
@@ -218,28 +215,30 @@ class TestSelectors:
         assert reply == str(expected) == "3"
 
     def test_oracle_all_zero_ious_picks_first(self):
+        # Every candidate of q0 misses a ground truth moved far away.
         scenario = tiny_scenario()
-        # q0 candidates all miss gt [50, 62) except candidate 2; shrink the
-        # check to the all-zero case by moving gt far away via a fresh prompt.
-        query, clist, prompt = _selection_prompt(scenario, "v0-q000")
-        backend = selector(OracleSelectorBackend, scenario)
-        backend._gt[query.query_id] = interval(500.0, 510.0)
-        assert backend.select(prompt) == "1"
+        own = ground_truth_by_query(scenario)["v0-q000"]
+        query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
+        moved = dataclasses.replace(query, ground_truth=interval(500.0, 510.0))
+        _, clist, prompt = _selection_prompt(scenario, "v0-q000", query=moved)
+        assert max(temporal_iou(c.interval, own) for c in clist.candidates) > 0
+        assert all(temporal_iou(c.interval, moved.ground_truth) == 0 for c in clist.candidates)
+        assert selector(OracleSelectorBackend, scenario).select(prompt) == "1"
 
     def test_single_candidate_answer_is_one(self):
-        from helpers import clist as make_clist
-
+        # The engine sends no prompt for one candidate; the oracle, sent
+        # one anyway, answers its only index.
         scenario = tiny_scenario()
         single = make_clist("v0", "v0-q000", [(48, 60, 0.8)])
-        backend = selector(OracleSelectorBackend, scenario)
-        backend._lists["v0-q000"] = single
-        query = next(
-            q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000"
+        query, _, prompt = _selection_prompt(scenario, "v0-q000", clist=single)
+        assert prompt is None
+        memories = NarrationEngine(stub_backend(lambda: scenario.event_script)).narrate_plans(
+            plan_list(single)
         )
-        engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
-        memories = engine.narrate_plans(plan_list(single))
-        prompt = build_rerank_prompt(query, memories)
-        assert backend.select(prompt) == "1"
+        prompt = rerank.SelectionPrompt(
+            rerank.build_rerank_prompt(query, memories), query, single, memories
+        )
+        assert selector(OracleSelectorBackend, scenario).select(prompt) == "1"
 
     def test_worst_selector_answers_argmin(self):
         scenario = tiny_scenario()
