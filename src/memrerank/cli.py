@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
 from .core import CandidateKey, CandidateList
-from .rerank import RerankOutcome, SelectionCache, promote, rerank_many
+from .rerank import RerankOutcome, SelectionCache, promote, read_abstentions, rerank_many
 from .errors import (
     BackendError,
     ConfigError,
@@ -447,22 +447,26 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     lists = ingest.load_candidates(
         source, top_k=cfg.top_k, dataset=dataset, canonical=not post_rerank
     )
-    tasks = sequencing.build_tasks(dataset, lists)
+    # A query whose selection abstained keeps its reranked list and leaves
+    # its video's chain, so its pick does not pull its neighbours' picks.
+    abstained = read_abstentions(cfg.input(RERANK_LOG_FILE)) if post_rerank else set()
+    left_out = sequencing.build_tasks(dataset, [c for c in lists if c.query_id in abstained])
+    tasks = sequencing.build_tasks(dataset, [c for c in lists if c.query_id not in abstained])
     entries = []
-    predictions = {}
+    predictions = {clist.query_id: clist.intervals() for task in left_out for clist in task}
     for task in tasks:
         choices = sequencing.optimize_sequence(task, cfg.lambda_penalty)
         entries.append((task, choices))
         for clist, choice in zip(task, choices):
             predictions[clist.query_id] = promote(clist, choice + 1).intervals()
-    sequencing.write_optimizer_report(
-        entries, cfg.lambda_penalty, cfg.rank_source, cfg.output(OPTIMIZER_REPORT_FILE)
-    )
+    report = cfg.output(OPTIMIZER_REPORT_FILE)
+    sequencing.write_optimizer_report(entries, cfg.lambda_penalty, cfg.rank_source, report, left_out)
     ingest.write_predictions(predictions, cfg.output(PREDICTIONS_FINAL_FILE))
     logger.info(
-        "optimized %d videos (%d queries) with lambda=%g, ranks from %s",
+        "optimized %d videos (%d queries, %d abstained and left out) with lambda=%g, ranks from %s",
         len(tasks),
         len(predictions),
+        sum(map(len, left_out)),
         cfg.lambda_penalty,
         cfg.rank_source,
     )
@@ -514,9 +518,11 @@ class Stage(NamedTuple):
 
 # The pipeline in run order: a stage that misses an input file names the
 # stage here that writes it. ``narrate`` reads the scenario and annotations
-# only when a scripted backend narrates a cache miss, ``optimize`` the base
-# candidates only under ``--rank-source pre_rerank``, and ``eval`` the
-# final predictions when they exist and the rerank predictions otherwise.
+# only when a scripted backend narrates a cache miss, ``optimize`` the
+# reranked candidates and the rerank log only under ``--rank-source
+# post_rerank`` and the base candidates only under ``pre_rerank``, and
+# ``eval`` the final predictions when they exist and the rerank
+# predictions otherwise.
 STAGES = (
     Stage("simulate", cmd_simulate, "generate a synthetic scenario",
           reads=(), writes=(SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),
@@ -530,7 +536,7 @@ STAGES = (
           reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, MEMORIES_FILE),
           writes=(RERANKED_FILE, RERANK_LOG_FILE, PREDICTIONS_RERANK_FILE)),
     Stage("optimize", cmd_optimize, "enforce the sequential start-time prior",
-          reads=(ANNOTATIONS_FILE, RERANKED_FILE, CANDIDATES_FILE),
+          reads=(ANNOTATIONS_FILE, RERANKED_FILE, RERANK_LOG_FILE, CANDIDATES_FILE),
           writes=(OPTIMIZER_REPORT_FILE, PREDICTIONS_FINAL_FILE)),
     Stage("eval", cmd_eval, "compute recall metrics before/after",
           reads=(ANNOTATIONS_FILE, CANDIDATES_FILE, PREDICTIONS_FINAL_FILE,

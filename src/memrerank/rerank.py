@@ -21,10 +21,12 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .core import CandidateList, EpisodicMemory, Query, checked
 from .errors import BackendError, ValidationError
+from .ingest import read_jsonl
 from .narration import Backend, ReplyCache, dispatch, render_memory
 
 QUERY_LINE_PREFIX = "Query: "
@@ -149,6 +151,22 @@ class SelectionPrompt(str):
         prompt = super().__new__(cls, text)
         prompt.query, prompt.clist, prompt.memories = query, clist, tuple(memories)
         return prompt
+
+
+def read_abstentions(path: str | Path) -> set[str]:
+    """The ids of the queries whose selection abstained, from the rerank log
+    at ``path``: a fallback from a reply that is not blank. A failed call
+    left no reply, a query past the limit no fallback, and a query without
+    candidates no ``fallback_used``; none of them abstained."""
+
+    def parse(record) -> str | None:
+        checked(record, (dict,), "rerank log record")
+        fallback = checked(record.get("fallback_used", False), (bool,), "fallback_used")
+        answer = checked(record.get("raw_answer", ""), (str,), "raw_answer")
+        abstained = fallback and answer.strip()
+        return checked(record["query_id"], (str,), "query_id") if abstained else None
+
+    return set(read_jsonl(path, "rerank log", parse)) - {None}
 
 
 def _selection_prompt(

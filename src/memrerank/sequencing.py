@@ -121,9 +121,11 @@ def write_optimizer_report(
     lambda_penalty: float,
     rank_source: str,
     path: str | Path,
+    left_out: Sequence[Sequence[CandidateList]] = (),
 ) -> None:
     """Per-video rank vectors, total cost, and per-pair penalties, for the
-    ``(lists, choices)`` of each video."""
+    ``(lists, choices)`` of each video; and, when a video's lists were
+    ``left_out`` of its chain, their query ids by video."""
     payload = {
         "lambda_penalty": lambda_penalty,
         "rank_source": rank_source,
@@ -138,4 +140,6 @@ def write_optimizer_report(
             for lists, choices in sorted(entries, key=lambda e: e[0][0].video_id)
         ],
     }
+    if left_out:
+        payload["left_out"] = {lists[0].video_id: [c.query_id for c in lists] for lists in left_out}
     write_report_file(payload, path)

@@ -1116,36 +1116,97 @@ def rerank_log(out):
     return {record["query_id"]: record for record in map(json.loads, lines)}
 
 
+@pytest.fixture
+def selections(monkeypatch):
+    """The stub's selection calls, by query id in call order. A query id
+    in ``replies`` gets that reply instead of the stub's, or raises it
+    when it is an exception; past ``interrupt_after`` calls a call
+    raises ``KeyboardInterrupt``."""
+    state = SimpleNamespace(calls=[], replies={}, interrupt_after=None)
+    stub_backend = synth.stub_backend
+
+    def recording_stub(load_script):
+        backend = stub_backend(load_script)
+        select = backend._select
+
+        def _select(prompt):
+            query_id = prompt.query.query_id
+            state.calls.append(query_id)
+            if state.interrupt_after is not None and len(state.calls) > state.interrupt_after:
+                raise KeyboardInterrupt
+            reply = state.replies.get(query_id)
+            if isinstance(reply, Exception):
+                raise reply
+            return select(prompt) if reply is None else reply
+
+        backend._select = _select
+        return backend
+
+    monkeypatch.setattr(synth, "stub_backend", recording_stub)
+    return state
+
+
+class TestAbstentions:
+    def test_only_an_abstained_query_leaves_its_chain(self, tmp_path, selections):
+        # An unparseable reply is an abstention. A failed call, a blank
+        # reply and a query past --limit fall back too, but did not abstain.
+        out = tmp_path / "run"
+        simulate(out, videos=4)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        abstain = "none of the candidates match"
+        selections.replies = {
+            "v000-q000": abstain,
+            "v000-q001": BackendUnavailableError("throttled"),
+            "v000-q002": "2",
+            "v001-q000": "",
+            "v001-q001": " \n",
+            "v001-q002": "2",
+            "v002-q000": abstain,
+            "v002-q001": abstain,
+            "v002-q002": abstain,
+        }
+        assert run(["rerank", "--out", out, "--backend", "stub", "--limit", 9]) == 0
+        assert sorted(selections.calls) == sorted(selections.replies)
+        fallbacks = {q for q, record in rerank_log(out).items() if record["fallback_used"]}
+        assert fallbacks == set(selections.replies) - {"v000-q002", "v001-q002"}
+        assert run(["optimize", "--out", out]) == 0
+        report = json.loads((out / cli.OPTIMIZER_REPORT_FILE).read_text())
+        assert report["left_out"] == {
+            "v000": ["v000-q000"], "v002": ["v002-q000", "v002-q001", "v002-q002"],
+        }
+        assert {video["video_id"]: len(video["choices"]) for video in report["videos"]} == {
+            "v000": 2, "v001": 3, "v003": 3,
+        }
+        reranked = {
+            clist.query_id: clist.intervals()
+            for clist in ingest.load_candidates(out / cli.RERANKED_FILE, canonical=False)
+        }
+        dataset = ingest.load_annotations(out / cli.ANNOTATIONS_FILE)
+        final = ingest.load_predictions(out / cli.PREDICTIONS_FINAL_FILE, dataset)
+        for query_id in ("v000-q000", "v002-q000", "v002-q001", "v002-q002"):
+            assert final[query_id] == reranked[query_id]
+        # pre_rerank reads no rerank log: every query stays in its chain.
+        assert run(["optimize", "--out", out, "--rank-source", "pre_rerank"]) == 0
+        report = json.loads((out / cli.OPTIMIZER_REPORT_FILE).read_text())
+        assert "left_out" not in report
+        assert [len(video["choices"]) for video in report["videos"]] == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("field, value", [("fallback_used", "true"), ("raw_answer", 1)])
+    def test_mistyped_rerank_log_record_exits_4(self, tmp_path, caplog, field, value):
+        out = tmp_path / "run"
+        pipeline(out)
+        path = out / cli.RERANK_LOG_FILE
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("ERROR"):
+            assert run(["optimize", "--out", out]) == 4
+        (message,) = caplog.messages
+        assert f"{path}:2: malformed record ({field} must be " in message
+
+
 class TestSelectionCache:
-    @pytest.fixture
-    def selections(self, monkeypatch):
-        """The stub's selection calls, by query id in call order. A query id
-        in ``replies`` gets that reply instead of the stub's, or raises it
-        when it is an exception; past ``interrupt_after`` calls a call
-        raises ``KeyboardInterrupt``."""
-        state = SimpleNamespace(calls=[], replies={}, interrupt_after=None)
-        stub_backend = synth.stub_backend
-
-        def recording_stub(load_script):
-            backend = stub_backend(load_script)
-            select = backend._select
-
-            def _select(prompt):
-                query_id = prompt.query.query_id
-                state.calls.append(query_id)
-                if state.interrupt_after is not None and len(state.calls) > state.interrupt_after:
-                    raise KeyboardInterrupt
-                reply = state.replies.get(query_id)
-                if isinstance(reply, Exception):
-                    raise reply
-                return select(prompt) if reply is None else reply
-
-            backend._select = _select
-            return backend
-
-        monkeypatch.setattr(synth, "stub_backend", recording_stub)
-        return state
-
     def test_warm_rerank_asks_for_no_pick(self, tmp_path, selections, caplog):
         out = tmp_path / "run"
         narrated(out)

@@ -4,9 +4,11 @@ A change meant to leave the outputs byte-identical keeps these digests;
 a change that alters an output on purpose updates them and says why.
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints
 the tables the current code produces, ready to paste over the ones below.
-At 6 videos x 5 queries the stub and oracle picks leave rank 1 twice and
-the optimizer leaves rank 1 in each of the six videos, so promotion and the
-sequence prior both shape the pinned bytes.
+At 6 videos x 5 queries the stub and oracle picks leave rank 1 twice. The
+stub abstains on eight queries, which leave their videos' chains, and the
+optimizer keeps every stub pick; after the oracle, which never abstains,
+it leaves rank 1 in each of the six videos. So promotion, the left-out
+rule and the sequence prior all shape the pinned bytes.
 """
 
 import hashlib
@@ -115,35 +117,44 @@ GOALSTEP_STUB = {
     "candidates.json": "62c0aef5d8ede743072200bee714ad6d642278bd358f54776d218fa89e558621",
     "manifests.jsonl": "b5c08f9c17ef1215dfe105de13f5386e76bd086b57bd57c6e34264ec9b0ab471",
     "memories.jsonl": "23c7baecb6fe1ece718df5b6880b432d3c5401a4e5a8b740afdff9b77cb6ce74",
-    "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
+    "metrics_after.json": "aeee19039961c1a521ad2b5711b22cab38f7651bcade6195a18f5cbb9027104a",
     "metrics_before.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
-    "metrics_compare.json": "416176c66009c94cf2b7e733f4d7826ae3749c7fd64403a056255c79c6424eeb",
-    "optimizer_report.json": "9e1ef51f158897acf4f9f59a799abbb4b2211a28c700adc2bea4a663727453bc",
-    "predictions_final.json": "2456e4491914556ffca860bd21d04d772cb9d7c13903a1db23b00e6ae4e56249",
+    "metrics_compare.json": "b2a9e36f5a3c9920f830ac5059adcf7305a42bb20e67003d8ea7d9dcf941a289",
+    "optimizer_report.json": "d02014997618f9316b373a511f63b26c0f11d604cf0a1c70e450c80500e6c5c7",
+    "predictions_final.json": "ecd885f4ea1f3c9d70edc36e586d5747e712de1fb8bc29d3942bcc458bdf74f9",
     "predictions_rerank.json": "ecd885f4ea1f3c9d70edc36e586d5747e712de1fb8bc29d3942bcc458bdf74f9",
-    "report.txt": "e47b8a8b9ec6e80579e52d39d35d49b9416f7ffef7be6bd00785257848c30361",
+    "report.txt": "6517b429d10ef1a9b5005c69344063216ed9a3fcba820d80c7505d5acea6a386",
     "rerank_log.jsonl": "9912a062acdc66513fcd2fb4b7108593a6868c6dbdabae0ef0ed36c20b5128df",
     "reranked_candidates.json": "e37b66f0c57bd43f51497f4a0a197b74c169e900fff2bf03104d299e0a662cd4",
     "scenario.json": "80b19c2804bb66383874a864391dd75382585c3dd8d106e5961bd42654111ea7",
 }
-# The oracle makes the stub's picks; only its logged answers differ.
+# The oracle makes the stub's picks but abstains on none, so every query
+# stays in its chain and the optimizer moves picks the stub run keeps.
 GOALSTEP_ORACLE = {
     **GOALSTEP_STUB,
+    "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
+    "metrics_compare.json": "416176c66009c94cf2b7e733f4d7826ae3749c7fd64403a056255c79c6424eeb",
+    "optimizer_report.json": "9e1ef51f158897acf4f9f59a799abbb4b2211a28c700adc2bea4a663727453bc",
+    "predictions_final.json": "2456e4491914556ffca860bd21d04d772cb9d7c13903a1db23b00e6ae4e56249",
+    "report.txt": "e47b8a8b9ec6e80579e52d39d35d49b9416f7ffef7be6bd00785257848c30361",
     "rerank_log.jsonl": "d6ece22d85d01b0b2c5ffb513113538c2f19d7989555ad25df04eebdce81e577",
 }
-# Ranked by score, the base lists put the stub's picks lower, so the report's
-# ranks and costs move while the chosen segments stay the same.
+# pre_rerank reads no rerank log, so every query stays in its chain, and the
+# chosen segments are the oracle run's. Ranked by score, the base lists put
+# those picks lower, so the report's ranks and costs move.
 GOALSTEP_PRE_RERANK = {
     **GOALSTEP_STUB,
+    "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
+    "metrics_compare.json": "416176c66009c94cf2b7e733f4d7826ae3749c7fd64403a056255c79c6424eeb",
     "optimizer_report.json": "5ff39b4817ff886710e02c99fcf71b9d3d2b6e4e51fa0aca271a7d809b619e21",
+    "predictions_final.json": "2456e4491914556ffca860bd21d04d772cb9d7c13903a1db23b00e6ae4e56249",
+    "report.txt": "e47b8a8b9ec6e80579e52d39d35d49b9416f7ffef7be6bd00785257848c30361",
 }
+# With the abstentions left out, lambda 0.1 keeps the picks lambda 1 keeps;
+# only the report's lambda and costs differ.
 GOALSTEP_LAMBDA_0_1 = {
     **GOALSTEP_STUB,
-    "metrics_after.json": "298a6a3438ae6d54c433e6ed9845beee5cfcebecfa8d96d637970105df99ae04",
-    "metrics_compare.json": "0149fe95b05035546bb01348602fb4e32e9a88c2712950b9d943dda68f444607",
-    "optimizer_report.json": "3c8964f75a47093d20503f25954260da086e004286925ba222a36af728a91fa5",
-    "predictions_final.json": "91637321367b229f1294958956069f3da0dde0d6ba23badea2942dfc54a05d8d",
-    "report.txt": "44fd772ee3efe6e548a537f4bf3b93c8c76a4719ab889f763572899ef43e7c10",
+    "optimizer_report.json": "6f5e105371486f989290cd603e8f87d7be0743acd79ad9918676ce022e2371c9",
 }
 NLQ_STUB = {
     "annotations.json": "63fa50c188528eb3bcd0ab0d7accd655c062ee4078dfeb9f412c1abcaa15d23b",
