@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import threading
 from fractions import Fraction
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import product
 from typing import Sequence
 
@@ -17,13 +21,16 @@ from memrerank.core import (
 )
 from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
+from memrerank.narration import BackendRequest
 from memrerank.sequencing import DEFAULT_LAMBDA_PENALTY
 from memrerank.synth import (
+    EventScript,
     OracleSelectorBackend,
     Scenario,
     ScenarioKnobs,
     ScriptedEvent,
     query_text,
+    stub_backend,
 )
 
 
@@ -208,3 +215,89 @@ def ground_truth_by_query(scenario: Scenario) -> dict[str, TimeInterval]:
 def selector(backend_class, scenario: Scenario):
     """A ground-truth selector class narrating from a scenario's event script."""
     return backend_class(lambda: scenario.event_script)
+
+
+def reply(text: str) -> tuple[int, bytes]:
+    """A scripted ``/generate`` answer: status 200 with ``{"text": text}``."""
+    return 200, json.dumps({"text": text}).encode("utf-8")
+
+
+def status(code: int) -> tuple[int, bytes]:
+    """A scripted ``/generate`` answer with status ``code`` (a 429 or a 5xx)."""
+    return code, b'{"error": "scripted"}'
+
+
+MALFORMED = (200, b"not json")
+
+_CONTEXT_LINES = re.compile(r"^Video: (.*)\nClip: (\S+) to (\S+) seconds$", re.MULTILINE)
+
+
+class LoopbackEndpoint:
+    """A stdlib HTTP server on 127.0.0.1 answering the remote backend's
+    ``/generate`` protocol in place of a remote model, for tests that send
+    real requests through ``requests``.
+
+    A narration (a request with images) is answered as the stub answers
+    it, from the instruction's ``Video:`` and ``Clip:`` lines and
+    ``event_script``; every selection with ``select_reply``. An answer
+    queued in ``script[kind]`` ("narrate" or "select") goes to the next
+    request of that kind instead (:func:`reply`, :func:`status`,
+    :data:`MALFORMED`). ``payloads`` holds each request's JSON body in
+    arrival order. Use it as a context manager, which shuts it down and
+    joins its threads on exit."""
+
+    def __init__(self, event_script: EventScript | None = None, select_reply: str = "1"):
+        self.event_script = event_script or {}
+        self.select_reply = select_reply
+        self.script: dict[str, list[tuple[int, bytes]]] = {"narrate": [], "select": []}
+        self.payloads: list[dict] = []
+        self._lock = threading.Lock()
+        self._stub = stub_backend(lambda: self.event_script)
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            # Without it, Nagle's algorithm and delayed ACKs hold each
+            # reply's body back for tens of milliseconds.
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                code, answer = endpoint._answer(json.loads(body))
+                self.send_response(code)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(answer)))
+                self.end_headers()
+                self.wfile.write(answer)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = False  # so closing joins every request thread
+        # A short poll interval lets ``shutdown`` return at once.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,))
+        self._thread.start()
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self._server.server_port}"
+
+    def _answer(self, payload: dict) -> tuple[int, bytes]:
+        kind = "narrate" if payload["images"] else "select"
+        with self._lock:
+            self.payloads.append(payload)
+            if self.script[kind]:
+                return self.script[kind].pop(0)
+        if kind == "select":
+            return reply(self.select_reply)
+        video_id, start, end = _CONTEXT_LINES.search(payload["instruction"]).groups()
+        clip = TimeInterval(float(start), float(end))
+        return reply(self._stub.narrate(BackendRequest(video_id, clip, 1.0, clip.duration_s)))
+
+    def __enter__(self) -> "LoopbackEndpoint":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join()

@@ -1035,6 +1035,32 @@ class TestStageTable:
         for stage in cli.STAGES:
             assert parser.parse_args([stage.name]).func is stage.command
 
+    def test_each_stage_touches_only_its_declared_files(self, tmp_path, monkeypatch):
+        # Every stage file passes through RunConfig.input or .output.
+        touched = []
+        for method in ("input", "output"):
+
+            def recorder(cfg, name, original=getattr(RunConfig, method), method=method):
+                touched.append((method, name))
+                return original(cfg, name)
+
+            monkeypatch.setattr(RunConfig, method, recorder)
+        caches = {cli.CACHE_FILE, cli.SELECTIONS_FILE, cli.NARRATE_STATS_FILE}
+        stages = {stage.name: stage for stage in cli.STAGES}
+        out = tmp_path / "run"
+        for argv in (
+            ["simulate"], ["plan"], ["narrate", "--backend", "stub"],
+            ["rerank", "--backend", "stub"], ["optimize"], ["eval"], ["report"],
+            ["rerank", "--backend", "oracle"], ["optimize", "--rank-source", "pre_rerank"],
+        ):
+            touched.clear()
+            assert run([argv[0], "--out", out, *argv[1:]]) == 0, argv
+            stage = stages[argv[0]]
+            reads = {name for method, name in touched if method == "input"} - caches
+            writes = {name for method, name in touched if method == "output"} - caches
+            assert reads <= set(stage.reads), (argv, reads - set(stage.reads))
+            assert writes == set(stage.writes), argv
+
     def test_readme_stage_artifacts_match_the_table(self):
         assert readme_stage_rows() == {
             stage.name: (stage.reads, stage.writes) for stage in cli.STAGES

@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+import threading
 
 import pytest
 
@@ -10,14 +11,23 @@ from memrerank.errors import (
     ConfigError,
     EmptyNarrationError,
 )
+from memrerank import cli, ingest, narration, synth
 from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
-from memrerank.remote import FrameProvider, RemoteBackend, frame_filename
+from memrerank.remote import ENV_API_BASE, ENV_API_KEY, FrameProvider, RemoteBackend, frame_filename
 from memrerank.rerank import _selection_prompt, build_rerank_prompt, rerank_many
 from memrerank.synth import stub_backend
 
-from helpers import candidates_by_query, interval, plan_list, tiny_scenario
+from helpers import (
+    MALFORMED,
+    LoopbackEndpoint,
+    candidates_by_query,
+    interval,
+    plan_list,
+    status,
+    tiny_scenario,
+)
 
 
 def assert_permanent(error):
@@ -269,3 +279,89 @@ class TestRemoteBackend:
         with pytest.raises(ConfigError, match="^MEMRERANK_API_BASE must be an http or https URL"):
             RemoteBackend(base, "k", session=session)
         assert session.requests == []
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A loopback endpoint that picks candidate 2, named by the remote
+    backend's environment variables; no proxy setting reroutes it."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    threads = set(threading.enumerate())
+    with LoopbackEndpoint(select_reply="2") as endpoint:
+        monkeypatch.setenv(ENV_API_BASE, endpoint.base_url)
+        monkeypatch.setenv(ENV_API_KEY, "loopback-key")
+        yield endpoint
+    assert set(threading.enumerate()) == threads  # the server's threads are joined
+
+
+def run(*args):
+    return cli.main([str(arg) for arg in args])
+
+
+def planned(out):
+    assert run("simulate", "--out", out, "--seed", 3, "--videos", 2, "--queries-per-video", 3) == 0
+    assert run("plan", "--out", out) == 0
+
+
+def memory_records(out, drop=()):
+    lines = (out / cli.MEMORIES_FILE).read_text().splitlines()
+    return [{k: v for k, v in json.loads(line).items() if k not in drop} for line in lines]
+
+
+class TestLoopbackPipeline:
+    """``narrate`` and ``rerank --backend remote`` through real HTTP."""
+
+    @pytest.fixture
+    def narrated(self, tmp_path, loopback, monkeypatch):
+        monkeypatch.setattr(narration, "RETRY_BACKOFF_S", (0.01, 0.02, 0.04))  # keeps it quick
+        out = tmp_path / "remote"
+        planned(out)
+        dataset = ingest.load_annotations(out / cli.ANNOTATIONS_FILE)
+        loopback.event_script = synth.load_scenario(out / cli.SCENARIO_FILE, dataset)
+        loopback.script["narrate"].append(status(429))
+        assert run("narrate", "--out", out, "--backend", "remote") == 0
+        return out
+
+    def test_remote_run_matches_the_stub_run(self, tmp_path, loopback, narrated):
+        stub = tmp_path / "stub"
+        planned(stub)
+        assert run("narrate", "--out", stub, "--backend", "stub") == 0
+        assert memory_records(narrated, drop={"backend_id"}) == memory_records(
+            stub, drop={"backend_id"}
+        )
+        stats = json.loads((narrated / "cache" / cli.NARRATE_STATS_FILE).read_text())
+        assert stats["retries"] == 1
+        assert stats["backend_calls"] == stats["cache_misses"] + 1
+
+        del loopback.payloads[:]
+        assert run("rerank", "--out", narrated, "--backend", "remote") == 0
+        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        assert all(r["num_candidates"] > 1 for r in log)
+        assert [(r["selected_rank"], r["fallback_used"]) for r in log] == [(2, False)] * len(log)
+        dataset = ingest.load_annotations(narrated / cli.ANNOTATIONS_FILE)
+        memories = narration.read_memories(narrated / cli.MEMORIES_FILE)
+        rendered = [
+            build_rerank_prompt(
+                query,
+                sorted(
+                    (m for m in memories if m.candidate_key.query_id == query.query_id),
+                    key=lambda m: m.candidate_key.rank,
+                ),
+            )
+            for query in dataset.iter_queries()
+        ]
+        assert sorted(p["instruction"] for p in loopback.payloads) == sorted(rendered)
+
+    def test_failed_selections_fall_back_and_are_asked_again(self, loopback, narrated):
+        loopback.script["select"] += [status(503), MALFORMED]
+        assert run("rerank", "--out", narrated, "--backend", "remote") == 0
+        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        assert sorted((r["fallback_used"], r["raw_answer"]) for r in log) == [
+            (False, "2")
+        ] * (len(log) - 2) + [(True, "")] * 2
+        del loopback.payloads[:]
+        assert run("rerank", "--out", narrated, "--backend", "remote") == 0
+        assert len(loopback.payloads) == 2
+        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        assert {r["selected_rank"] for r in log} == {2}
