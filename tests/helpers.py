@@ -21,7 +21,6 @@ from memrerank.core import (
 )
 from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
-from memrerank.narration import BackendRequest
 from memrerank.sequencing import DEFAULT_LAMBDA_PENALTY
 from memrerank.synth import (
     EventScript,
@@ -30,7 +29,6 @@ from memrerank.synth import (
     ScenarioKnobs,
     ScriptedEvent,
     query_text,
-    stub_backend,
 )
 
 
@@ -238,8 +236,9 @@ class LoopbackEndpoint:
     real requests through ``requests``.
 
     A narration (a request with images) is answered as the stub answers
-    it, from the instruction's ``Video:`` and ``Clip:`` lines and
-    ``event_script``; every selection with ``select_reply``. An answer
+    it: the labels of the ``event_script`` events that overlap the clip
+    its instruction's ``Video:`` and ``Clip:`` lines name. Every selection
+    is answered with ``select_reply``. An answer
     queued in ``script[kind]`` ("narrate" or "select") goes to the next
     request of that kind instead (:func:`reply`, :func:`status`,
     :data:`MALFORMED`). ``payloads`` holds each request's JSON body in
@@ -252,7 +251,6 @@ class LoopbackEndpoint:
         self.script: dict[str, list[tuple[int, bytes]]] = {"narrate": [], "select": []}
         self.payloads: list[dict] = []
         self._lock = threading.Lock()
-        self._stub = stub_backend(lambda: self.event_script)
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -292,12 +290,14 @@ class LoopbackEndpoint:
             return reply(self.select_reply)
         video_id, start, end = _CONTEXT_LINES.search(payload["instruction"]).groups()
         clip = TimeInterval(float(start), float(end))
-        return reply(self._stub.narrate(BackendRequest(video_id, clip, 1.0, clip.duration_s)))
+        events = self.event_script.get(video_id, ())
+        overlapping = [event.label for event in events if event.interval.overlaps(clip)]
+        return reply("events: " + ("; ".join(overlapping) if overlapping else "none"))
 
     def __enter__(self) -> "LoopbackEndpoint":
         return self
 
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
-        self._server.server_close()
-        self._thread.join()
+        self._server.server_close()  # joins the request threads
+        self._thread.join(timeout=5)

@@ -15,7 +15,13 @@ from memrerank import cli, ingest, narration, synth
 from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
-from memrerank.remote import ENV_API_BASE, ENV_API_KEY, FrameProvider, RemoteBackend, frame_filename
+from memrerank.remote import (
+    ENV_API_BASE,
+    ENV_API_KEY,
+    FrameProvider,
+    RemoteBackend,
+    frame_filename,
+)
 from memrerank.rerank import _selection_prompt, build_rerank_prompt, rerank_many
 from memrerank.synth import stub_backend
 
@@ -285,8 +291,9 @@ class TestRemoteBackend:
 def loopback(monkeypatch):
     """A loopback endpoint that picks candidate 2, named by the remote
     backend's environment variables; no proxy setting reroutes it."""
-    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
         monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
     threads = set(threading.enumerate())
     with LoopbackEndpoint(select_reply="2") as endpoint:
         monkeypatch.setenv(ENV_API_BASE, endpoint.base_url)
@@ -302,6 +309,10 @@ def run(*args):
 def planned(out):
     assert run("simulate", "--out", out, "--seed", 3, "--videos", 2, "--queries-per-video", 3) == 0
     assert run("plan", "--out", out) == 0
+
+
+def rerank_log(out):
+    return [json.loads(line) for line in (out / cli.RERANK_LOG_FILE).read_text().splitlines()]
 
 
 def memory_records(out, drop=()):
@@ -336,7 +347,7 @@ class TestLoopbackPipeline:
 
         del loopback.payloads[:]
         assert run("rerank", "--out", narrated, "--backend", "remote") == 0
-        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        log = rerank_log(narrated)
         assert all(r["num_candidates"] > 1 for r in log)
         assert [(r["selected_rank"], r["fallback_used"]) for r in log] == [(2, False)] * len(log)
         dataset = ingest.load_annotations(narrated / cli.ANNOTATIONS_FILE)
@@ -356,12 +367,12 @@ class TestLoopbackPipeline:
     def test_failed_selections_fall_back_and_are_asked_again(self, loopback, narrated):
         loopback.script["select"] += [status(503), MALFORMED]
         assert run("rerank", "--out", narrated, "--backend", "remote") == 0
-        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        log = rerank_log(narrated)
         assert sorted((r["fallback_used"], r["raw_answer"]) for r in log) == [
             (False, "2")
         ] * (len(log) - 2) + [(True, "")] * 2
         del loopback.payloads[:]
         assert run("rerank", "--out", narrated, "--backend", "remote") == 0
         assert len(loopback.payloads) == 2
-        log = [json.loads(line) for line in (narrated / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        log = rerank_log(narrated)
         assert {r["selected_rank"] for r in log} == {2}

@@ -195,11 +195,15 @@ class TestScenarioOnFirstRequest:
         assert loads == []
 
 
-def _selection_prompt(scenario, query_id, query=None, clist=None):
+def _query(scenario, query_id):
+    return next(q for q in scenario.dataset.iter_queries() if q.query_id == query_id)
+
+
+def _selection_prompt(scenario, query_id, query=None):
     """The engine's selection prompt for ``query_id``, built through the
-    narration and rerank paths; ``query`` or ``clist`` replace its own."""
-    clist = clist or candidates_by_query(scenario)[query_id]
-    query = query or next(q for q in scenario.dataset.iter_queries() if q.query_id == query_id)
+    narration and rerank paths; ``query`` replaces its own."""
+    clist = candidates_by_query(scenario)[query_id]
+    query = query or _query(scenario, query_id)
     engine = NarrationEngine(stub_backend(lambda: scenario.event_script))
     memories = engine.narrate_plans(plan_list(clist))
     return query, clist, rerank._selection_prompt(query, clist, memories, include_scores=False)
@@ -218,8 +222,7 @@ class TestSelectors:
         # Every candidate of q0 misses a ground truth moved far away.
         scenario = tiny_scenario()
         own = ground_truth_by_query(scenario)["v0-q000"]
-        query = next(q for q in scenario.dataset.iter_queries() if q.query_id == "v0-q000")
-        moved = dataclasses.replace(query, ground_truth=interval(500.0, 510.0))
+        moved = dataclasses.replace(_query(scenario, "v0-q000"), ground_truth=interval(500, 510))
         _, clist, prompt = _selection_prompt(scenario, "v0-q000", query=moved)
         assert max(temporal_iou(c.interval, own) for c in clist.candidates) > 0
         assert all(temporal_iou(c.interval, moved.ground_truth) == 0 for c in clist.candidates)
@@ -229,12 +232,12 @@ class TestSelectors:
         # The engine sends no prompt for one candidate; the oracle, sent
         # one anyway, answers its only index.
         scenario = tiny_scenario()
+        query = _query(scenario, "v0-q000")
         single = make_clist("v0", "v0-q000", [(48, 60, 0.8)])
-        query, _, prompt = _selection_prompt(scenario, "v0-q000", clist=single)
-        assert prompt is None
         memories = NarrationEngine(stub_backend(lambda: scenario.event_script)).narrate_plans(
             plan_list(single)
         )
+        assert rerank._selection_prompt(query, single, memories, include_scores=False) is None
         prompt = rerank.SelectionPrompt(
             rerank.build_rerank_prompt(query, memories), query, single, memories
         )
