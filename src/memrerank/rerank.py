@@ -207,18 +207,24 @@ def rerank_many(
     fall back to the original order on any parse or backend failure.
 
     Every prompt is built, and its memories checked, before any backend
-    call. Each distinct prompt reaches the backend at most once: replies in
+    call. Each distinct prompt reaches the backend at most once (each
+    prompt, for a selector that reads past its text): replies in
     ``cache`` are served inline and the misses go to one :func:`dispatch`,
     each reply cached as it arrives. A failed call is not retried."""
-    if cache is None or not backend.selects_from_prompt:
+    # A selector that reads past the text (the oracle) may answer two equal
+    # texts apart, so each of its prompts is a call of its own, kept in this
+    # call's cache only.
+    per_item = not backend.selects_from_prompt
+    if cache is None or per_item:
         cache = SelectionCache()  # this call's replies only
     prompts = [_selection_prompt(*item, include_scores) for item in items]
     keys = [
         None if prompt is None else SelectionCacheKey(
-            hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest(),
+            hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
+            + (f"#{index}" if per_item else ""),
             backend.backend_id,
         )
-        for prompt in prompts
+        for index, prompt in enumerate(prompts)
     ]
     prompt_of = {key: prompt for key, prompt in zip(keys, prompts) if key is not None}
     hits = {key: cache.get(key) for key in prompt_of}  # None: a miss

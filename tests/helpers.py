@@ -21,6 +21,7 @@ from memrerank.core import (
 )
 from memrerank.errors import ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord
+from memrerank.narration import BackendRequest
 from memrerank.sequencing import DEFAULT_LAMBDA_PENALTY
 from memrerank.synth import (
     EventScript,
@@ -29,6 +30,7 @@ from memrerank.synth import (
     ScenarioKnobs,
     ScriptedEvent,
     query_text,
+    stub_backend,
 )
 
 
@@ -235,11 +237,10 @@ class LoopbackEndpoint:
     ``/generate`` protocol in place of a remote model, for tests that send
     real requests through ``requests``.
 
-    A narration (a request with images) is answered as the stub answers
-    it: the labels of the ``event_script`` events that overlap the clip
-    its instruction's ``Video:`` and ``Clip:`` lines name. Every selection
-    is answered with ``select_reply``. An answer
-    queued in ``script[kind]`` ("narrate" or "select") goes to the next
+    A narration (a request with images) is answered by a stub over
+    ``event_script``, for the clip its instruction's ``Video:`` and
+    ``Clip:`` lines name. Every selection is answered with
+    ``select_reply``. An answer queued in ``script[kind]`` ("narrate" or "select") goes to the next
     request of that kind instead (:func:`reply`, :func:`status`,
     :data:`MALFORMED`). ``payloads`` holds each request's JSON body in
     arrival order. Use it as a context manager, which shuts it down and
@@ -290,9 +291,9 @@ class LoopbackEndpoint:
             return reply(self.select_reply)
         video_id, start, end = _CONTEXT_LINES.search(payload["instruction"]).groups()
         clip = TimeInterval(float(start), float(end))
-        events = self.event_script.get(video_id, ())
-        overlapping = [event.label for event in events if event.interval.overlaps(clip)]
-        return reply("events: " + ("; ".join(overlapping) if overlapping else "none"))
+        # The stub narrates from the video and clip alone.
+        request = BackendRequest(video_id, clip, 1.0, clip.end_s - clip.start_s)
+        return reply(stub_backend(lambda: self.event_script).narrate(request))
 
     def __enter__(self) -> "LoopbackEndpoint":
         return self

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -299,6 +300,21 @@ class TestSelectionCache:
         outcomes = rerank_many([item, item], backend, c_max=2, cache=SelectionCache())
         assert backend.select_calls == 1
         assert outcomes[0] == outcomes[1]
+
+    def test_the_oracle_answers_equal_texts_by_each_query_s_ground_truth(self):
+        scenario = tiny_scenario()
+        query, clist_, memories = self.items(scenario)[1]
+        # Same text and candidates, but the ground truth is rank 1's span.
+        twin = dataclasses.replace(
+            query, query_id="v0-q009", ground_truth=clist_.candidates[0].interval
+        )
+        twin_list = dataclasses.replace(clist_, query_id=twin.query_id)
+        assert build_rerank_prompt(twin, memories) == build_rerank_prompt(query, memories)
+        backend = selector(OracleSelectorBackend, scenario)
+        items = [(query, clist_, memories), (twin, twin_list, memories)]
+        outcomes = rerank_many(items, backend, c_max=2, cache=SelectionCache())
+        assert [o.selected_rank for o in outcomes] == [3, 1]
+        assert backend.select_calls == 2
 
     def test_the_oracle_is_never_served_or_stored(self):
         scenario = tiny_scenario()
