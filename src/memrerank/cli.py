@@ -26,7 +26,6 @@ from .rerank import RerankOutcome, SelectionCache, promote, read_abstentions, re
 from .errors import (
     BackendError,
     ConfigError,
-    InvalidKnobsError,
     MemrerankError,
     MissingInputError,
     ValidationError,
@@ -324,7 +323,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
     try:
         knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
-    except InvalidKnobsError as exc:  # a bad flag, not a malformed file
+    except ValidationError as exc:  # a bad flag, not a malformed file
         raise ConfigError(str(exc)) from exc
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
     synth.write_scenario(scenario, cfg.output(SCENARIO_FILE))

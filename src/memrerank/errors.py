@@ -6,11 +6,9 @@ The CLI maps each base class onto an exit code: ``ConfigError`` (2),
 
 - ``ParseError`` and ``SchemaViolation`` are the exit-4 errors that carry
   a location (``path``, ``line``, ``column``) or a ``field``;
-- ``InvalidKnobsError`` is a bad ``simulate`` flag (exit 2) when it comes
-  from the command line, and a malformed file (exit 4) otherwise;
-- ``BackendUnavailableError`` and ``EmptyNarrationError`` are the
-  transient failures the dispatcher retries; any other ``BackendError``
-  is permanent.
+- ``BackendUnavailableError`` is the transient failure the dispatcher
+  retries, an empty narration included; any other ``BackendError`` is
+  permanent.
 """
 
 from __future__ import annotations
@@ -59,17 +57,9 @@ class SchemaViolation(ValidationError):
         super().__init__(f"schema violation in {self.reason}")
 
 
-class InvalidKnobsError(ValidationError):
-    """Scenario generation knobs are outside their stated ranges."""
-
-
 class BackendError(MemrerankError):
     """A multimodal-backend failure; permanent unless a subclass below."""
 
 
 class BackendUnavailableError(BackendError):
     """Transient backend failure that persisted through all retries."""
-
-
-class EmptyNarrationError(BackendError):
-    """The backend kept returning empty text for a narration request."""

@@ -11,11 +11,11 @@ backend calls. One narrate run schedules every distinct clip of every plan
 at once: each cache key reaches the backend at most once, and at most
 ``c_max`` requests are in flight across the whole run; a clip waiting out
 a retry backoff holds none of them (:func:`dispatch`, which the rerank
-stage's selections go through too). Memories files are
-JSON Lines written and read through :mod:`memrerank.ingest`. The cache is
-a :class:`ReplyCache`, the append-only log the rerank stage keeps its
-selection replies in too; torn or corrupt records are skipped and then
-removed from it.
+stage's selections go through too). A blank narration is retried as an
+unavailable backend is. Memories files are JSON Lines written and read
+through :mod:`memrerank.ingest`. The cache is a :class:`ReplyCache`, the
+append-only log the rerank stage keeps its selection replies in too; torn
+or corrupt records are skipped and then removed from it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import clips
 from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
-from .errors import (
-    BackendUnavailableError,
-    EmptyNarrationError,
-    SchemaViolation,
-    ValidationError,
-)
+from .errors import BackendUnavailableError, SchemaViolation, ValidationError
 from .ingest import atomic_writer, encode_record, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -271,12 +266,13 @@ def dispatch(
 ) -> list:
     """Run ``call`` on each of ``items`` on at most ``min(c_max,
     len(items))`` threads; return the results in order. A transient failure
-    (``BackendUnavailableError``, ``EmptyNarrationError``) is queued again,
-    due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and reported to
-    ``on_retry``, while its worker takes the next ready call (a due retry
-    first). Any other error (an interrupt raised in a call too), or a last
-    failure, stops the hand-out and is re-raised here once the calls in
-    flight finish; an interrupt of the calling thread wakes every waiter."""
+    (``BackendUnavailableError``, which a blank narration raises too) is
+    queued again, due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and
+    reported to ``on_retry``, while its worker takes the next ready call (a
+    due retry first). Any other error (an interrupt raised in a call too),
+    or a last transient failure, wrapped as ``failed after N attempts``,
+    stops the hand-out and is re-raised here once the calls in flight
+    finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
         raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
     results, errors, delayed = [None] * len(items), [], []  # (due, index, failures)
@@ -304,14 +300,14 @@ def dispatch(
             try:
                 results[index] = call(items[index])
             except BaseException as exc:  # re-raised on the calling thread
-                transient = isinstance(exc, (BackendUnavailableError, EmptyNarrationError))
+                transient = isinstance(exc, BackendUnavailableError)
                 if transient and failures < len(RETRY_BACKOFF_S):
                     with ready:
                         due = clock.now() + RETRY_BACKOFF_S[failures]
                         heapq.heappush(delayed, (due, index, failures + 1))
                     on_retry()
                     continue
-                if isinstance(exc, BackendUnavailableError):
+                if transient:
                     exc = BackendUnavailableError(f"failed after {failures + 1} attempts: {exc}")
                 return stop(exc)
 
@@ -404,7 +400,7 @@ class NarrationEngine:
             request = BackendRequest(key.video_id, clip, key.fps, key.clip_len_s, self.prompt)
             text = self.backend.narrate(request)
             if not text.strip():
-                raise EmptyNarrationError(f"backend '{backend_id}' returned empty text")
+                raise BackendUnavailableError(f"backend '{backend_id}' returned empty text")
             self.cache.put(key, text.strip())
 
         self._count(clips_requested=sum(map(len, plan_keys)), clips_unique=len(unique))

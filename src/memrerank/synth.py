@@ -35,7 +35,7 @@ from .core import (
     canonical_order,
     checked,
 )
-from .errors import InvalidKnobsError, SchemaViolation, ValidationError
+from .errors import SchemaViolation, ValidationError
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
@@ -59,21 +59,21 @@ class ScenarioKnobs:
 
     def __post_init__(self):
         if self.num_videos < 1:
-            raise InvalidKnobsError(f"num_videos must be >= 1, got {self.num_videos}")
+            raise ValidationError(f"num_videos must be >= 1, got {self.num_videos}")
         if self.queries_per_video < 1:
-            raise InvalidKnobsError(
+            raise ValidationError(
                 f"queries_per_video must be >= 1, got {self.queries_per_video}"
             )
         if self.candidates_per_query < 1:
-            raise InvalidKnobsError(
+            raise ValidationError(
                 f"candidates_per_query must be >= 1, got {self.candidates_per_query}"
             )
         if not 0.0 <= self.recall_rho <= 1.0:
-            raise InvalidKnobsError(f"recall_rho must lie in [0, 1], got {self.recall_rho}")
+            raise ValidationError(f"recall_rho must lie in [0, 1], got {self.recall_rho}")
         if self.jitter_s < 0 or not math.isfinite(self.jitter_s):
-            raise InvalidKnobsError(f"jitter_s must be >= 0, got {self.jitter_s}")
+            raise ValidationError(f"jitter_s must be >= 0, got {self.jitter_s}")
         if not 0.0 <= self.latent_positive_rate <= 1.0:
-            raise InvalidKnobsError(
+            raise ValidationError(
                 f"latent_positive_rate must lie in [0, 1], got {self.latent_positive_rate}"
             )
 

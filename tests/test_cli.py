@@ -480,6 +480,12 @@ class TestPipeline:
             "schema violation in field 'scenario file': {out}/scenario.json: "
             "malformed scenario file: unknown knobs ['speed']",
         ),
+        (
+            "narrate",
+            planned_with_knob(recall_rho=1.5),
+            "schema violation in field 'scenario file': {out}/scenario.json: "
+            "malformed scenario file: recall_rho must lie in [0, 1], got 1.5",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -491,7 +497,7 @@ class TestPipeline:
             "predictions-for-unknown-query", "empty-query-id", "duplicate-video-id",
             "negative-order-index", "bool-order-index", "fractional-order-index",
             "duplicate-prediction", "three-element-interval", "mean-r1-over-100",
-            "unknown-scenario-knob",
+            "unknown-scenario-knob", "out-of-range-scenario-knob",
         ],
     )
     def test_malformed_input_exit_code_and_message(
@@ -693,6 +699,29 @@ class TestPipeline:
             "clips_unique": first["clips_unique"],
             "retries": 3,
         }
+
+    def test_blank_narrations_are_retried_then_exit_5(self, tmp_path, monkeypatch, caplog):
+        class Blank(Backend):
+            backend_id = "blank"
+
+            def _narrate(self, request):
+                return " "
+
+            def _select(self, prompt):
+                return " "
+
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        monkeypatch.setattr(narration, "RETRY_BACKOFF_S", (0.0, 0.0, 0.0))
+        monkeypatch.setattr(synth, "stub_backend", lambda load_script: Blank())
+        with caplog.at_level("ERROR"):
+            code = run(["narrate", "--out", out, "--backend", "stub", "--c-max", 1])
+        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
+        assert (code, stats["backend_calls"], stats["retries"]) == (5, 4, 3)
+        assert re.fullmatch(
+            r"failed after 4 attempts: backend 'blank\S*' returned empty text", caplog.messages[-1]
+        )
 
     def test_stage_reruns_are_byte_identical(self, tmp_path):
         out = tmp_path / "run"

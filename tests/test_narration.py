@@ -9,11 +9,7 @@ import pytest
 import memrerank.narration as narration
 from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, EpisodicMemory, MemoryEntry
-from memrerank.errors import (
-    BackendUnavailableError,
-    EmptyNarrationError,
-    ValidationError,
-)
+from memrerank.errors import BackendUnavailableError, ValidationError
 from memrerank.narration import (
     Backend,
     BackendRequest,
@@ -177,7 +173,9 @@ class TestNarrateClip:
         clock = FakeClock()
         backend = FixedBackend(empties=99)
         engine = NarrationEngine(backend, clock=clock)
-        with pytest.raises(EmptyNarrationError):
+        with pytest.raises(
+            BackendUnavailableError, match="failed after 4 attempts: .*returned empty text"
+        ):
             engine.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert clock.waits == [1.0, 2.0, 4.0]
 

@@ -5,12 +5,7 @@ import threading
 
 import pytest
 
-from memrerank.errors import (
-    BackendError,
-    BackendUnavailableError,
-    ConfigError,
-    EmptyNarrationError,
-)
+from memrerank.errors import BackendError, BackendUnavailableError, ConfigError
 from memrerank import cli, ingest, narration, synth
 from memrerank.clips import plan_candidate
 from memrerank.core import CandidateKey, TimeInterval
@@ -37,8 +32,8 @@ from helpers import (
 
 
 def assert_permanent(error):
-    """A permanent failure is none of the types the dispatcher retries."""
-    assert not isinstance(error, (BackendUnavailableError, EmptyNarrationError))
+    """A permanent failure is not the type the dispatcher retries."""
+    assert not isinstance(error, BackendUnavailableError)
 
 
 class FakeResponse:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
+import re
 import sys
 import time
 
 import pytest
 
-from memrerank.errors import InvalidKnobsError, SchemaViolation
+from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.ingest import Track
 from memrerank.metrics import temporal_iou
 from memrerank.narration import BackendRequest, NarrationEngine, PromptTemplate
@@ -34,14 +36,18 @@ from helpers import (
 
 class TestKnobs:
     def test_ranges_validated(self):
-        with pytest.raises(InvalidKnobsError):
-            ScenarioKnobs(num_videos=0)
-        with pytest.raises(InvalidKnobsError):
-            ScenarioKnobs(recall_rho=1.5)
-        with pytest.raises(InvalidKnobsError):
-            ScenarioKnobs(jitter_s=-1.0)
-        with pytest.raises(InvalidKnobsError):
-            ScenarioKnobs(latent_positive_rate=-0.1)
+        cases = [
+            ({"num_videos": 0}, "num_videos must be >= 1, got 0"),
+            ({"queries_per_video": 0}, "queries_per_video must be >= 1, got 0"),
+            ({"candidates_per_query": 0}, "candidates_per_query must be >= 1, got 0"),
+            ({"recall_rho": 1.5}, "recall_rho must lie in [0, 1], got 1.5"),
+            ({"jitter_s": -1.0}, "jitter_s must be >= 0, got -1.0"),
+            ({"jitter_s": math.inf}, "jitter_s must be >= 0, got inf"),
+            ({"latent_positive_rate": -0.1}, "latent_positive_rate must lie in [0, 1], got -0.1"),
+        ]
+        for knobs, message in cases:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                ScenarioKnobs(**knobs)
 
 
 class TestGenerateScenario:
