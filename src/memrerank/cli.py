@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import logging
 import math
@@ -362,6 +363,9 @@ def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_narrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     plans = clips.read_frame_manifests(cfg.input(MANIFESTS_FILE))
     backend = _build_backend(cfg)
+    if cfg.backend != "remote":  # a scripted narration reads the scenario's event script
+        digest = hashlib.sha256(cfg.input(SCENARIO_FILE).read_bytes()).hexdigest()[:12]
+        backend.backend_id = f"{backend.backend_id}-{digest}"
     with narration.NarrationCache(cfg.output(CACHE_FILE)) as cache:
         engine = narration.NarrationEngine(
             backend, cache, prompt=_prompt_template(cfg.narration_prompt), c_max=cfg.c_max
@@ -516,8 +520,9 @@ class Stage(NamedTuple):
 
 
 # The pipeline in run order: a stage that misses an input file names the
-# stage here that writes it. ``narrate`` reads the scenario and annotations
-# only when a scripted backend narrates a cache miss, ``optimize`` the
+# stage here that writes it. A scripted backend's ``narrate`` hashes the
+# scenario into its backend id, and parses it and the annotations only on
+# a cache miss, ``optimize`` the
 # reranked candidates and the rerank log only under ``--rank-source
 # post_rerank`` and the base candidates only under ``pre_rerank``, and
 # ``eval`` the final predictions when they exist and the rerank

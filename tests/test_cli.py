@@ -1151,6 +1151,22 @@ class TestStaleOutputs:
         ]
         assert not (out / "cache" / cli.CACHE_FILE).exists()
 
+    def test_narrate_after_a_new_simulate_narrates_the_new_script(self, tmp_path):
+        # The same seed with more latent twins relabels scripted events
+        # under unchanged clips, so the cached stub narrations are stale.
+        out, stats = tmp_path / "run", tmp_path / "run" / "cache" / cli.NARRATE_STATS_FILE
+        for latent_rate in (0.1, 0.9):
+            simulate(out, seed=5, videos=20, queries=5, **{"--latent-rate": latent_rate})
+            assert run(["plan", "--out", out]) == 0
+            assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert json.loads(stats.read_text())["cache_hits"] == 0
+        memories = (out / cli.MEMORIES_FILE).read_bytes()
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert json.loads(stats.read_text())["backend_calls"] == 0
+        fresh = ["--cache-dir", tmp_path / "fresh"]
+        assert run(["narrate", "--out", out, "--backend", "stub", *fresh]) == 0
+        assert (out / cli.MEMORIES_FILE).read_bytes() == memories
+
 
 def narrated(out):
     """A simulated run (2 videos x 3 queries) planned and narrated by the stub."""
@@ -1478,16 +1494,22 @@ class TestScenarioLoads:
         assert code == 4
         assert any("re-run simulate" in m for m in caplog.messages)
 
-    def test_warm_narrate_without_the_inputs_it_does_not_need(self, tmp_path):
+    def test_warm_narrate_without_the_inputs_it_does_not_need(self, tmp_path, caplog):
+        # A warm narrate reads no candidates. A rewritten scenario keys the
+        # stub's narrations anew, so they miss the cache and a malformed
+        # scenario fails as it does on a cold run.
         out = tmp_path / "run"
         simulate(out)
         assert run(["plan", "--out", out]) == 0
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
         memories = (out / "memories.jsonl").read_bytes()
-        (out / "scenario.json").write_text("{")
         (out / "candidates.json").write_text("{")
         assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
         assert (out / "memories.jsonl").read_bytes() == memories
+        (out / "scenario.json").write_text("{")
+        with caplog.at_level("ERROR"):
+            assert run(["narrate", "--out", out, "--backend", "stub"]) == 4
+        assert caplog.messages[-1].startswith(f"{out / 'scenario.json'}:1:2: ")
 
     def test_cold_narrate_over_a_malformed_scenario_exits_4(self, tmp_path, caplog):
         out = tmp_path / "run"

@@ -116,7 +116,7 @@ GOALSTEP_STUB = {
     "cache/narrate_stats.json": "bf2a0101891cc2d08a03a7aabd8ec1be9f2cdcf116a8c14f6e631ab8e1bfa3c1",
     "candidates.json": "62c0aef5d8ede743072200bee714ad6d642278bd358f54776d218fa89e558621",
     "manifests.jsonl": "b5c08f9c17ef1215dfe105de13f5386e76bd086b57bd57c6e34264ec9b0ab471",
-    "memories.jsonl": "23c7baecb6fe1ece718df5b6880b432d3c5401a4e5a8b740afdff9b77cb6ce74",
+    "memories.jsonl": "b5e76214a1b1295453a31cf2f2d10adf9f558f1f10a02e4d8b03721650bd57af",
     "metrics_after.json": "aeee19039961c1a521ad2b5711b22cab38f7651bcade6195a18f5cbb9027104a",
     "metrics_before.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
     "metrics_compare.json": "b2a9e36f5a3c9920f830ac5059adcf7305a42bb20e67003d8ea7d9dcf941a289",
@@ -161,7 +161,7 @@ NLQ_STUB = {
     "cache/narrate_stats.json": "bf2a0101891cc2d08a03a7aabd8ec1be9f2cdcf116a8c14f6e631ab8e1bfa3c1",
     "candidates.json": "62c0aef5d8ede743072200bee714ad6d642278bd358f54776d218fa89e558621",
     "manifests.jsonl": "b5c08f9c17ef1215dfe105de13f5386e76bd086b57bd57c6e34264ec9b0ab471",
-    "memories.jsonl": "23c7baecb6fe1ece718df5b6880b432d3c5401a4e5a8b740afdff9b77cb6ce74",
+    "memories.jsonl": "490feac2d3b5942a68851600dec84a61595ae13728b9339d3486ba913de8f5d2",
     "metrics_after.json": "aeee19039961c1a521ad2b5711b22cab38f7651bcade6195a18f5cbb9027104a",
     "metrics_before.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
     "metrics_compare.json": "b2a9e36f5a3c9920f830ac5059adcf7305a42bb20e67003d8ea7d9dcf941a289",
