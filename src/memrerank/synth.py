@@ -252,7 +252,8 @@ class ScriptedStubBackend(Backend):
 
 class OracleSelectorBackend(ScriptedStubBackend):
     """Selects the candidate of the prompt's list with the highest IoU
-    against its query's ground truth (ties go to the lowest index), and
+    against its query's ground truth (ties go to the lowest index), or
+    abstains, with a reply holding no index, when none overlaps it; it
     narrates as the stub does. Its picks read a ground truth that the
     prompt's text does not hold, so they are never cached."""
 
@@ -270,6 +271,8 @@ class OracleSelectorBackend(ScriptedStubBackend):
 
     def _select(self, prompt: SelectionPrompt) -> str:
         ious = self._ious(prompt)
+        if not any(ious):
+            return "no candidate overlaps the ground truth"
         best = max(range(len(ious)), key=lambda i: (ious[i], -i))
         return str(best + 1)
 

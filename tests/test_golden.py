@@ -4,11 +4,12 @@ A change meant to leave the outputs byte-identical keeps these digests;
 a change that alters an output on purpose updates them and says why.
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) prints
 the tables the current code produces, ready to paste over the ones below.
-At 6 videos x 5 queries the stub and oracle picks leave rank 1 twice. The
-stub abstains on eight queries, which leave their videos' chains, and the
-optimizer keeps every stub pick; after the oracle, which never abstains,
-it leaves rank 1 in each of the six videos. So promotion, the left-out
-rule and the sequence prior all shape the pinned bytes.
+At 6 videos x 5 queries the stub and oracle picks leave rank 1 twice.
+Both abstain on the eight queries whose candidates all miss the ground
+truth; those leave their videos' chains, and the optimizer keeps every
+pick. Under ``--rank-source pre_rerank`` no query is left out, and the
+optimizer leaves rank 1 in each of the six videos. So promotion, the
+left-out rule and the sequence prior all shape the pinned bytes.
 """
 
 import hashlib
@@ -128,20 +129,15 @@ GOALSTEP_STUB = {
     "reranked_candidates.json": "e37b66f0c57bd43f51497f4a0a197b74c169e900fff2bf03104d299e0a662cd4",
     "scenario.json": "80b19c2804bb66383874a864391dd75382585c3dd8d106e5961bd42654111ea7",
 }
-# The oracle makes the stub's picks but abstains on none, so every query
-# stays in its chain and the optimizer moves picks the stub run keeps.
+# The oracle makes the stub's picks and abstains on the same eight
+# queries, whose candidates all miss the ground truth, so only the
+# abstentions' raw answers in the rerank log differ from the stub run.
 GOALSTEP_ORACLE = {
     **GOALSTEP_STUB,
-    "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",
-    "metrics_compare.json": "416176c66009c94cf2b7e733f4d7826ae3749c7fd64403a056255c79c6424eeb",
-    "optimizer_report.json": "9e1ef51f158897acf4f9f59a799abbb4b2211a28c700adc2bea4a663727453bc",
-    "predictions_final.json": "2456e4491914556ffca860bd21d04d772cb9d7c13903a1db23b00e6ae4e56249",
-    "report.txt": "e47b8a8b9ec6e80579e52d39d35d49b9416f7ffef7be6bd00785257848c30361",
-    "rerank_log.jsonl": "d6ece22d85d01b0b2c5ffb513113538c2f19d7989555ad25df04eebdce81e577",
+    "rerank_log.jsonl": "08358ee51a1398043a32d6d7e4bca36438a598f3284746ae6268455d307d4346",
 }
 # pre_rerank reads no rerank log, so every query stays in its chain, and the
-# chosen segments are the oracle run's. Ranked by score, the base lists put
-# those picks lower, so the report's ranks and costs move.
+# optimizer leaves the base lists' rank 1 in each of the six videos.
 GOALSTEP_PRE_RERANK = {
     **GOALSTEP_STUB,
     "metrics_after.json": "18c545d7c99d83435d936d03c4b64be5b189f77a75761e8aeec817402deb76ae",

@@ -224,15 +224,17 @@ class TestSelectors:
         reply = selector(OracleSelectorBackend, scenario).select(prompt)
         assert reply == str(expected) == "3"
 
-    def test_oracle_all_zero_ious_picks_first(self):
-        # Every candidate of q0 misses a ground truth moved far away.
+    def test_oracle_all_zero_ious_abstains(self):
+        # Every candidate of q0 misses a ground truth moved far away, so the
+        # oracle's reply holds no index: the selection falls back, abstained.
         scenario = tiny_scenario()
         own = ground_truth_by_query(scenario)["v0-q000"]
         moved = dataclasses.replace(_query(scenario, "v0-q000"), ground_truth=interval(500, 510))
         _, clist, prompt = _selection_prompt(scenario, "v0-q000", query=moved)
         assert max(temporal_iou(c.interval, own) for c in clist.candidates) > 0
         assert all(temporal_iou(c.interval, moved.ground_truth) == 0 for c in clist.candidates)
-        assert selector(OracleSelectorBackend, scenario).select(prompt) == "1"
+        reply = selector(OracleSelectorBackend, scenario).select(prompt)
+        assert reply.strip() and rerank.parse_selection(reply, len(clist.candidates)) is None
 
     def test_single_candidate_answer_is_one(self):
         # The engine sends no prompt for one candidate; the oracle, sent
