@@ -479,8 +479,8 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, lists = _load_inputs(cfg)
     before_predictions = {clist.query_id: clist.intervals() for clist in lists}
-    final_path = cfg.output_dir / PREDICTIONS_FINAL_FILE
-    after_path = final_path if final_path.exists() else cfg.input(PREDICTIONS_RERANK_FILE)
+    final = cfg._path(PREDICTIONS_FINAL_FILE).exists()
+    after_path = cfg.input(PREDICTIONS_FINAL_FILE if final else PREDICTIONS_RERANK_FILE)
     after_predictions = ingest.load_predictions(after_path, dataset)
     before = metrics.evaluate_run(before_predictions, dataset, "base candidates")
     after = metrics.evaluate_run(after_predictions, dataset, after_path.name)

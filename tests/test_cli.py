@@ -1089,6 +1089,8 @@ class TestStageTable:
             writes = {name for method, name in touched if method == "output"} - caches
             assert reads <= set(stage.reads), (argv, reads - set(stage.reads))
             assert writes == set(stage.writes), argv
+            if argv == ["eval"]:  # after optimize: the final predictions are its input
+                assert cli.PREDICTIONS_FINAL_FILE in reads
 
     def test_readme_stage_artifacts_match_the_table(self):
         assert readme_stage_rows() == {
