@@ -15,6 +15,7 @@ import requests
 import memrerank
 import memrerank.cli as cli
 import memrerank.clips as clips
+import memrerank.errors as errors
 import memrerank.ingest as ingest
 import memrerank.metrics as metrics
 import memrerank.narration as narration
@@ -1016,13 +1017,18 @@ def missing_input_cases():
 READ_FLAGS = {("optimize", cli.CANDIDATES_FILE): ["--rank-source", "pre_rerank"]}
 
 
+def readme_section(heading):
+    """The text of README.md under ``heading`` (a line with its ``#``s), up
+    to the next heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+
+
 def readme_stage_rows():
     """Stage name -> (reads, writes) of README.md § Stage artifacts, each
     the backticked file names of its cell."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Stage artifacts", 1)[1].split("\n#", 1)[0]
     rows = {}
-    for line in section.splitlines():
+    for line in readme_section("### Stage artifacts").splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) == 3 and cells[0] not in ("stage", "") and not cells[0].startswith("-"):
             rows[cells[0]] = tuple(tuple(re.findall(r"`([^`]+)`", cell)) for cell in cells[1:])
@@ -1096,6 +1102,23 @@ class TestStageTable:
         assert readme_stage_rows() == {
             stage.name: (stage.reads, stage.writes) for stage in cli.STAGES
         }
+
+
+class TestExitCodes:
+    NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+
+    def test_readme_names_every_error_class(self):
+        section = readme_section("## Exit codes")
+        classes = [
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and value.__module__ == errors.__name__
+        ]
+        assert [name for name in classes if f"`{name}`" not in section] == []
+        stated = re.search(r"`memrerank\.errors` holds (\w+) classes", section).group(1)
+        assert self.NUMBERS.index(stated) == len(classes)
+        rows = {line.split("|")[1].strip(): line for line in section.splitlines() if "|" in line}
+        for cls, code in cli.EXIT_CODES.items():
+            assert f"`{cls.__name__}`" in rows[f"`{code}`"], code
 
 
 # The stages whose outputs a stage's run makes stale: those that read what
