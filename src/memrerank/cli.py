@@ -520,13 +520,12 @@ class Stage(NamedTuple):
 
 
 # The pipeline in run order: a stage that misses an input file names the
-# stage here that writes it. A scripted backend's ``narrate`` hashes the
-# scenario into its backend id, and parses it and the annotations only on
-# a cache miss, ``optimize`` the
-# reranked candidates and the rerank log only under ``--rank-source
-# post_rerank`` and the base candidates only under ``pre_rerank``, and
-# ``eval`` the final predictions when they exist and the rerank
-# predictions otherwise.
+# stage here that writes it. ``narrate`` parses the scenario and
+# annotations only when a scripted backend narrates a cache miss (it hashes
+# the scenario's bytes on every run), ``optimize`` reads the reranked
+# candidates and the rerank log only under ``--rank-source post_rerank``
+# and the base candidates only under ``pre_rerank``, and ``eval`` the
+# final predictions when they exist and the rerank predictions otherwise.
 STAGES = (
     Stage("simulate", cmd_simulate, "generate a synthetic scenario",
           reads=(), writes=(SCENARIO_FILE, ANNOTATIONS_FILE, CANDIDATES_FILE),

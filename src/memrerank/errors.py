@@ -62,4 +62,5 @@ class BackendError(MemrerankError):
 
 
 class BackendUnavailableError(BackendError):
-    """Transient backend failure that persisted through all retries."""
+    """A transient backend failure, a blank narration included; the
+    dispatcher retries it, then re-raises it as ``failed after N attempts``."""
