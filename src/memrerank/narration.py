@@ -25,6 +25,7 @@ import hashlib
 import heapq
 import json
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -157,8 +158,10 @@ class ReplyCache:
     """Append-only store of backend replies keyed by ``key_type``, optionally
     persisted as JSONL. Blank replies are never stored.
 
-    Corrupt records are skipped with a warning. Writes are serialized and
-    flushed per record; reads are lock-free after load.
+    Corrupt records are skipped with a warning. Each record is one write to
+    a file opened ``O_APPEND``, made outside the lock: whole, never
+    interleaved with another put's, and in the file when ``put`` returns.
+    Reads are lock-free after load.
     """
 
     key_type: type  # a NamedTuple class with a ``from_dict`` constructor
@@ -167,12 +170,9 @@ class ReplyCache:
         self._path = Path(path) if path is not None else None
         self._entries: dict = {}
         self._lock = threading.Lock()
-        self._handle = None
-        if self._path is not None:
-            if self._path.exists():
-                self._load()
-            else:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd = None
+        if self._path is not None and self._path.exists():
+            self._load()
 
     def _load(self) -> None:
         """Read the records. When one is corrupt (it is warned about), or the
@@ -193,10 +193,7 @@ class ReplyCache:
                         raise ValueError("empty reply text")
                 except (ValueError, KeyError, TypeError) as exc:
                     logger.warning(
-                        "skipping corrupt cache record %s:%d (%s)",
-                        self._path,
-                        line_no,
-                        exc,
+                        "skipping corrupt cache record %s:%d (%s)", self._path, line_no, exc
                     )
                     bad.add(line_no)
                     continue
@@ -222,22 +219,25 @@ class ReplyCache:
             return
         created_at = datetime.now(timezone.utc).isoformat()
         line = encode_record({"key": key._asdict(), "text": text, "created_at": created_at})
-        with self._lock:  # encoded outside it; written and flushed under it
+        data = (line + "\n").encode("utf-8")
+        with self._lock:  # not held across the write, which would convoy the workers
             if key in self._entries:
                 return
             self._entries[key] = text
             if self._path is None:
                 return
-            if self._handle is None:
-                self._handle = open(self._path, "a", encoding="utf-8")
-            self._handle.write(line + "\n")
-            self._handle.flush()
+            if self._fd is None:
+                self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            fd = self._fd
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short write to {self._path}")
 
     def close(self) -> None:
+        """Close the file once no put is writing; a later put opens it again."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self):
         return self

@@ -1103,6 +1103,18 @@ class TestStageTable:
             stage.name: (stage.reads, stage.writes) for stage in cli.STAGES
         }
 
+    def test_readme_report_table_is_what_its_commands_print(self, tmp_path):
+        # The commands block right above the table, run in-process.
+        section = readme_section("## CLI walkthrough (synthetic, no network)")
+        *_, commands, table = re.findall(r"```\w*\n(.*?)```", section, re.S)
+        out = tmp_path / "run"
+        for line in commands.splitlines():
+            program, *argv = line.split()
+            assert program == "memrerank"
+            argv[argv.index("--out") + 1] = out
+            assert run(argv) == 0, line
+        assert (out / cli.REPORT_FILE).read_text(encoding="utf-8") == table
+
 
 class TestExitCodes:
     NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")

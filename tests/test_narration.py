@@ -374,6 +374,67 @@ class TestNarrationCache:
         after = path.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
+    def test_concurrent_puts_append_whole_records(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        keys = [[self._key(1000.0 * t + i, 1000.0 * t + i + 10) for i in range(500)]
+                for t in range(8)]
+        put = {key: f"reply {key.clip_start_s}" for thread_keys in keys for key in thread_keys}
+
+        def put_all(cache, thread_keys):
+            for key in thread_keys:
+                cache.put(key, put[key])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch between any two bytecodes
+        try:
+            with NarrationCache(path) as cache:
+                threads = [threading.Thread(target=put_all, args=(cache, ks)) for ks in keys]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4000
+        assert [json.dumps(json.loads(line), sort_keys=True) for line in lines] == lines
+        reloaded = NarrationCache(path)
+        assert len(reloaded) == len(put)
+        assert {key: reloaded.get(key) for key in put} == put
+
+    def test_put_does_not_wait_for_another_puts_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        real_write, entered, release = narration.os.write, threading.Event(), threading.Event()
+
+        def first_write_blocks(fd, data):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)  # bounded, so a put that waits for it fails, not hangs
+            return real_write(fd, data)
+
+        monkeypatch.setattr(narration.os, "write", first_write_blocks)
+        with NarrationCache(path) as cache:
+            blocked = threading.Thread(target=cache.put, args=(self._key(), "first"))
+            blocked.start()
+            assert entered.wait(5)
+            start = time.monotonic()
+            cache.put(self._key(5.0, 15.0), "second")
+            assert time.monotonic() - start < 5
+            assert blocked.is_alive()
+            release.set()
+            blocked.join(10)
+            assert not blocked.is_alive()
+        reloaded = NarrationCache(path)
+        assert reloaded.get(self._key()) == "first"
+        assert reloaded.get(self._key(5.0, 15.0)) == "second"
+
+    def test_record_is_in_the_file_before_close(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with NarrationCache(path) as cache:
+            cache.put(self._key(), "hello")
+            assert NarrationCache(path).get(self._key()) == "hello"
+
     def test_blank_text_is_not_stored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with NarrationCache(path) as cache:
