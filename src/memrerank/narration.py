@@ -10,8 +10,9 @@ version, backend), so re-running a dataset with a warm cache issues zero
 backend calls. One narrate run schedules every distinct clip of every plan
 at once: each cache key reaches the backend at most once, and at most
 ``c_max`` requests are in flight across the whole run; a clip waiting out
-a retry backoff holds none of them (:func:`dispatch`, which the rerank
-stage's selections go through too). A blank narration is retried as an
+a retry backoff holds none of them, and its first retry runs as soon as
+another call is answered (:func:`dispatch`, which the rerank stage's
+selections go through too). A blank narration is retried as an
 unavailable backend is. Memories files are JSON Lines written and read
 through :mod:`memrerank.ingest`. The cache is a :class:`ReplyCache`, the
 append-only log the rerank stage keeps its selection replies in too; torn
@@ -269,17 +270,24 @@ def dispatch(
     (``BackendUnavailableError``, which a blank narration raises too) is
     queued again, due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and
     reported to ``on_retry``, while its worker takes the next ready call (a
-    due retry first). Any other error (an interrupt raised in a call too),
-    or a last transient failure, wrapped as ``failed after N attempts``,
-    stops the hand-out and is re-raised here once the calls in flight
+    due retry first). A call that returns releases the earliest queued
+    first retry, which its worker runs next: a backend that answers need
+    not be waited out; later retries keep their backoff. Any other error
+    (an interrupt raised in a call too), or a last transient failure,
+    wrapped as ``failed after N attempts``, stops the hand-out (no retry is
+    released after that) and is re-raised here once the calls in flight
     finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
         raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
     results, errors, delayed = [None] * len(items), [], []  # (due, index, failures)
     fresh, ready = ((i, 0) for i in range(len(items))), threading.Condition()
 
-    def next_call() -> tuple[int, int] | None:
+    def next_call(answered: bool) -> tuple[int, int] | None:
         with ready:
+            if answered and not errors and (firsts := [job for job in delayed if job[2] == 1]):
+                delayed.remove(released := min(firsts))  # the earliest first retry
+                heapq.heapify(delayed)
+                return released[1:]
             while not errors:
                 now = clock.now()
                 if delayed and delayed[0][0] <= now:
@@ -295,11 +303,13 @@ def dispatch(
             ready.notify_all()
 
     def work() -> None:
-        while job := next_call():
+        answered = False
+        while job := next_call(answered):
             index, failures = job
             try:
-                results[index] = call(items[index])
+                results[index], answered = call(items[index]), True
             except BaseException as exc:  # re-raised on the calling thread
+                answered = False
                 transient = isinstance(exc, BackendUnavailableError)
                 if transient and failures < len(RETRY_BACKOFF_S):
                     with ready:

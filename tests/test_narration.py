@@ -102,6 +102,36 @@ def plan_for(start, end, rank=1, video_id="v0", query_id="v0-q000"):
     return plan_candidate(CandidateKey(video_id, query_id, rank), interval(start, end), 20.0, 1.0)
 
 
+def fanned_out(count):
+    """``count`` one-clip plans, clip ``i`` at [20 i, 20 i + 10)."""
+    return [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(count)]
+
+
+def interrupt_join(monkeypatch, before=lambda: None):
+    """Make the calling thread's join of a worker raise ``KeyboardInterrupt``
+    once ``before()`` returns. Returns a function that joins the started
+    workers, bounded at 5 s each, and checks that each has ended."""
+    started, thread_class = [], threading.Thread
+
+    class InterruptedJoin(thread_class):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            before()
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(narration.threading, "Thread", InterruptedJoin)
+
+    def join_workers():
+        for worker in started:
+            thread_class.join(worker, timeout=5)
+            assert not worker.is_alive()
+
+    return join_workers
+
+
 class TestBackendRequest:
     def test_image_cap_enforced(self):
         # A 21 s clip sampled as 20 s clips at 1 fps holds ceil(20 * 1) frames.
@@ -571,7 +601,7 @@ class TestNarratePlans:
         # Eight single-clip candidates: a per-candidate pool never has more
         # than one request in flight.
         backend = GaugeBackend(delay_s=0.05)
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(8)]
+        plans = fanned_out(8)
         NarrationEngine(backend, c_max=4).narrate_plans(plans)
         assert backend.narrate_calls == 8
         assert backend.max_in_flight == 4
@@ -653,7 +683,7 @@ class TestNarratePlans:
                 return super()._narrate(request)
 
         path = tmp_path / "cache.jsonl"
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(40)]
+        plans = fanned_out(40)
         backend = BrokenClipBackend(delay_s=0.02)
         with NarrationCache(path) as cache:
             engine = NarrationEngine(backend, cache, c_max=2, clock=FastClock())
@@ -671,25 +701,12 @@ class TestNarratePlans:
         assert resumed.narrate_calls == 40 - finished
 
     def test_interrupt_stops_the_hand_out(self, monkeypatch):
-        started = []
-        thread_class = threading.Thread
-
-        class InterruptedJoin(thread_class):
-            def start(self):
-                started.append(self)
-                super().start()
-
-            def join(self, timeout=None):
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(narration.threading, "Thread", InterruptedJoin)
+        join_workers = interrupt_join(monkeypatch)
         backend = GaugeBackend(delay_s=0.05)
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(20)]
+        plans = fanned_out(20)
         with pytest.raises(KeyboardInterrupt):
             NarrationEngine(backend, c_max=2).narrate_plans(plans)
-        for worker in started:
-            thread_class.join(worker, timeout=5)
-            assert not worker.is_alive()
+        join_workers()
         assert backend.narrate_calls <= 4
 
     def test_memories_independent_of_c_max(self):
@@ -705,61 +722,128 @@ class TestNarratePlans:
         assert [m.candidate_key for m in concurrent] == [p.candidate_key for p in plans]
 
 
-class OnceBrokenBackend(GaugeBackend):
-    """The first request for clip [0, 10) fails; the rest succeed."""
+class FirstAttemptFailsBackend(GaugeBackend):
+    """The first request for each clip that starts at one of ``starts`` is
+    in flight for ``delay_s``, then fails; every other request succeeds."""
 
-    def __init__(self, delay_s):
+    def __init__(self, delay_s, starts):
         super().__init__(delay_s)
-        self.failed = threading.Event()
-        self.retried_at = None
-        self.last_end = 0.0
+        self.starts = set(starts)
+        self.failed = threading.Event()  # clip [0, 10) has failed
+        self.retried_at = None  # when clip [0, 10) was retried
+        self.last_failure = 0.0  # of the other clips
 
     def _narrate(self, request):
-        if request.images[0].timestamp_s == 0.0:
-            if not self.failed.is_set():
-                with self.lock:
-                    self.max_in_flight = self.in_flight  # count from the failure on
-                self.failed.set()
-                raise BackendUnavailableError("once")
-            self.retried_at = time.monotonic()
-            return super()._narrate(request)
+        start = request.images[0].timestamp_s
+        with self.lock:
+            first = start in self.starts
+            self.starts.discard(start)
+            if start == 0.0 and not first:
+                self.retried_at = time.monotonic()
         response = super()._narrate(request)
-        self.last_end = max(self.last_end, time.monotonic())  # of the other clips
-        return response
+        if not first:
+            return response
+        with self.lock:
+            if start == 0.0:
+                self.max_in_flight = self.in_flight  # count from the failure on
+                self.failed.set()
+            else:
+                self.last_failure = max(self.last_failure, time.monotonic())
+        raise BackendUnavailableError("first attempt")
+
+
+def dispatched(call_results, items, c_max=1):
+    """Dispatch ``items`` under a ``FakeClock``; ``call_results[item]`` is a
+    list of outcomes, one per attempt, an exception class to raise or a
+    result. Returns the results, the order of the calls and the waits."""
+    calls, clock = [], FakeClock()
+
+    def call(item):
+        calls.append(item)
+        outcome = call_results[item].pop(0)
+        if isinstance(outcome, type):
+            raise outcome("scripted")
+        return outcome
+
+    return narration.dispatch(call, items, c_max, clock), calls, clock.waits
 
 
 class TestDispatch:
     def test_backoff_frees_the_slot(self):
-        # Clip [0, 10) waits out a real 1 s backoff; meanwhile the other six
-        # clips still run two at a time and finish before its retry.
-        backend = OnceBrokenBackend(delay_s=0.02)
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(7)]
+        # Every clip fails its first attempt, so no call is answered before
+        # clip [0, 10)'s retry: it waits out a real 1 s backoff, while the
+        # other six clips still run two at a time and fail before its retry.
+        backend = FirstAttemptFailsBackend(0.02, starts=[20.0 * i for i in range(7)])
         engine = NarrationEngine(backend, c_max=2)
-        engine.narrate_plans(plans)
-        assert engine.stats()["retries"] == 1
+        engine.narrate_plans(fanned_out(7))
+        assert engine.stats()["retries"] == 7
         assert backend.max_in_flight == 2
-        assert backend.narrate_calls == 8
-        assert backend.last_end < backend.retried_at
+        assert backend.narrate_calls == 14
+        assert backend.last_failure < backend.retried_at
+
+    def test_answered_call_releases_a_first_retry(self):
+        # Item 0 fails; item 1 is answered; item 0 runs next, unwaited.
+        results, calls, waits = dispatched({0: [BackendUnavailableError, "a"], 1: ["b"]}, [0, 1])
+        assert results == ["a", "b"]
+        assert calls == [0, 1, 0]
+        assert waits == []
+
+    def test_second_failure_keeps_its_backoff(self):
+        script = {0: [BackendUnavailableError] * 2 + ["a"], 1: ["b"], 2: ["c"]}
+        results, calls, waits = dispatched(script, [0, 1, 2])
+        assert results == ["a", "b", "c"]
+        assert calls == [0, 1, 0, 2, 0]
+        assert waits == [2.0]  # item 2's answer did not release the second retry
+
+    def test_one_answer_releases_one_retry(self):
+        # Items 0 and 1 fail; item 2's answer releases item 0 only, whose
+        # retry fails: item 1 still waits out its 1 s.
+        unavailable = BackendUnavailableError
+        script = {0: [unavailable, unavailable, "a"], 1: [unavailable, "b"], 2: ["c"]}
+        results, calls, waits = dispatched(script, [0, 1, 2])
+        assert results == ["a", "b", "c"]
+        assert calls == [0, 1, 2, 0, 1, 0]
+        assert waits == [1.0, 1.0]
+
+    def test_stopped_hand_out_releases_nothing(self, monkeypatch):
+        # Item 0 fails and waits out its backoff while item 1 is in flight;
+        # the run is interrupted; only then is item 1 answered.
+        failed, in_flight, answer = threading.Event(), threading.Event(), threading.Event()
+        calls = []
+
+        def call(item):
+            calls.append(item)
+            if item == 0 and calls.count(0) == 1:
+                failed.set()
+                raise BackendUnavailableError("once")
+            if item == 1:
+                in_flight.set()
+                answer.wait(5)
+            return item
+
+        join_workers = interrupt_join(monkeypatch, lambda: (failed.wait(5), in_flight.wait(5)))
+        with pytest.raises(KeyboardInterrupt):
+            narration.dispatch(call, [0, 1], c_max=2)
+        answer.set()
+        join_workers()
+        assert sorted(calls) == [0, 1]  # item 1's answer did not release item 0
+
+    def test_one_failure_costs_no_backoff(self):
+        # Real clock: the failed clip is retried after the next answer, so
+        # the run does not wait out the 1 s backoff.
+        backend = FirstAttemptFailsBackend(0.005, starts=[0.0])
+        engine = NarrationEngine(backend, c_max=2)
+        began = time.monotonic()
+        engine.narrate_plans(fanned_out(20))
+        assert time.monotonic() - began < 0.5
+        assert engine.stats()["retries"] == 1
+        assert backend.narrate_calls == 21
 
     def test_retries_under_thread_churn(self):
         # Every clip fails its first attempt: a lost update of the retry
         # queue or count would drop a clip, run one twice or miscount.
-        class FirstAttemptFails(FixedBackend):
-            def __init__(self):
-                super().__init__()
-                self.seen = set()
-                self.seen_lock = threading.Lock()
-
-            def _narrate(self, request):
-                with self.seen_lock:
-                    first = request.images not in self.seen
-                    self.seen.add(request.images)
-                if first:
-                    raise BackendUnavailableError("first attempt")
-                return super()._narrate(request)
-
-        plans = [plan_for(20.0 * i, 20.0 * i + 10.0, rank=i + 1) for i in range(50)]
-        backend = FirstAttemptFails()
+        plans = fanned_out(50)
+        backend = FirstAttemptFailsBackend(0.0, starts=[20.0 * i for i in range(50)])
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -769,31 +853,21 @@ class TestDispatch:
             sys.setswitchinterval(switch_interval)
         assert backend.narrate_calls == 100
         assert engine.stats()["retries"] == 50
-        assert all("steady narration" in m.entries[0].narration for m in memories)
+        assert all(m.entries[0].narration == "ok" for m in memories)
 
     def test_interrupt_during_backoff_returns_at_once(self, monkeypatch):
-        backend = OnceBrokenBackend(delay_s=0.0)
-        started = []
-        thread_class = threading.Thread
+        # Both clips fail, so no call is answered to release a retry.
+        backend = FirstAttemptFailsBackend(0.0, starts=[0.0, 20.0])
 
-        class InterruptedJoin(thread_class):
-            def start(self):
-                started.append(self)
-                super().start()
+        def both_back_off():
+            backend.failed.wait(5)
+            time.sleep(0.1)  # both workers now wait for the 1 s backoff
 
-            def join(self, timeout=None):
-                backend.failed.wait(5)
-                time.sleep(0.1)  # both workers now wait for the 1 s backoff
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(narration.threading, "Thread", InterruptedJoin)
-        plans = [plan_for(0.0, 10.0, rank=1), plan_for(20.0, 30.0, rank=2)]
+        join_workers = interrupt_join(monkeypatch, both_back_off)
         with pytest.raises(KeyboardInterrupt):
-            NarrationEngine(backend, c_max=2).narrate_plans(plans)
+            NarrationEngine(backend, c_max=2).narrate_plans(fanned_out(2))
         interrupted = time.monotonic()
-        for worker in started:
-            thread_class.join(worker, timeout=5)
-            assert not worker.is_alive()
+        join_workers()
         assert time.monotonic() - interrupted < 0.5
         assert backend.narrate_calls == 2  # the retry never ran
 
