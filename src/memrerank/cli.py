@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -69,11 +69,6 @@ _UNDER_OUTPUT_DIR = {
 }
 # The settings nested under "paths" in a config file.
 _PATH_KEYS = {*_UNDER_OUTPUT_DIR, "frames_root", "output_dir"}
-# The values a setting may take, for its flag and its config key alike.
-CHOICES = {
-    "backend": ("stub", "oracle", "remote"),
-    "rank_source": ("pre_rerank", "post_rerank"),
-}
 
 
 # What a flag or config value must be, per RunConfig field type.
@@ -103,36 +98,52 @@ def _convert(name: str, kind: str, value):
     raise ConfigError(f"setting {name}={json.dumps(value)} must be {_EXPECTED[kind]}")
 
 
+def _setting(flag: str, help: str, default=None, choices=()):
+    """A RunConfig field with its flag, the flag's help and, if the setting
+    takes one of a few values, those values."""
+    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
     """Resolved settings for one invocation.
 
-    Each field declares one setting once: its name is the dest of its
-    flag and its config-file key (the ``_PATH_KEYS`` nest under
-    ``"paths"``), its type says what a value must be (``_EXPECTED``), and
-    its default applies when neither flag nor file sets it. The output
+    Each field declares one setting once, in ``--help``'s order: its name
+    is its config-file key (the ``_PATH_KEYS`` nest under ``"paths"``) and
+    its flag's dest, ``_setting`` puts the flag, its help and any choices
+    in its metadata, its type says what a value must be (``_EXPECTED``),
+    and its default applies when neither flag nor file sets it. The output
     directory defaults to ``DEFAULT_OUTPUT_DIR`` and the paths without a
     default to their ``_UNDER_OUTPUT_DIR`` entry under it.
     """
 
-    output_dir: Path
-    cache_dir: Path
-    annotations: Path
-    candidates: Path
-    scenario: Path
-    frames_root: Path | None = None
-    clip_len_s: float = clips.DEFAULT_CLIP_LEN_S
-    fps: float = clips.DEFAULT_FPS
-    top_k: int = ingest.DEFAULT_TOP_K
-    backend: str = "stub"
-    c_max: int = narration.DEFAULT_C_MAX
-    lambda_penalty: float = sequencing.DEFAULT_LAMBDA_PENALTY
-    rank_source: str = "post_rerank"
-    rerank_limit: int | None = None
-    seed: int = 0
-    narration_prompt: Path | None = None
-    frame_extract_cmd: str | None = None
-    include_scores: bool = False
+    output_dir: Path = _setting("--out", "output directory")
+    annotations: Path = _setting("--annotations", "annotations file")
+    candidates: Path = _setting("--candidates", "base candidates file")
+    scenario: Path = _setting("--scenario", "scenario file (stub/oracle backends)")
+    frames_root: Path | None = _setting("--frames-root", "frame image root")
+    cache_dir: Path = _setting("--cache-dir", "narration and selection cache directory")
+    backend: str = _setting("--backend", "backend mode", "stub", ("stub", "oracle", "remote"))
+    clip_len_s: float = _setting("--clip-len", "clip length, s", clips.DEFAULT_CLIP_LEN_S)
+    fps: float = _setting("--fps", "frame sampling rate", clips.DEFAULT_FPS)
+    top_k: int = _setting("--top-k", "candidates kept per query", ingest.DEFAULT_TOP_K)
+    lambda_penalty: float = _setting(
+        "--lambda", "start-penalty weight", sequencing.DEFAULT_LAMBDA_PENALTY
+    )
+    rank_source: str = _setting(
+        "--rank-source", "candidate ranks consumed by the optimizer", "post_rerank",
+        ("pre_rerank", "post_rerank"),
+    )
+    rerank_limit: int | None = _setting("--limit", "plan and rerank the first N queries only")
+    c_max: int = _setting("--c-max", "max in-flight requests", narration.DEFAULT_C_MAX)
+    seed: int = _setting("--seed", "seed for scenario generation", 0)
+    narration_prompt: Path | None = _setting("--prompt-file", "narration prompt template file")
+    frame_extract_cmd: str | None = _setting(
+        "--extract-cmd", "command template for missing frames ({video} {t} {out})"
+    )
+    include_scores: bool = _setting(
+        "--include-scores", "show model scores in the selection prompt", False
+    )
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -151,23 +162,23 @@ class RunConfig:
             unknown = set(file_cfg) - top_level
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            paths = file_cfg.get("paths", {})
-            if not isinstance(paths, dict) or set(paths) - _PATH_KEYS:
+            paths = file_cfg.pop("paths", None)  # null, like absent, sets none
+            if paths is not None and (not isinstance(paths, dict) or set(paths) - _PATH_KEYS):
                 raise ConfigError(
                     f"config 'paths' must be an object with keys from {sorted(_PATH_KEYS)}"
                 )
+            file_cfg.update(paths or {})
 
         values = {}
         for f in fields(cls):
             value = getattr(args, f.name, None)
             if value is None:
-                source = file_cfg.get("paths", {}) if f.name in _PATH_KEYS else file_cfg
-                value = source.get(f.name)
+                value = file_cfg.get(f.name)
             if value is None:
                 continue
             value = _convert(f.name, f.type.removesuffix(" | None"), value)
-            choices = CHOICES.get(f.name)
-            if choices is not None and value not in choices:
+            choices = f.metadata["choices"]
+            if choices and value not in choices:
                 raise ConfigError(
                     f"setting {f.name}={json.dumps(value)} must be one of {', '.join(choices)}"
                 )
@@ -219,47 +230,12 @@ class RunConfig:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", dest="output_dir", help="output directory")
-    parser.add_argument("--annotations", help="annotations file")
-    parser.add_argument("--candidates", help="base candidates file")
-    parser.add_argument("--scenario", help="scenario file (stub/oracle backends)")
-    parser.add_argument("--frames-root", dest="frames_root", help="frame image root")
-    parser.add_argument(
-        "--cache-dir", dest="cache_dir", help="narration and selection cache directory"
-    )
-    parser.add_argument("--backend", choices=CHOICES["backend"], help="backend mode")
-    parser.add_argument("--clip-len", dest="clip_len_s", type=float, help="clip length, s")
-    parser.add_argument("--fps", type=float, help="frame sampling rate")
-    parser.add_argument("--top-k", dest="top_k", type=int, help="candidates kept per query")
-    parser.add_argument(
-        "--lambda", dest="lambda_penalty", type=float, help="start-penalty weight"
-    )
-    parser.add_argument(
-        "--rank-source",
-        dest="rank_source",
-        choices=CHOICES["rank_source"],
-        help="candidate ranks consumed by the optimizer",
-    )
-    parser.add_argument(
-        "--limit", dest="rerank_limit", type=int, help="plan and rerank the first N queries only"
-    )
-    parser.add_argument("--c-max", dest="c_max", type=int, help="max in-flight requests")
-    parser.add_argument("--seed", type=int, help="seed for scenario generation")
-    parser.add_argument(
-        "--prompt-file", dest="narration_prompt", help="narration prompt template file"
-    )
-    parser.add_argument(
-        "--extract-cmd",
-        dest="frame_extract_cmd",
-        help="command template for missing frames ({video} {t} {out})",
-    )
-    parser.add_argument(
-        "--include-scores",
-        dest="include_scores",
-        action="store_const",
-        const=True,
-        help="show model scores in the selection prompt",
-    )
+    for f in fields(RunConfig):  # argparse converts the numbers; from_args checks all
+        kwargs = {"action": "store_const", "const": True} if f.type == "bool" else {
+            "type": {"float": float, "int": int}.get(f.type.removesuffix(" | None")),
+            "choices": f.metadata["choices"] or None,
+        }
+        parser.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"], **kwargs)
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
