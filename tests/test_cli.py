@@ -1132,6 +1132,17 @@ class TestExitCodes:
         for cls, code in cli.EXIT_CODES.items():
             assert f"`{cls.__name__}`" in rows[f"`{code}`"], code
 
+    def test_readme_configuration_names_every_flag_and_key(self):
+        section = readme_section("### Configuration")
+        flags = [f.metadata["flag"] for f in fields(RunConfig)]
+        assert [flag for flag in flags if not re.search(f"`{flag}[` ]", section)] == []
+        sample = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        paths = sample.pop("paths")
+        assert (sorted(sample), sorted(paths)) == (
+            sorted(f.name for f in fields(RunConfig) if f.name not in cli._PATH_KEYS),
+            sorted(cli._PATH_KEYS),
+        )
+
 
 # The stages whose outputs a stage's run makes stale: those that read what
 # it writes, directly or through another such stage.
@@ -1775,18 +1786,21 @@ class TestConfigPrecedence:
         assert not (out / "cache").exists()
         assert not (out / ("memories.jsonl" if stage == "narrate" else "scenario.json")).exists()
 
-    def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path):
+    @pytest.mark.parametrize("stage", [stage.name for stage in cli.STAGES])
+    def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path, stage):
         names = {f.name for f in fields(RunConfig)}
+        if stage == "simulate":  # and its own flags: the knobs and the track
+            names |= {f.name for f in fields(ScenarioKnobs)} | {"track"}
         parser = build_parser()
-        assert set(vars(parser.parse_args(["plan"]))) - {"command", "func", "config"} == names
+        assert set(vars(parser.parse_args([stage]))) - {"command", "func", "config"} == names
         # Every field is a config key, the paths nested; null keeps the default.
+        names = {f.name for f in fields(RunConfig)}
         paths = {"annotations", "candidates", "scenario", "frames_root", "cache_dir", "output_dir"}
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"paths": dict.fromkeys(paths), **dict.fromkeys(names - paths)})
-        )
-        with_nulls = RunConfig.from_args(parser.parse_args(["plan", "--config", str(config)]))
-        assert with_nulls == RunConfig.from_args(parser.parse_args(["plan"]))
+        default = RunConfig.from_args(parser.parse_args([stage]))
+        for nulls in ({"paths": dict.fromkeys(paths)}, {"paths": None}):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**nulls, **dict.fromkeys(names - paths)}))
+            assert RunConfig.from_args(parser.parse_args([stage, "--config", str(config)])) == default
 
     PATHS_OBJECT = (
         "config 'paths' must be an object with keys from ['annotations', 'cache_dir', "
