@@ -230,11 +230,13 @@ class RunConfig:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    for f in fields(RunConfig):  # argparse converts the numbers; from_args checks all
-        kwargs = {"action": "store_const", "const": True} if f.type == "bool" else {
-            "type": {"float": float, "int": int}.get(f.type.removesuffix(" | None")),
-            "choices": f.metadata["choices"] or None,
-        }
+    for f in fields(RunConfig):
+        kind = f.type.removesuffix(" | None")
+        if kind == "bool":
+            kwargs = {"action": "store_const", "const": True}
+        else:  # argparse converts the numbers; from_args checks every value
+            type_ = {"float": float, "int": int}.get(kind)
+            kwargs = {"type": type_, "choices": f.metadata["choices"] or None}
         parser.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"], **kwargs)
 
 

@@ -1789,12 +1789,11 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("stage", [stage.name for stage in cli.STAGES])
     def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path, stage):
         names = {f.name for f in fields(RunConfig)}
-        if stage == "simulate":  # and its own flags: the knobs and the track
-            names |= {f.name for f in fields(ScenarioKnobs)} | {"track"}
+        own = {f.name for f in fields(ScenarioKnobs)} | {"track"} if stage == "simulate" else set()
         parser = build_parser()
-        assert set(vars(parser.parse_args([stage]))) - {"command", "func", "config"} == names
+        dests = set(vars(parser.parse_args([stage]))) - {"command", "func", "config"}
+        assert dests == names | own
         # Every field is a config key, the paths nested; null keeps the default.
-        names = {f.name for f in fields(RunConfig)}
         paths = {"annotations", "candidates", "scenario", "frames_root", "cache_dir", "output_dir"}
         default = RunConfig.from_args(parser.parse_args([stage]))
         for nulls in ({"paths": dict.fromkeys(paths)}, {"paths": None}):
