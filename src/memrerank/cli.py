@@ -241,10 +241,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
-    """The annotations and the top-k candidate lists."""
+    """The annotations and the top-k candidate lists, in dataset order."""
     annotations, candidates = cfg.input(ANNOTATIONS_FILE), cfg.input(CANDIDATES_FILE)
     dataset = ingest.load_annotations(annotations)
-    return dataset, ingest.load_candidates(candidates, top_k=cfg.top_k, dataset=dataset)
+    lists = ingest.load_candidates(candidates, top_k=cfg.top_k, dataset=dataset)
+    position = {query.query_id: i for i, query in enumerate(dataset.iter_queries())}
+    return dataset, sorted(lists, key=lambda clist: position[clist.query_id])
 
 
 def _build_backend(cfg: RunConfig) -> narration.Backend:
@@ -319,18 +321,15 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_plan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dataset, lists = _load_inputs(cfg)
-    if cfg.rerank_limit is not None:  # the lists rerank sends: the first N in dataset order
-        position = {query.query_id: i for i, query in enumerate(dataset.iter_queries())}
-        lists = sorted(lists, key=lambda clist: position[clist.query_id])[: cfg.rerank_limit]
-    plans = [
+    _, lists = _load_inputs(cfg)
+    plans = [  # of the lists rerank sends: the first ``rerank_limit``
         clips.plan_candidate(
             CandidateKey(clist.video_id, clist.query_id, rank),
             candidate.interval,
             cfg.clip_len_s,
             cfg.fps,
         )
-        for clist in lists
+        for clist in lists[: cfg.rerank_limit]
         for rank, candidate in enumerate(clist.candidates, start=1)
     ]
     count = clips.write_frame_manifests(plans, cfg.output(MANIFESTS_FILE))
@@ -366,24 +365,15 @@ def cmd_narrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, lists = _load_inputs(cfg)
     memories = narration.read_memories(cfg.input(MEMORIES_FILE))
-    lists_by_query = {clist.query_id: clist for clist in lists}
     memories_by_query: dict[str, list] = {}
     for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
+    query_of = {query.query_id: query for query in dataset.iter_queries()}
+    jobs = [
+        (query_of[clist.query_id], clist, memories_by_query.get(clist.query_id, []))
+        for clist in lists
+    ]
     backend = _build_backend(cfg)
-
-    # One walk in dataset order: a query without candidates is logged as
-    # skipped, and each other one is a job, logged by its index once done.
-    jobs, log_records = [], []
-    for query in dataset.iter_queries():
-        clist = lists_by_query.get(query.query_id)
-        if clist is None:
-            log_records.append(
-                {"query_id": query.query_id, "skipped": True, "skip_reason": "no candidates"}
-            )
-        else:
-            log_records.append(len(jobs))
-            jobs.append((query, clist, memories_by_query.get(query.query_id, [])))
     # The first ``rerank_limit`` jobs go to the backend; the rest keep their order.
     with SelectionCache(cfg.output(SELECTIONS_FILE)) as cache:
         reranked = rerank_many(
@@ -393,12 +383,17 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
             include_scores=cfg.include_scores,
             cache=cache,
         )
-    outcomes = reranked + [RerankOutcome(clist) for _, clist, _ in jobs[len(reranked) :]]
-    for i, record in enumerate(log_records):
-        if isinstance(record, int):
-            limited = record >= len(reranked)
-            log_records[i] = outcomes[record].log_record("limit" if limited else "")
-
+    outcomes = reranked + [RerankOutcome(clist) for clist in lists[len(reranked) :]]
+    # The log holds every query in dataset order, one without candidates as skipped.
+    records = {
+        outcome.original.query_id: outcome.log_record("limit" if i >= len(reranked) else "")
+        for i, outcome in enumerate(outcomes)
+    }
+    log_records = [
+        records.get(query_id)
+        or {"query_id": query_id, "skipped": True, "skip_reason": "no candidates"}
+        for query_id in query_of
+    ]
     promoted = [outcome.reranked for outcome in outcomes]
     ingest.write_candidates(promoted, cfg.output(RERANKED_FILE))
     predictions = {clist.query_id: clist.intervals() for clist in promoted}
