@@ -76,11 +76,9 @@ def plan_clips(segment: TimeInterval, clip_len_s: float = DEFAULT_CLIP_LEN_S) ->
 def sample_frames(clip: TimeInterval, fps: float = DEFAULT_FPS) -> tuple[float, ...]:
     """Timestamps ``start + n/fps`` for n = 0, 1, ... strictly inside the clip.
 
-    The first timestamp (the clip start) is always included, so the result
-    is never empty even for degenerate clips.
+    The clip start is always included, so the result is never empty, even
+    for a degenerate clip. ``fps`` is positive and finite, as ClipPlan checks.
     """
-    if fps <= 0 or not math.isfinite(fps):
-        raise SchemaViolation("fps", f"must be a positive number, got {fps}")
     timestamps = [clip.start_s]
     n = 1
     while True:

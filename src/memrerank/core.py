@@ -33,11 +33,9 @@ def checked(value, kinds: tuple[type, ...], what: str):
     return value
 
 
-def _as_finite_time(value, what: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} is not a number: {value!r}") from None
+def _finite(value, what: str) -> float:
+    """``value`` as a float; NaN and infinities, which ``json.loads`` accepts, are refused."""
+    value = float(value)  # a number: every reader checks the type first
     if not math.isfinite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return value
@@ -58,8 +56,8 @@ class TimeInterval:
         start, end = self.start_s, self.end_s
         if type(start) is float and type(end) is float and 0.0 <= start <= end < math.inf:
             return  # the common case: valid floats, nothing to convert
-        object.__setattr__(self, "start_s", _as_finite_time(self.start_s, "start_s"))
-        object.__setattr__(self, "end_s", _as_finite_time(self.end_s, "end_s"))
+        object.__setattr__(self, "start_s", _finite(self.start_s, "start_s"))
+        object.__setattr__(self, "end_s", _finite(self.end_s, "end_s"))
         if self.start_s < 0:
             raise ValidationError(f"start_s must be >= 0, got {self.start_s}")
         if self.end_s < self.start_s:
@@ -88,14 +86,7 @@ class CandidateSegment:
                 f"candidate interval must have positive length, got "
                 f"[{self.interval.start_s}, {self.interval.end_s})"
             )
-        score = self.score
-        try:
-            score = float(score)
-        except (TypeError, ValueError):
-            raise ValidationError(f"score is not a number: {score!r}") from None
-        if not math.isfinite(score):
-            raise ValidationError(f"score must be finite, got {score!r}")
-        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "score", _finite(self.score, "score"))
 
 
 class CandidateKey(NamedTuple):
@@ -180,8 +171,6 @@ class Query:
     def __post_init__(self):
         _require_id(self.query_id, "query_id")
         _require_id(self.video_id, "video_id")
-        if not isinstance(self.text, str):
-            raise SchemaViolation("text", f"must be a string, got {self.text!r}")
         if self.order_index is not None:
             if not isinstance(self.order_index, int) or isinstance(self.order_index, bool):
                 raise SchemaViolation(

@@ -83,12 +83,6 @@ class Dataset:
             seen_videos.add(video.video_id)
             order_indices: set[int] = set()
             for query in video.queries:
-                if query.video_id != video.video_id:
-                    raise SchemaViolation(
-                        "video_id",
-                        f"query '{query.query_id}' names video '{query.video_id}' "
-                        f"inside video '{video.video_id}'",
-                    )
                 if query.query_id in seen_queries:
                     raise SchemaViolation("query_id", f"duplicate '{query.query_id}'")
                 seen_queries.add(query.query_id)

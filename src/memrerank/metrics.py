@@ -29,9 +29,7 @@ def temporal_iou(a: TimeInterval, b: TimeInterval) -> float:
     if a.duration_s == 0.0 and b.duration_s == 0.0:
         return 1.0 if a.start_s == b.start_s else 0.0
     intersection = max(0.0, min(a.end_s, b.end_s) - max(a.start_s, b.start_s))
-    union = a.duration_s + b.duration_s - intersection
-    if union <= 0.0:
-        return 0.0
+    union = a.duration_s + b.duration_s - intersection  # > 0: intersection <= each duration
     return intersection / union
 
 
