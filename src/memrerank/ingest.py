@@ -212,8 +212,10 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
     """``parse`` applied to the JSON value of ``path``, a file of ``what``.
 
     A file that is not UTF-8 JSON raises ``ParseError`` at its line and
-    column. A ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``ValidationError`` (a domain type refusing a value) from ``parse``
+    column. Any other file ``json.loads`` refuses (an integer past its
+    digit limit), and a ``KeyError``, ``TypeError``, ``ValueError``,
+    ``OverflowError`` (an integer past the float range) or
+    ``ValidationError`` (a domain type refusing a value) from ``parse``,
     raises ``SchemaViolation(what)`` naming ``path`` (and, for a wrapped
     schema violation, its field).
     """
@@ -227,11 +229,13 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
         line = data.count(b"\n", 0, exc.start) + 1
         column = exc.start - data.rfind(b"\n", 0, exc.start)
         raise ParseError(str(path), line, column, f"not UTF-8 ({exc.reason})") from exc
+    except ValueError as exc:
+        raise SchemaViolation(what, f"{path}: malformed {what}: {exc}") from exc
     try:
         return parse(value)
     except KeyError as exc:
         raise SchemaViolation(what, f"{path}: malformed {what}: missing key {exc}") from exc
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         reason = exc.reason if isinstance(exc, SchemaViolation) else exc
         raise SchemaViolation(what, f"{path}: malformed {what}: {reason}") from exc
 
@@ -254,9 +258,10 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
     """``parse`` applied to the JSON value of each non-blank line, in order.
 
     A line that is not UTF-8 JSON, or that ``parse`` rejects with
-    ``KeyError``, ``TypeError``, ``ValueError`` or a ``ValidationError``
-    (a domain type refusing the record), raises ``SchemaViolation(field)``
-    naming ``path:line`` (and, for a wrapped schema violation, its field).
+    ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or a
+    ``ValidationError`` (a domain type refusing the record), raises
+    ``SchemaViolation(field)`` naming ``path:line`` (and, for a wrapped
+    schema violation, its field).
     """
     records = []
     with open(path, "rb") as handle:
@@ -265,7 +270,7 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
                 continue
             try:
                 records.append(parse(json.loads(line.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
                 reason = exc.reason if isinstance(exc, SchemaViolation) else exc
                 raise SchemaViolation(
                     field, f"{path}:{line_no}: malformed record ({reason})"
