@@ -11,11 +11,11 @@ then config file, then built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -85,7 +85,8 @@ def _convert(name: str, kind: str, value):
     """The value of setting ``name`` as its field type ``kind``; a value of
     another type is rejected, never coerced."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "float" and number and math.isfinite(value):
+    # A NaN, an infinity or an integer past the float range is not finite.
+    if kind == "float" and number and abs(value) <= sys.float_info.max:
         return float(value)
     if kind == "int" and number and isinstance(value, int):
         return value
@@ -538,6 +539,12 @@ def _drop_stale(cfg: RunConfig, command: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the ``STAGES`` subcommands, built once per value of ``STAGES``."""
+    return _parser(STAGES)
+
+
+@functools.cache
+def _parser(stages: tuple[Stage, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memrerank",
         description=(
@@ -547,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
+    for stage in stages:
         p = sub.add_parser(stage.name, help=stage.help)
         stage.add_flags(p)
         p.set_defaults(func=stage.command)
@@ -556,9 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one stage with the cyclic collector paused: a stage leaves no
-    garbage in reference cycles but its argument parser's, so collecting
-    would only cost time. The collector's state is restored on every way
-    out."""
+    garbage in reference cycles (its argument parser, which holds some, is
+    built once per process), so collecting would only cost time. The
+    collector's state is restored on every way out."""
     collecting = gc.isenabled()
     gc.disable()
     try:
