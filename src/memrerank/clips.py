@@ -23,6 +23,8 @@ from .ingest import read_jsonl, write_jsonl
 
 DEFAULT_CLIP_LEN_S = 20.0
 DEFAULT_FPS = 1.0
+# The most clips a candidate is cut into; a shorter clip_len_s is refused.
+MAX_CLIPS_PER_CANDIDATE = 10_000
 
 # Tolerance for the clip-cover property; also guards against a float
 # overshoot creating an empty tail clip.
@@ -59,11 +61,19 @@ def plan_clips(segment: TimeInterval, clip_len_s: float = DEFAULT_CLIP_LEN_S) ->
 
     All clips have length ``clip_len_s`` except a possibly shorter tail,
     which is kept whatever its length. The union of the clips is exactly
-    the input segment.
+    the input segment. A ``clip_len_s`` that would make more than
+    ``MAX_CLIPS_PER_CANDIDATE`` clips is refused before any is built.
     """
     if segment.duration_s <= 0:
         raise ValidationError(f"segment [{segment.start_s}, {segment.end_s}) has no duration")
-    count = max(1, math.ceil(segment.duration_s / clip_len_s))
+    count = segment.duration_s / clip_len_s  # inf for a subnormal clip_len_s
+    if count > MAX_CLIPS_PER_CANDIDATE:
+        raise SchemaViolation(
+            "clip_len_s",
+            f"{clip_len_s!r} cuts a {segment.duration_s!r} s candidate into more than "
+            f"{MAX_CLIPS_PER_CANDIDATE} clips",
+        )
+    count = max(1, math.ceil(count))
     bounds = [segment.start_s]
     for i in range(1, count):
         cut = segment.start_s + i * clip_len_s
