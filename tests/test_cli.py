@@ -24,7 +24,7 @@ from memrerank.cli import RunConfig, build_parser, main
 from memrerank.clips import clip_frames, read_frame_manifests
 from memrerank.errors import BackendError, BackendUnavailableError
 from memrerank.narration import Backend
-from memrerank.rerank import QUERY_LINE_PREFIX
+from memrerank.rerank import QUERY_LINE_PREFIX, read_abstentions
 from memrerank.synth import ScenarioKnobs
 
 from helpers import WorstSelectorBackend, interval, plan_list
@@ -42,6 +42,15 @@ def simulate(out, seed=7, videos=2, queries=3, **extra):
     for flag, value in extra.items():
         argv.extend([flag, value])
     assert run(argv) == 0
+
+
+def child_env():
+    """The environment of a child process that imports ``memrerank``. The
+    package directory may reach pytest only through its own ``pythonpath``
+    setting, which a child process does not inherit."""
+    src = str(Path(memrerank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def cell(compare, side, k, iou):
@@ -596,6 +605,43 @@ class TestPipeline:
         if missing is not None:
             assert f"missing key '{missing}'" in message
 
+    # An integer past the float range, or past json.loads' digit limit,
+    # exits 4 naming its stage file, and 2 naming its float setting.
+    @pytest.mark.parametrize(
+        "stage, name, key, digits",
+        [
+            ("plan", "candidates.json", "score", 401),
+            ("plan", "candidates.json", "score", 5001),
+            ("narrate", "manifests.jsonl", "end_s", 401),
+            ("plan", "config.json", "lambda_penalty", 401),
+        ],
+        ids=[
+            "score-past-float-range", "score-past-digit-limit", "manifest-bound-past-float-range",
+            "setting-past-float-range",
+        ],
+    )
+    def test_oversized_integer_exits_with_a_message(
+        self, tmp_path, caplog, stage, name, key, digits
+    ):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        config = out / "config.json"
+        config.write_text('{"lambda_penalty": 1}')
+        path = out / name
+        text, count = re.subn(rf'"{key}": ?[0-9.]+', f'"{key}": {"9" * digits}', path.read_text(), 1)
+        assert count == 1
+        path.write_text(text)
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, "--config", config, "--backend", "stub"])
+        (message,) = caplog.messages
+        if name == "config.json":
+            assert code == 2
+            assert re.fullmatch(r"setting lambda_penalty=9+ must be a finite number", message)
+        else:
+            assert code == 4
+            assert str(path) in message
+
     # A metrics value must have its JSON type: never converted from a
     # string, a bool or a fraction.
     @pytest.mark.parametrize(
@@ -1132,6 +1178,16 @@ class TestExitCodes:
         for cls, code in cli.EXIT_CODES.items():
             assert f"`{cls.__name__}`" in rows[f"`{code}`"], code
 
+    def test_error_of_no_listed_class_exits_1(self, tmp_path, monkeypatch, caplog):
+        def report(cfg, args):
+            raise errors.MemrerankError("an error of the base class")
+
+        stages = tuple(s._replace(command=report) if s.name == "report" else s for s in cli.STAGES)
+        monkeypatch.setattr(cli, "STAGES", stages)
+        with caplog.at_level("ERROR"):
+            assert run(["report", "--out", tmp_path]) == 1
+        assert caplog.messages == ["an error of the base class"]
+
     def test_readme_configuration_names_every_flag_and_key(self):
         section = readme_section("### Configuration")
         flags = [f.metadata["flag"] for f in fields(RunConfig)]
@@ -1310,6 +1366,21 @@ class TestAbstentions:
         report = json.loads((out / cli.OPTIMIZER_REPORT_FILE).read_text())
         assert "left_out" not in report
         assert [len(video["choices"]) for video in report["videos"]] == [3, 3, 3, 3]
+
+    def test_query_naming_no_event_abstains(self, tmp_path):
+        # The stub finds no event label in the query, so its reply holds no
+        # candidate number: an unparseable reply, logged as a fallback.
+        out = tmp_path / "run"
+        simulate(out)
+        first_query(text="find the step")(out)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        record = rerank_log(out)["v000-q000"]
+        assert (record["selected_rank"], record["fallback_used"], record["raw_answer"]) == (
+            1, True, "cannot tell which event is requested",
+        )
+        assert read_abstentions(out / cli.RERANK_LOG_FILE) == {"v000-q000"}
 
     @pytest.mark.parametrize("field, value", [("fallback_used", "true"), ("raw_answer", 1)])
     def test_mistyped_rerank_log_record_exits_4(self, tmp_path, caplog, field, value):
@@ -1849,6 +1920,38 @@ class TestConfigPrecedence:
         assert not (out / "manifests.jsonl").exists()
         assert any("frames per clip" in message for message in caplog.messages)
 
+    # The child process runs under a 512 MiB address-space cap, so a plan that
+    # builds every clip fails rather than exhausting memory.
+    PLAN_UNDER_A_MEMORY_CAP = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from memrerank.cli import main\n"
+        "started = time.monotonic()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.monotonic() - started)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--clip-len", "1e-320"], ["--clip-len", "1e-9"], ["--clip-len", "1e-9", "--fps", "1e9"]],
+        ids=["subnormal", "tiny", "tiny-at-one-frame-per-clip"],
+    )
+    def test_clip_len_past_the_clip_cap_rejected(self, tmp_path, flags):
+        out = tmp_path / "run"
+        simulate(out)
+        result = subprocess.run(
+            [sys.executable, "-c", self.PLAN_UNDER_A_MEMORY_CAP, "plan", "--out", str(out), *flags],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert result.returncode in (2, 4), result.stderr[-2000:]
+        assert "clip_len_s" in result.stderr
+        assert float(result.stdout) < 2.0
+        assert not (out / "manifests.jsonl").exists()
+
     def test_bad_backend_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["narrate", "--out", tmp_path, "--backend", "imaginary"])
@@ -1950,15 +2053,11 @@ class TestIncludeScores:
 
 class TestEntryPoints:
     def test_module_invocation(self):
-        # The package directory may reach pytest only through its own
-        # ``pythonpath`` setting, which the child process does not inherit.
-        src = str(Path(memrerank.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "memrerank", "--help"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "simulate" in result.stdout

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memrerank.clips import (
+    MAX_CLIPS_PER_CANDIDATE,
     ClipPlan,
     clip_frames,
     plan_candidate,
@@ -47,6 +48,16 @@ class TestPlanClips:
             ValidationError, match=r"^segment \[5\.0, 5\.0\) has no duration$"
         ):
             plan_clips(interval(5.0, 5.0), 20.0)
+
+    def test_clip_cap_reached_exactly(self):
+        segment = interval(0.0, float(MAX_CLIPS_PER_CANDIDATE))
+        assert len(plan_clips(segment, 1.0)) == MAX_CLIPS_PER_CANDIDATE
+
+    @pytest.mark.parametrize("clip_len_s", [1e-320, 1e-9, 0.99])
+    def test_clip_len_past_the_clip_cap_rejected(self, clip_len_s):
+        with pytest.raises(SchemaViolation) as info:
+            plan_clips(interval(0.0, float(MAX_CLIPS_PER_CANDIDATE)), clip_len_s)
+        assert info.value.field == "clip_len_s"
 
     def test_cover_property_on_random_segments(self):
         rng = random.Random(20260809)

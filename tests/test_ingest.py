@@ -158,6 +158,16 @@ class TestLoadAnnotations:
         write_annotations(dataset, out)
         assert load_annotations(out) == dataset
 
+    def test_query_without_ground_truth_round_trips(self, tmp_path):
+        payload = annotations_payload()
+        del payload["videos"][0]["queries"][1]["gt"]
+        dataset = load_annotations(write_file(tmp_path, "a.json", payload))
+        assert [q.ground_truth for q in dataset.iter_queries()] == [interval(10, 25), None]
+        out = tmp_path / "b.json"
+        write_annotations(dataset, out)
+        assert json.loads(out.read_text()) == payload
+        assert load_annotations(out) == dataset
+
 
 def candidates_payload(num=7):
     return {

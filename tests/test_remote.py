@@ -7,7 +7,7 @@ import pytest
 
 from memrerank.errors import BackendError, BackendUnavailableError, ConfigError
 from memrerank import cli, ingest, narration, synth
-from memrerank.clips import plan_candidate
+from memrerank.clips import plan_candidate, read_frame_manifests
 from memrerank.core import CandidateKey, TimeInterval
 from memrerank.narration import BackendRequest, FrameRef, NarrationCache, NarrationEngine
 from memrerank.remote import (
@@ -358,6 +358,22 @@ class TestLoopbackPipeline:
             for query in dataset.iter_queries()
         ]
         assert sorted(p["instruction"] for p in loopback.payloads) == sorted(rendered)
+
+    def test_frames_root_sends_each_frame(self, tmp_path, loopback):
+        out = tmp_path / "remote"
+        planned(out)
+        frames = tmp_path / "frames"
+        for plan in read_frame_manifests(out / cli.MANIFESTS_FILE):
+            video = frames / plan.candidate_key.video_id
+            video.mkdir(parents=True, exist_ok=True)
+            for timestamp in (t for clip in plan.frames for t in clip):
+                (video / frame_filename(timestamp)).write_bytes(frame_filename(timestamp).encode())
+        code = run("narrate", "--out", out, "--backend", "remote", "--frames-root", frames)
+        assert code == 0
+        images = [image for payload in loopback.payloads for image in payload["images"]]
+        assert images
+        for image in images:
+            assert base64.b64decode(image["data_b64"]) == frame_filename(image["timestamp_s"]).encode()
 
     def test_failed_selections_fall_back_and_are_asked_again(self, loopback, narrated):
         loopback.script["select"] += [status(503), MALFORMED]
