@@ -158,6 +158,21 @@ class TestLoadAnnotations:
         write_annotations(dataset, out)
         assert load_annotations(out) == dataset
 
+    def test_non_string_text_rejected(self, tmp_path):
+        payload = annotations_payload()
+        payload["videos"][0]["queries"][0]["text"] = 5
+        path = write_file(tmp_path, "a.json", payload)
+        detail = "text must be str, got 5"
+        with pytest.raises(SchemaViolation, match=refused(path, "annotations file", detail)):
+            load_annotations(path)
+
+    def test_query_is_in_the_video_that_holds_it(self, tmp_path):
+        # A query record names no video of its own: a stray key is ignored.
+        payload = annotations_payload()
+        payload["videos"][0]["queries"][0]["video_id"] = "v9"
+        dataset = load_annotations(write_file(tmp_path, "a.json", payload))
+        assert [q.video_id for q in dataset.iter_queries()] == ["v0", "v0"]
+
     def test_query_without_ground_truth_round_trips(self, tmp_path):
         payload = annotations_payload()
         del payload["videos"][0]["queries"][1]["gt"]
