@@ -539,7 +539,9 @@ def _drop_stale(cfg: RunConfig, command: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of the ``STAGES`` subcommands, built once per value of ``STAGES``."""
+    """The parser of the ``STAGES`` subcommands. It is built once per value
+    of ``STAGES`` and shared by every caller, which may parse with it but
+    not change it."""
     return _parser(STAGES)
 
 
