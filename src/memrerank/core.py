@@ -225,49 +225,3 @@ class EpisodicMemory:
         """The candidate interval covered by the entries."""
         return TimeInterval(self.entries[0].clip.start_s, self.entries[-1].clip.end_s)
 
-
-class MetricCell(NamedTuple):
-    """One recall value at a (k, IoU-threshold) pair, as a percentage."""
-
-    k: int
-    iou: float
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class MetricsReport:
-    """Recall@k at each IoU threshold plus the mean of the R@1 values."""
-
-    cells: tuple[MetricCell, ...]
-    mean_r1: float
-    num_queries: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(MetricCell(*cell) for cell in self.cells)
-        )
-        for cell in self.cells:
-            if not 0.0 <= cell.value <= 100.0:
-                raise SchemaViolation(
-                    "cells", f"percentage out of [0, 100]: {cell.value}"
-                )
-        if not 0.0 <= self.mean_r1 <= 100.0:
-            raise SchemaViolation("mean_r1", f"percentage out of [0, 100]: {self.mean_r1}")
-        by_iou: dict[float, list[MetricCell]] = {}
-        for cell in self.cells:
-            by_iou.setdefault(cell.iou, []).append(cell)
-        for iou, group in by_iou.items():
-            group.sort(key=lambda c: c.k)
-            for lower, higher in zip(group, group[1:]):
-                if higher.value < lower.value:
-                    raise SchemaViolation(
-                        "cells",
-                        f"recall must be monotone in k at iou {iou}: "
-                        f"R@{lower.k}={lower.value} > R@{higher.k}={higher.value}",
-                    )
-
-    def value_at(self, k: int, iou: float) -> float:
-        for cell in self.cells:
-            if cell.k == k and cell.iou == iou:
-                return cell.value
-        raise KeyError((k, iou))

@@ -6,18 +6,44 @@ Reports are read and written through :mod:`memrerank.ingest`.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import NUMBER, MetricCell, MetricsReport, TimeInterval, checked
-from .errors import ValidationError
+from .core import NUMBER, TimeInterval, checked
+from .errors import SchemaViolation, ValidationError
 from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
 
-# The reported cells: R@k for each k at each IoU threshold, both ascending.
+# The reported cells: R@k for each k at each IoU threshold, both ascending;
+# files and tables list them in GRID order.
 DEFAULT_KS = (1, 5)
 DEFAULT_IOU_THRESHOLDS = (0.3, 0.5)
+GRID = tuple((k, iou) for k in DEFAULT_KS for iou in DEFAULT_IOU_THRESHOLDS)
+
+
+@dataclass(frozen=True, slots=True)
+class MetricsReport:
+    """Recall@k at each IoU threshold plus the mean of the R@1 values.
+    ``cells`` maps each ``(k, iou)`` of ``GRID``, and nothing else, to a
+    percentage that does not fall as k grows; it is kept in ``GRID`` order."""
+
+    cells: Mapping[tuple[int, float], float]
+    mean_r1: float
+    num_queries: int
+
+    def __post_init__(self):
+        if self.cells.keys() != set(GRID):
+            raise SchemaViolation("cells", f"must be the grid {GRID}, got {list(self.cells)}")
+        object.__setattr__(self, "cells", {key: self.cells[key] for key in GRID})
+        for name, pct in [*(("cells", v) for v in self.cells.values()), ("mean_r1", self.mean_r1)]:
+            if not 0.0 <= pct <= 100.0:
+                raise SchemaViolation(name, f"percentage out of [0, 100]: {pct}")
+        for iou in DEFAULT_IOU_THRESHOLDS:
+            recalls = [self.cells[k, iou] for k in DEFAULT_KS]
+            if recalls != sorted(recalls):
+                raise SchemaViolation("cells", f"R@k at iou {iou} falls as k grows: {recalls}")
 
 
 def temporal_iou(a: TimeInterval, b: TimeInterval) -> float:
@@ -85,23 +111,17 @@ def evaluate_run(
             len(ground_truth),
             missing[0],
         )
-    cells = tuple(
-        MetricCell(k, threshold, recall_at_k(predictions, ground_truth, k, threshold))
-        for k in DEFAULT_KS
-        for threshold in DEFAULT_IOU_THRESHOLDS
-    )
+    cells = {(k, iou): recall_at_k(predictions, ground_truth, k, iou) for k, iou in GRID}
     return MetricsReport(
         cells=cells,
-        mean_r1=mean_r1(*(cell.value for cell in cells if cell.k == 1)),
+        mean_r1=mean_r1(*(cells[1, iou] for iou in DEFAULT_IOU_THRESHOLDS)),
         num_queries=len(ground_truth),
     )
 
 
 def report_to_dict(report: MetricsReport) -> dict:
     return {
-        "cells": [
-            {"k": cell.k, "iou": cell.iou, "value": cell.value} for cell in report.cells
-        ],
+        "cells": [{"k": k, "iou": iou, "value": value} for (k, iou), value in report.cells.items()],
         "mean_r1": report.mean_r1,
         "num_queries": report.num_queries,
     }
@@ -109,16 +129,15 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 def report_from_dict(payload) -> MetricsReport:
     """The report of a payload ``report_to_dict`` wrote; ``KeyError`` or
-    ``TypeError`` when a value is missing or of the wrong JSON type."""
+    ``TypeError`` when a value is missing or of the wrong JSON type, and
+    ``SchemaViolation`` when a cell is listed twice."""
     checked(payload, (dict,), "report")
-    cells = tuple(
-        MetricCell(
-            checked(c["k"], (int,), "k"),
-            float(checked(c["iou"], NUMBER, "iou")),
-            float(checked(c["value"], NUMBER, "value")),
-        )
-        for c in checked(payload["cells"], (list,), "cells")
-    )
+    cells = {}
+    for c in checked(payload["cells"], (list,), "cells"):
+        key = (checked(c["k"], (int,), "k"), float(checked(c["iou"], NUMBER, "iou")))
+        if key in cells:
+            raise SchemaViolation("cells", f"cell {key} is listed twice")
+        cells[key] = float(checked(c["value"], NUMBER, "value"))
     return MetricsReport(
         cells=cells,
         mean_r1=float(checked(payload["mean_r1"], NUMBER, "mean_r1")),
@@ -155,11 +174,10 @@ def display_value(value: float) -> str:
 
 def format_comparison_table(rows: Sequence[tuple[str, MetricsReport]]) -> str:
     """Text table with one row per method: R@k at each threshold + mean R@1."""
-    grid = [(k, m) for k in DEFAULT_KS for m in DEFAULT_IOU_THRESHOLDS]
-    headers = ["method", *(f"R@{k}@{m:g}" for k, m in grid), "Mean R@1"]
+    headers = ["method", *(f"R@{k}@{iou:g}" for k, iou in GRID), "Mean R@1"]
     table = [headers]
     for name, report in rows:
-        values = [report.value_at(k, m) for k, m in grid] + [report.mean_r1]
+        values = [*report.cells.values(), report.mean_r1]
         table.append([name, *map(display_value, values)])
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     lines = []

@@ -643,7 +643,8 @@ class TestPipeline:
             assert str(path) in message
 
     # A metrics value must have its JSON type: never converted from a
-    # string, a bool or a fraction.
+    # string, a bool or a fraction. The cells must be the R@1/R@5 x IoU
+    # 0.3/0.5 grid, each listed once.
     @pytest.mark.parametrize(
         "change",
         [
@@ -652,8 +653,17 @@ class TestPipeline:
             lambda report: report["cells"][0].update(value="50"),
             lambda report: report.update(mean_r1=True),
             lambda report: report.update(num_queries=6.9),
+            lambda report: report.update(cells=[]),
+            lambda report: report.update(
+                cells=[c for c in report["cells"] if (c["k"], c["iou"]) != (5, 0.5)]
+            ),
+            lambda report: report["cells"].append(report["cells"][1]),
+            lambda report: report["cells"].append({"k": 10, "iou": 0.7, "value": 90.0}),
         ],
-        ids=["k-string", "iou-string", "value-string", "mean_r1-bool", "num_queries-fraction"],
+        ids=[
+            "k-string", "iou-string", "value-string", "mean_r1-bool", "num_queries-fraction",
+            "cells-empty", "cell-dropped", "cell-twice", "cell-extra",
+        ],
     )
     def test_mistyped_metrics_value_exits_4(self, tmp_path, caplog, change):
         out = tmp_path / "run"
@@ -665,7 +675,7 @@ class TestPipeline:
         with caplog.at_level("ERROR"):
             code = run(["report", "--out", out])
         assert code == 4
-        assert any("malformed report payload" in m for m in caplog.messages)
+        assert any(f"{compare}: malformed report payload" in m for m in caplog.messages)
         assert not (out / "report.txt").exists()
 
     def test_second_narrate_run_hits_cache_only(self, tmp_path):

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from memrerank.core import (
-    CandidateList,
-    MetricCell,
-    MetricsReport,
-    TimeInterval,
-    canonical_order,
-)
-from memrerank.errors import SchemaViolation, ValidationError
+from memrerank.core import CandidateList, TimeInterval, canonical_order
+from memrerank.errors import ValidationError
 
 from helpers import candidate, clist, interval
 
@@ -110,27 +104,3 @@ class TestValidateCandidateList:
         scores = [c.score for c in once]
         assert scores == sorted(scores, reverse=True)
 
-
-class TestMetricsReport:
-    def test_monotone_in_k_enforced(self):
-        with pytest.raises(SchemaViolation):
-            MetricsReport(
-                cells=(MetricCell(1, 0.3, 60.0), MetricCell(5, 0.3, 50.0)),
-                mean_r1=60.0,
-                num_queries=10,
-            )
-
-    def test_percentage_range_enforced(self):
-        with pytest.raises(SchemaViolation):
-            MetricsReport(cells=(MetricCell(1, 0.3, 101.0),), mean_r1=50.0, num_queries=1)
-
-    def test_mapping_access(self):
-        report = MetricsReport(
-            cells=(MetricCell(1, 0.3, 50.0), MetricCell(5, 0.3, 75.0)),
-            mean_r1=50.0,
-            num_queries=4,
-        )
-        assert report.value_at(1, 0.3) == 50.0
-        assert report.value_at(5, 0.3) == 75.0
-        with pytest.raises(KeyError):
-            report.value_at(1, 0.5)

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memrerank.core import Query
-from memrerank.errors import ValidationError
+from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.ingest import Dataset, Track, VideoRecord, read_json_file
 from memrerank.metrics import (
     DEFAULT_IOU_THRESHOLDS,
     DEFAULT_KS,
+    GRID,
+    MetricsReport,
     display_value,
     evaluate_run,
     format_comparison_table,
@@ -17,6 +19,7 @@ from memrerank.metrics import (
     read_comparison,
     recall_at_k,
     report_from_dict,
+    report_to_dict,
     temporal_iou,
     write_comparison,
     write_metrics_report,
@@ -113,6 +116,49 @@ class TestMeanR1:
         assert mean_r1(0.0, 0.0) == 0.0
 
 
+def _cells(r1_03=50.0, r1_05=40.0, r5_03=75.0, r5_05=60.0) -> dict:
+    return {(1, 0.3): r1_03, (1, 0.5): r1_05, (5, 0.3): r5_03, (5, 0.5): r5_05}
+
+
+class TestMetricsReport:
+    def test_monotone_in_k_enforced(self):
+        falls = r"R@k at iou 0.3 falls as k grows: \[60.0, 50.0\]"
+        with pytest.raises(SchemaViolation, match=falls):
+            MetricsReport(cells=_cells(r1_03=60.0, r5_03=50.0), mean_r1=60.0, num_queries=10)
+
+    def test_percentage_range_enforced(self):
+        with pytest.raises(SchemaViolation, match=r"percentage out of \[0, 100\]: 101.0"):
+            MetricsReport(cells=_cells(r5_05=101.0), mean_r1=50.0, num_queries=1)
+
+    def test_mapping_access(self):
+        report = MetricsReport(cells=_cells(), mean_r1=45.0, num_queries=4)
+        assert report.cells[1, 0.3] == 50.0
+        assert report.cells[5, 0.3] == 75.0
+        with pytest.raises(KeyError):
+            report.cells[1, 0.7]
+
+    def test_cells_kept_in_grid_order(self):
+        shuffled = dict(reversed(_cells().items()))
+        report = MetricsReport(cells=shuffled, mean_r1=45.0, num_queries=4)
+        assert tuple(report.cells) == GRID
+        assert report == MetricsReport(cells=_cells(), mean_r1=45.0, num_queries=4)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [{}, {key: 50.0 for key in GRID[:-1]}, {**_cells(), (10, 0.7): 80.0}],
+        ids=["empty", "missing-cell", "extra-cell"],
+    )
+    def test_cells_must_be_the_grid(self, cells):
+        with pytest.raises(SchemaViolation, match="^schema violation in field 'cells': must be "):
+            MetricsReport(cells=cells, mean_r1=50.0, num_queries=1)
+
+    def test_cell_listed_twice_rejected(self):
+        payload = report_to_dict(MetricsReport(cells=_cells(), mean_r1=45.0, num_queries=4))
+        payload["cells"].append(dict(payload["cells"][0]))
+        with pytest.raises(SchemaViolation, match=r"cell \(1, 0.3\) is listed twice"):
+            report_from_dict(payload)
+
+
 def _dataset(gt_by_query, track=Track.NLQ, duration=1000.0):
     queries = tuple(
         Query(qid, "v0", f"query {qid}", ground_truth=gt)
@@ -129,13 +175,13 @@ class TestEvaluateRun:
         report = evaluate_run(predictions, dataset)
         assert report.num_queries == 5
         assert report.mean_r1 == 100.0
-        assert all(cell.value == 100.0 for cell in report.cells)
+        assert all(value == 100.0 for value in report.cells.values())
 
     def test_hand_enumerated_fixture(self):
         dataset = _dataset({"q0": interval(0, 10), "q1": interval(100, 110)})
         predictions = {"q0": (interval(0, 10),), "q1": (interval(50, 60),)}
         report = evaluate_run(predictions, dataset)
-        assert report.value_at(1, 0.3) == 50.0
+        assert report.cells[1, 0.3] == 50.0
 
     def test_empty_dataset_rejected(self):
         dataset = Dataset(track=Track.NLQ, videos=())
@@ -149,7 +195,7 @@ class TestEvaluateRun:
         dataset = _dataset(gt)
         with caplog.at_level("WARNING"):
             report = evaluate_run({"q0": (interval(0, 10),)}, dataset)
-        assert report.value_at(1, 0.5) == 50.0
+        assert report.cells[1, 0.5] == 50.0
         assert any("count as misses" in message for message in caplog.messages)
 
     @settings(max_examples=40, deadline=None)
@@ -175,8 +221,8 @@ class TestEvaluateRun:
             values = [recall_at_k(predictions, gt, k, m) for m in thresholds]
             assert values == sorted(values, reverse=True)
         report = evaluate_run(predictions, _dataset(gt))
-        assert [(c.k, c.iou, c.value) for c in report.cells] == [
-            (k, m, recall_at_k(predictions, gt, k, m))
+        assert list(report.cells.items()) == [
+            ((k, m), recall_at_k(predictions, gt, k, m))
             for k in DEFAULT_KS
             for m in DEFAULT_IOU_THRESHOLDS
         ]
