@@ -271,18 +271,18 @@ def _build_backend(cfg: RunConfig) -> narration.Backend:
     return synth.stub_backend(load_script)
 
 
-def _prompt_template(path: Path | None) -> narration.PromptTemplate:
-    """The narration prompt of ``path``, the default one if it is None."""
+def _prompt_template(path: Path | None) -> str:
+    """The stripped narration prompt of ``path``, the default one if it is None."""
     if path is None:
         return narration.DEFAULT_PROMPT
     setting = f"setting narration_prompt={json.dumps(str(path))}"
     try:
-        template = narration.PromptTemplate.from_file(path)
+        prompt = path.read_text(encoding="utf-8").strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{setting} must be a readable UTF-8 file: {exc}") from exc
-    if not template.text:
+    if not prompt:
         raise ConfigError(f"{setting} must not be blank")
-    return template
+    return prompt
 
 
 def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:

@@ -3,7 +3,7 @@
 The backend is pluggable: deterministic stubs and oracles live in
 :mod:`memrerank.synth`; the HTTP client lives in :mod:`memrerank.remote`.
 A narration request is structured (video id, clip bounds, the clip's
-sampling and prompt template): the scripted backends read its fields, and
+sampling and prompt text): the scripted backends read its fields, and
 only the HTTP client derives its frames and renders the instruction text.
 Narrations are cached on disk keyed by (video, clip, sampling, prompt
 version, backend), so re-running a dataset with a warm cache issues zero
@@ -29,7 +29,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -45,7 +45,7 @@ MAX_IMAGES_PER_REQUEST = 20
 DEFAULT_C_MAX = 4
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 
-DEFAULT_NARRATION_TEMPLATE = (
+DEFAULT_PROMPT = (
     "Describe what happens in these frames in one to three sentences. "
     "Mention the visible objects, the actions performed, and any "
     "hand-object interactions."
@@ -59,35 +59,21 @@ class FrameRef(NamedTuple):
     timestamp_s: float
 
 
-@dataclass(frozen=True, slots=True)
-class PromptTemplate:
-    """Versioned narration instruction; the version tracks the text."""
-
-    text: str
-    version: str = field(init=False)  # computed once: every cache key carries it
-
-    def __post_init__(self):
-        digest = hashlib.sha256(self.text.encode("utf-8")).hexdigest()[:12]
-        object.__setattr__(self, "version", f"narr-{digest}")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PromptTemplate":
-        return cls(Path(path).read_text(encoding="utf-8").strip())
-
-
-DEFAULT_PROMPT = PromptTemplate(DEFAULT_NARRATION_TEMPLATE)
+def prompt_version(prompt: str) -> str:
+    """The version of a narration prompt that its cache keys carry; it tracks the text."""
+    return f"narr-{hashlib.sha256(prompt.encode('utf-8')).hexdigest()[:12]}"
 
 
 @dataclass(frozen=True, slots=True)
 class BackendRequest:
     """One narration request: a clip of a video, the clip's sampling and
-    the prompt template the instruction is rendered from."""
+    the prompt the instruction is rendered from."""
 
     video_id: str
     clip: TimeInterval
     fps: float
     clip_len_s: float
-    prompt: PromptTemplate = DEFAULT_PROMPT
+    prompt: str = DEFAULT_PROMPT
 
     @property
     def images(self) -> tuple[FrameRef, ...]:
@@ -345,7 +331,7 @@ class NarrationEngine:
         backend: Backend,
         cache: NarrationCache | None = None,
         *,
-        prompt: PromptTemplate = DEFAULT_PROMPT,
+        prompt: str = DEFAULT_PROMPT,
         c_max: int = DEFAULT_C_MAX,
         clock: Clock = Clock(),
     ):
@@ -389,7 +375,7 @@ class NarrationEngine:
         misses by one :func:`dispatch`. Narrations finished before a
         failure stay cached.
         """
-        version, backend_id = self.prompt.version, self.backend.backend_id
+        version, backend_id = prompt_version(self.prompt), self.backend.backend_id
         for fps, clip_len_s in {(plan.fps, plan.clip_len_s) for plan in plans}:
             # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
             if clip_len_s * fps > MAX_IMAGES_PER_REQUEST:

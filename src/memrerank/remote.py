@@ -31,7 +31,7 @@ NARRATION_MAX_OUTPUT_CHARS = 2000
 def narration_instruction(request: BackendRequest, frame_count: int) -> str:
     """Instruction text for one clip; embeds exact clip bounds as context."""
     return (
-        f"{request.prompt.text}\n"
+        f"{request.prompt}\n"
         f"Video: {request.video_id}\n"
         f"Clip: {request.clip.start_s!r} to {request.clip.end_s!r} seconds\n"
         f"Frames: {frame_count} sampled in order"

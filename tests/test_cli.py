@@ -844,7 +844,7 @@ class TestPipeline:
         assert run(["plan", "--out", out]) == 0
         prompt = tmp_path / "prompt.txt"
         prompt.write_text("Say what the hands do.\n")
-        version = narration.PromptTemplate("Say what the hands do.").version
+        version = narration.prompt_version("Say what the hands do.")
         assert run(["narrate", "--out", out, "--backend", "stub", "--prompt-file", prompt]) == 0
         assert {m.prompt_version for m in narration.read_memories(out / "memories.jsonl")} == {
             version
@@ -859,7 +859,7 @@ class TestPipeline:
         assert (stats["backend_calls"], stats["cache_hits"]) == (len(first), 0)
         both = cache.read_text().splitlines()
         assert both[: len(first)] == first
-        default = narration.DEFAULT_PROMPT.version
+        default = narration.prompt_version(narration.DEFAULT_PROMPT)
         assert {json.loads(line)["key"]["prompt_version"] for line in both[len(first) :]} == {
             default
         }
@@ -1866,6 +1866,12 @@ class TestConfigPrecedence:
         assert any("setting narration_prompt=" in message for message in caplog.messages)
         assert not (out / "cache").exists()
         assert not (out / ("memories.jsonl" if stage == "narrate" else "scenario.json")).exists()
+
+    def test_prompt_file_is_its_stripped_text(self, tmp_path):
+        path = tmp_path / "prompt.txt"
+        path.write_text("narrate the clip\n", encoding="utf-8")
+        assert cli._prompt_template(path) == "narrate the clip"
+        assert cli._prompt_template(None) == narration.DEFAULT_PROMPT
 
     @pytest.mark.parametrize("stage", [stage.name for stage in cli.STAGES])
     def test_flags_and_config_keys_are_the_run_config_fields(self, tmp_path, stage):

@@ -17,7 +17,7 @@ from memrerank.narration import (
     NarrationCache,
     NarrationCacheKey,
     NarrationEngine,
-    PromptTemplate,
+    prompt_version,
     render_memory,
 )
 from memrerank.synth import ScenarioKnobs, generate_scenario, stub_backend
@@ -496,7 +496,7 @@ class TestBuildEpisodicMemory:
         engine = NarrationEngine(FixedBackend(), cache)
         keys = [
             NarrationCacheKey("v0", clip.start_s, clip.end_s, plan.fps, plan.clip_len_s,
-                              engine.prompt.version, "fixed")
+                              prompt_version(engine.prompt), "fixed")
             for clip in plan.clips
         ]
         for key, text in reversed(list(zip(keys, ["first", "second", "third"]))):
@@ -590,7 +590,7 @@ class TestNarratePlans:
         plan = plan_candidate(CandidateKey("v0", "v0-q000", 1), interval(0, 30), 20.0, 2.0)
         for clip in plan.clips:
             key = NarrationCacheKey("v0", clip.start_s, clip.end_s, plan.fps, plan.clip_len_s,
-                                    engine.prompt.version, "fixed")
+                                    prompt_version(engine.prompt), "fixed")
             engine.cache.put(key, "cached")
         message = r"^20\.0 s clips at 2\.0 fps exceed the per-request cap of 20 frames$"
         with pytest.raises(ValidationError, match=message):
@@ -885,24 +885,22 @@ class TestDispatch:
         assert called == [1, 2]
 
 
-class TestPromptTemplate:
+class TestPromptVersion:
     def test_version_tracks_text(self):
-        a = PromptTemplate("describe the frames")
-        b = PromptTemplate("describe the frames differently")
-        assert a.version != b.version
-        assert a.version == PromptTemplate("describe the frames").version
+        a = prompt_version("describe the frames")
+        b = prompt_version("describe the frames differently")
+        assert a != b
+        assert a == prompt_version("describe the frames")
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "prompt.txt"
-        path.write_text("narrate the clip\n", encoding="utf-8")
-        template = PromptTemplate.from_file(path)
-        assert template.text == "narrate the clip"
+    def test_default_version_is_unchanged(self):
+        # Every cached narration under the default prompt carries this version.
+        assert prompt_version(narration.DEFAULT_PROMPT) == "narr-9a7f157309da"
 
     def test_engine_keys_cache_by_prompt_version(self):
         backend = FixedBackend()
         cache = NarrationCache()
-        engine_a = NarrationEngine(backend, cache, prompt=PromptTemplate("one"))
-        engine_b = NarrationEngine(backend, cache, prompt=PromptTemplate("two"))
+        engine_a = NarrationEngine(backend, cache, prompt="one")
+        engine_b = NarrationEngine(backend, cache, prompt="two")
         engine_a.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         engine_b.narrate_clip("v0", interval(0, 5), 1.0, 20.0)
         assert backend.narrate_calls == 2

@@ -10,7 +10,7 @@ import pytest
 from memrerank.errors import SchemaViolation, ValidationError
 from memrerank.ingest import Track
 from memrerank.metrics import temporal_iou
-from memrerank.narration import BackendRequest, NarrationEngine, PromptTemplate
+from memrerank.narration import BackendRequest, NarrationEngine
 from memrerank import rerank
 from memrerank.synth import (
     OracleSelectorBackend,
@@ -153,7 +153,7 @@ class TestStubBackend:
         # A template line shaped like the rendered context lines names
         # another video and clip; the stub reads the request's fields.
         scenario = tiny_scenario()
-        template = PromptTemplate("Describe.\nVideo: example\nClip: 0.0 to 1.0 seconds")
+        template = "Describe.\nVideo: example\nClip: 0.0 to 1.0 seconds"
         clip = interval(55, 105)  # sampled at 55, 75 and 95 s
         custom = NarrationEngine(stub_backend(lambda: scenario.event_script), prompt=template)
         default = NarrationEngine(stub_backend(lambda: scenario.event_script))
