@@ -27,6 +27,7 @@ from .rerank import RerankOutcome, SelectionCache, promote, read_abstentions, re
 from .errors import (
     BackendError,
     ConfigError,
+    MemoryMismatch,
     MemrerankError,
     MissingInputError,
     ValidationError,
@@ -190,6 +191,8 @@ class RunConfig:
         cfg = cls(**values)
         if cfg.clip_len_s <= 0 or cfg.fps <= 0 or cfg.top_k < 1 or cfg.c_max < 1:
             raise ConfigError("clip_len_s, fps, top_k, and c_max must be positive")
+        if cfg.c_max > narration.MAX_C_MAX:
+            raise ConfigError(f"setting c_max={cfg.c_max} must be <= {narration.MAX_C_MAX}")
         if cfg.lambda_penalty < 0:
             raise ConfigError("lambda_penalty must be >= 0")
         if cfg.rerank_limit is not None and cfg.rerank_limit < 0:
@@ -365,7 +368,8 @@ def cmd_narrate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, lists = _load_inputs(cfg)
-    memories = narration.read_memories(cfg.input(MEMORIES_FILE))
+    memories_path = cfg.input(MEMORIES_FILE)
+    memories = narration.read_memories(memories_path)
     memories_by_query: dict[str, list] = {}
     for memory in sorted(memories, key=lambda m: m.candidate_key.rank):
         memories_by_query.setdefault(memory.candidate_key.query_id, []).append(memory)
@@ -377,13 +381,16 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
     backend = _build_backend(cfg)
     # The first ``rerank_limit`` jobs go to the backend; the rest keep their order.
     with SelectionCache(cfg.output(SELECTIONS_FILE)) as cache:
-        reranked = rerank_many(
-            jobs[: cfg.rerank_limit],
-            backend,
-            c_max=cfg.c_max,
-            include_scores=cfg.include_scores,
-            cache=cache,
-        )
+        try:
+            reranked = rerank_many(
+                jobs[: cfg.rerank_limit],
+                backend,
+                c_max=cfg.c_max,
+                include_scores=cfg.include_scores,
+                cache=cache,
+            )
+        except MemoryMismatch as exc:
+            raise MemoryMismatch(f"{memories_path} does not match the candidates: {exc}") from exc
     outcomes = reranked + [RerankOutcome(clist) for clist in lists[len(reranked) :]]
     # The log holds every query in dataset order, one without candidates as skipped.
     records = {
@@ -412,11 +419,12 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    dataset = ingest.load_annotations(cfg.input(ANNOTATIONS_FILE))
+    annotations = cfg.input(ANNOTATIONS_FILE)
+    dataset = ingest.load_annotations(annotations)
     if dataset.track is not ingest.Track.GOALSTEP:
         raise ConfigError(
-            "sequence optimization needs an ordered (goalstep) dataset; "
-            "evaluate the rerank predictions directly for unordered tracks"
+            f"{annotations} holds an unordered ({dataset.track.value}) dataset; sequence "
+            "optimization needs an ordered (goalstep) one, so evaluate the rerank predictions"
         )
     # A reranked file's order is its ranking; base candidates rank by score.
     post_rerank = cfg.rank_source == "post_rerank"

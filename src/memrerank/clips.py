@@ -13,6 +13,7 @@ stored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -46,8 +47,9 @@ class ClipPlan:
     def __post_init__(self):
         for name in ("fps", "clip_len_s"):
             value = getattr(self, name)
-            if type(value) not in NUMBER or not 0 < value < math.inf:
-                raise SchemaViolation(name, f"must be a positive number, got {value!r}")
+            # An integer past the float range is refused before any product overflows.
+            if type(value) not in NUMBER or not 0 < value <= sys.float_info.max:
+                raise SchemaViolation(name, f"must be a positive finite number, got {value!r}")
         object.__setattr__(self, "clips", plan_clips(self.span, self.clip_len_s))
 
     @property

@@ -6,6 +6,8 @@ The CLI maps each base class onto an exit code: ``ConfigError`` (2),
 
 - ``ParseError`` and ``SchemaViolation`` are the exit-4 errors that carry
   a location (``path``, ``line``, ``column``) or a ``field``;
+- ``MemoryMismatch`` is the exit-4 error of memories that are not their
+  candidates', for which the CLI names the memories file;
 - ``BackendUnavailableError`` is the transient failure the dispatcher
   retries, an empty narration included; any other ``BackendError`` is
   permanent.
@@ -55,6 +57,11 @@ class SchemaViolation(ValidationError):
         self.field = field
         self.reason = f"field '{field}'" + (f": {detail}" if detail else "")
         super().__init__(f"schema violation in {self.reason}")
+
+
+class MemoryMismatch(ValidationError):
+    """Episodic memories that are not their candidates': too few, or not
+    spanning them, as after another plan."""
 
 
 class BackendError(MemrerankError):

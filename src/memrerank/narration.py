@@ -43,6 +43,8 @@ logger = logging.getLogger(__name__)
 
 MAX_IMAGES_PER_REQUEST = 20
 DEFAULT_C_MAX = 4
+# The most requests in flight a run may ask for; each is one worker thread.
+MAX_C_MAX = 64
 RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
 
 DEFAULT_PROMPT = (

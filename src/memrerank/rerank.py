@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .core import CandidateList, EpisodicMemory, Query, checked
-from .errors import BackendError, ValidationError
+from .errors import BackendError, MemoryMismatch
 from .ingest import read_jsonl
 from .narration import Backend, ReplyCache, dispatch, render_memory
 
@@ -176,14 +176,14 @@ def _selection_prompt(
     memories must be its candidates', in rank order."""
     num_candidates = len(clist.candidates)
     if len(memories) != num_candidates:
-        raise ValidationError(
+        raise MemoryMismatch(
             f"{len(memories)} memories for {num_candidates} candidates of "
             f"query '{query.query_id}'"
         )
     for rank, (candidate, memory) in enumerate(zip(clist.candidates, memories), start=1):
         span, interval = memory.span, candidate.interval
         if span != interval:
-            raise ValidationError(
+            raise MemoryMismatch(
                 f"the memory of rank {rank} of query '{query.query_id}' spans "
                 f"[{span.start_s}, {span.end_s}) but the candidate spans "
                 f"[{interval.start_s}, {interval.end_s}); re-run plan and narrate"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 import re
 import threading
@@ -11,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import product
 from typing import Sequence
 
+from memrerank.cli import main
 from memrerank.clips import ClipPlan, plan_candidate
 from memrerank.core import (
     CandidateKey,
@@ -32,6 +34,32 @@ from memrerank.synth import (
     query_text,
     stub_backend,
 )
+
+
+class ErrorRecords(logging.Handler):
+    """The messages of the error records it is handed."""
+
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.messages: list[str] = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def run_logged(argv) -> tuple[int, list[str]]:
+    """Exit code and error messages of ``cli.main(argv)``; its progress
+    records are not made."""
+    handler = ErrorRecords()
+    logger = logging.getLogger("memrerank")
+    logger.addHandler(handler)
+    logger.setLevel(logging.ERROR)
+    try:
+        code = main([str(arg) for arg in argv])
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    return code, handler.messages
 
 
 def interval(start, end) -> TimeInterval:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -613,10 +614,13 @@ class TestPipeline:
             ("plan", "candidates.json", "score", 401),
             ("plan", "candidates.json", "score", 5001),
             ("narrate", "manifests.jsonl", "end_s", 401),
+            ("narrate", "manifests.jsonl", "fps", 401),
+            ("narrate", "manifests.jsonl", "clip_len_s", 401),
             ("plan", "config.json", "lambda_penalty", 401),
         ],
         ids=[
             "score-past-float-range", "score-past-digit-limit", "manifest-bound-past-float-range",
+            "manifest-fps-past-float-range", "manifest-clip-len-past-float-range",
             "setting-past-float-range",
         ],
     )
@@ -640,7 +644,9 @@ class TestPipeline:
             assert re.fullmatch(r"setting lambda_penalty=9+ must be a finite number", message)
         else:
             assert code == 4
-            assert str(path) in message
+            assert f"{path}:1:" in message if name == "manifests.jsonl" else str(path) in message
+            if key in ("fps", "clip_len_s"):
+                assert f"field '{key}': must be a positive finite number" in message
 
     # A metrics value must have its JSON type: never converted from a
     # string, a bool or a fraction. The cells must be the R@1/R@5 x IoU
@@ -836,7 +842,10 @@ class TestPipeline:
         assert run(["rerank", "--out", out, "--backend", "stub", "--limit", 2]) == 0
         with caplog.at_level("ERROR"):
             code = run(["rerank", "--out", out, "--backend", "stub", "--limit", 3])
-        assert (code, caplog.messages) == (4, ["0 memories for 5 candidates of query 'v001-q000'"])
+        assert (code, caplog.messages) == (4, [
+            f"{out / 'memories.jsonl'} does not match the candidates: "
+            "0 memories for 5 candidates of query 'v001-q000'"
+        ])
 
     def test_prompt_file_versions_the_memories_and_the_cache(self, tmp_path):
         out = tmp_path / "run"
@@ -960,8 +969,8 @@ class TestPipeline:
         assert (code, caplog.messages) == (
             2,
             [
-                "sequence optimization needs an ordered (goalstep) dataset; "
-                "evaluate the rerank predictions directly for unordered tracks"
+                f"{out / 'annotations.json'} holds an unordered (nlq) dataset; sequence "
+                "optimization needs an ordered (goalstep) one, so evaluate the rerank predictions"
             ],
         )
 
@@ -1017,10 +1026,11 @@ class TestPipeline:
             code = run(["rerank", "--out", out, "--backend", "stub"])
         assert code == 4
         stale = re.compile(
-            r"the memory of rank \d+ of query 'v\d{3}-q\d{3}' spans \[[\d.]+, [\d.]+\) "
-            r"but the candidate spans \[[\d.]+, [\d.]+\); re-run plan and narrate$"
+            re.escape(f"{out / 'memories.jsonl'} does not match the candidates: ")
+            + r"the memory of rank \d+ of query 'v\d{3}-q\d{3}' spans \[[\d.]+, [\d.]+\) "
+            r"but the candidate spans \[[\d.]+, [\d.]+\); re-run plan and narrate"
         )
-        assert any(stale.search(message) for message in caplog.messages)
+        assert [message for message in caplog.messages if stale.fullmatch(message)] != []
         assert not (out / "reranked_candidates.json").exists()
 
     def test_clip_a_few_ulps_long_gets_no_extra_frame(self, tmp_path):
@@ -1967,6 +1977,34 @@ class TestConfigPrecedence:
         assert "clip_len_s" in result.stderr
         assert float(result.stdout) < 2.0
         assert not (out / "manifests.jsonl").exists()
+
+    # Each request in flight is one worker thread, so a c_max past the
+    # bound is refused before a stage could start one.
+    @pytest.mark.parametrize("stage", ["narrate", "rerank"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_c_max_past_the_bound_rejected(self, tmp_path, caplog, monkeypatch, stage, source):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out]) == 0
+        c_max = narration.MAX_C_MAX + 1 if source == "flag" else 100_000
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"c_max": c_max}))
+        flags = ["--c-max", c_max] if source == "flag" else ["--config", config]
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was constructed")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with caplog.at_level("ERROR"):
+            code = run([stage, "--out", out, "--backend", "stub", *flags])
+        assert code == 2
+        assert caplog.messages == [f"setting c_max={c_max} must be <= {narration.MAX_C_MAX}"]
+        assert not (out / "cache").exists()
+
+    def test_c_max_at_the_bound_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        simulate(out)
+        assert run(["plan", "--out", out, "--c-max", narration.MAX_C_MAX]) == 0
 
     def test_bad_backend_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -154,7 +154,10 @@ class TestClipPlanInvariants:
 
     @pytest.mark.parametrize(
         "fps, clip_len_s",
-        [(0.0, 20.0), (1.0, -20.0), (math.nan, 20.0), (1.0, math.inf), (True, 20.0), ("1", 20.0)],
+        [
+            (0.0, 20.0), (1.0, -20.0), (math.nan, 20.0), (1.0, math.inf), (True, 20.0), ("1", 20.0),
+            (10**400, 20.0), (1.0, 10**400),
+        ],
     )
     def test_sampling_must_be_positive_numbers(self, fps, clip_len_s):
         with pytest.raises(SchemaViolation):

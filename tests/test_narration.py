@@ -885,7 +885,7 @@ class TestDispatch:
         assert called == [1, 2]
 
 
-class TestPromptVersion:
+class TestPromptTemplate:
     def test_version_tracks_text(self):
         a = prompt_version("describe the frames")
         b = prompt_version("describe the frames differently")

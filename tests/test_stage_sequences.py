@@ -13,7 +13,6 @@ cache, the stages whose files the run directory holds. The caches, and
 
 from __future__ import annotations
 
-import logging
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,6 +27,8 @@ from hypothesis.stateful import (
 )
 
 import memrerank.cli as cli
+
+from helpers import run_logged
 
 SIZE = ["--videos", 3, "--queries-per-video", 3]
 STAGE_NAMES = tuple(stage.name for stage in cli.STAGES)
@@ -44,30 +45,9 @@ OTHER = {1: 2, 2: 1, 0.1: 0.9, 0.9: 0.1}
 FRESH: dict[tuple, dict[str, bytes]] = {}
 
 
-class ErrorRecords(logging.Handler):
-    """The messages of the error records it is handed."""
-
-    def __init__(self):
-        super().__init__(logging.ERROR)
-        self.messages: list[str] = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
 def run(out: Path, stage: str, *flags) -> tuple[int, list[str]]:
-    """Exit code and error messages of ``stage`` run over ``out``; its
-    progress records are not made."""
-    handler = ErrorRecords()
-    logger = logging.getLogger("memrerank")
-    logger.addHandler(handler)
-    logger.setLevel(logging.ERROR)
-    try:
-        code = cli.main([stage, "--out", str(out), "--backend", "stub", *map(str, flags)])
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(logging.NOTSET)
-    return code, handler.messages
+    """Exit code and error messages of ``stage`` run over ``out``."""
+    return run_logged([stage, "--out", out, "--backend", "stub", *flags])
 
 
 def stage_files(out: Path) -> dict[str, bytes]:

@@ -97,6 +97,17 @@ class TestGenerateScenario:
         fraction = hits / len(gt)
         assert abs(fraction - 0.6) < 0.06
 
+    # A distractor is shifted by at most a third of its own length and
+    # events are at least 3 s apart, whatever the jitter.
+    @pytest.mark.parametrize("jitter_s", [0.0, 2.0, 1e6])
+    def test_distractor_iou_below_a_third(self, jitter_s):
+        knobs = ScenarioKnobs(num_videos=20, queries_per_video=5, recall_rho=0.0, jitter_s=jitter_s)
+        for seed in range(5):
+            scenario = generate_scenario(knobs, seed)
+            gt = ground_truth_by_query(scenario)
+            for query_id, clist in candidates_by_query(scenario).items():
+                assert all(temporal_iou(c.interval, gt[query_id]) < 1 / 3 for c in clist.candidates)
+
     def test_every_gt_in_event_script(self):
         scenario = generate_scenario(ScenarioKnobs(num_videos=3, queries_per_video=4), 17)
         script = scenario.event_script
