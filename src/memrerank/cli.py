@@ -199,9 +199,9 @@ class RunConfig:
             raise ConfigError(f"rerank_limit must be >= 0, got {cfg.rerank_limit}")
         # ceil(clip_len_s * fps) frames exceed the cap exactly when the
         # product does, and the product may overflow to infinity.
-        if cfg.clip_len_s * cfg.fps > narration.MAX_IMAGES_PER_REQUEST:
+        if cfg.clip_len_s * cfg.fps > clips.MAX_FRAMES_PER_CLIP:
             raise ConfigError(
-                f"clip_len_s * fps must be <= {narration.MAX_IMAGES_PER_REQUEST} "
+                f"clip_len_s * fps must be <= {clips.MAX_FRAMES_PER_CLIP} "
                 "frames per clip, the narration request cap"
             )
         _prompt_template(cfg.narration_prompt)  # read again by narrate

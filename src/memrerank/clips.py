@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .core import NUMBER, CandidateKey, TimeInterval, checked
+from .core import NUMBER, CandidateKey, TimeInterval, interval_of
 from .errors import SchemaViolation, ValidationError
 from .ingest import read_jsonl, write_jsonl
 
@@ -26,6 +26,8 @@ DEFAULT_CLIP_LEN_S = 20.0
 DEFAULT_FPS = 1.0
 # The most clips a candidate is cut into; a shorter clip_len_s is refused.
 MAX_CLIPS_PER_CANDIDATE = 10_000
+# The most frames a clip is sampled into: the images one narration request holds.
+MAX_FRAMES_PER_CLIP = 20
 
 # Tolerance for the clip-cover property; also guards against a float
 # overshoot creating an empty tail clip.
@@ -34,9 +36,9 @@ COVER_TOLERANCE_S = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class ClipPlan:
-    """One candidate's span and sampling. Its clips (:func:`plan_clips`)
-    are derived once, when it is built; their frames (:func:`clip_frames`)
-    on each read."""
+    """One candidate's span and sampling, at most ``MAX_FRAMES_PER_CLIP``
+    frames per clip. Its clips (:func:`plan_clips`) are derived once, when
+    it is built; their frames (:func:`clip_frames`) on each read."""
 
     candidate_key: CandidateKey
     span: TimeInterval
@@ -50,6 +52,13 @@ class ClipPlan:
             # An integer past the float range is refused before any product overflows.
             if type(value) not in NUMBER or not 0 < value <= sys.float_info.max:
                 raise SchemaViolation(name, f"must be a positive finite number, got {value!r}")
+        # ceil(clip_len_s * fps) frames exceed the cap exactly when the product does.
+        if self.clip_len_s * self.fps > MAX_FRAMES_PER_CLIP:
+            raise SchemaViolation(
+                "clip_len_s * fps",
+                f"{self.clip_len_s!r} s clips at {self.fps!r} fps exceed the per-request cap of "
+                f"{MAX_FRAMES_PER_CLIP} frames",
+            )
         object.__setattr__(self, "clips", plan_clips(self.span, self.clip_len_s))
 
     @property
@@ -149,10 +158,8 @@ def read_frame_manifests(path: str | Path) -> list[ClipPlan]:
     def parse(record) -> ClipPlan:
         if "clip_start_s" in record:
             raise ValueError("a record per clip is the old manifest format; re-run plan")
-        span = TimeInterval(
-            checked(record["start_s"], NUMBER, "start_s"), checked(record["end_s"], NUMBER, "end_s")
-        )
-        plan = ClipPlan(CandidateKey.from_record(record), span, record["fps"], record["clip_len_s"])
+        key, span = CandidateKey.from_record(record), interval_of(record)
+        plan = ClipPlan(key, span, record["fps"], record["clip_len_s"])
         if plan.candidate_key in seen:
             raise ValueError(f"{plan.candidate_key} is listed twice")
         seen.add(plan.candidate_key)

@@ -107,15 +107,12 @@ class CandidateKey(NamedTuple):
         )
 
 
-def clip_bounds(record) -> tuple[float, float]:
-    """The ``clip_start_s`` and ``clip_end_s`` of a stage-file record;
-    ``TypeError`` when either is not a JSON number and ``ValueError``
-    when they are not ``0 <= start <= end < inf``."""
-    start = checked(record["clip_start_s"], NUMBER, "clip_start_s")
-    end = checked(record["clip_end_s"], NUMBER, "clip_end_s")
-    if not 0 <= start <= end < math.inf:
-        raise ValueError(f"clip bounds must be finite, 0 <= start <= end, got {(start, end)!r}")
-    return start, end
+def interval_of(record, start: str = "start_s", end: str = "end_s") -> TimeInterval:
+    """The interval ``[record[start], record[end])`` of a stage-file record;
+    ``TypeError`` when a bound is not a JSON number, ``OverflowError`` when
+    it is an integer past the float range, and ``ValidationError`` when the
+    bounds are not ``0 <= start <= end < inf``."""
+    return TimeInterval(checked(record[start], NUMBER, start), checked(record[end], NUMBER, end))
 
 
 def _require_id(value, what: str) -> str:

@@ -37,12 +37,17 @@ from .core import (
     TimeInterval,
     canonical_order,
     checked,
+    interval_of,
 )
 from .errors import ParseError, SchemaViolation, ValidationError
 
 PREDICTIONS_VERSION = "emc-1"
 DEFAULT_TOP_K = 5
 encode_record = json.JSONEncoder(sort_keys=True).encode  # json.dumps(record, sort_keys=True)
+# What a record's reader raises when the record is malformed: a value
+# missing, of the wrong type or out of range, an integer past the float
+# range, or a domain type refusing it.
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError, ValidationError)
 
 
 class Track(str, enum.Enum):
@@ -213,11 +218,9 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
 
     A file that is not UTF-8 JSON raises ``ParseError`` at its line and
     column. Any other file ``json.loads`` refuses (an integer past its
-    digit limit), and a ``KeyError``, ``TypeError``, ``ValueError``,
-    ``OverflowError`` (an integer past the float range) or
-    ``ValidationError`` (a domain type refusing a value) from ``parse``,
-    raises ``SchemaViolation(what)`` naming ``path`` (and, for a wrapped
-    schema violation, its field).
+    digit limit), and an error of ``MALFORMED`` from ``parse``, raises
+    ``SchemaViolation(what)`` naming ``path`` (and, for a wrapped schema
+    violation, its field).
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -235,7 +238,7 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
         return parse(value)
     except KeyError as exc:
         raise SchemaViolation(what, f"{path}: malformed {what}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+    except MALFORMED as exc:
         reason = exc.reason if isinstance(exc, SchemaViolation) else exc
         raise SchemaViolation(what, f"{path}: malformed {what}: {reason}") from exc
 
@@ -257,11 +260,9 @@ def write_jsonl(records: Iterable[Mapping], path: str | Path) -> None:
 def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
     """``parse`` applied to the JSON value of each non-blank line, in order.
 
-    A line that is not UTF-8 JSON, or that ``parse`` rejects with
-    ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or a
-    ``ValidationError`` (a domain type refusing the record), raises
-    ``SchemaViolation(field)`` naming ``path:line`` (and, for a wrapped
-    schema violation, its field).
+    A line that is not UTF-8 JSON, or that ``parse`` rejects with an error
+    of ``MALFORMED``, raises ``SchemaViolation(field)`` naming ``path:line``
+    (and, for a wrapped schema violation, its field).
     """
     records = []
     with open(path, "rb") as handle:
@@ -270,7 +271,7 @@ def read_jsonl(path: str | Path, field: str, parse: Callable) -> list:
                 continue
             try:
                 records.append(parse(json.loads(line.decode("utf-8"))))
-            except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+            except MALFORMED as exc:
                 reason = exc.reason if isinstance(exc, SchemaViolation) else exc
                 raise SchemaViolation(
                     field, f"{path}:{line_no}: malformed record ({reason})"
@@ -287,7 +288,7 @@ def _parse_query(raw, video_id: str) -> Query:
     gt = raw.get("gt")
     if gt is not None:
         checked(gt, (dict,), "gt")
-        gt = TimeInterval(_number(gt, "start_s"), _number(gt, "end_s"))
+        gt = interval_of(gt)
     return Query(
         query_id=checked(raw["query_id"], (str,), "query_id"),
         video_id=video_id,
@@ -393,8 +394,7 @@ def load_candidates(
             candidates = checked(raw["candidates"], (list,), "candidates")
             for c in candidates:
                 checked(c, (dict,), "candidate")
-                interval = TimeInterval(_number(c, "start_s"), _number(c, "end_s"))
-                segments.append(CandidateSegment(interval, _number(c, "score")))
+                segments.append(CandidateSegment(interval_of(c), _number(c, "score")))
             kept = canonical_order(segments, top_k) if canonical else segments[:top_k]
             lists.append(CandidateList(video_id, query_id, kept))
         return lists

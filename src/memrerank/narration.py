@@ -35,13 +35,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import clips
-from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, clip_bounds
-from .errors import BackendUnavailableError, SchemaViolation, ValidationError
-from .ingest import atomic_writer, encode_record, read_jsonl, write_jsonl
+from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, interval_of
+from .errors import BackendUnavailableError, SchemaViolation
+from .ingest import MALFORMED, atomic_writer, encode_record, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
-MAX_IMAGES_PER_REQUEST = 20
 DEFAULT_C_MAX = 4
 # The most requests in flight a run may ask for; each is one worker thread.
 MAX_C_MAX = 64
@@ -133,9 +132,11 @@ class NarrationCacheKey(NamedTuple):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NarrationCacheKey":
+        clip = interval_of(payload, "clip_start_s", "clip_end_s")
         return cls(
             checked(payload["video_id"], (str,), "video_id"),
-            *clip_bounds(payload),
+            clip.start_s,
+            clip.end_s,
             checked(payload["fps"], NUMBER, "fps"),
             checked(payload["clip_len_s"], NUMBER, "clip_len_s"),
             checked(payload["prompt_version"], (str,), "prompt_version"),
@@ -180,7 +181,7 @@ class ReplyCache:
                     text = record["text"]
                     if not isinstance(text, str) or not text.strip():
                         raise ValueError("empty reply text")
-                except (ValueError, KeyError, TypeError) as exc:
+                except MALFORMED as exc:
                     logger.warning(
                         "skipping corrupt cache record %s:%d (%s)", self._path, line_no, exc
                     )
@@ -372,19 +373,11 @@ class NarrationEngine:
     def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:
         """Narrate every clip of every plan; one memory per plan, in order.
 
-        Frame caps are checked before any backend call. Each distinct
-        cache key is narrated at most once: hits are served inline and
-        misses by one :func:`dispatch`. Narrations finished before a
-        failure stay cached.
+        Each distinct cache key is narrated at most once: hits are served
+        inline and misses by one :func:`dispatch`. Narrations finished
+        before a failure stay cached.
         """
         version, backend_id = prompt_version(self.prompt), self.backend.backend_id
-        for fps, clip_len_s in {(plan.fps, plan.clip_len_s) for plan in plans}:
-            # ceil(clip_len_s * fps) exceeds the cap exactly when the product does.
-            if clip_len_s * fps > MAX_IMAGES_PER_REQUEST:
-                raise ValidationError(
-                    f"{clip_len_s} s clips at {fps} fps exceed the per-request cap "
-                    f"of {MAX_IMAGES_PER_REQUEST} frames"
-                )
         plan_keys = [
             [NarrationCacheKey(plan.candidate_key.video_id, clip.start_s, clip.end_s, plan.fps,
                                plan.clip_len_s, version, backend_id) for clip in plan.clips]
@@ -465,7 +458,7 @@ def _memory_from_record(record) -> EpisodicMemory:
     return EpisodicMemory(
         candidate_key=CandidateKey.from_record(record),
         entries=tuple(
-            MemoryEntry(TimeInterval(*clip_bounds(e)), e["narration"])
+            MemoryEntry(interval_of(e, "clip_start_s", "clip_end_s"), e["narration"])
             for e in record["entries"]
         ),
         prompt_version=checked(record["prompt_version"], (str,), "prompt_version"),

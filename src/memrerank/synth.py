@@ -34,6 +34,7 @@ from .core import (
     TimeInterval,
     canonical_order,
     checked,
+    interval_of,
 )
 from .errors import SchemaViolation, ValidationError
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
@@ -327,13 +328,7 @@ def load_scenario(path: str | Path, dataset: Dataset) -> EventScript:
         events_by_video = checked(payload["event_script"], (dict,), "event_script")
         return {
             video_id: tuple(
-                ScriptedEvent(
-                    TimeInterval(
-                        checked(e["start_s"], NUMBER, "event start_s"),
-                        checked(e["end_s"], NUMBER, "event end_s"),
-                    ),
-                    checked(e["label"], (str,), "event label"),
-                )
+                ScriptedEvent(interval_of(e), checked(e["label"], (str,), "event label"))
                 for e in events
             )
             for video_id, events in sorted(events_by_video.items())

@@ -288,7 +288,8 @@ class TestPipeline:
         self, tmp_path, caplog, field, value
     ):
         # 20 s clips at 2 fps, or 40 s clips at 1 fps, need 40 frames; a
-        # narration request holds 20.
+        # narration request holds 20. The manifest is refused as it is
+        # read, before a backend or a cache is built.
         out = tmp_path / "run"
         simulate(out)
         assert run(["plan", "--out", out]) == 0
@@ -300,9 +301,12 @@ class TestPipeline:
         with caplog.at_level("ERROR"):
             code = run(["narrate", "--out", out, "--backend", "stub"])
         assert code == 4
-        assert any("per-request cap" in m for m in caplog.messages)
-        stats = json.loads((out / "cache" / "narrate_stats.json").read_text())
-        assert stats["backend_calls"] == 0
+        assert any(
+            f"{manifest}:1: " in m and field in m and "per-request cap of 20 frames" in m
+            for m in caplog.messages
+        )
+        assert not (out / "cache" / "narrations.jsonl").exists()
+        assert not (out / "cache" / "narrate_stats.json").exists()
         assert not (out / "memories.jsonl").exists()
 
     def test_string_rank_in_memories_exits_4(self, tmp_path, caplog):

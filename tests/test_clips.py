@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from memrerank.clips import (
     MAX_CLIPS_PER_CANDIDATE,
+    MAX_FRAMES_PER_CLIP,
     ClipPlan,
     clip_frames,
     plan_candidate,
@@ -143,11 +144,19 @@ class TestClipPlanInvariants:
     def test_frames_must_lie_inside_clip(self, start_ms, length_ms, clip_len_s, fps):
         # Millisecond bounds, like the 3-decimal candidate files, give
         # clips a few ulps over clip_len_s.
+        # A plan refuses 20 s clips at 2 fps, past the request cap, so those
+        # draws cut and sample the span without one.
         start, end = start_ms / 1000, (start_ms + length_ms) / 1000
-        plan = plan_candidate(CandidateKey("v0", "q0", 1), interval(start, end), clip_len_s, fps)
+        span = interval(start, end)
         cap = math.ceil(clip_len_s * fps)
-        assert len(plan.frames) == len(plan.clips)
-        for clip, frames in zip(plan.clips, plan.frames):
+        if cap <= MAX_FRAMES_PER_CLIP:
+            plan = plan_candidate(CandidateKey("v0", "q0", 1), span, clip_len_s, fps)
+            clips, sampled = plan.clips, plan.frames
+        else:
+            clips = plan_clips(span, clip_len_s)
+            sampled = tuple(clip_frames(clip, fps, clip_len_s) for clip in clips)
+        assert len(sampled) == len(clips)
+        for clip, frames in zip(clips, sampled):
             assert 1 <= len(frames) <= cap
             assert all(clip.start_s <= t < clip.end_s for t in frames)
             assert frames == clip_frames(clip, fps, clip_len_s)

@@ -7,9 +7,9 @@ import time
 import pytest
 
 import memrerank.narration as narration
-from memrerank.clips import plan_candidate
+from memrerank.clips import plan_candidate, plan_clips
 from memrerank.core import CandidateKey, EpisodicMemory, MemoryEntry
-from memrerank.errors import BackendUnavailableError, ValidationError
+from memrerank.errors import BackendUnavailableError, SchemaViolation, ValidationError
 from memrerank.narration import (
     Backend,
     BackendRequest,
@@ -175,8 +175,11 @@ class TestNarrateClip:
     def test_frame_cap(self):
         backend = FixedBackend()
         engine = NarrationEngine(backend)
-        message = r"^21\.0 s clips at 1\.0 fps exceed the per-request cap of 20 frames$"
-        with pytest.raises(ValidationError, match=message):
+        message = (
+            r"^schema violation in field 'clip_len_s \* fps': "
+            r"21\.0 s clips at 1\.0 fps exceed the per-request cap of 20 frames$"
+        )
+        with pytest.raises(SchemaViolation, match=message):
             engine.narrate_clip("v0", interval(0, 21), 1.0, 21.0)
         assert backend.narrate_calls == 0
 
@@ -266,13 +269,14 @@ class TestNarrationCache:
         "field, bound",
         [
             *(("clip_start_s", bound) for bound in ["5.0", "x", True, float("nan"), -1.0]),
+            ("clip_end_s", 10**400),  # past the float range: a key no request can hit
             ("video_id", 5),
             ("fps", "1.0"),
             ("prompt_version", 5),
             ("backend_id", None),
         ],
-        ids=["5.0", "x", "True", "nan", "-1.0", "video_id-number", "fps-string",
-             "prompt_version-number", "backend_id-null"],
+        ids=["5.0", "x", "True", "nan", "-1.0", "end-past-float-range", "video_id-number",
+             "fps-string", "prompt_version-number", "backend_id-null"],
     )
     def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, field, bound):
         path = tmp_path / "cache.jsonl"
@@ -289,6 +293,7 @@ class TestNarrationCache:
         assert len(reloaded) == 1
         assert reloaded.get(self._key(5.0, 15.0)) is None
         assert any(f"corrupt cache record {path}:2" in m for m in caplog.messages)
+        assert path.read_text(encoding="utf-8").splitlines() == lines[:1]  # dropped
 
     def test_record_without_sampling_skipped_and_dropped(self, tmp_path, caplog):
         # A record written before the key carried the clip's sampling.
@@ -585,16 +590,17 @@ class TestNarratePlans:
         assert len(sent[interval(25.511, 45.511)]) == 20
 
     def test_frame_cap_checked_on_cache_hits_too(self):
+        # The clips of an over-cap plan are cached; the plan is still refused,
+        # as it is built, so no engine ever sees it.
         backend = FixedBackend()
         engine = NarrationEngine(backend)
-        plan = plan_candidate(CandidateKey("v0", "v0-q000", 1), interval(0, 30), 20.0, 2.0)
-        for clip in plan.clips:
-            key = NarrationCacheKey("v0", clip.start_s, clip.end_s, plan.fps, plan.clip_len_s,
+        for clip in plan_clips(interval(0, 30), 20.0):
+            key = NarrationCacheKey("v0", clip.start_s, clip.end_s, 2.0, 20.0,
                                     prompt_version(engine.prompt), "fixed")
             engine.cache.put(key, "cached")
-        message = r"^20\.0 s clips at 2\.0 fps exceed the per-request cap of 20 frames$"
-        with pytest.raises(ValidationError, match=message):
-            engine.narrate_plans([plan])
+        message = r"20\.0 s clips at 2\.0 fps exceed the per-request cap of 20 frames$"
+        with pytest.raises(SchemaViolation, match=message):
+            plan_candidate(CandidateKey("v0", "v0-q000", 1), interval(0, 30), 20.0, 2.0)
         assert backend.narrate_calls == 0
 
     def test_fan_out_spans_candidates(self):
