@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     MemoryMismatch,
     MemrerankError,
+    MissingGroundTruth,
     MissingInputError,
     ValidationError,
 )
@@ -391,6 +392,8 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
             )
         except MemoryMismatch as exc:
             raise MemoryMismatch(f"{memories_path} does not match the candidates: {exc}") from exc
+        except MissingGroundTruth as exc:
+            raise MissingGroundTruth(f"{cfg.input(ANNOTATIONS_FILE)}: {exc}") from exc
     outcomes = reranked + [RerankOutcome(clist) for clist in lists[len(reranked) :]]
     # The log holds every query in dataset order, one without candidates as skipped.
     records = {
@@ -464,8 +467,11 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     final = cfg._path(PREDICTIONS_FINAL_FILE).exists()
     after_path = cfg.input(PREDICTIONS_FINAL_FILE if final else PREDICTIONS_RERANK_FILE)
     after_predictions = ingest.load_predictions(after_path, dataset)
-    before = metrics.evaluate_run(before_predictions, dataset, "base candidates")
-    after = metrics.evaluate_run(after_predictions, dataset, after_path.name)
+    try:
+        before = metrics.evaluate_run(before_predictions, dataset, "base candidates")
+        after = metrics.evaluate_run(after_predictions, dataset, after_path.name)
+    except MissingGroundTruth as exc:
+        raise MissingGroundTruth(f"{cfg.input(ANNOTATIONS_FILE)}: {exc}") from exc
     metrics.write_metrics_report(before, cfg.output(METRICS_BEFORE_FILE))
     metrics.write_metrics_report(after, cfg.output(METRICS_AFTER_FILE))
     metrics.write_comparison(before, after, cfg.output(METRICS_COMPARE_FILE))

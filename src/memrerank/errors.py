@@ -7,7 +7,9 @@ The CLI maps each base class onto an exit code: ``ConfigError`` (2),
 - ``ParseError`` and ``SchemaViolation`` are the exit-4 errors that carry
   a location (``path``, ``line``, ``column``) or a ``field``;
 - ``MemoryMismatch`` is the exit-4 error of memories that are not their
-  candidates', for which the CLI names the memories file;
+  candidates', for which the CLI names the memories file, and
+  ``MissingGroundTruth`` that of a query or dataset without the ground
+  truth a stage needs, for which it names the annotations file;
 - ``BackendUnavailableError`` is the transient failure the dispatcher
   retries, an empty narration included; any other ``BackendError`` is
   permanent.
@@ -62,6 +64,11 @@ class SchemaViolation(ValidationError):
 class MemoryMismatch(ValidationError):
     """Episodic memories that are not their candidates': too few, or not
     spanning them, as after another plan."""
+
+
+class MissingGroundTruth(ValidationError):
+    """Annotations that lack the ground truth a stage needs: the oracle's
+    for a query it selects for, or ``eval``'s for every query."""
 
 
 class BackendError(MemrerankError):

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import NUMBER, TimeInterval, checked
-from .errors import SchemaViolation, ValidationError
+from .errors import MissingGroundTruth, SchemaViolation
 from .ingest import read_json_file, write_report_file
 
 logger = logging.getLogger(__name__)
@@ -27,7 +27,9 @@ GRID = tuple((k, iou) for k in DEFAULT_KS for iou in DEFAULT_IOU_THRESHOLDS)
 class MetricsReport:
     """Recall@k at each IoU threshold plus the mean of the R@1 values.
     ``cells`` maps each ``(k, iou)`` of ``GRID``, and nothing else, to a
-    percentage that does not fall as k grows; it is kept in ``GRID`` order."""
+    percentage that does not fall as k grows or as the threshold loosens;
+    it is kept in ``GRID`` order. ``mean_r1`` is exactly :func:`mean_r1` of
+    the R@1 cells, as :func:`evaluate_run` computes it."""
 
     cells: Mapping[tuple[int, float], float]
     mean_r1: float
@@ -44,6 +46,13 @@ class MetricsReport:
             recalls = [self.cells[k, iou] for k in DEFAULT_KS]
             if recalls != sorted(recalls):
                 raise SchemaViolation("cells", f"R@k at iou {iou} falls as k grows: {recalls}")
+        for k in DEFAULT_KS:
+            recalls = [self.cells[k, iou] for iou in DEFAULT_IOU_THRESHOLDS]
+            if recalls != sorted(recalls, reverse=True):
+                raise SchemaViolation("cells", f"R@{k} rises as the iou threshold grows: {recalls}")
+        expected = mean_r1(*(self.cells[1, iou] for iou in DEFAULT_IOU_THRESHOLDS))
+        if self.mean_r1 != expected:
+            raise SchemaViolation("mean_r1", f"{self.mean_r1} is not the mean R@1, {expected}")
 
 
 def temporal_iou(a: TimeInterval, b: TimeInterval) -> float:
@@ -101,7 +110,7 @@ def evaluate_run(
         if query.ground_truth is not None:
             ground_truth[query.query_id] = query.ground_truth
     if not ground_truth:
-        raise ValidationError("dataset has no annotated queries to score")
+        raise MissingGroundTruth("dataset has no annotated queries to score")
     missing = sorted(set(ground_truth) - set(predictions))
     if missing:
         logger.warning(

@@ -36,7 +36,7 @@ from .core import (
     checked,
     interval_of,
 )
-from .errors import SchemaViolation, ValidationError
+from .errors import MissingGroundTruth, SchemaViolation, ValidationError
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
@@ -264,7 +264,7 @@ class OracleSelectorBackend(ScriptedStubBackend):
         """The IoU of each candidate of the prompt's list with its query's ground truth."""
         query = prompt.query
         if query.ground_truth is None:
-            raise ValidationError(
+            raise MissingGroundTruth(
                 f"query '{query.query_id}' has no ground truth for the oracle to select by"
             )
         return [temporal_iou(c.interval, query.ground_truth) for c in prompt.clist.candidates]

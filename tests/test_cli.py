@@ -164,6 +164,11 @@ def evaluated_with_mean_r1(value):
     return corrupt
 
 
+def grid(*values) -> list[dict]:
+    """A metrics report's cells holding ``values`` in grid order."""
+    return [{"k": k, "iou": iou, "value": v} for (k, iou), v in zip(metrics.GRID, values)]
+
+
 def planned_with_knob(**knobs):
     """Plan, then add ``knobs`` to the scenario file's knobs."""
 
@@ -654,7 +659,8 @@ class TestPipeline:
 
     # A metrics value must have its JSON type: never converted from a
     # string, a bool or a fraction. The cells must be the R@1/R@5 x IoU
-    # 0.3/0.5 grid, each listed once.
+    # 0.3/0.5 grid, each listed once, a recall must not rise with the IoU
+    # threshold, and mean_r1 must be the mean of the R@1 cells.
     @pytest.mark.parametrize(
         "change",
         [
@@ -669,10 +675,13 @@ class TestPipeline:
             ),
             lambda report: report["cells"].append(report["cells"][1]),
             lambda report: report["cells"].append({"k": 10, "iou": 0.7, "value": 90.0}),
+            lambda report: report.update(cells=grid(0.0, 100.0, 100.0, 100.0), mean_r1=50.0),
+            lambda report: report.update(cells=grid(50.0, 40.0, 75.0, 60.0), mean_r1=3.0),
         ],
         ids=[
             "k-string", "iou-string", "value-string", "mean_r1-bool", "num_queries-fraction",
-            "cells-empty", "cell-dropped", "cell-twice", "cell-extra",
+            "cells-empty", "cell-dropped", "cell-twice", "cell-extra", "rises-with-iou",
+            "mean_r1-not-the-mean",
         ],
     )
     def test_mistyped_metrics_value_exits_4(self, tmp_path, caplog, change):
@@ -978,6 +987,23 @@ class TestPipeline:
             ],
         )
 
+    def test_eval_without_ground_truth_names_the_annotations(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        narrated(out)
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 0
+        annotations = out / "annotations.json"
+        payload = json.loads(annotations.read_text())
+        for video in payload["videos"]:
+            for query in video["queries"]:
+                del query["gt"]
+        annotations.write_text(json.dumps(payload))
+        with caplog.at_level("ERROR"):
+            code = run(["eval", "--out", out])
+        assert (code, caplog.messages) == (
+            4, [f"{annotations}: dataset has no annotated queries to score"]
+        )
+        assert not (out / "metrics_compare.json").exists()
+
     def test_oracle_rerank_lifts_r1_to_base_r5(self, tmp_path):
         # Without the sequence stage, the oracle selector realizes the
         # R@5 ceiling as R@1 at both thresholds.
@@ -1187,7 +1213,9 @@ class TestStageTable:
 
 
 class TestExitCodes:
-    NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
+    NUMBERS = (
+        "zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+    )
 
     def test_readme_names_every_error_class(self):
         section = readme_section("## Exit codes")
@@ -1532,7 +1560,7 @@ class TestSelectionCache:
         with caplog.at_level("ERROR"):
             assert run(["rerank", "--out", out, "--backend", "oracle"]) == 4
         assert caplog.messages == [
-            "query 'v000-q000' has no ground truth for the oracle to select by"
+            f"{annotations}: query 'v000-q000' has no ground truth for the oracle to select by"
         ]
 
     def test_oracle_picks_by_the_query_not_a_tag_in_its_text(self, tmp_path):

@@ -6,7 +6,8 @@ extremes, and runs all seven stages in-process on a scenario of at most
 2 videos x 3 queries. The
 second takes a finished run and breaks one stage file: it drops a key,
 changes a value's type, puts in NaN, an empty list or a 401-digit integer,
-or truncates a line; then it runs each stage that reads the file. Their
+or truncates a line; then it runs each stage that reads the file, and
+``rerank`` with the oracle as well as the stub. Their
 one invariant: each stage exits 0, or exits 2-6 with a message naming a
 setting or a file, within ``TIME_BOUND_S``. A ``c_max`` past the bound
 exits 2 before any thread is constructed.
@@ -252,9 +253,12 @@ def mutate_file(path: Path, mutation: str, pick: int) -> bool:
     pick=st.integers(min_value=0, max_value=10**6),
 )
 # A metrics report whose cells are not the R@1/R@5 x IoU 0.3/0.5 grid, and
-# a manifest sampling rate past the float range: both once ended in a traceback.
+# a manifest sampling rate past the float range: both once ended in a
+# traceback. A query without its ground truth (v000-q001's "gt" is the key
+# pick 4 drops) once stopped the oracle with a message naming no file.
 @example(name=cli.METRICS_COMPARE_FILE, mutation="empty-list", pick=1)
 @example(name=cli.MANIFESTS_FILE, mutation="huge-int", pick=2)
+@example(name=cli.ANNOTATIONS_FILE, mutation="drop-key", pick=4)
 def test_broken_stage_file_exits_with_a_message(finished, name, mutation, pick):
     with tempfile.TemporaryDirectory() as root:
         out = Path(root) / "run"
@@ -262,6 +266,9 @@ def test_broken_stage_file_exits_with_a_message(finished, name, mutation, pick):
         if not mutate_file(out / name, mutation, pick):
             return
         for stage in reversed(READERS[name]):  # a stage deletes the files derived from its own
-            with no_remote_endpoint():
-                code, messages, elapsed = run_stage([stage, "--out", out, "--backend", "stub"])
-            check(stage, code, messages, elapsed)
+            for backend in ("stub", "oracle") if stage == "rerank" else ("stub",):
+                with no_remote_endpoint():
+                    code, messages, elapsed = run_stage(
+                        [stage, "--out", out, "--backend", backend]
+                    )
+                check(stage, code, messages, elapsed)

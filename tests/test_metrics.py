@@ -124,11 +124,22 @@ class TestMetricsReport:
     def test_monotone_in_k_enforced(self):
         falls = r"R@k at iou 0.3 falls as k grows: \[60.0, 50.0\]"
         with pytest.raises(SchemaViolation, match=falls):
-            MetricsReport(cells=_cells(r1_03=60.0, r5_03=50.0), mean_r1=60.0, num_queries=10)
+            MetricsReport(cells=_cells(r1_03=60.0, r5_03=50.0), mean_r1=50.0, num_queries=10)
+
+    def test_monotone_in_threshold_enforced(self):
+        rises = r"R@1 rises as the iou threshold grows: \[0.0, 40.0\]"
+        with pytest.raises(SchemaViolation, match=rises):
+            MetricsReport(cells=_cells(r1_03=0.0), mean_r1=20.0, num_queries=10)
+
+    @pytest.mark.parametrize("mean", [44.0, 45.0 + 1e-12, 50.0])
+    def test_mean_r1_is_the_mean_of_the_r1_cells(self, mean):
+        message = rf"field 'mean_r1': {mean} is not the mean R@1, 45.0"
+        with pytest.raises(SchemaViolation, match=message):
+            MetricsReport(cells=_cells(), mean_r1=mean, num_queries=4)
 
     def test_percentage_range_enforced(self):
         with pytest.raises(SchemaViolation, match=r"percentage out of \[0, 100\]: 101.0"):
-            MetricsReport(cells=_cells(r5_05=101.0), mean_r1=50.0, num_queries=1)
+            MetricsReport(cells=_cells(r5_05=101.0), mean_r1=45.0, num_queries=1)
 
     def test_mapping_access(self):
         report = MetricsReport(cells=_cells(), mean_r1=45.0, num_queries=4)
@@ -145,7 +156,7 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize(
         "cells",
-        [{}, {key: 50.0 for key in GRID[:-1]}, {**_cells(), (10, 0.7): 80.0}],
+        [{}, {key: 50.0 for key in GRID[:-1]}, {**_cells(r1_05=50.0), (10, 0.7): 80.0}],
         ids=["empty", "missing-cell", "extra-cell"],
     )
     def test_cells_must_be_the_grid(self, cells):
