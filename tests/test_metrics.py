@@ -156,7 +156,7 @@ class TestMetricsReport:
 
     @pytest.mark.parametrize(
         "cells",
-        [{}, {key: 50.0 for key in GRID[:-1]}, {**_cells(r1_05=50.0), (10, 0.7): 80.0}],
+        [{}, {key: 50.0 for key in GRID[:-1]}, {**_cells(), (10, 0.7): 80.0}],
         ids=["empty", "missing-cell", "extra-cell"],
     )
     def test_cells_must_be_the_grid(self, cells):
