@@ -17,12 +17,12 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import clips, ingest, metrics, narration, sequencing, synth
-from .core import CandidateKey, CandidateList
+from .core import CandidateKey, CandidateList, check_ranges, setting
 from .rerank import RerankOutcome, SelectionCache, promote, read_abstentions, rerank_many
 from .errors import (
     BackendError,
@@ -83,9 +83,10 @@ _EXPECTED = {
 }
 
 
-def _convert(name: str, kind: str, value):
-    """The value of setting ``name`` as its field type ``kind``; a value of
-    another type is rejected, never coerced."""
+def _convert(f, value):
+    """The value of RunConfig field ``f`` as its type, and one of its choices if
+    it declares some; a value of another type is rejected, never coerced."""
+    kind, choices = f.type.removesuffix(" | None"), f.metadata["choices"]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     # A NaN, an infinity or an integer past the float range is not finite.
     if kind == "float" and number and abs(value) <= sys.float_info.max:
@@ -94,17 +95,20 @@ def _convert(name: str, kind: str, value):
         return value
     if kind == "bool" and isinstance(value, bool):
         return value
-    if kind == "str" and isinstance(value, str):
+    if kind == "str" and isinstance(value, str) and (not choices or value in choices):
         return value
     if kind == "Path" and isinstance(value, str) and value:
         return Path(value).resolve()
-    raise ConfigError(f"setting {name}={json.dumps(value)} must be {_EXPECTED[kind]}")
+    expected = f"one of {', '.join(choices)}" if choices else _EXPECTED[kind]
+    raise ConfigError(f"setting {f.name}={json.dumps(value)} must be {expected}")
 
 
-def _setting(flag: str, help: str, default=None, choices=()):
-    """A RunConfig field with its flag, the flag's help and, if the setting
-    takes one of a few values, those values."""
-    return field(default=default, metadata={"flag": flag, "help": help, "choices": choices})
+def _configured(settings: type, values: dict):
+    """``settings(**values)``; a flag or config value it refuses is a ``ConfigError``."""
+    try:
+        return settings(**values)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -113,40 +117,51 @@ class RunConfig:
 
     Each field declares one setting once, in ``--help``'s order: its name
     is its config-file key (the ``_PATH_KEYS`` nest under ``"paths"``) and
-    its flag's dest, ``_setting`` puts the flag, its help and any choices
-    in its metadata, its type says what a value must be (``_EXPECTED``),
-    and its default applies when neither flag nor file sets it. The output
-    directory defaults to ``DEFAULT_OUTPUT_DIR`` and the paths without a
-    default to their ``_UNDER_OUTPUT_DIR`` entry under it.
+    its flag's dest, ``core.setting`` puts the flag, its help, any choices
+    and any range in its metadata, its type says what a value must be
+    (``_EXPECTED``), and its default applies when neither flag nor file
+    sets it. The output directory defaults to ``DEFAULT_OUTPUT_DIR`` and
+    the paths without a default to their ``_UNDER_OUTPUT_DIR`` entry under it.
     """
 
-    output_dir: Path = _setting("--out", "output directory")
-    annotations: Path = _setting("--annotations", "annotations file")
-    candidates: Path = _setting("--candidates", "base candidates file")
-    scenario: Path = _setting("--scenario", "scenario file (stub/oracle backends)")
-    frames_root: Path | None = _setting("--frames-root", "frame image root")
-    cache_dir: Path = _setting("--cache-dir", "narration and selection cache directory")
-    backend: str = _setting("--backend", "backend mode", "stub", ("stub", "oracle", "remote"))
-    clip_len_s: float = _setting("--clip-len", "clip length, s", clips.DEFAULT_CLIP_LEN_S)
-    fps: float = _setting("--fps", "frame sampling rate", clips.DEFAULT_FPS)
-    top_k: int = _setting("--top-k", "candidates kept per query", ingest.DEFAULT_TOP_K)
-    lambda_penalty: float = _setting(
-        "--lambda", "start-penalty weight", sequencing.DEFAULT_LAMBDA_PENALTY
+    output_dir: Path = setting("--out", "output directory")
+    annotations: Path = setting("--annotations", "annotations file")
+    candidates: Path = setting("--candidates", "base candidates file")
+    scenario: Path = setting("--scenario", "scenario file (stub/oracle backends)")
+    frames_root: Path | None = setting("--frames-root", "frame image root")
+    cache_dir: Path = setting("--cache-dir", "narration and selection cache directory")
+    backend: str = setting("--backend", "backend mode", "stub", ("stub", "oracle", "remote"))
+    clip_len_s: float = setting("--clip-len", "clip length, s", clips.DEFAULT_CLIP_LEN_S)
+    fps: float = setting("--fps", "frame sampling rate", clips.DEFAULT_FPS)
+    top_k: int = setting(
+        "--top-k", "candidates kept per query", ingest.DEFAULT_TOP_K, range=(1, None)
     )
-    rank_source: str = _setting(
+    lambda_penalty: float = setting(
+        "--lambda", "start-penalty weight", sequencing.DEFAULT_LAMBDA_PENALTY, range=(0, None)
+    )
+    rank_source: str = setting(
         "--rank-source", "candidate ranks consumed by the optimizer", "post_rerank",
         ("pre_rerank", "post_rerank"),
     )
-    rerank_limit: int | None = _setting("--limit", "plan and rerank the first N queries only")
-    c_max: int = _setting("--c-max", "max in-flight requests", narration.DEFAULT_C_MAX)
-    seed: int = _setting("--seed", "seed for scenario generation", 0)
-    narration_prompt: Path | None = _setting("--prompt-file", "narration prompt template file")
-    frame_extract_cmd: str | None = _setting(
+    rerank_limit: int | None = setting(
+        "--limit", "plan and rerank the first N queries only", range=(0, None)
+    )
+    c_max: int = setting(
+        "--c-max", "max in-flight requests", narration.DEFAULT_C_MAX,
+        range=(1, narration.MAX_C_MAX),
+    )
+    seed: int = setting("--seed", "seed for scenario generation", 0)
+    narration_prompt: Path | None = setting("--prompt-file", "narration prompt template file")
+    frame_extract_cmd: str | None = setting(
         "--extract-cmd", "command template for missing frames ({video} {t} {out})"
     )
-    include_scores: bool = _setting(
+    include_scores: bool = setting(
         "--include-scores", "show model scores in the selection prompt", False
     )
+
+    def __post_init__(self):
+        check_ranges(self)
+        clips.check_sampling(self.fps, self.clip_len_s)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -179,32 +194,11 @@ class RunConfig:
                 value = file_cfg.get(f.name)
             if value is None:
                 continue
-            value = _convert(f.name, f.type.removesuffix(" | None"), value)
-            choices = f.metadata["choices"]
-            if choices and value not in choices:
-                raise ConfigError(
-                    f"setting {f.name}={json.dumps(value)} must be one of {', '.join(choices)}"
-                )
-            values[f.name] = value
+            values[f.name] = _convert(f, value)
         output_dir = values.setdefault("output_dir", Path(DEFAULT_OUTPUT_DIR).resolve())
         for name, relative in _UNDER_OUTPUT_DIR.items():
             values.setdefault(name, output_dir / relative)
-        cfg = cls(**values)
-        if cfg.clip_len_s <= 0 or cfg.fps <= 0 or cfg.top_k < 1 or cfg.c_max < 1:
-            raise ConfigError("clip_len_s, fps, top_k, and c_max must be positive")
-        if cfg.c_max > narration.MAX_C_MAX:
-            raise ConfigError(f"setting c_max={cfg.c_max} must be <= {narration.MAX_C_MAX}")
-        if cfg.lambda_penalty < 0:
-            raise ConfigError("lambda_penalty must be >= 0")
-        if cfg.rerank_limit is not None and cfg.rerank_limit < 0:
-            raise ConfigError(f"rerank_limit must be >= 0, got {cfg.rerank_limit}")
-        # ceil(clip_len_s * fps) frames exceed the cap exactly when the
-        # product does, and the product may overflow to infinity.
-        if cfg.clip_len_s * cfg.fps > clips.MAX_FRAMES_PER_CLIP:
-            raise ConfigError(
-                f"clip_len_s * fps must be <= {clips.MAX_FRAMES_PER_CLIP} "
-                "frames per clip, the narration request cap"
-            )
+        cfg = _configured(cls, values)
         _prompt_template(cfg.narration_prompt)  # read again by narrate
         return cfg
 
@@ -233,16 +227,21 @@ class RunConfig:
         return path
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    for f in fields(RunConfig):
+def _add_setting_flags(parser: argparse.ArgumentParser, settings: type) -> None:
+    """One flag per field of the dataclass ``settings``, the field its dest."""
+    for f in fields(settings):
         kind = f.type.removesuffix(" | None")
         if kind == "bool":
             kwargs = {"action": "store_const", "const": True}
-        else:  # argparse converts the numbers; from_args checks every value
+        else:  # argparse converts the numbers; the dataclass's checks refuse the rest
             type_ = {"float": float, "int": int}.get(kind)
             kwargs = {"type": type_, "choices": f.metadata["choices"] or None}
         parser.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"], **kwargs)
+
+
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="JSON config file")
+    _add_setting_flags(parser, RunConfig)
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[ingest.Dataset, list[CandidateList]]:
@@ -290,27 +289,15 @@ def _prompt_template(path: Path | None) -> str:
 
 
 def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
-    # Each knob flag's dest is its ScenarioKnobs field, which holds the default.
-    parser.add_argument("--videos", dest="num_videos", type=int)
-    parser.add_argument("--queries-per-video", dest="queries_per_video", type=int)
-    parser.add_argument("--candidates-per-query", dest="candidates_per_query", type=int)
-    parser.add_argument("--recall-rho", dest="recall_rho", type=float)
-    parser.add_argument("--jitter", dest="jitter_s", type=float)
-    parser.add_argument("--latent-rate", dest="latent_positive_rate", type=float)
-    parser.add_argument(
-        "--track",
-        choices=[track.value for track in ingest.Track],
-        default=ingest.Track.GOALSTEP.value,
-    )
+    _add_setting_flags(parser, synth.ScenarioKnobs)
+    tracks = [track.value for track in ingest.Track]
+    parser.add_argument("--track", choices=tracks, default=ingest.Track.GOALSTEP.value)
     _add_common_flags(parser)
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
-    try:
-        knobs = synth.ScenarioKnobs(**{k: v for k, v in given.items() if v is not None})
-    except ValidationError as exc:  # a bad flag, not a malformed file
-        raise ConfigError(str(exc)) from exc
+    knobs = _configured(synth.ScenarioKnobs, {k: v for k, v in given.items() if v is not None})
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
     synth.write_scenario(scenario, cfg.output(SCENARIO_FILE))
     ingest.write_annotations(scenario.dataset, cfg.output(ANNOTATIONS_FILE))

@@ -13,6 +13,7 @@ stored.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,11 +35,29 @@ MAX_FRAMES_PER_CLIP = 20
 COVER_TOLERANCE_S = 1e-9
 
 
+def check_sampling(fps, clip_len_s) -> None:
+    """The sampling rule, or ``SchemaViolation`` naming its field: ``fps`` and
+    ``clip_len_s`` are positive finite numbers, and a clip's ``ceil(clip_len_s *
+    fps)`` frames are at most ``MAX_FRAMES_PER_CLIP``, exactly when the product is."""
+    for name, value in (("fps", fps), ("clip_len_s", clip_len_s)):
+        # An integer past the float range is refused before any product overflows.
+        if type(value) not in NUMBER or not 0 < value <= sys.float_info.max:
+            raise SchemaViolation(
+                name, f"must be a positive finite number, got {reprlib.repr(value)}"
+            )
+    if clip_len_s * fps > MAX_FRAMES_PER_CLIP:
+        raise SchemaViolation(
+            "clip_len_s * fps",
+            f"{reprlib.repr(clip_len_s)} s clips at {reprlib.repr(fps)} fps exceed the "
+            f"per-request cap of {MAX_FRAMES_PER_CLIP} frames",
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class ClipPlan:
-    """One candidate's span and sampling, at most ``MAX_FRAMES_PER_CLIP``
-    frames per clip. Its clips (:func:`plan_clips`) are derived once, when
-    it is built; their frames (:func:`clip_frames`) on each read."""
+    """One candidate's span and a sampling that keeps :func:`check_sampling`.
+    Its clips (:func:`plan_clips`) are derived once, when it is built;
+    their frames (:func:`clip_frames`) on each read."""
 
     candidate_key: CandidateKey
     span: TimeInterval
@@ -47,18 +66,7 @@ class ClipPlan:
     clips: tuple[TimeInterval, ...] = field(init=False)
 
     def __post_init__(self):
-        for name in ("fps", "clip_len_s"):
-            value = getattr(self, name)
-            # An integer past the float range is refused before any product overflows.
-            if type(value) not in NUMBER or not 0 < value <= sys.float_info.max:
-                raise SchemaViolation(name, f"must be a positive finite number, got {value!r}")
-        # ceil(clip_len_s * fps) frames exceed the cap exactly when the product does.
-        if self.clip_len_s * self.fps > MAX_FRAMES_PER_CLIP:
-            raise SchemaViolation(
-                "clip_len_s * fps",
-                f"{self.clip_len_s!r} s clips at {self.fps!r} fps exceed the per-request cap of "
-                f"{MAX_FRAMES_PER_CLIP} frames",
-            )
+        check_sampling(self.fps, self.clip_len_s)
         object.__setattr__(self, "clips", plan_clips(self.span, self.clip_len_s))
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 from .errors import SchemaViolation, ValidationError
@@ -31,6 +31,25 @@ def checked(value, kinds: tuple[type, ...], what: str):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise TypeError(f"{what} must be {names}, got {reprlib.repr(value)}")
     return value
+
+
+def setting(flag: str, help: str | None = None, default=None, choices=(), range=None):
+    """A dataclass field declaring a setting once: its flag, the flag's help, any
+    values it is limited to, and any inclusive ``(low, high)`` range, ``high`` None for none."""
+    return field(default=default, metadata=dict(flag=flag, help=help, choices=choices, range=range))
+
+
+def check_ranges(settings) -> None:
+    """Refuse the first field of the dataclass ``settings`` outside its declared
+    range (None aside; no range holds NaN or infinity) with a ``ValidationError``:
+    "<name> must be >= <low>, got <value>" or "<name> must lie in [<low>, <high>], got <value>"."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.metadata.get("range") and value is not None:
+            low, high = f.metadata["range"]
+            if not low <= value < math.inf or high is not None and value > high:
+                bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+                raise ValidationError(f"{f.name} must {bound}, got {reprlib.repr(value)}")
 
 
 def _finite(value, what: str) -> float:

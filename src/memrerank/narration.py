@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import clips
-from .core import NUMBER, CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, interval_of
+from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, interval_of
 from .errors import BackendUnavailableError, SchemaViolation
 from .ingest import MALFORMED, atomic_writer, encode_record, read_jsonl, write_jsonl
 
@@ -132,13 +132,15 @@ class NarrationCacheKey(NamedTuple):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NarrationCacheKey":
+        """The key of a cache record, refused when no request can have it."""
         clip = interval_of(payload, "clip_start_s", "clip_end_s")
+        clips.check_sampling(payload["fps"], payload["clip_len_s"])
         return cls(
             checked(payload["video_id"], (str,), "video_id"),
             clip.start_s,
             clip.end_s,
-            checked(payload["fps"], NUMBER, "fps"),
-            checked(payload["clip_len_s"], NUMBER, "clip_len_s"),
+            payload["fps"],
+            payload["clip_len_s"],
             checked(payload["prompt_version"], (str,), "prompt_version"),
             checked(payload["backend_id"], (str,), "backend_id"),
         )

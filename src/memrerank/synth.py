@@ -18,7 +18,6 @@ candidate list and its query's ground truth.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 import threading
@@ -33,10 +32,12 @@ from .core import (
     Query,
     TimeInterval,
     canonical_order,
+    check_ranges,
     checked,
     interval_of,
+    setting,
 )
-from .errors import MissingGroundTruth, SchemaViolation, ValidationError
+from .errors import MissingGroundTruth, SchemaViolation
 from .ingest import Dataset, Track, VideoRecord, read_json_file, write_json_file
 from .metrics import temporal_iou
 from .narration import Backend, BackendRequest
@@ -49,34 +50,17 @@ _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
 
 @dataclass(frozen=True, slots=True)
 class ScenarioKnobs:
-    """Size and difficulty controls for scenario generation."""
+    """Size and difficulty controls for scenario generation, with their flags and ranges."""
 
-    num_videos: int = 3
-    queries_per_video: int = 4
-    candidates_per_query: int = 5
-    recall_rho: float = 0.8
-    jitter_s: float = 2.0
-    latent_positive_rate: float = 0.1
+    num_videos: int = setting("--videos", default=3, range=(1, None))
+    queries_per_video: int = setting("--queries-per-video", default=4, range=(1, None))
+    candidates_per_query: int = setting("--candidates-per-query", default=5, range=(1, None))
+    recall_rho: float = setting("--recall-rho", default=0.8, range=(0, 1))
+    jitter_s: float = setting("--jitter", default=2.0, range=(0, None))
+    latent_positive_rate: float = setting("--latent-rate", default=0.1, range=(0, 1))
 
     def __post_init__(self):
-        if self.num_videos < 1:
-            raise ValidationError(f"num_videos must be >= 1, got {self.num_videos}")
-        if self.queries_per_video < 1:
-            raise ValidationError(
-                f"queries_per_video must be >= 1, got {self.queries_per_video}"
-            )
-        if self.candidates_per_query < 1:
-            raise ValidationError(
-                f"candidates_per_query must be >= 1, got {self.candidates_per_query}"
-            )
-        if not 0.0 <= self.recall_rho <= 1.0:
-            raise ValidationError(f"recall_rho must lie in [0, 1], got {self.recall_rho}")
-        if self.jitter_s < 0 or not math.isfinite(self.jitter_s):
-            raise ValidationError(f"jitter_s must be >= 0, got {self.jitter_s}")
-        if not 0.0 <= self.latent_positive_rate <= 1.0:
-            raise ValidationError(
-                f"latent_positive_rate must lie in [0, 1], got {self.latent_positive_rate}"
-            )
+        check_ranges(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,21 +310,21 @@ def load_scenario(path: str | Path, dataset: Dataset) -> EventScript:
                 f"scenario track is {track.value}, annotations are {dataset.track.value}"
             )
         events_by_video = checked(payload["event_script"], (dict,), "event_script")
-        return {
+        script = {
             video_id: tuple(
                 ScriptedEvent(interval_of(e), checked(e["label"], (str,), "event label"))
                 for e in events
             )
             for video_id, events in sorted(events_by_video.items())
         }
+        for query in dataset.iter_queries():
+            gt = query.ground_truth
+            if gt is not None and not any(e.interval == gt for e in script.get(query.video_id, ())):
+                raise SchemaViolation(
+                    "event_script",
+                    f"ground truth of query '{query.query_id}' missing from script "
+                    "(are the scenario and annotations files from one run?)",
+                )
+        return script
 
-    script = read_json_file(path, "scenario file", parse)
-    for query in dataset.iter_queries():
-        gt = query.ground_truth
-        if gt is not None and not any(e.interval == gt for e in script.get(query.video_id, ())):
-            raise SchemaViolation(
-                "event_script",
-                f"ground truth of query '{query.query_id}' missing from script "
-                "(are the scenario and annotations files from one run?)",
-            )
-    return script
+    return read_json_file(path, "scenario file", parse)

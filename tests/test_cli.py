@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import shutil
@@ -656,6 +657,7 @@ class TestPipeline:
             assert f"{path}:1:" in message if name == "manifests.jsonl" else str(path) in message
             if key in ("fps", "clip_len_s"):
                 assert f"field '{key}': must be a positive finite number" in message
+                assert "9" * 41 not in message  # the value is shortened
 
     # A metrics value must have its JSON type: never converted from a
     # string, a bool or a fraction. The cells must be the R@1/R@5 x IoU
@@ -1041,7 +1043,11 @@ class TestPipeline:
         with caplog.at_level("ERROR"):
             code = run(["narrate", "--out", out, "--backend", "stub"])
         assert code == 4
-        assert any("missing from script" in message for message in caplog.messages)
+        assert any(
+            f"{out / 'scenario.json'}: malformed scenario file" in message
+            and "missing from script" in message
+            for message in caplog.messages
+        )
 
     def test_memories_of_another_scenario_rejected(self, tmp_path, caplog):
         # Memories narrated at seed 7 do not cover the candidates of seed 8.
@@ -1242,7 +1248,7 @@ class TestExitCodes:
 
     def test_readme_configuration_names_every_flag_and_key(self):
         section = readme_section("### Configuration")
-        flags = [f.metadata["flag"] for f in fields(RunConfig)]
+        flags = [f.metadata["flag"] for f in (*fields(RunConfig), *fields(ScenarioKnobs))]
         assert [flag for flag in flags if not re.search(f"`{flag}[` ]", section)] == []
         sample = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
         paths = sample.pop("paths")
@@ -1940,16 +1946,17 @@ class TestConfigPrecedence:
         [
             ([], {"paths": ["run"]}, PATHS_OBJECT),
             ([], {"paths": {"output": "run"}}, PATHS_OBJECT),
-            (["--top-k", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
-            (["--c-max", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
-            (["--fps", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
-            (["--clip-len", 0], {}, "clip_len_s, fps, top_k, and c_max must be positive"),
-            (["--limit", -1], {}, "rerank_limit must be >= 0, got -1"),
+            (
+                ["--fps", 0], {},
+                "schema violation in field 'fps': must be a positive finite number, got 0.0",
+            ),
+            (
+                ["--clip-len", 0], {},
+                "schema violation in field 'clip_len_s': must be a positive finite number, "
+                "got 0.0",
+            ),
         ],
-        ids=[
-            "paths-array", "paths-unknown-key", "top-k-zero", "c-max-zero", "fps-zero",
-            "clip-len-zero", "limit-negative",
-        ],
+        ids=["paths-array", "paths-unknown-key", "fps-zero", "clip-len-zero"],
     )
     def test_invalid_setting_rejected(self, tmp_path, caplog, flags, config, message):
         out = tmp_path / "run"
@@ -1966,7 +1973,7 @@ class TestConfigPrecedence:
         simulate(out)
         with caplog.at_level("ERROR"):
             code = run(["plan", "--out", out, "--lambda", "-0.5"])
-        assert (code, caplog.messages) == (2, ["lambda_penalty must be >= 0"])
+        assert (code, caplog.messages) == (2, ["lambda_penalty must be >= 0, got -0.5"])
 
     def test_frames_per_clip_over_request_cap_rejected(self, tmp_path, caplog):
         # 20 s clips at 2 fps need 40 frames; a narration request holds 20.
@@ -1976,7 +1983,10 @@ class TestConfigPrecedence:
             code = run(["plan", "--out", out, "--fps", 2])
         assert code == 2
         assert not (out / "manifests.jsonl").exists()
-        assert any("frames per clip" in message for message in caplog.messages)
+        assert caplog.messages == [
+            "schema violation in field 'clip_len_s * fps': 20.0 s clips at 2.0 fps exceed the "
+            "per-request cap of 20 frames"
+        ]
 
     # The child process runs under a 512 MiB address-space cap, so a plan that
     # builds every clip fails rather than exhausting memory.
@@ -2030,7 +2040,7 @@ class TestConfigPrecedence:
         with caplog.at_level("ERROR"):
             code = run([stage, "--out", out, "--backend", "stub", *flags])
         assert code == 2
-        assert caplog.messages == [f"setting c_max={c_max} must be <= {narration.MAX_C_MAX}"]
+        assert caplog.messages == [f"c_max must lie in [1, {narration.MAX_C_MAX}], got {c_max}"]
         assert not (out / "cache").exists()
 
     def test_c_max_at_the_bound_accepted(self, tmp_path):
@@ -2043,29 +2053,51 @@ class TestConfigPrecedence:
             run(["narrate", "--out", tmp_path, "--backend", "imaginary"])
 
 
+def just_outside_the_declared_ranges():
+    """A case per bound a setting or knob declares: a value just outside it,
+    the message refusing it, and where it is given (its flag, and for a
+    setting the config file as well). Infinity lies above every range that
+    has no upper bound; a setting's type refuses it before its range does."""
+    for settings in (RunConfig, ScenarioKnobs):
+        for f in fields(settings):
+            if not f.metadata["range"]:
+                continue
+            low, high = f.metadata["range"]
+            integer = f.type.startswith("int")
+            sides = [("below", low - 1 if integer else math.nextafter(low, -math.inf))]
+            if high is not None:
+                sides.append(("above", high + 1 if integer else math.nextafter(high, math.inf)))
+            elif not integer:
+                sides.append(("above", math.inf))
+            bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+            for side, value in sides:
+                message = f"{f.name} must {bound}, got {value!r}"
+                if settings is RunConfig and value == math.inf:
+                    message = f"setting {f.name}=Infinity must be a finite number"
+                for source in ("flag", "config") if settings is RunConfig else ("flag",):
+                    yield pytest.param(
+                        f, value, source, message, id=f"{f.name}-{side}-{source}"
+                    )
+
+
+class TestDeclaredRanges:
+    @pytest.mark.parametrize("f, value, source, message", just_outside_the_declared_ranges())
+    def test_value_just_outside_a_bound_exits_2(self, tmp_path, caplog, f, value, source, message):
+        out, config = tmp_path / "run", tmp_path / "config.json"
+        config.write_text(json.dumps({f.name: value} if source == "config" else {}))
+        flags = [f"{f.metadata['flag']}={value}"] if source == "flag" else []
+        with caplog.at_level("ERROR"):
+            code = run(["simulate", "--out", out, "--config", config, *flags])
+        assert (code, caplog.messages) == (2, [message])
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_knob_defaults_are_the_scenario_knobs(self, tmp_path):
         out = tmp_path / "run"
         assert run(["simulate", "--out", out]) == 0
         scenario = json.loads((out / "scenario.json").read_text())
         assert scenario["knobs"] == asdict(ScenarioKnobs())
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--videos", 0], "num_videos must be >= 1, got 0"),
-            (["--recall-rho", 1.5], "recall_rho must lie in [0, 1], got 1.5"),
-            (["--queries-per-video", 0], "queries_per_video must be >= 1, got 0"),
-            (["--candidates-per-query", 0], "candidates_per_query must be >= 1, got 0"),
-        ],
-        ids=["videos", "recall-rho", "queries-per-video", "candidates-per-query"],
-    )
-    def test_out_of_range_knob_exits_2(self, tmp_path, caplog, flags, message):
-        out = tmp_path / "run"
-        with caplog.at_level("ERROR"):
-            code = run(["simulate", "--out", out, *flags])
-        assert (code, caplog.messages) == (2, [message])
-        assert not (out / "scenario.json").exists()
 
     def test_writes_where_the_path_settings_point(self, tmp_path):
         out, inputs = tmp_path / "run", tmp_path / "inputs"

@@ -54,17 +54,15 @@ HUGE = 10**400  # past the float range
 # another type.
 FLOATS = [0.0, -1.0, 5e-324, 1e-9, 0.5, 20.0, 1e300, math.nan, math.inf, HUGE, "1", True]
 INTS = [-3, 0, 1, 2, 5, MAX_C_MAX, MAX_C_MAX + 1, 10**6, HUGE, 2.5, "1", False]
-# Each knob flag's values; a scenario past 2 videos x 3 queries is never drawn.
+# Each knob flag's values, by the knob's type, so a new knob is drawn too.
+# No drawn count passes 2, so a scenario past 2 videos x 3 queries is never
+# drawn, nor one that starts many threads.
 SCENARIO = ["--videos=2", "--queries-per-video=3"]
 SMALL_INTS = ["-1", "0", "1", "2"]
 KNOB_FLOATS = ["nan", "inf", "-inf", "-0.5", "0", "5e-324", "0.5", "1", "1.5", "1e300"]
 KNOB_FLAGS = {
-    "--videos": SMALL_INTS,
-    "--queries-per-video": [*SMALL_INTS, "3"],
-    "--candidates-per-query": [*SMALL_INTS, "5"],
-    "--recall-rho": KNOB_FLOATS,
-    "--jitter": KNOB_FLOATS,
-    "--latent-rate": KNOB_FLOATS,
+    f.metadata["flag"]: SMALL_INTS if f.type == "int" else KNOB_FLOATS
+    for f in fields(ScenarioKnobs)
 }
 
 

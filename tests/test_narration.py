@@ -272,11 +272,19 @@ class TestNarrationCache:
             ("clip_end_s", 10**400),  # past the float range: a key no request can hit
             ("video_id", 5),
             ("fps", "1.0"),
+            # A sampling no request can have (clips.check_sampling): a key no request can hit.
+            ("fps", float("nan")),
+            ("fps", 0),
+            ("fps", 10**400),
+            ("clip_len_s", -1.0),
+            ("fps", 2.0),  # 20 s clips at 2 fps: 40 frames, past the cap of 20
             ("prompt_version", 5),
             ("backend_id", None),
         ],
         ids=["5.0", "x", "True", "nan", "-1.0", "end-past-float-range", "video_id-number",
-             "fps-string", "prompt_version-number", "backend_id-null"],
+             "fps-string", "fps-nan", "fps-zero", "fps-past-float-range",
+             "clip_len_s-negative", "sampling-past-the-frame-cap", "prompt_version-number",
+             "backend_id-null"],
     )
     def test_malformed_bound_skipped_with_warning(self, tmp_path, caplog, field, bound):
         path = tmp_path / "cache.jsonl"
