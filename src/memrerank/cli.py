@@ -100,7 +100,9 @@ def _convert(f, value):
     if kind == "Path" and isinstance(value, str) and value:
         return Path(value).resolve()
     expected = f"one of {', '.join(choices)}" if choices else _EXPECTED[kind]
-    raise ConfigError(f"setting {f.name}={json.dumps(value)} must be {expected}")
+    shown = json.dumps(value)  # a long one shortened as reprlib shortens an integer
+    shown = shown if len(shown) <= 40 else f"{shown[:18]}...{shown[-19:]}"
+    raise ConfigError(f"setting {f.name}={shown} must be {expected}")
 
 
 def _configured(settings: type, values: dict):

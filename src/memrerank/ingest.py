@@ -3,12 +3,12 @@ predictions.
 
 Stage modules map their records to and from plain values; only this
 module encodes them, and every writer goes through ``atomic_writer``.
-Data files (``write_json_file``) write floats as plain decimals with at
-least three fractional digits, extended as needed so the value
-round-trips exactly. JSON Lines stage files (``write_jsonl``) and
-indented reports (``write_report_file``) keep the standard encoder's
-float text, which round-trips too; both styles stay so that every output
-keeps the bytes earlier runs wrote.
+Data files (``write_json_file``) take only JSON's own types and write
+floats as plain decimals with at least three fractional digits that
+round-trip exactly (``format_seconds``). JSON Lines stage files
+(``write_jsonl``) and indented reports (``write_report_file``) keep the
+standard encoder's float text, which round-trips too; both styles stay
+so that every output keeps the bytes earlier runs wrote.
 
 Validation is strict: malformed records are rejected, never repaired. A
 malformed file raises a ``ValidationError`` (exit code 4): a
@@ -123,34 +123,29 @@ class Dataset:
 
 
 def format_seconds(value: float) -> str:
-    """Render a float as a plain decimal with >= 3 fractional digits.
-
-    Extra digits are added until the text parses back to the exact value,
-    so files round-trip losslessly.
-    """
-    value = float(value)
+    """A finite float as a plain decimal with at least three fractional
+    digits that parses back to exactly ``value``: ``repr(value)``, the
+    fewest digits that round-trip, when it has no exponent and three or
+    more decimals; else ``value`` rounded to 3 decimals when those hold
+    ``repr``'s digits, or (below 1e-4) to the first of 17, 27, 37, ...
+    decimals that holds them, or 10 more when that does not round-trip."""
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
     text = repr(value)
-    if "e" not in text and len(text) - text.index(".") > 3:  # no exponent: a "." is there
+    mantissa, _, exponent = text.partition("e")
+    decimals = len(mantissa.partition(".")[2]) - int(exponent or 0)
+    if not exponent and decimals >= 3:
         return text
-    digits = 3
-    while digits <= 1100:
-        text = f"{value:.{digits}f}"
-        if float(text) == value:
-            return text
-        # Values below 1e-14 need roughly -log10|value| + 17 digits.
-        digits = 17 if digits == 3 else digits + 10
-    raise ValueError(f"cannot render {value!r} as a plain decimal")
-
-
-_EXACT = frozenset({str, float, int, bool, type(None), dict, list, tuple})
+    if decimals <= 3:
+        return f"{value:.3f}"
+    decimals = 17 + 10 * max(0, math.ceil((decimals - 17) / 10))
+    text = f"{value:.{decimals}f}"
+    # Only 2**-569 fails here (at 187 decimals): as a power of two, its gap below is half.
+    return text if float(text) == value else f"{value:.{decimals + 10}f}"
 
 
 def _emit_json(value, out: list[str]) -> None:
     kind = type(value)
-    if kind not in _EXACT:  # a subclass or a non-dict mapping: as its first base
-        kind = next((b for b in (float, int, str, Mapping, list, tuple) if isinstance(value, b)), None)
     if kind is str:
         out.append(encode_basestring(value))  # what json.dumps applies to any str
     elif kind is float:
@@ -159,14 +154,14 @@ def _emit_json(value, out: list[str]) -> None:
         out.append(str(value))
     elif kind is bool or value is None:
         out.append("null" if value is None else "true" if value else "false")
-    elif kind is dict or kind is Mapping:
+    elif kind is dict:
         out.append("{")
         for i, key in enumerate(sorted(value)):
+            if type(key) is not str:
+                raise TypeError(f"cannot serialize {type(key).__name__} key")
             if i:
                 out.append(",")
-            out.append(
-                encode_basestring(key) if isinstance(key, str) else json.dumps(key, ensure_ascii=False)
-            )
+            out.append(encode_basestring(key))
             out.append(":")
             _emit_json(value[key], out)
         out.append("}")
@@ -178,11 +173,12 @@ def _emit_json(value, out: list[str]) -> None:
             _emit_json(item, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def dump_json(value) -> str:
-    """Deterministic JSON text using the seconds formatter for floats."""
+    """Deterministic JSON text of ``value``, of JSON's own types only, each by
+    its exact type (``TypeError`` otherwise), with ``format_seconds`` floats."""
     out: list[str] = []
     _emit_json(value, out)
     return "".join(out)

@@ -209,10 +209,7 @@ class ReplyCache:
         reject it) or the key holds a reply already."""
         if not text.strip():
             return
-        created_at = datetime.now(timezone.utc).isoformat()
-        line = encode_record({"key": key._asdict(), "text": text, "created_at": created_at})
-        data = (line + "\n").encode("utf-8")
-        with self._lock:  # not held across the write, which would convoy the workers
+        with self._lock:  # not held across the encoding and write, which would convoy the workers
             if key in self._entries:
                 return
             self._entries[key] = text
@@ -221,6 +218,9 @@ class ReplyCache:
             if self._fd is None:
                 self._fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             fd = self._fd
+        created_at = datetime.now(timezone.utc).isoformat()
+        line = encode_record({"key": key._asdict(), "text": text, "created_at": created_at})
+        data = (line + "\n").encode("utf-8")
         if os.write(fd, data) != len(data):
             raise OSError(f"short write to {self._path}")
 

@@ -52,9 +52,10 @@ _EVENT_IN_QUERY = re.compile(r"\bevent (e\d+)\b")
 class ScenarioKnobs:
     """Size and difficulty controls for scenario generation, with their flags and ranges."""
 
-    num_videos: int = setting("--videos", default=3, range=(1, None))
-    queries_per_video: int = setting("--queries-per-video", default=4, range=(1, None))
-    candidates_per_query: int = setting("--candidates-per-query", default=5, range=(1, None))
+    num_videos: int = setting("--videos", default=3, range=(1, 1000))  # ids v000 to v999
+    # A video costs queries² × candidates: distractors are drawn from all its events.
+    queries_per_video: int = setting("--queries-per-video", default=4, range=(1, 100))
+    candidates_per_query: int = setting("--candidates-per-query", default=5, range=(1, 100))
     recall_rho: float = setting("--recall-rho", default=0.8, range=(0, 1))
     jitter_s: float = setting("--jitter", default=2.0, range=(0, None))
     latent_positive_rate: float = setting("--latent-rate", default=0.1, range=(0, 1))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import reprlib
 import sys
 import time
 
@@ -37,9 +38,10 @@ from helpers import (
 class TestKnobs:
     def test_ranges_validated(self):
         cases = [
-            ({"num_videos": 0}, "num_videos must be >= 1, got 0"),
-            ({"queries_per_video": 0}, "queries_per_video must be >= 1, got 0"),
-            ({"candidates_per_query": 0}, "candidates_per_query must be >= 1, got 0"),
+            ({"num_videos": 0}, "num_videos must lie in [1, 1000], got 0"),
+            ({"num_videos": 10**47}, f"num_videos must lie in [1, 1000], got {reprlib.repr(10**47)}"),
+            ({"queries_per_video": 0}, "queries_per_video must lie in [1, 100], got 0"),
+            ({"candidates_per_query": 101}, "candidates_per_query must lie in [1, 100], got 101"),
             ({"recall_rho": 1.5}, "recall_rho must lie in [0, 1], got 1.5"),
             ({"jitter_s": -1.0}, "jitter_s must be >= 0, got -1.0"),
             ({"jitter_s": math.inf}, "jitter_s must be >= 0, got inf"),
