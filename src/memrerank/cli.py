@@ -11,6 +11,7 @@ then config file, then built-in default.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import gc
 import hashlib
@@ -368,7 +369,7 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
         (query_of[clist.query_id], clist, memories_by_query.get(clist.query_id, []))
         for clist in lists
     ]
-    backend = _build_backend(cfg)
+    backend, counts = _build_backend(cfg), collections.Counter()
     # The first ``rerank_limit`` jobs go to the backend; the rest keep their order.
     with SelectionCache(cfg.output(SELECTIONS_FILE)) as cache:
         try:
@@ -378,6 +379,7 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
                 c_max=cfg.c_max,
                 include_scores=cfg.include_scores,
                 cache=cache,
+                count=counts.update,
             )
         except MemoryMismatch as exc:
             raise MemoryMismatch(f"{memories_path} does not match the candidates: {exc}") from exc
@@ -403,7 +405,7 @@ def cmd_rerank(cfg: RunConfig, args: argparse.Namespace) -> int:
         "reranked %d queries (%d skipped; %d cached, %d backend calls) with backend '%s'",
         len(reranked),
         len(log_records) - len(reranked),
-        sum(outcome.cached for outcome in reranked),
+        counts["cache_hits"],
         backend.select_calls,
         backend.backend_id,
     )
@@ -528,14 +530,13 @@ STAGES = (
 
 
 def _drop_stale(cfg: RunConfig, command: str) -> None:
-    """Delete the files of every stage that reads a file stage ``command``
-    writes, directly or through another such stage: they were derived
-    from the files it is about to replace."""
+    """Delete the files stage ``command`` writes, so that it leaves none of
+    them if it fails, and those of every stage that reads one of them,
+    directly or through another such stage: they were derived from the
+    files it is about to replace."""
     replaced: set[str] = set()
     for stage in STAGES:
-        if stage.name == command:
-            replaced.update(stage.writes)
-        elif replaced.intersection(stage.reads):
+        if stage.name == command or replaced.intersection(stage.reads):
             replaced.update(stage.writes)
             for name in stage.writes:
                 cfg._path(name).unlink(missing_ok=True)

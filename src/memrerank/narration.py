@@ -7,13 +7,14 @@ sampling and prompt text): the scripted backends read its fields, and
 only the HTTP client derives its frames and renders the instruction text.
 Narrations are cached on disk keyed by (video, clip, sampling, prompt
 version, backend), so re-running a dataset with a warm cache issues zero
-backend calls. One narrate run schedules every distinct clip of every plan
-at once: each cache key reaches the backend at most once, and at most
-``c_max`` requests are in flight across the whole run; a clip waiting out
-a retry backoff holds none of them, and its first retry runs as soon as
-another call is answered (:func:`dispatch`, which the rerank stage's
-selections go through too). A blank narration is retried as an
-unavailable backend is. Memories files are JSON Lines written and read
+backend calls. :func:`dispatch` is the one cached-call path, which the
+rerank stage's selections go through too: it serves each distinct key
+from the cache or, at most once, from the backend, with at most
+``c_max`` requests in flight, and stores each reply as it arrives. One
+narrate run dispatches every distinct clip of every plan at once; a clip
+waiting out a retry backoff holds no request slot, and its first retry
+runs as soon as another call is answered. A blank narration is retried as
+an unavailable backend is. Memories files are JSON Lines written and read
 through :mod:`memrerank.ingest`. The cache is a :class:`ReplyCache`, the
 append-only log the rerank stage keeps its selection replies in too; torn
 or corrupt records are skipped and then removed from it.
@@ -32,7 +33,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import clips
 from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, interval_of
@@ -254,24 +255,31 @@ class Clock:
 
 
 def dispatch(
-    call: Callable, items: Sequence, c_max: int, clock: Clock = Clock(), on_retry=lambda: None
-) -> list:
-    """Run ``call`` on each of ``items`` on at most ``min(c_max,
-    len(items))`` threads; return the results in order. A transient failure
-    (``BackendUnavailableError``, which a blank narration raises too) is
-    queued again, due ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, and
-    reported to ``on_retry``, while its worker takes the next ready call (a
-    due retry first). A call that returns releases the earliest queued
-    first retry, which its worker runs next: a backend that answers need
-    not be waited out; later retries keep their backoff. Any other error
-    (an interrupt raised in a call too), or a last transient failure,
-    wrapped as ``failed after N attempts``, stops the hand-out (no retry is
-    released after that) and is re-raised here once the calls in flight
-    finish; an interrupt of the calling thread wakes every waiter."""
+    call: Callable, keys: Iterable, cache: ReplyCache, c_max: int, clock: Clock = Clock(),
+    count: Callable[..., None] = lambda **amounts: None,
+) -> dict:
+    """Answer each distinct key of ``keys``; return the answers by key. A
+    hit comes from ``cache``; a miss from ``call`` on at most ``min(c_max,
+    misses)`` threads, put in ``cache`` as it arrives (a blank answer is
+    returned, not stored). ``count`` hears ``cache_hits`` and
+    ``cache_misses`` before any call, then each retry, from its worker, as
+    ``retries=1``. A transient failure (``BackendUnavailableError``, which a
+    blank narration raises too) is queued again, due
+    ``RETRY_BACKOFF_S[n - 1]`` s after the n-th, while its worker takes the
+    next ready call (a due retry first). A call that returns releases the
+    earliest queued first retry, which its worker runs next: a backend that
+    answers need not be waited out; later retries keep their backoff. Any
+    other error (an interrupt raised in a call too), or a last transient
+    failure, wrapped as ``failed after N attempts``, stops the hand-out (no
+    retry is released after that) and is re-raised here once the calls in
+    flight finish; an interrupt of the calling thread wakes every waiter."""
     if c_max < 1:
         raise SchemaViolation("c_max", f"must be >= 1, got {c_max}")
-    results, errors, delayed = [None] * len(items), [], []  # (due, index, failures)
-    fresh, ready = ((i, 0) for i in range(len(items))), threading.Condition()
+    answers = {key: cache.get(key) for key in keys}  # None: a miss
+    misses = [key for key, answer in answers.items() if answer is None]
+    count(cache_hits=len(answers) - len(misses), cache_misses=len(misses))
+    errors, delayed = [], []  # delayed: (due, index, failures)
+    fresh, ready = ((i, 0) for i in range(len(misses))), threading.Condition()
 
     def next_call(answered: bool) -> tuple[int, int] | None:
         with ready:
@@ -297,8 +305,10 @@ def dispatch(
         answered = False
         while job := next_call(answered):
             index, failures = job
+            key = misses[index]
             try:
-                results[index], answered = call(items[index]), True
+                answers[key], answered = call(key), True
+                cache.put(key, answers[key])
             except BaseException as exc:  # re-raised on the calling thread
                 answered = False
                 transient = isinstance(exc, BackendUnavailableError)
@@ -306,13 +316,13 @@ def dispatch(
                     with ready:
                         due = clock.now() + RETRY_BACKOFF_S[failures]
                         heapq.heappush(delayed, (due, index, failures + 1))
-                    on_retry()
+                    count(retries=1)
                     continue
                 if transient:
                     exc = BackendUnavailableError(f"failed after {failures + 1} attempts: {exc}")
                 return stop(exc)
 
-    workers = [threading.Thread(target=work) for _ in items[:c_max]]
+    workers = [threading.Thread(target=work) for _ in misses[:c_max]]
     try:
         for worker in workers:
             worker.start()
@@ -323,7 +333,7 @@ def dispatch(
         raise
     if errors:
         raise errors[0]
-    return results
+    return answers
 
 
 class NarrationEngine:
@@ -347,15 +357,16 @@ class NarrationEngine:
         self.clock = clock
         self._stats_lock = threading.Lock()
         self._counts = dict.fromkeys(
-            ("cache_hits", "cache_misses", "clips_requested", "clips_unique", "retries"), 0
+            ("cache_hits", "cache_misses", "clips_requested", "retries"), 0
         )
 
     def stats(self) -> dict:
-        """Cache hits and misses count distinct clips; ``clips_requested``
-        counts clip references across all plans; ``retries`` counts the
-        transient failures that were queued again."""
+        """Cache hits and misses count distinct clips, which ``clips_unique``
+        sums; ``clips_requested`` counts clip references across all plans;
+        ``retries`` counts the transient failures that were queued again."""
         with self._stats_lock:
-            return {"backend_calls": self.backend.narrate_calls, **self._counts}
+            counts = {"backend_calls": self.backend.narrate_calls, **self._counts}
+        return {**counts, "clips_unique": counts["cache_hits"] + counts["cache_misses"]}
 
     def _count(self, **amounts: int) -> None:
         with self._stats_lock:
@@ -373,37 +384,31 @@ class NarrationEngine:
         return self.narrate_plans([plan])[0].entries[0].narration
 
     def narrate_plans(self, plans: Sequence[clips.ClipPlan]) -> list[EpisodicMemory]:
-        """Narrate every clip of every plan; one memory per plan, in order.
-
-        Each distinct cache key is narrated at most once: hits are served
-        inline and misses by one :func:`dispatch`. Narrations finished
-        before a failure stay cached.
-        """
+        """Narrate every clip of every plan through one :func:`dispatch`;
+        one memory per plan, in order. Narrations finished before a failure
+        stay cached."""
         version, backend_id = prompt_version(self.prompt), self.backend.backend_id
         plan_keys = [
             [NarrationCacheKey(plan.candidate_key.video_id, clip.start_s, clip.end_s, plan.fps,
                                plan.clip_len_s, version, backend_id) for clip in plan.clips]
             for plan in plans
         ]
-        unique = dict.fromkeys(key for keys in plan_keys for key in keys)
-        misses = [key for key in unique if self.cache.get(key) is None]
 
-        def call(key: NarrationCacheKey) -> None:
+        def call(key: NarrationCacheKey) -> str:
             clip = TimeInterval(key.clip_start_s, key.clip_end_s)
             request = BackendRequest(key.video_id, clip, key.fps, key.clip_len_s, self.prompt)
-            text = self.backend.narrate(request)
-            if not text.strip():
+            text = self.backend.narrate(request).strip()
+            if not text:
                 raise BackendUnavailableError(f"backend '{backend_id}' returned empty text")
-            self.cache.put(key, text.strip())
+            return text
 
-        self._count(clips_requested=sum(map(len, plan_keys)), clips_unique=len(unique))
-        self._count(cache_hits=len(unique) - len(misses), cache_misses=len(misses))
-        dispatch(call, misses, self.c_max, self.clock, on_retry=lambda: self._count(retries=1))
-        get = self.cache.get
+        self._count(clips_requested=sum(map(len, plan_keys)))
+        all_keys = (key for keys in plan_keys for key in keys)
+        narrations = dispatch(call, all_keys, self.cache, self.c_max, self.clock, self._count)
         return [
             EpisodicMemory(
                 plan.candidate_key,
-                tuple(MemoryEntry(clip, get(key)) for clip, key in zip(plan.clips, keys)),
+                tuple(MemoryEntry(clip, narrations[key]) for clip, key in zip(plan.clips, keys)),
                 version,
                 backend_id,
             )

@@ -9,20 +9,21 @@ falls back to the original order, so reranking can never lose candidates
 or fail a run. An outcome holds the pick as a rank; :func:`promote` is the
 one place a list is reordered.
 
-Replies are cached in a :class:`SelectionCache` keyed by the sha256 of the
-exact prompt and the backend id, so a warm or resumed run asks the backend
-only for the picks it lacks. A failed call is never cached, nor is a blank
-reply; an unparseable one is, since it is the model's answer. A selector
-that reads what its prompt's text does not hold (the oracle) is never cached.
+Replies go through :func:`memrerank.narration.dispatch` and are cached in
+a :class:`SelectionCache` keyed by the sha256 of the exact prompt and the
+backend id, so a warm or resumed run asks the backend only for the picks
+it lacks. A failed call is never cached, nor is a blank reply; an
+unparseable one is, since it is the model's answer. A selector that reads
+what its prompt's text does not hold (the oracle) is never cached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import CandidateList, EpisodicMemory, Query, checked
 from .errors import BackendError, MemoryMismatch
@@ -108,14 +109,12 @@ class SelectionCache(ReplyCache):
 @dataclass(frozen=True, slots=True)
 class RerankOutcome:
     """Result of reranking one query's candidate list: the backend's pick,
-    or rank 1 when there was none to make or it fell back. ``cached`` says
-    the reply came from the selection cache; outcomes compare without it."""
+    or rank 1 when there was none to make or it fell back."""
 
     original: CandidateList
     selected_rank: int = 1
     fallback_used: bool = False
     raw_answer: str = ""
-    cached: bool = field(default=False, compare=False)
 
     @property
     def reranked(self) -> CandidateList:
@@ -202,15 +201,16 @@ def rerank_many(
     c_max: int,
     include_scores: bool = False,
     cache: SelectionCache | None = None,
+    count: Callable[..., None] = lambda **amounts: None,
 ) -> list[RerankOutcome]:
     """Rerank several queries, up to ``c_max`` selection calls in flight;
     fall back to the original order on any parse or backend failure.
 
     Every prompt is built, and its memories checked, before any backend
-    call. Each distinct prompt reaches the backend at most once (each
-    prompt, for a selector that reads past its text): replies in
-    ``cache`` are served inline and the misses go to one :func:`dispatch`,
-    each reply cached as it arrives. A failed call is not retried."""
+    call. The distinct prompts go to one :func:`dispatch`, which serves
+    them from ``cache`` or the backend (each prompt, for a selector that
+    reads past its text) and tells ``count`` its cache hits and misses. A
+    failed call is not retried."""
     # A selector that reads past the text (the oracle) may answer two equal
     # texts apart, so each of its prompts is a call of its own, kept in this
     # call's cache only.
@@ -227,24 +227,19 @@ def rerank_many(
         for index, prompt in enumerate(prompts)
     ]
     prompt_of = {key: prompt for key, prompt in zip(keys, prompts) if key is not None}
-    hits = {key: cache.get(key) for key in prompt_of}  # None: a miss
-    misses = [key for key, answer in hits.items() if answer is None]
 
     def call(key: SelectionCacheKey) -> str:
         try:
-            answer = backend.select(prompt_of[key])
+            return backend.select(prompt_of[key])
         except BackendError:
             return ""  # no pick, and nothing cached: the next run asks again
-        cache.put(key, answer)
-        return answer
 
-    answers = {**hits, **dict(zip(misses, dispatch(call, misses, c_max)))}
+    answers = dispatch(call, prompt_of, cache, c_max, count=count)
     outcomes = []
     for (_, clist, _), key in zip(items, keys):
         if key is None:
             outcomes.append(RerankOutcome(clist))
             continue
         selected = parse_selection(answers[key], len(clist.candidates))
-        cached = hits[key] is not None
-        outcomes.append(RerankOutcome(clist, selected or 1, selected is None, answers[key], cached))
+        outcomes.append(RerankOutcome(clist, selected or 1, selected is None, answers[key]))
     return outcomes

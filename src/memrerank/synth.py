@@ -53,7 +53,7 @@ class ScenarioKnobs:
     """Size and difficulty controls for scenario generation, with their flags and ranges."""
 
     num_videos: int = setting("--videos", default=3, range=(1, 1000))  # ids v000 to v999
-    # A video costs queries² × candidates: distractors are drawn from all its events.
+    # A video costs queries × candidates draws: one segment per candidate of each query.
     queries_per_video: int = setting("--queries-per-video", default=4, range=(1, 100))
     candidates_per_query: int = setting("--candidates-per-query", default=5, range=(1, 100))
     recall_rho: float = setting("--recall-rho", default=0.8, range=(0, 1))
@@ -129,6 +129,7 @@ def generate_scenario(
         duration = t + rng.uniform(5.0, 20.0)
 
         target_indices = sorted(rng.sample(range(num_events), num_queries))
+        targets = set(target_indices)
         labels = {j: event.label for j, event in enumerate(events)}
         queries = []
         twinned: set[int] = set()
@@ -146,11 +147,7 @@ def generate_scenario(
                 )
             )
             if rng.random() < knobs.latent_positive_rate:
-                spare = [
-                    j
-                    for j in range(num_events)
-                    if j not in target_indices and j not in twinned
-                ]
+                spare = [j for j in range(num_events) if j not in targets and j not in twinned]
                 if spare:
                     twin_idx = rng.choice(spare)
                     twinned.add(twin_idx)
@@ -164,9 +161,9 @@ def generate_scenario(
                 positive = _shifted(gt, rng.uniform(-max_shift, max_shift))
                 segments.append(positive)
             while len(segments) < num_candidates:
-                other_idx = rng.choice(
-                    [j for j in range(num_events) if j != target_idx]
-                )
+                # ``choice`` over the other events, drawn without building them
+                other_idx = rng.randrange(num_events - 1)
+                other_idx += other_idx >= target_idx
                 other = events[other_idx].interval
                 max_shift = min(knobs.jitter_s, other.duration_s / 3.0)
                 segments.append(_shifted(other, rng.uniform(-max_shift, max_shift)))

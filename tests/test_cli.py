@@ -1206,6 +1206,11 @@ class TestStageTable:
             stage.name: (stage.reads, stage.writes) for stage in cli.STAGES
         }
 
+    def test_readme_names_every_narrate_stats_key(self):
+        keys = narration.NarrationEngine(synth.stub_backend(lambda: {})).stats()
+        section = readme_section("### Stage artifacts")
+        assert [key for key in keys if f"`{key}`" not in section] == []
+
     def test_readme_report_table_is_what_its_commands_print(self, tmp_path):
         # The commands block right above the table, run in-process.
         section = readme_section("## CLI walkthrough (synthetic, no network)")
@@ -1329,6 +1334,52 @@ class TestStaleOutputs:
         fresh = ["--cache-dir", tmp_path / "fresh"]
         assert run(["narrate", "--out", out, "--backend", "stub", *fresh]) == 0
         assert (out / cli.MEMORIES_FILE).read_bytes() == memories
+
+    def test_optimize_after_a_failed_rerank_names_rerank(self, tmp_path, caplog):
+        # The failed rerank would otherwise leave the --limit 0 run's log
+        # beside a new reranked file, and optimize would chain the mix.
+        out = tmp_path / "run"
+        simulate(out, seed=3, videos=20, queries=5)
+        assert run(["plan", "--out", out]) == 0
+        assert run(["narrate", "--out", out, "--backend", "stub"]) == 0
+        assert run(["rerank", "--out", out, "--backend", "oracle", "--limit", 0]) == 0
+        (out / cli.PREDICTIONS_RERANK_FILE).unlink()
+        (out / cli.PREDICTIONS_RERANK_FILE).mkdir()
+        assert run(["rerank", "--out", out, "--backend", "stub"]) == 6
+        assert not (out / cli.RERANKED_FILE).exists()
+        assert not (out / cli.RERANK_LOG_FILE).exists()
+        with caplog.at_level("ERROR"):
+            assert run(["optimize", "--out", out]) == 3
+        assert caplog.messages[-1].startswith("missing input produced by stage 'rerank'")
+
+    def test_rerank_after_a_failed_narrate_names_narrate(self, tmp_path, caplog, monkeypatch):
+        # The failed narrate would otherwise leave memories narrated under
+        # another prompt, and rerank would select from them.
+        monkeypatch.delenv("MEMRERANK_API_BASE", raising=False)
+        out, prompt = tmp_path / "run", tmp_path / "p.txt"
+        prompt.write_text("Say what the hands do.\n")
+        narrated(out)
+        remote = ["--backend", "remote", "--prompt-file", prompt]
+        assert run(["narrate", "--out", out, *remote]) == 2
+        assert not (out / cli.MEMORIES_FILE).exists()
+        with caplog.at_level("ERROR"):
+            assert run(["rerank", "--out", out, "--backend", "stub"]) == 3
+        assert caplog.messages[-1].startswith("missing input produced by stage 'narrate'")
+
+    @pytest.mark.parametrize("stage", list(STALE_AFTER))
+    def test_a_failed_stage_leaves_none_of_its_outputs(self, tmp_path, monkeypatch, stage):
+        out = tmp_path / "run"
+        pipeline(out)
+        assert run(["report", "--out", out]) == 0
+
+        def fail(cfg, args):
+            raise OSError("failed after the drop")
+
+        failing = [s._replace(command=fail) if s.name == stage else s for s in cli.STAGES]
+        monkeypatch.setattr(cli, "STAGES", tuple(failing))
+        assert run([stage, "--out", out]) == 6
+        [writes] = [s.writes for s in cli.STAGES if s.name == stage]
+        assert [name for name in writes if (out / name).exists()] == []
 
 
 def narrated(out):

@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 import sys
@@ -766,20 +767,22 @@ class FirstAttemptFailsBackend(GaugeBackend):
         raise BackendUnavailableError("first attempt")
 
 
-def dispatched(call_results, items, c_max=1):
-    """Dispatch ``items`` under a ``FakeClock``; ``call_results[item]`` is a
-    list of outcomes, one per attempt, an exception class to raise or a
-    result. Returns the results, the order of the calls and the waits."""
+def dispatched(call_results, keys, c_max=1, cache=None, count=lambda **amounts: None):
+    """Dispatch ``keys`` under a ``FakeClock``; ``call_results[key]`` is a
+    list of outcomes, one per attempt, an exception class to raise or an
+    answer. Returns the answers by key, the order of the calls and the
+    waits. ``cache`` defaults to an empty in-memory one."""
     calls, clock = [], FakeClock()
 
-    def call(item):
-        calls.append(item)
-        outcome = call_results[item].pop(0)
+    def call(key):
+        calls.append(key)
+        outcome = call_results[key].pop(0)
         if isinstance(outcome, type):
             raise outcome("scripted")
         return outcome
 
-    return narration.dispatch(call, items, c_max, clock), calls, clock.waits
+    cache = narration.ReplyCache() if cache is None else cache
+    return narration.dispatch(call, keys, cache, c_max, clock, count), calls, clock.waits
 
 
 class TestDispatch:
@@ -797,15 +800,15 @@ class TestDispatch:
 
     def test_answered_call_releases_a_first_retry(self):
         # Item 0 fails; item 1 is answered; item 0 runs next, unwaited.
-        results, calls, waits = dispatched({0: [BackendUnavailableError, "a"], 1: ["b"]}, [0, 1])
-        assert results == ["a", "b"]
+        answers, calls, waits = dispatched({0: [BackendUnavailableError, "a"], 1: ["b"]}, [0, 1])
+        assert answers == {0: "a", 1: "b"}
         assert calls == [0, 1, 0]
         assert waits == []
 
     def test_second_failure_keeps_its_backoff(self):
         script = {0: [BackendUnavailableError] * 2 + ["a"], 1: ["b"], 2: ["c"]}
-        results, calls, waits = dispatched(script, [0, 1, 2])
-        assert results == ["a", "b", "c"]
+        answers, calls, waits = dispatched(script, [0, 1, 2])
+        assert answers == {0: "a", 1: "b", 2: "c"}
         assert calls == [0, 1, 0, 2, 0]
         assert waits == [2.0]  # item 2's answer did not release the second retry
 
@@ -814,8 +817,8 @@ class TestDispatch:
         # retry fails: item 1 still waits out its 1 s.
         unavailable = BackendUnavailableError
         script = {0: [unavailable, unavailable, "a"], 1: [unavailable, "b"], 2: ["c"]}
-        results, calls, waits = dispatched(script, [0, 1, 2])
-        assert results == ["a", "b", "c"]
+        answers, calls, waits = dispatched(script, [0, 1, 2])
+        assert answers == {0: "a", 1: "b", 2: "c"}
         assert calls == [0, 1, 2, 0, 1, 0]
         assert waits == [1.0, 1.0]
 
@@ -833,11 +836,11 @@ class TestDispatch:
             if item == 1:
                 in_flight.set()
                 answer.wait(5)
-            return item
+            return str(item)
 
         join_workers = interrupt_join(monkeypatch, lambda: (failed.wait(5), in_flight.wait(5)))
         with pytest.raises(KeyboardInterrupt):
-            narration.dispatch(call, [0, 1], c_max=2)
+            narration.dispatch(call, [0, 1], narration.ReplyCache(), c_max=2)
         answer.set()
         join_workers()
         assert sorted(calls) == [0, 1]  # item 1's answer did not release item 0
@@ -892,11 +895,39 @@ class TestDispatch:
             called.append(item)
             if item == 2:
                 raise KeyboardInterrupt
-            return item
+            return str(item)
 
         with pytest.raises(KeyboardInterrupt):
-            narration.dispatch(call, [1, 2, 3, 4], c_max=1)
+            narration.dispatch(call, [1, 2, 3, 4], narration.ReplyCache(), c_max=1)
         assert called == [1, 2]
+
+    def test_a_hit_makes_no_call(self):
+        cache = narration.ReplyCache()
+        cache.put(0, "cached")
+        answers, calls, _ = dispatched({1: ["b"]}, [0, 1], cache=cache)
+        assert answers == {0: "cached", 1: "b"}
+        assert calls == [1]
+
+    def test_a_key_listed_twice_makes_one_call(self):
+        answers, calls, _ = dispatched({0: ["a"], 1: ["b"]}, [0, 1, 0, 1, 0], c_max=2)
+        assert answers == {0: "a", 1: "b"}
+        assert sorted(calls) == [0, 1]
+
+    def test_a_blank_answer_is_returned_but_not_stored(self):
+        cache = narration.ReplyCache()
+        answers, _, _ = dispatched({0: [" \n"], 1: ["b"]}, [0, 1], cache=cache)
+        assert answers == {0: " \n", 1: "b"}
+        assert (cache.get(0), cache.get(1), len(cache)) == (None, "b", 1)
+
+    def test_count_has_heard_every_amount_when_a_call_stops_the_run(self):
+        # Key 0 is a hit; key 1 fails once and is queued again; key 2's
+        # call is interrupted before key 1's retry is due.
+        cache, counts = narration.ReplyCache(), collections.Counter()
+        cache.put(0, "cached")
+        script = {1: [BackendUnavailableError, "b"], 2: [KeyboardInterrupt]}
+        with pytest.raises(KeyboardInterrupt):
+            dispatched(script, [0, 1, 2], cache=cache, count=counts.update)
+        assert counts == {"cache_hits": 1, "cache_misses": 2, "retries": 1}
 
 
 class TestPromptTemplate:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -279,17 +280,18 @@ class TestSelectionCache:
         scenario = tiny_scenario()
         items = self.items(scenario)
         path = tmp_path / "selections.jsonl"
-        first = stub_backend(lambda: scenario.event_script)
+        first, cold_counts = stub_backend(lambda: scenario.event_script), collections.Counter()
         with SelectionCache(path) as cache:
-            cold = rerank_many(items, first, c_max=2, cache=cache)
+            cold = rerank_many(items, first, c_max=2, cache=cache, count=cold_counts.update)
         assert first.select_calls == 2
-        second = stub_backend(lambda: scenario.event_script)
+        second, warm_counts = stub_backend(lambda: scenario.event_script), collections.Counter()
         with SelectionCache(path) as cache:
-            warm = rerank_many(items, second, c_max=2, cache=cache)
+            warm = rerank_many(items, second, c_max=2, cache=cache, count=warm_counts.update)
         assert second.select_calls == 0
         assert warm == cold
         assert [o.raw_answer for o in warm] == [o.raw_answer for o in cold]
-        assert [(o.cached, w.cached) for o, w in zip(cold, warm)] == [(False, True)] * 2
+        assert cold_counts == {"cache_hits": 0, "cache_misses": 2}
+        assert warm_counts == {"cache_hits": 2, "cache_misses": 0}
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [sorted(r["key"]) for r in records] == [["backend_id", "prompt_sha256"]] * 2
 
@@ -323,11 +325,13 @@ class TestSelectionCache:
         cache = SelectionCache()
         key = SelectionCacheKey(hashlib.sha256(prompt.encode("utf-8")).hexdigest(), "oracle")
         cache.put(key, "5")
+        counts = collections.Counter()
         [outcome] = rerank_many(
             [(query, clist_, memories)], selector(OracleSelectorBackend, scenario), c_max=1,
-            cache=cache,
+            cache=cache, count=counts.update,
         )
-        assert (outcome.selected_rank, outcome.cached) == (3, False)
+        assert outcome.selected_rank == 3
+        assert counts == {"cache_hits": 0, "cache_misses": 1}
         assert len(cache) == 1
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 import reprlib
 import sys
@@ -53,6 +54,19 @@ class TestKnobs:
 
 
 class TestGenerateScenario:
+    def test_distractor_draw_is_a_choice_over_the_other_events(self):
+        # A distractor's index is drawn from one fewer than the events and
+        # skips the target: the draw ``choice`` makes over the others.
+        for seed in range(4):
+            for num_events, target in ((5, 0), (5, 4), (8, 3), (104, 51)):
+                by_choice, by_index = random.Random(seed), random.Random(seed)
+                for _ in range(25):
+                    other = by_index.randrange(num_events - 1)
+                    other += other >= target
+                    assert other == by_choice.choice(
+                        [j for j in range(num_events) if j != target]
+                    )
+
     def test_deterministic(self):
         knobs = ScenarioKnobs(num_videos=3, queries_per_video=4)
         assert generate_scenario(knobs, 7) == generate_scenario(knobs, 7)
