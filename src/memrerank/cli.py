@@ -106,8 +106,16 @@ def _convert(f, value):
     raise ConfigError(f"setting {f.name}={shown} must be {expected}")
 
 
-def _configured(settings: type, values: dict):
-    """``settings(**values)``; a flag or config value it refuses is a ``ConfigError``."""
+def _configured(settings: type, args: argparse.Namespace, file_cfg: dict):
+    """The dataclass ``settings`` from each field's flag in ``args``, else its key
+    in ``file_cfg``, else its default; a value it refuses is a ``ConfigError``."""
+    values = {}
+    for f in fields(settings):
+        value = getattr(args, f.name, None)
+        if value is None:
+            value = file_cfg.get(f.name)
+        if value is not None:
+            values[f.name] = _convert(f, value)
     try:
         return settings(**values)
     except ValidationError as exc:
@@ -163,6 +171,9 @@ class RunConfig:
     )
 
     def __post_init__(self):
+        self.output_dir = self.output_dir or Path(DEFAULT_OUTPUT_DIR).resolve()
+        for name, relative in _UNDER_OUTPUT_DIR.items():
+            setattr(self, name, getattr(self, name) or self.output_dir / relative)
         check_ranges(self)
         clips.check_sampling(self.fps, self.clip_len_s)
 
@@ -180,8 +191,7 @@ class RunConfig:
             if not isinstance(file_cfg, dict):
                 raise ConfigError("config file must hold a JSON object")
             top_level = ({f.name for f in fields(cls)} - _PATH_KEYS) | {"paths"}
-            unknown = set(file_cfg) - top_level
-            if unknown:
+            if unknown := set(file_cfg) - top_level:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             paths = file_cfg.pop("paths", None)  # null, like absent, sets none
             if paths is not None and (not isinstance(paths, dict) or set(paths) - _PATH_KEYS):
@@ -190,19 +200,10 @@ class RunConfig:
                 )
             file_cfg.update(paths or {})
 
-        values = {}
-        for f in fields(cls):
-            value = getattr(args, f.name, None)
-            if value is None:
-                value = file_cfg.get(f.name)
-            if value is None:
-                continue
-            values[f.name] = _convert(f, value)
-        output_dir = values.setdefault("output_dir", Path(DEFAULT_OUTPUT_DIR).resolve())
-        for name, relative in _UNDER_OUTPUT_DIR.items():
-            values.setdefault(name, output_dir / relative)
-        cfg = _configured(cls, values)
+        cfg = _configured(cls, args, file_cfg)
         _prompt_template(cfg.narration_prompt)  # read again by narrate
+        if cfg.frame_extract_cmd is not None:  # filled in again per missing frame
+            narration.extraction_args(cfg.frame_extract_cmd, "v000", "0.000", "frame.jpg")
         return cfg
 
     def _path(self, name: str) -> Path:
@@ -263,9 +264,7 @@ def _build_backend(cfg: RunConfig) -> narration.Backend:
     if cfg.backend == "remote":
         from .remote import FrameProvider, RemoteBackend
 
-        provider = None
-        if cfg.frames_root is not None:
-            provider = FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
+        provider = cfg.frames_root and FrameProvider(cfg.frames_root, cfg.frame_extract_cmd)
         return RemoteBackend.from_env(frame_provider=provider)
 
     def load_script() -> synth.EventScript:
@@ -299,8 +298,7 @@ def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    given = {f.name: getattr(args, f.name) for f in fields(synth.ScenarioKnobs)}
-    knobs = _configured(synth.ScenarioKnobs, {k: v for k, v in given.items() if v is not None})
+    knobs = args.knobs  # built, with every other setting, before any file is deleted
     scenario = synth.generate_scenario(knobs, cfg.seed, track=ingest.Track(args.track))
     synth.write_scenario(scenario, cfg.output(SCENARIO_FILE))
     ingest.write_annotations(scenario.dataset, cfg.output(ANNOTATIONS_FILE))
@@ -435,6 +433,11 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     predictions = {clist.query_id: clist.intervals() for task in left_out for clist in task}
     for task in tasks:
         choices = sequencing.optimize_sequence(task, cfg.lambda_penalty)
+        if sequencing.selection_cost(task, choices, cfg.lambda_penalty) > sys.float_info.max:
+            raise ConfigError(
+                f"setting lambda_penalty={cfg.lambda_penalty!r} overflows the total cost "
+                f"of video '{task[0].video_id}'"
+            )
         entries.append((task, choices))
         for clist, choice in zip(task, choices):
             predictions[clist.query_id] = promote(clist, choice + 1).intervals()
@@ -481,8 +484,7 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     table = metrics.format_comparison_table([("base", before), ("reranked", after)])
     print(table)
     with ingest.atomic_writer(cfg.output(REPORT_FILE)) as handle:
-        handle.write(table)
-        handle.write("\n")
+        handle.write(table + "\n")
     return 0
 
 
@@ -580,6 +582,7 @@ def main(argv=None) -> int:
         )
         args = build_parser().parse_args(argv)
         cfg = RunConfig.from_args(args)
+        args.knobs = _configured(synth.ScenarioKnobs, args, {})  # simulate's; flags only
         _drop_stale(cfg, args.command)
         return args.func(cfg, args)
     except MemrerankError as exc:

@@ -240,9 +240,10 @@ def read_json_file(path: str | Path, what: str, parse: Callable):
 
 
 def write_report_file(value, path: str | Path) -> None:
-    """Indented JSON with sorted keys and a final newline."""
+    """Indented JSON with sorted keys and a final newline; a NaN or an
+    infinity, which JSON cannot hold, is a ``ValueError`` and writes nothing."""
     with atomic_writer(path) as handle:
-        json.dump(value, handle, sort_keys=True, indent=2)
+        json.dump(value, handle, sort_keys=True, indent=2, allow_nan=False)
         handle.write("\n")
 
 

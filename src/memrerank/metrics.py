@@ -80,11 +80,10 @@ def recall_at_k(
     Queries missing from ``predictions`` (or with empty lists) count as
     misses.
     """
-    hits = 0
-    for query_id, gt in ground_truth.items():
-        ranked = predictions.get(query_id, ())
-        if any(temporal_iou(p, gt) >= threshold for p in ranked[:k]):
-            hits += 1
+    hits = sum(
+        any(temporal_iou(p, gt) >= threshold for p in predictions.get(query_id, ())[:k])
+        for query_id, gt in ground_truth.items()
+    )
     return 100.0 * hits / len(ground_truth)
 
 
@@ -105,14 +104,12 @@ def evaluate_run(
     Missing predictions are flagged, under the prediction set's ``name``,
     and counted as misses.
     """
-    ground_truth: dict[str, TimeInterval] = {}
-    for query in dataset.iter_queries():
-        if query.ground_truth is not None:
-            ground_truth[query.query_id] = query.ground_truth
+    ground_truth = {
+        q.query_id: q.ground_truth for q in dataset.iter_queries() if q.ground_truth is not None
+    }
     if not ground_truth:
         raise MissingGroundTruth("dataset has no annotated queries to score")
-    missing = sorted(set(ground_truth) - set(predictions))
-    if missing:
+    if missing := sorted(set(ground_truth) - set(predictions)):
         logger.warning(
             "%s: %d of %d queries have no predictions and count as misses (first: %s)",
             name,
@@ -189,8 +186,6 @@ def format_comparison_table(rows: Sequence[tuple[str, MetricsReport]]) -> str:
         values = [*report.cells.values(), report.mean_r1]
         table.append([name, *map(display_value, values)])
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

@@ -28,6 +28,7 @@ import heapq
 import json
 import logging
 import os
+import shlex
 import threading
 import time
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import clips
 from .core import CandidateKey, EpisodicMemory, MemoryEntry, TimeInterval, checked, interval_of
-from .errors import BackendUnavailableError, SchemaViolation
+from .errors import BackendUnavailableError, ConfigError, SchemaViolation
 from .ingest import MALFORMED, atomic_writer, encode_record, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -59,6 +60,21 @@ class FrameRef(NamedTuple):
 
     video_id: str
     timestamp_s: float
+
+
+def extraction_args(template: str, video: str, t: str, out: str) -> list[str]:
+    """The command line that extracts a frame: the shell words of ``template``,
+    ``{video}`` ``{t}`` ``{out}`` filled in; a ``ConfigError`` when that fails
+    or leaves no word. ``frame_extract_cmd`` is checked by it when parsed."""
+    try:
+        if args := [token.format(video=video, t=t, out=out) for token in shlex.split(template)]:
+            return args
+        raise ValueError("no command")
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"setting frame_extract_cmd={json.dumps(template)} must be a command whose only "
+            f"placeholders are {{video}} {{t}} {{out}}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def prompt_version(prompt: str) -> str:

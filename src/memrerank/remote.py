@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import os
-import shlex
 import subprocess
 import urllib.parse
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import requests
 
 from .errors import BackendError, BackendUnavailableError, ConfigError
-from .narration import Backend, BackendRequest, FrameRef
+from .narration import Backend, BackendRequest, FrameRef, extraction_args
 
 ENV_API_BASE = "MEMRERANK_API_BASE"
 ENV_API_KEY = "MEMRERANK_API_KEY"
@@ -63,14 +62,8 @@ class FrameProvider:
 
     def _extract(self, ref: FrameRef, out_path: Path) -> None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        args = [
-            token.format(
-                video=ref.video_id,
-                t=f"{ref.timestamp_s:.3f}",
-                out=str(out_path),
-            )
-            for token in shlex.split(self.extract_cmd)
-        ]
+        t = f"{ref.timestamp_s:.3f}"
+        args = extraction_args(self.extract_cmd, ref.video_id, t, str(out_path))
         result = subprocess.run(args, capture_output=True, text=True)
         if result.returncode != 0:
             raise BackendError(f"frame extraction failed for {ref}: {result.stderr.strip()[:500]}")

@@ -1138,6 +1138,23 @@ def readme_stage_rows():
     return rows
 
 
+# The objects whose keys are ids, not names: a scenario's event script and
+# an optimizer report's left-out queries, both by video.
+ID_KEYED = {"event_script", "left_out"}
+
+
+def json_keys(value, ids=False):
+    """Every object key of a parsed JSON value but those of ``ID_KEYED`` objects."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if not ids:
+                yield key
+            yield from json_keys(child, key in ID_KEYED and not ids)
+    elif isinstance(value, list):
+        for child in value:
+            yield from json_keys(child)
+
+
 class TestStageTable:
     @pytest.fixture(scope="class")
     def full_run(self, tmp_path_factory):
@@ -1210,6 +1227,27 @@ class TestStageTable:
         keys = narration.NarrationEngine(synth.stub_backend(lambda: {})).stats()
         section = readme_section("### Stage artifacts")
         assert [key for key in keys if f"`{key}`" not in section] == []
+
+    def test_readme_file_formats_names_every_key(self, tmp_path):
+        # Seed 7 at 6 x 5 abstains on eight queries, some in the first 20,
+        # so the optimizer report leaves queries out; --limit skips the rest.
+        out = tmp_path / "run"
+        simulate(out, seed=7, videos=6, queries=5)
+        for stage, *flags in (
+            ["plan", "--limit", 20], ["narrate"], ["rerank", "--limit", 20], ["optimize"], ["eval"],
+        ):
+            assert run([stage, "--out", out, "--backend", "stub", *flags]) == 0
+        log = [json.loads(line) for line in (out / cli.RERANK_LOG_FILE).read_text().splitlines()]
+        assert read_abstentions(out / cli.RERANK_LOG_FILE)
+        assert "limit" in {record.get("skip_reason") for record in log}
+        keys = set()
+        for path in out.rglob("*.json*"):
+            if path.name != cli.NARRATE_STATS_FILE:  # § Stage artifacts names its keys
+                text = path.read_text()
+                lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+                keys.update(key for line in lines for key in json_keys(json.loads(line)))
+        section = readme_section("## File formats")
+        assert sorted(k for k in keys if f'"{k}"' not in section and f"`{k}`" not in section) == []
 
     def test_readme_report_table_is_what_its_commands_print(self, tmp_path):
         # The commands block right above the table, run in-process.
@@ -1365,6 +1403,26 @@ class TestStaleOutputs:
         with caplog.at_level("ERROR"):
             assert run(["rerank", "--out", out, "--backend", "stub"]) == 3
         assert caplog.messages[-1].startswith("missing input produced by stage 'narrate'")
+
+    # A setting is refused when it is parsed, before any file is deleted.
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["simulate", "--videos", 0], "num_videos"),
+            (["simulate", "--recall-rho", 2], "recall_rho"),
+            (["rerank", "--extract-cmd", "x {"], "frame_extract_cmd"),
+        ],
+        ids=["videos-zero", "recall-rho-two", "extract-cmd-stray-brace"],
+    )
+    def test_a_refused_setting_leaves_the_run_as_it_was(self, tmp_path, caplog, argv, name):
+        out = tmp_path / "run"
+        pipeline(out)
+        assert run(["report", "--out", out]) == 0
+        files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        with caplog.at_level("ERROR"):
+            assert run([argv[0], "--out", out, *argv[1:]]) == 2
+        assert caplog.messages and all(name in message for message in caplog.messages)
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
 
     @pytest.mark.parametrize("stage", list(STALE_AFTER))
     def test_a_failed_stage_leaves_none_of_its_outputs(self, tmp_path, monkeypatch, stage):
@@ -1994,6 +2052,12 @@ class TestConfigPrecedence:
         "'candidates', 'frames_root', 'output_dir', 'scenario']"
     )
 
+    # The extraction template is filled in when parsed, as for a missing frame.
+    EXTRACT_CMD = (
+        "setting frame_extract_cmd={} must be a command whose only placeholders are "
+        "{{video}} {{t}} {{out}}: {}"
+    )
+
     @pytest.mark.parametrize(
         "flags, config, message",
         [
@@ -2008,8 +2072,40 @@ class TestConfigPrecedence:
                 "schema violation in field 'clip_len_s': must be a positive finite number, "
                 "got 0.0",
             ),
+            (
+                ["--extract-cmd", "cp /dev/null {outt}"], {},
+                EXTRACT_CMD.format('"cp /dev/null {outt}"', "KeyError: 'outt'"),
+            ),
+            (
+                [], {"frame_extract_cmd": "cp /dev/null {outt}"},
+                EXTRACT_CMD.format('"cp /dev/null {outt}"', "KeyError: 'outt'"),
+            ),
+            (
+                ["--extract-cmd", "{0}"], {},
+                EXTRACT_CMD.format(
+                    '"{0}"',
+                    "IndexError: Replacement index 0 out of range for positional args tuple",
+                ),
+            ),
+            (
+                ["--extract-cmd", "x {"], {},
+                EXTRACT_CMD.format('"x {"', "ValueError: Single '{' encountered in format string"),
+            ),
+            (
+                [], {"frame_extract_cmd": 'a "b'},
+                EXTRACT_CMD.format('"a \\"b"', "ValueError: No closing quotation"),
+            ),
+            (
+                ["--extract-cmd", "  "], {},
+                EXTRACT_CMD.format('"  "', "ValueError: no command"),
+            ),
         ],
-        ids=["paths-array", "paths-unknown-key", "fps-zero", "clip-len-zero"],
+        ids=[
+            "paths-array", "paths-unknown-key", "fps-zero", "clip-len-zero",
+            "extract-cmd-unknown-placeholder", "extract-cmd-unknown-placeholder-config",
+            "extract-cmd-positional", "extract-cmd-stray-brace", "extract-cmd-open-quote-config",
+            "extract-cmd-no-command",
+        ],
     )
     def test_invalid_setting_rejected(self, tmp_path, caplog, flags, config, message):
         out = tmp_path / "run"
@@ -2027,6 +2123,36 @@ class TestConfigPrecedence:
         with caplog.at_level("ERROR"):
             code = run(["plan", "--out", out, "--lambda", "-0.5"])
         assert (code, caplog.messages) == (2, ["lambda_penalty must be >= 0, got -0.5"])
+
+    def test_lambda_overflowing_a_total_cost_rejected(self, tmp_path, caplog):
+        # Two one-candidate steps, the second starting 40 s before the first:
+        # lambda times that penalty is past the float range.
+        out = tmp_path / "run"
+        out.mkdir()
+        steps = [("q0", 50.0), ("q1", 10.0)]
+        (out / "annotations.json").write_text(json.dumps({"track": "goalstep", "videos": [{
+            "video_id": "v0", "duration_s": 100.0, "queries": [
+                {"query_id": q, "text": q, "order_index": i, "gt": {"start_s": s, "end_s": s + 5}}
+                for i, (q, s) in enumerate(steps)
+            ],
+        }]}))
+        (out / "candidates.json").write_text(json.dumps({"predictions": [
+            {"video_id": "v0", "query_id": q, "candidates": [
+                {"start_s": s, "end_s": s + 5, "score": 0.9}
+            ]}
+            for q, s in steps
+        ]}))
+        pre = ["--rank-source", "pre_rerank"]
+        assert run(["optimize", "--out", out, *pre, "--lambda", 1e306]) == 0
+        [video] = json.loads((out / cli.OPTIMIZER_REPORT_FILE).read_text())["videos"]
+        assert video["total_cost"] == 2 + 1e306 * 40.0
+        with caplog.at_level("ERROR"):
+            code = run(["optimize", "--out", out, *pre, "--lambda", 1e308])
+        assert (code, caplog.messages) == (
+            2, ["setting lambda_penalty=1e+308 overflows the total cost of video 'v0'"]
+        )
+        assert not (out / cli.OPTIMIZER_REPORT_FILE).exists()
+        assert not (out / cli.PREDICTIONS_FINAL_FILE).exists()
 
     def test_frames_per_clip_over_request_cap_rejected(self, tmp_path, caplog):
         # 20 s clips at 2 fps need 40 frames; a narration request holds 20.
@@ -2110,7 +2236,7 @@ def just_outside_the_declared_ranges():
     """A case per bound a setting or knob declares: a value just outside it,
     the message refusing it, and where it is given (its flag, and for a
     setting the config file as well). Infinity lies above every range that
-    has no upper bound; a setting's type refuses it before its range does."""
+    has no upper bound; a setting's or knob's type refuses it before its range does."""
     for settings in (RunConfig, ScenarioKnobs):
         for f in fields(settings):
             if not f.metadata["range"]:
@@ -2125,7 +2251,7 @@ def just_outside_the_declared_ranges():
             bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
             for side, value in sides:
                 message = f"{f.name} must {bound}, got {value!r}"
-                if settings is RunConfig and value == math.inf:
+                if value == math.inf:
                     message = f"setting {f.name}=Infinity must be a finite number"
                 for source in ("flag", "config") if settings is RunConfig else ("flag",):
                     yield pytest.param(

@@ -9,7 +9,8 @@ changes a value's type, puts in NaN, an empty list or a 401-digit integer,
 or truncates a line; then it runs each stage that reads the file, and
 ``rerank`` with the oracle as well as the stub. Their
 one invariant: each stage exits 0, or exits 2-6 with a message naming a
-setting or a file, within ``TIME_BOUND_S``. A ``c_max`` past the bound
+setting or a file, within ``TIME_BOUND_S``, and every JSON file the run
+wrote holds no NaN or infinity. A ``c_max`` past the bound
 exits 2 before any thread is constructed.
 """
 
@@ -73,13 +74,24 @@ def run_stage(argv: list) -> tuple[int, list[str], float]:
     return code, messages, time.monotonic() - started
 
 
-def check(stage: str, code: int, messages: list[str], elapsed: float) -> None:
+def refuse_constant(name: str):
+    raise ValueError(f"non-finite constant {name}")
+
+
+def check(
+    stage: str, code: int, messages: list[str], elapsed: float, root: Path, given: Path
+) -> None:
+    """The stage's exit, its time, and that every JSON file under ``root`` but
+    the one the test ``given`` it holds only finite numbers."""
     assert elapsed < TIME_BOUND_S, (stage, elapsed)
     if code:
         assert 2 <= code <= 6, (stage, code, messages)
         assert any(name in message for message in messages for name in NAMES), (
             stage, code, messages,
         )
+    for path in root.rglob("*.json"):
+        if path != given:
+            json.loads(path.read_text(), parse_constant=refuse_constant)
 
 
 def no_remote_endpoint():
@@ -158,7 +170,7 @@ def test_drawn_settings_and_knobs_exit_with_a_message(drawn, knobs):
                 code, messages, elapsed = run_stage(
                     [stage, *flags, *(knobs if stage == "simulate" else ())]
                 )
-                check(stage, code, messages, elapsed)
+                check(stage, code, messages, elapsed, Path(root), config)
                 assert code == 2 or not past_bound, (stage, code, messages)
         assert constructed == []
 
@@ -269,4 +281,4 @@ def test_broken_stage_file_exits_with_a_message(finished, name, mutation, pick):
                     code, messages, elapsed = run_stage(
                         [stage, "--out", out, "--backend", backend]
                     )
-                check(stage, code, messages, elapsed)
+                check(stage, code, messages, elapsed, out, out / name)

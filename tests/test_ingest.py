@@ -25,6 +25,7 @@ from memrerank.ingest import (
     write_json_file,
     write_jsonl,
     write_predictions,
+    write_report_file,
 )
 
 from helpers import clist, interval
@@ -547,6 +548,13 @@ class TestAtomicWrite:
             write_json_file({"x": float("nan")}, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_report_refuses_a_number_json_cannot_hold(self, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_file({"total_cost": value}, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonLines:
